@@ -42,10 +42,7 @@ from .envelope import (
     EnvelopeConfig,
     EnvelopeEval,
     evaluate,
-    gamma,
-    grad_gamma,
     prox_step,
-    psi,
 )
 from .lagrangian import (
     KktResidual,
@@ -62,7 +59,7 @@ from .problems import (
     spectral_norm_power,
     synthetic_from_data,
 )
-from .rng import NormalStream, Xoshiro256pp, rng_standard_normal, splitmix64_next
+from .rng import NormalStream, Xoshiro256pp, splitmix64_next
 from .sets import (
     BallSet,
     BoxSet,
@@ -71,7 +68,6 @@ from .sets import (
     WholeSpace,
     ZeroCone,
     composite_prox,
-    prox_zero_over_set,
 )
 from .solvers import (
     SolverConfig,

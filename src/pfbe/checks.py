@@ -16,7 +16,7 @@ from .diagnostics import (
     feasibility_mcc,
     stationarity_gamma,
 )
-from .envelope import EnvelopeConfig, evaluate, prox_step
+from .envelope import EnvelopeConfig, evaluate
 from .lagrangian import kkt_residual_mol, multiplier_bound_monitor
 from .problems import make_example1, make_synthetic, synthetic_from_data
 from .sets import BallSet, BoxSet, OrthantCone

@@ -21,17 +21,21 @@ from .core import (
     Vector,
     as_vector,
 )
-from .envelope import EnvelopeConfig, evaluate, prox_step
+from .envelope import (
+    NORM_FLOOR,
+    EnvelopeConfig,
+    evaluate,
+    grad_norm,
+    prox_grad_residual,
+    prox_step,
+)
 from .lagrangian import LiftedProblem, multiplier_bound_monitor
 from .sets import BoxSet, composite_prox
-
-_NORM_FLOOR = 1e-15
 
 
 def gamma_grad_ref_norm(problem: MinimaxProblem, cfg: EnvelopeConfig, x0, y0) -> float:
     """Norm of the smooth-part gradient at the reference (start) point."""
-    ev = evaluate(problem, cfg, x0, y0, need_grad=True)
-    return float(np.sqrt(float(ev.grad_x @ ev.grad_x) + float(ev.grad_y @ ev.grad_y)))
+    return grad_norm(evaluate(problem, cfg, x0, y0, need_grad=True))
 
 
 def stationarity_gamma(
@@ -45,31 +49,20 @@ def stationarity_gamma(
 ) -> float:
     """Prox-gradient residual of the penalized objective at ``(x, y)``.
 
-    Unnormalized: ``||P((x,y) - grad Xi) - (x,y)||`` where ``P`` absorbs
-    ``r1 + indicator(X)`` on the x-block and
-    ``(alpha-1) r2 + indicator(Y)`` on the y-block, both at unit step.
-    With ``normalized=True`` the residual is divided by the smooth
-    gradient norm at the reference point (``ref_norm`` or ``ref_point``);
-    a reference below 1e-15 degenerates and the unnormalized value is
+    The residual is :func:`pfbe.envelope.prox_grad_residual`. With
+    ``normalized=True`` it is divided by the smooth gradient norm at the
+    reference point (``ref_norm`` or ``ref_point``); a reference below
+    ``NORM_FLOOR`` degenerates and the unnormalized value is
     returned instead.
     """
     ev = evaluate(problem, cfg, x, y, need_grad=True)
-    px = composite_prox(problem.r1, problem.X, ev.x - ev.grad_x, 1.0)
-    py = composite_prox(problem.r2, problem.Y, ev.y - ev.grad_y, cfg.alpha - 1.0)
-    res = float(
-        np.sqrt(
-            float(np.sum((px - ev.x) ** 2)) + float(np.sum((py - ev.y) ** 2))
-        )
-    )
     if not normalized:
-        return res
+        return prox_grad_residual(problem, cfg, ev)
     if ref_norm is None:
         if ref_point is None:
             raise ValueError("normalized stationarity needs ref_norm or ref_point")
         ref_norm = gamma_grad_ref_norm(problem, cfg, *ref_point)
-    if ref_norm < _NORM_FLOOR:
-        return res  # degenerate normalization: fall back to unnormalized
-    return res / float(ref_norm)
+    return prox_grad_residual(problem, cfg, ev, float(ref_norm))
 
 
 def eps_minimax_mm(
@@ -148,8 +141,8 @@ def certify(
     ratio = multiplier_bound_monitor(lifted, x, lam, y)
     factor = transfer_constant(prob, cfg)
     margin = 1.1
-    transfer_ok = (eps_x <= margin * factor * stat + _NORM_FLOOR) and (
-        eps_y <= margin * factor * stat + _NORM_FLOOR
+    transfer_ok = (eps_x <= margin * factor * stat + NORM_FLOOR) and (
+        eps_y <= margin * factor * stat + NORM_FLOOR
     )
     passed = stat <= tol and feas <= tol and comp <= tol
     return Certificate(

@@ -21,11 +21,20 @@ along ``R``:
 
 The penalty weight must satisfy ``alpha >= max(1, 2 / (eta * mu))`` for
 the stationary-point equivalence to hold; the config enforces it.
+
+:func:`evaluate` is a value evaluation (one ``grad_y f``, one prox)
+followed, when gradients are asked for, by :func:`with_gradients`, which
+completes an existing evaluation with ``grad_x f`` (kept in
+``EnvelopeEval.grad_x_f`` for step rules that need it) and the two
+Hessian-vector products. A line search can thus evaluate trial points
+without gradients and complete only the one it accepts.
+:func:`prox_grad_residual` is the unit-step prox-gradient residual of
+``Gamma`` that the solvers monitor and the diagnostics report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -40,6 +49,7 @@ from .core import (
 from .sets import composite_prox
 
 KINK_TOL = 1e-6
+NORM_FLOOR = 1e-15  # reference norms below this leave a residual unnormalized
 
 
 @dataclass(frozen=True)
@@ -89,8 +99,10 @@ class EnvelopeConfig:
 @dataclass(frozen=True)
 class EnvelopeEval:
     """All envelope quantities at one point, computed from a single
-    ``grad_y f`` evaluation and a single prox call (gradients add one
-    ``grad_x f`` and two Hessian-vector products along ``R``)."""
+    ``grad_y f`` evaluation and a single prox call. The gradient fields
+    (``grad_x_f``, the raw ``grad_x f``, and ``grad_x``/``grad_y`` of
+    ``Xi``) are None until :func:`with_gradients` fills them, which adds
+    one ``grad_x f`` and two Hessian-vector products along ``R``."""
 
     x: Vector
     y: Vector
@@ -102,6 +114,7 @@ class EnvelopeEval:
     xi: float
     gamma: float
     near_kink: bool
+    grad_x_f: Optional[Vector] = None
     grad_x: Optional[Vector] = None
     grad_y: Optional[Vector] = None
     used_fd_hvp: bool = False
@@ -118,7 +131,8 @@ def evaluate(
     y,
     need_grad: bool = True,
 ) -> EnvelopeEval:
-    """Evaluate the envelope (and, optionally, the smooth-part gradient)."""
+    """Evaluate the envelope, completed with the smooth-part gradient
+    unless ``need_grad`` is False."""
     x, y = problem.check_point(x, y)
     f = problem.f
     eta, alpha = cfg.eta, cfg.alpha
@@ -135,33 +149,7 @@ def evaluate(
     xi = alpha * psi - (alpha - 1.0) * f_val
     gamma = xi + problem.r1.value(x) + (alpha - 1.0) * problem.r2.value(y)
     check_finite(gamma, "gamma")
-    near_kink = problem.Y.near_boundary(T, KINK_TOL)
-
-    grad_x = grad_y = None
-    used_fd = False
-    if need_grad:
-        gx = np.asarray(f.grad_x(x, y), dtype=np.float64)
-        check_finite(gx, "grad_x f")
-        if float(np.linalg.norm(R)) == 0.0:
-            hxy_r = np.zeros(problem.dim_x)
-            hyy_r = np.zeros(problem.dim_y)
-        else:
-            if f.hvp_xy is not None:
-                hxy_r = np.asarray(f.hvp_xy(x, y, R), dtype=np.float64)
-            else:
-                hxy_r = fd_hvp_xy(f, x, y, R)
-                used_fd = True
-            if f.hvp_yy is not None:
-                hyy_r = np.asarray(f.hvp_yy(x, y, R), dtype=np.float64)
-            else:
-                hyy_r = fd_hvp_yy(f, x, y, R)
-                used_fd = True
-        grad_x = gx + alpha * eta * hxy_r
-        grad_y = alpha * (R + eta * hyy_r) - (alpha - 1.0) * gy
-        check_finite(grad_x, "grad_x Xi")
-        check_finite(grad_y, "grad_y Xi")
-
-    return EnvelopeEval(
+    ev = EnvelopeEval(
         x=x,
         y=y,
         f_val=f_val,
@@ -171,11 +159,66 @@ def evaluate(
         psi=psi,
         xi=xi,
         gamma=gamma,
-        near_kink=near_kink,
-        grad_x=grad_x,
-        grad_y=grad_y,
-        used_fd_hvp=used_fd,
+        near_kink=problem.Y.near_boundary(T, KINK_TOL),
     )
+    return with_gradients(problem, cfg, ev) if need_grad else ev
+
+
+def with_gradients(
+    problem: MinimaxProblem, cfg: EnvelopeConfig, ev: EnvelopeEval
+) -> EnvelopeEval:
+    """``ev`` completed with ``grad_x f`` and the gradient of ``Xi``."""
+    f, x, y, R = problem.f, ev.x, ev.y, ev.R
+    eta, alpha = cfg.eta, cfg.alpha
+    gx = np.asarray(f.grad_x(x, y), dtype=np.float64)
+    check_finite(gx, "grad_x f")
+    used_fd = False
+    if float(np.linalg.norm(R)) == 0.0:
+        hxy_r = np.zeros(problem.dim_x)
+        hyy_r = np.zeros(problem.dim_y)
+    else:
+        if f.hvp_xy is not None:
+            hxy_r = np.asarray(f.hvp_xy(x, y, R), dtype=np.float64)
+        else:
+            hxy_r = fd_hvp_xy(f, x, y, R)
+            used_fd = True
+        if f.hvp_yy is not None:
+            hyy_r = np.asarray(f.hvp_yy(x, y, R), dtype=np.float64)
+        else:
+            hyy_r = fd_hvp_yy(f, x, y, R)
+            used_fd = True
+    grad_x = gx + alpha * eta * hxy_r
+    grad_y = alpha * (R + eta * hyy_r) - (alpha - 1.0) * ev.grad_y_f
+    check_finite(grad_x, "grad_x Xi")
+    check_finite(grad_y, "grad_y Xi")
+    return replace(ev, grad_x_f=gx, grad_x=grad_x, grad_y=grad_y, used_fd_hvp=used_fd)
+
+
+def grad_norm(ev: EnvelopeEval) -> float:
+    """Norm of the smooth-part gradient ``(grad_x Xi, grad_y Xi)`` of an
+    evaluation completed with gradients."""
+    return float(np.sqrt(float(ev.grad_x @ ev.grad_x) + float(ev.grad_y @ ev.grad_y)))
+
+
+def prox_grad_residual(
+    problem: MinimaxProblem,
+    cfg: EnvelopeConfig,
+    ev: EnvelopeEval,
+    ref_norm: float = 1.0,
+) -> float:
+    """Unit-step prox-gradient residual of ``Gamma`` at an evaluated point.
+
+    ``||P((x,y) - grad Xi) - (x,y)||`` where ``P`` absorbs
+    ``r1 + indicator(X)`` on the x-block and ``(alpha-1) r2 + indicator(Y)``
+    on the y-block, divided by ``ref_norm``. A reference below
+    ``NORM_FLOOR`` degenerates and the unnormalized residual is returned.
+    """
+    px = composite_prox(problem.r1, problem.X, ev.x - ev.grad_x, 1.0)
+    py = composite_prox(problem.r2, problem.Y, ev.y - ev.grad_y, cfg.alpha - 1.0)
+    res = float(
+        np.sqrt(float(np.sum((px - ev.x) ** 2)) + float(np.sum((py - ev.y) ** 2)))
+    )
+    return res if ref_norm < NORM_FLOOR else res / ref_norm
 
 
 def prox_step(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> tuple[Vector, Vector]:
@@ -186,19 +229,3 @@ def prox_step(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> tuple[Vecto
     T = composite_prox(problem.r2, problem.Y, y + cfg.eta * gy, cfg.eta)
     R = (T - y) / cfg.eta
     return T, R
-
-
-def psi(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> float:
-    """Envelope value ``psi_eta(x, y)``."""
-    return evaluate(problem, cfg, x, y, need_grad=False).psi
-
-
-def gamma(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> float:
-    """Penalized objective ``Gamma(x, y)`` including the nonsmooth terms."""
-    return evaluate(problem, cfg, x, y, need_grad=False).gamma
-
-
-def grad_gamma(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> tuple[Vector, Vector]:
-    """Gradient of the smooth part ``Xi``; nonsmooth terms are handled by prox."""
-    ev = evaluate(problem, cfg, x, y, need_grad=True)
-    return ev.grad_x, ev.grad_y

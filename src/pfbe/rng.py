@@ -93,8 +93,3 @@ class NormalStream:
             count *= int(s)
         flat = np.array([self.next() for _ in range(count)], dtype=np.float64)
         return flat.reshape(shape) if shape else flat[0]
-
-
-def rng_standard_normal(stream: NormalStream) -> float:
-    """One standard normal draw from the stream (functional spelling)."""
-    return stream.next()

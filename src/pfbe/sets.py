@@ -170,11 +170,6 @@ class ProductSet(ProjectableSet):
         return f"ProductSet({list(self.parts)!r})"
 
 
-def prox_zero_over_set(set_: ProjectableSet, z, step: float) -> Vector:
-    """Prox of the zero function restricted to a set: the projection."""
-    return set_.project(as_vector(z, set_.dim, "point"))
-
-
 def composite_prox(reg: ProxRegularizer | None, set_: ProjectableSet, z, step: float) -> Vector:
     """Prox of ``step * reg + indicator(set_)`` at ``z``.
 
@@ -206,7 +201,6 @@ __all__ = [
     "OrthantCone",
     "BallSet",
     "ProductSet",
-    "prox_zero_over_set",
     "composite_prox",
     "zero_regularizer",
 ]

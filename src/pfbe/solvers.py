@@ -1,8 +1,11 @@
 """First-order solvers for the penalized envelope objective.
 
-All solvers minimize ``Gamma`` over ``X x Y``, monitor the same
-normalized prox-gradient residual (residual at the iterate divided by
-the smooth-gradient norm at the start point), and return a
+All solvers minimize ``Gamma`` over ``X x Y`` through one loop,
+:func:`_iterate_first_order`. A solver is a step rule: it maps the
+gradient-bearing :class:`EnvelopeEval` at the iterate to the one at the
+next iterate, or to a failure name that ends the run. The loop monitors
+the normalized prox-gradient residual (residual at the iterate divided
+by the smooth-gradient norm at the start point) and returns a
 :class:`SolveResult`. ``converged=True`` always implies
 ``stat <= gtol``. Line-search failure is reported through
 ``failure="StepFailure"`` with ``converged=False`` rather than raised.
@@ -11,7 +14,8 @@ the smooth-gradient norm at the start point), and return a
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -20,15 +24,22 @@ from .core import (
     MinimaxProblem,
     NonFiniteValue,
     PreconditionViolation,
-    StepFailure,
     UnsupportedSet,
     Vector,
-    check_finite,
 )
-from .envelope import EnvelopeConfig, EnvelopeEval, evaluate, prox_step
-from .sets import WholeSpace, composite_prox
+from .envelope import (
+    EnvelopeConfig,
+    EnvelopeEval,
+    evaluate,
+    grad_norm,
+    prox_grad_residual,
+    prox_step,
+    with_gradients,
+)
+from .sets import composite_prox
 
 Schedule = Union[float, Callable[[int], float]]
+StepRule = Callable[[int, EnvelopeEval], Union[EnvelopeEval, str]]
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,13 @@ class SolveResult:
     by construction for the projected methods; benchmark reporting
     replaces it with the base-problem constraint violation); ``trace``
     holds per-iterate ``gamma`` and ``stat`` arrays when recorded.
+
+    ``failure`` is None unless a step rule ended the run early, always
+    with ``converged=False``:
+
+    * ``"StepFailure"``: the SPG line search found no acceptable step;
+    * ``"Stalled"``: an SPG prox step of the current size leaves the
+      iterate bit-unchanged although ``stat`` is above ``gtol``.
     """
 
     x: Vector
@@ -100,56 +118,50 @@ def _resolve_schedule(value: Optional[Schedule], default: Schedule) -> Callable[
     return lambda k: const
 
 
-def _ref_norm(ev: EnvelopeEval, scfg: SolverConfig) -> float:
-    if not scfg.normalized_stat:
-        return 1.0
-    ref = float(np.sqrt(float(ev.grad_x @ ev.grad_x) + float(ev.grad_y @ ev.grad_y)))
-    if ref < 1e-15:
-        return 1.0  # degenerate normalization: monitor the raw residual
-    return ref
-
-
-def _residual(problem: MinimaxProblem, cfg: EnvelopeConfig, ev: EnvelopeEval) -> float:
-    px = composite_prox(problem.r1, problem.X, ev.x - ev.grad_x, 1.0)
-    py = composite_prox(problem.r2, problem.Y, ev.y - ev.grad_y, cfg.alpha - 1.0)
-    return float(
-        np.sqrt(float(np.sum((px - ev.x) ** 2)) + float(np.sum((py - ev.y) ** 2)))
-    )
-
-
 def _set_feas(problem: MinimaxProblem, x: Vector, y: Vector) -> float:
     dx = problem.X.project(x) - x
     dy = problem.Y.project(y) - y
     return float(np.sqrt(float(dx @ dx) + float(dy @ dy)))
 
 
-def _x_composite_step(problem: MinimaxProblem, v: Vector, step: float) -> Vector:
-    """x-update ``proj_X(prox_{step r1}(v))`` (exact when either part is trivial)."""
-    r1, X = problem.r1, problem.X
-    if r1.is_zero:
-        return X.project(v)
-    if r1.attached_set is X:
-        return np.asarray(r1.prox(v, step), dtype=np.float64)
-    if isinstance(X, WholeSpace):
-        return np.asarray(r1.prox(v, step), dtype=np.float64)
-    return X.project(np.asarray(r1.prox(v, step), dtype=np.float64))
-
-
-def _finish(
+def _iterate_first_order(
     problem: MinimaxProblem,
+    cfg: EnvelopeConfig,
     scfg: SolverConfig,
-    x: Vector,
-    y: Vector,
-    gamma: float,
-    iters: int,
-    stat: float,
-    started: float,
-    converged: bool,
-    trace_gamma: list,
-    trace_stat: list,
-    failure: Optional[str],
-    used_fd: bool,
+    x0,
+    y0,
+    step: StepRule,
 ) -> SolveResult:
+    """The solver loop: apply ``step`` until the residual test, the
+    budget, or a failure name returned by ``step`` ends the run."""
+    started = time.perf_counter()
+    ev = evaluate(problem, cfg, x0, y0, need_grad=True)
+    used_fd = ev.used_fd_hvp
+    ref = grad_norm(ev) if scfg.normalized_stat else 1.0
+    trace_gamma = [ev.gamma]
+    trace_stat: list[float] = []
+    iters = 0
+    converged = False
+    failure: Optional[str] = None
+    stat = np.inf
+
+    for k in range(scfg.max_iter + 1):
+        stat = prox_grad_residual(problem, cfg, ev, ref)
+        trace_stat.append(stat)
+        if stat <= scfg.gtol:
+            converged = True
+            break
+        if k == scfg.max_iter:
+            break
+        nxt = step(k, ev)
+        if isinstance(nxt, str):
+            failure = nxt
+            break
+        ev = nxt
+        used_fd = used_fd or ev.used_fd_hvp
+        iters += 1
+        trace_gamma.append(ev.gamma)
+
     trace = {}
     if scfg.record_trace:
         trace = {
@@ -157,14 +169,14 @@ def _finish(
             "stat": np.asarray(trace_stat, dtype=np.float64),
         }
     return SolveResult(
-        x=x,
-        y=y,
-        fval=float(gamma),
-        iter=int(iters),
+        x=ev.x,
+        y=ev.y,
+        fval=float(ev.gamma),
+        iter=iters,
         stat=float(stat),
-        feas=_set_feas(problem, x, y),
+        feas=_set_feas(problem, ev.x, ev.y),
         wall_time=time.perf_counter() - started,
-        converged=bool(converged),
+        converged=converged,
         trace=trace,
         failure=failure,
         used_fd_hvp=used_fd,
@@ -183,65 +195,45 @@ def solve_spg(
     Steps alternate the two Barzilai-Borwein formulas (period
     ``bb_memory``), safeguarded to ``[step_min, step_max]``, with a
     nonmonotone sufficient-decrease line search over the last
-    ``ls_window`` objective values. After ``ls_max_halvings`` rejected
-    halvings the run stops with ``failure="StepFailure"``.
+    ``ls_window`` objective values. A trial point whose evaluation raises
+    :class:`NonFiniteValue` is rejected like one without enough decrease.
+    Trials are evaluated without gradients; only the accepted one is
+    completed with them. The run stops with ``failure="StepFailure"``
+    after ``ls_max_halvings`` rejected halvings or once the step drops
+    below ``step_min``, and with ``failure="Stalled"`` when a prox step
+    of the current size leaves the iterate bit-unchanged although the
+    unit-step residual is above ``gtol``.
     """
-    started = time.perf_counter()
-    x, y = problem.check_point(x0, y0)
-    ev = evaluate(problem, cfg, x, y)
-    used_fd = ev.used_fd_hvp
-    ref = _ref_norm(ev, scfg)
-    gam_hist = [ev.gamma]
-    trace_gamma = [ev.gamma]
-    trace_stat: list[float] = []
+    recent = deque(maxlen=scfg.ls_window)  # objective values of the last iterates
     t = float(scfg.step_init)
-    iters = 0
-    converged = False
-    failure: Optional[str] = None
-    stat = np.inf
 
-    for k in range(scfg.max_iter + 1):
-        stat = _residual(problem, cfg, ev) / ref
-        trace_stat.append(stat)
-        if stat <= scfg.gtol:
-            converged = True
-            break
-        if k == scfg.max_iter:
-            break
-
-        # nonmonotone line search from the spectral step
+    def step(k: int, ev: EnvelopeEval) -> Union[EnvelopeEval, str]:
+        nonlocal t
+        x, y = ev.x, ev.y
+        recent.append(ev.gamma)
+        gamma_ref = max(recent)
         tk = float(np.clip(t, scfg.step_min, scfg.step_max))
-        gamma_ref = max(gam_hist)
-        accepted = False
-        xt = yt = None
-        dz2 = 0.0
         for _ in range(scfg.ls_max_halvings + 1):
             xt = composite_prox(problem.r1, problem.X, x - tk * ev.grad_x, tk)
-            yt = composite_prox(
-                problem.r2, problem.Y, y - tk * ev.grad_y, tk * (cfg.alpha - 1.0)
-            )
+            yt = composite_prox(problem.r2, problem.Y, y - tk * ev.grad_y, tk * (cfg.alpha - 1.0))
             dz2 = float(np.sum((xt - x) ** 2)) + float(np.sum((yt - y) ** 2))
             if dz2 == 0.0:
-                accepted = True  # prox fixed point at this step size
-                break
-            gam_t = evaluate(problem, cfg, xt, yt, need_grad=False).gamma
-            if gam_t <= gamma_ref - scfg.ls_decrease * dz2 / tk:
-                accepted = True
-                break
+                return "Stalled"  # prox fixed point at this step size
+            try:
+                trial = evaluate(problem, cfg, xt, yt, need_grad=False)
+                if trial.gamma <= gamma_ref - scfg.ls_decrease * dz2 / tk:
+                    new = with_gradients(problem, cfg, trial)
+                    break
+            except NonFiniteValue:
+                pass  # rejected: halve the step as for insufficient decrease
             tk *= 0.5
             if tk < scfg.step_min:
-                break
-        if not accepted:
-            failure = "StepFailure"
-            break
-        if dz2 == 0.0:
-            failure = None if converged else "Stalled"
-            break
+                return "StepFailure"
+        else:
+            return "StepFailure"
 
-        ev_new = evaluate(problem, cfg, xt, yt)
-        used_fd = used_fd or ev_new.used_fd_hvp
         s = np.concatenate([xt - x, yt - y])
-        d = np.concatenate([ev_new.grad_x - ev.grad_x, ev_new.grad_y - ev.grad_y])
+        d = np.concatenate([new.grad_x - ev.grad_x, new.grad_y - ev.grad_y])
         sd = float(s @ d)
         if sd > 1e-30:
             use_first = (k // scfg.bb_memory) % 2 == 0
@@ -251,59 +243,9 @@ def solve_spg(
             t = float(np.clip(bb1 if use_first else bb2, scfg.step_min, scfg.step_max))
         else:
             t = min(scfg.step_max, tk * 2.0)  # nonconvex pair: grow cautiously
+        return new
 
-        x, y, ev = xt, yt, ev_new
-        iters += 1
-        gam_hist.append(ev.gamma)
-        if len(gam_hist) > scfg.ls_window:
-            gam_hist.pop(0)
-        trace_gamma.append(ev.gamma)
-
-    return _finish(
-        problem, scfg, x, y, ev.gamma, iters, stat, started,
-        converged, trace_gamma, trace_stat, failure, used_fd,
-    )
-
-
-def _iterate_first_order(
-    problem: MinimaxProblem,
-    cfg: EnvelopeConfig,
-    scfg: SolverConfig,
-    x0,
-    y0,
-    step_fn,
-) -> SolveResult:
-    """Shared harness: fixed update rule + envelope-residual monitoring."""
-    started = time.perf_counter()
-    x, y = problem.check_point(x0, y0)
-    ev = evaluate(problem, cfg, x, y)
-    used_fd = ev.used_fd_hvp
-    ref = _ref_norm(ev, scfg)
-    trace_gamma = [ev.gamma]
-    trace_stat: list[float] = []
-    iters = 0
-    converged = False
-    failure: Optional[str] = None
-    stat = np.inf
-
-    for k in range(scfg.max_iter + 1):
-        stat = _residual(problem, cfg, ev) / ref
-        trace_stat.append(stat)
-        if stat <= scfg.gtol:
-            converged = True
-            break
-        if k == scfg.max_iter:
-            break
-        x, y = step_fn(k, x, y)
-        ev = evaluate(problem, cfg, x, y)
-        used_fd = used_fd or ev.used_fd_hvp
-        iters += 1
-        trace_gamma.append(ev.gamma)
-
-    return _finish(
-        problem, scfg, x, y, ev.gamma, iters, stat, started,
-        converged, trace_gamma, trace_stat, failure, used_fd,
-    )
+    return _iterate_first_order(problem, cfg, scfg, x0, y0, step)
 
 
 def solve_subgda(
@@ -334,20 +276,16 @@ def solve_subgda(
     else:
         ex = lambda k: ey(k) / theta
 
-    f = problem.f
-
-    def step(k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
+    def step(k: int, ev: EnvelopeEval) -> EnvelopeEval:
         ey_k = float(ey(k))
         if ey_k > cfg.eta * (1.0 + 1e-12):
             raise PreconditionViolation(
                 f"eta_y={ey_k} exceeds the envelope step eta={cfg.eta}"
             )
-        gx = np.asarray(f.grad_x(x, y), dtype=np.float64)
-        check_finite(gx, "grad_x f")
-        x_new = _x_composite_step(problem, x - float(ex(k)) * gx, float(ex(k)))
-        _, R = prox_step(problem, cfg, x_new, y)
-        y_new = y + ey_k * R
-        return x_new, y_new
+        ex_k = float(ex(k))
+        x_new = composite_prox(problem.r1, problem.X, ev.x - ex_k * ev.grad_x_f, ex_k)
+        _, R = prox_step(problem, cfg, x_new, ev.y)
+        return evaluate(problem, cfg, x_new, ev.y + ey_k * R, need_grad=True)
 
     return _iterate_first_order(problem, cfg, scfg, x0, y0, step)
 
@@ -367,17 +305,11 @@ def solve_gda_baseline(
     """
     ex = _resolve_schedule(scfg.eta_x, 0.1)
     ey = _resolve_schedule(scfg.eta_y, 0.1)
-    f = problem.f
-
-    def step(k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
-        gx = np.asarray(f.grad_x(x, y), dtype=np.float64)
-        gy = np.asarray(f.grad_y(x, y), dtype=np.float64)
-        check_finite(gx, "grad_x f")
-        check_finite(gy, "grad_y f")
+    def step(k: int, ev: EnvelopeEval) -> EnvelopeEval:
         tx, ty = float(ex(k)), float(ey(k))
-        x_new = _x_composite_step(problem, x - tx * gx, tx)
-        y_new = composite_prox(problem.r2, problem.Y, y + ty * gy, ty)
-        return x_new, y_new
+        x_new = composite_prox(problem.r1, problem.X, ev.x - tx * ev.grad_x_f, tx)
+        y_new = composite_prox(problem.r2, problem.Y, ev.y + ty * ev.grad_y_f, ty)
+        return evaluate(problem, cfg, x_new, y_new, need_grad=True)
 
     return _iterate_first_order(problem, cfg, scfg, x0, y0, step)
 

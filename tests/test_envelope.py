@@ -10,14 +10,7 @@ import numpy as np
 import pytest
 
 from pfbe.core import FunctionOracle, MinimaxProblem, NonFiniteValue, ProxRegularizer
-from pfbe.envelope import (
-    EnvelopeConfig,
-    evaluate,
-    gamma,
-    grad_gamma,
-    prox_step,
-    psi,
-)
+from pfbe.envelope import EnvelopeConfig, evaluate, prox_step, with_gradients
 from pfbe.problems import make_synthetic, synthetic_from_data
 from pfbe.sets import BoxSet, WholeSpace
 
@@ -96,10 +89,16 @@ def test_wrappers_match_evaluate():
     ev = evaluate(prob, cfg, z, y)
     T, R = prox_step(prob, cfg, z, y)
     assert np.array_equal(T, ev.T) and np.array_equal(R, ev.R)
-    assert psi(prob, cfg, z, y) == ev.psi
-    assert gamma(prob, cfg, z, y) == ev.gamma
-    gx, gy = grad_gamma(prob, cfg, z, y)
-    assert np.array_equal(gx, ev.grad_x) and np.array_equal(gy, ev.grad_y)
+    # the value evaluation carries no gradients; completing it gives the
+    # gradient-bearing evaluation bit for bit
+    value = evaluate(prob, cfg, z, y, need_grad=False)
+    assert value.grad_x_f is None and value.grad_x is None and value.grad_y is None
+    assert value.psi == ev.psi and value.gamma == ev.gamma and value.xi == ev.xi
+    done = with_gradients(prob, cfg, value)
+    for name in ("grad_x_f", "grad_x", "grad_y"):
+        assert np.array_equal(getattr(done, name), getattr(ev, name))
+    # grad_z f = (1 + y - lam, -(x + y - 1)) = (0.85, 0.4) at the pinned point
+    assert np.allclose(ev.grad_x_f, [0.85, 0.4], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from pfbe.rng import NormalStream, Xoshiro256pp, rng_standard_normal, splitmix64_next
+from pfbe.rng import NormalStream, Xoshiro256pp, splitmix64_next
 
 M64 = (1 << 64) - 1
 
@@ -151,12 +151,6 @@ def test_normal_array_row_major():
     flat = s2.array(6)
     assert mat.shape == (2, 3)
     assert mat.ravel().tolist() == flat.tolist()
-
-
-def test_rng_standard_normal_helper():
-    s1 = NormalStream(21)
-    s2 = NormalStream(21)
-    assert rng_standard_normal(s1) == s2.next()
 
 
 def test_same_seed_same_stream_distinct_seeds_differ():

@@ -17,7 +17,6 @@ from pfbe.sets import (
     WholeSpace,
     ZeroCone,
     composite_prox,
-    prox_zero_over_set,
 )
 
 
@@ -177,6 +176,7 @@ def test_composite_prox_zero_reg_projects():
     out = composite_prox(zero_regularizer(), box, [4.0], 0.7)
     assert out.tolist() == [1.0]
     assert composite_prox(None, box, [-3.0], 0.7).tolist() == [0.0]
+    assert composite_prox(None, box, [9.0], 0.3).tolist() == [1.0]
 
 
 def test_composite_prox_zero_step_projects():
@@ -220,11 +220,6 @@ def test_composite_prox_unfused_pair_raises():
 def test_composite_prox_negative_step_rejected():
     with pytest.raises(ValueError):
         composite_prox(None, BoxSet([0.0], [1.0]), [0.5], -1.0)
-
-
-def test_prox_zero_over_set_is_projection():
-    box = BoxSet([0.0], [1.0])
-    assert prox_zero_over_set(box, [9.0], 0.3).tolist() == [1.0]
 
 
 def test_dimension_errors():

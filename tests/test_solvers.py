@@ -7,9 +7,12 @@ hand-stepped updates; failure paths are driven by a deliberately
 inconsistent oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from pfbe import solvers
 from pfbe.core import (
     FunctionOracle,
     MinimaxProblem,
@@ -114,7 +117,7 @@ def test_spg_unnormalized_stat_mode():
     from pfbe.diagnostics import stationarity_gamma
 
     direct = stationarity_gamma(prob, cfg, res.x, res.y)
-    assert res.stat == pytest.approx(direct, rel=1e-12)
+    assert res.stat == direct
 
 
 def test_spg_step_failure_on_inconsistent_oracle():
@@ -134,6 +137,126 @@ def test_spg_step_failure_on_inconsistent_oracle():
     res = solve_spg(prob, cfg, SolverConfig(), np.array([1.0]), np.array([0.0]))
     assert not res.converged
     assert res.failure == "StepFailure"
+
+
+def _exp_saddle():
+    # f = exp(x) + x y - y^2/2: a long first step overflows exp
+    def f_val(x, y):
+        with np.errstate(over="ignore"):
+            return float(np.exp(x[0]) + x[0] * y[0] - 0.5 * y[0] ** 2)
+
+    def g_x(x, y):
+        with np.errstate(over="ignore"):
+            return np.array([np.exp(x[0]) + y[0]])
+
+    f = FunctionOracle(
+        eval=f_val,
+        grad_x=g_x,
+        grad_y=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
+        lipschitz_grad=2.0,
+        strong_concavity=1.0,
+        hvp_yy=lambda x, y, v: -np.asarray(v, float),
+        hvp_xy=lambda x, y, v: np.asarray(v, float).copy(),
+    )
+    prob = MinimaxProblem(f=f, X=WholeSpace(1), Y=WholeSpace(1))
+    return prob, EnvelopeConfig.for_problem(prob)
+
+
+def test_spg_non_finite_trial_is_a_rejected_step():
+    prob, cfg = _exp_saddle()
+    x0, y0 = np.array([0.0]), np.array([5.0])
+    short = solve_spg(prob, cfg, SolverConfig(step_init=1.0), x0, y0)
+    assert short.converged and short.iter == 15
+    # the first trial at step 1e3 overflows f; it must be halved, not raised
+    long = solve_spg(prob, cfg, SolverConfig(step_init=1e3), x0, y0)
+    assert long.converged
+    assert abs(long.x[0] - short.x[0]) <= 1e-6
+
+
+def test_spg_stalled_when_prox_step_leaves_iterate_unchanged():
+    # grad_x Xi = 1e-8 at y = 0: a step of 1e-10 moves x = 1 by 1e-18,
+    # below the rounding of 1.0, while the unit-step residual is 1e-8
+    f = FunctionOracle(
+        eval=lambda x, y: float(1e-8 * x[0] - 0.5 * y @ y),
+        grad_x=lambda x, y: np.array([1e-8]),
+        grad_y=lambda x, y: -np.asarray(y, float),
+        lipschitz_grad=1.0,
+        strong_concavity=1.0,
+        hvp_yy=lambda x, y, v: -np.asarray(v, float),
+        hvp_xy=lambda x, y, v: np.zeros_like(np.asarray(v, float)),
+    )
+    prob = MinimaxProblem(f=f, X=WholeSpace(1), Y=WholeSpace(1))
+    cfg = EnvelopeConfig.for_problem(prob)
+    scfg = SolverConfig(step_init=1e-10, step_min=1e-10, step_max=1e-10)
+    res = solve_spg(prob, cfg, scfg, np.array([1.0]), np.array([0.0]))
+    assert res.failure == "Stalled"
+    assert not res.converged
+    assert res.iter == 0
+    assert res.stat == pytest.approx(1.0, rel=1e-6)
+    assert res.x[0] == 1.0 and res.y[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# oracle budget: one envelope evaluation per point
+
+
+def _counted_one_d():
+    inst, prob, cfg = _one_d()
+    counts = {"eval": 0, "grad_x": 0, "grad_y": 0}
+
+    def counted(name):
+        inner = getattr(prob.f, name)
+
+        def call(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        return call
+
+    f = replace(prob.f, **{name: counted(name) for name in counts})
+    return replace(prob, f=f), cfg, counts
+
+
+def test_gda_reuses_monitored_gradients():
+    prob, cfg, counts = _counted_one_d()
+    k = 7
+    scfg = SolverConfig(max_iter=k, eta_x=0.05, eta_y=0.05, gtol=1e-12)
+    res = solve_gda_baseline(prob, cfg, scfg, np.array([0.5, 0.25]), np.array([0.1]))
+    assert res.iter == k
+    assert counts == {"eval": k + 1, "grad_x": k + 1, "grad_y": k + 1}
+
+
+def test_subgda_reuses_monitored_grad_x():
+    prob, cfg, counts = _counted_one_d()
+    k = 7
+    res = solve_subgda(
+        prob, cfg, SolverConfig(max_iter=k), np.array([0.5, 0.25]), np.array([0.1])
+    )
+    assert res.iter == k
+    # grad_y also runs once per step for R(x+, y), a point never fully evaluated
+    assert counts == {"eval": k + 1, "grad_x": k + 1, "grad_y": 2 * k + 1}
+
+
+def test_spg_evaluates_each_point_once(monkeypatch):
+    prob, cfg, counts = _counted_one_d()
+    trials = []
+    evaluate = solvers.evaluate
+
+    def counting_evaluate(problem, cfg, x, y, need_grad=True):
+        if not need_grad:
+            trials.append(1)
+        return evaluate(problem, cfg, x, y, need_grad=need_grad)
+
+    monkeypatch.setattr(solvers, "evaluate", counting_evaluate)
+    scfg = SolverConfig(gtol=1e-9, step_init=10.0)
+    res = solve_spg(prob, cfg, scfg, np.array([0.9, 1.0]), np.array([-0.4]))
+    assert res.converged and res.iter >= 1
+    assert len(trials) > res.iter  # at least one rejected trial
+    # one value evaluation per trial plus the start; gradients only at
+    # the start and at each accepted trial
+    assert counts["eval"] == len(trials) + 1
+    assert counts["grad_y"] == len(trials) + 1
+    assert counts["grad_x"] == res.iter + 1
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +371,18 @@ def test_gda_respects_custom_steps():
     # grad_z f = (1, 0), grad_y f = 1: x+ = (0.8, 0), y+ = 0.2
     assert np.allclose(one.x, [0.8, 0.0], atol=1e-15)
     assert one.y[0] == pytest.approx(0.2, abs=1e-15)
+
+
+def test_negative_x_step_rejected():
+    # x-steps go through composite_prox, which rejects a negative prox
+    # step for eta_x as it does for eta_y
+    inst, prob, cfg = _one_d()
+    z0, y0 = np.array([1.0, 0.0]), np.array([0.0])
+    for scfg in (SolverConfig(max_iter=1, eta_x=-0.1), SolverConfig(max_iter=1, eta_y=-0.1)):
+        with pytest.raises(ValueError):
+            solve_gda_baseline(prob, cfg, scfg, z0, y0)
+    with pytest.raises(ValueError):
+        solve_subgda(prob, cfg, SolverConfig(max_iter=1, eta_x=-0.1), z0, y0)
 
 
 def test_default_gda_grid():
