@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -60,9 +61,48 @@ _CONFIG_FIELDS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def _check_real(name: str, value) -> None:
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    _check_real(name, value)
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 @dataclass
 class RunConfig:
-    """Validated benchmark configuration (see module docstring for schema)."""
+    """Validated benchmark configuration (see module docstring for schema).
+
+    Validation is strict: counts and the seed are integers (a bool is
+    not), the seed lies in ``[0, 2**64)``, ``c`` is a finite number,
+    ``eta``, ``alpha`` and ``gtol`` are positive finite numbers when
+    given, and the solver list is not empty. A violation raises
+    ``ValueError``, which ``pfbe run`` and ``pfbe sweep`` report as one
+    ``invalid config: ...`` line (exit 1) before any solve starts.
+    """
 
     problem: str = "synthetic"
     solver: Union[str, list] = "spg"
@@ -82,23 +122,27 @@ class RunConfig:
     def __post_init__(self):
         if self.problem not in PROBLEM_NAMES:
             raise ValueError(f"unknown problem {self.problem!r}")
+        if not isinstance(self.solver, (str, list, tuple)) or not self.solvers:
+            raise ValueError("solver must be a solver name or a nonempty list of them")
         for s in self.solvers:
             if s not in SOLVER_NAMES:
                 raise ValueError(f"unknown solver {s!r}")
-        if self.n < 1 or self.p < 1:
-            raise ValueError("n and p must be positive")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
-        if not isinstance(self.repeats, int) or self.repeats < 1:
-            raise ValueError("repeats must be a positive integer")
-        if not (self.gtol > 0):
-            raise ValueError("gtol must be positive")
+        for name, low in (("n", 1), ("p", 1), ("max_iter", 0), ("gda_pilot_iters", 0),
+                          ("repeats", 1), ("seed", 0)):
+            _check_int(name, getattr(self, name), low)
+        if self.seed >= 2**64:
+            raise ValueError(f"seed must be below 2**64, got {self.seed}")
+        _check_real("c", self.c)
+        _check_positive("gtol", self.gtol)
+        for name in ("eta", "alpha"):
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
         if self.gda_step_grid is not None:
             for entry in self.gda_step_grid:
                 if (
                     not isinstance(entry, (list, tuple))
                     or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)
+                    or not all(_is_real(v) for v in entry)
                 ):
                     raise ValueError("gda_step_grid entries must be [a1, a2] pairs")
 

@@ -2,9 +2,13 @@
 
 Conventions used across the package:
 
-* decision vectors are 1-D ``float64`` arrays; ``x`` is the minimization
+* a decision vector is a 1-D ``float64`` array; ``x`` is the minimization
   block (dimension ``n``), ``y`` the concave maximization block
   (dimension ``p``);
+* the envelope, the projections and the built-in oracles also take a
+  stack of points, a 2-D array with one point per row, and act on each
+  row as on that 1-D point, bit for bit (:func:`row_dot` gives the
+  per-row dot products that keep those bits);
 * gradients follow the same block split, so ``grad_x`` maps to ``R^n``
   and ``grad_y`` to ``R^p``;
 * mixed Hessian-vector products act on y-directions:
@@ -76,6 +80,30 @@ def as_vector(z, dim: Optional[int] = None, what: str = "vector") -> Vector:
     return arr
 
 
+def as_points(z, dim: Optional[int] = None, what: str = "point") -> Vector:
+    """Coerce ``z`` to a 1-D float64 point or a 2-D stack of points (one per
+    row), checking the point dimension if given."""
+    arr = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    if arr.ndim > 2:
+        raise DimensionError(f"{what} must be 1-D or a 2-D stack, got shape {arr.shape}")
+    if dim is not None and arr.shape[-1] != dim:
+        raise DimensionError(f"{what} has dimension {arr.shape[-1]}, expected {dim}")
+    return arr
+
+
+def row_dot(u, v):
+    """``u @ v`` along the last axis: a float for two 1-D arrays, one value
+    per row otherwise (a 1-D operand pairs with every row of the other).
+
+    Each row gets the bits of the 1-D ``u @ v``: the stacked ``@`` of
+    ``(1, d)`` by ``(d, 1)`` blocks runs the same dot kernel, where
+    ``einsum`` or ``np.sum(u * v, axis=-1)`` round differently.
+    """
+    if u.ndim == 1 and v.ndim == 1:
+        return float(u @ v)
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def check_finite(value, what: str = "value"):
     """Raise :class:`NonFiniteValue` if ``value`` contains a nan or inf."""
     if not np.all(np.isfinite(value)):
@@ -132,6 +160,13 @@ class FunctionOracle:
     hvp_yy, hvp_xy : callable, optional
         Exact Hessian-vector products along y-directions. When missing,
         consumers fall back to finite differences and flag the result.
+    stacks : bool
+        Whether every callable also takes stacks of points, 2-D arrays
+        with one point per row (and, for the products, one direction per
+        row), and returns one value, gradient or product per row with the
+        bits of the call on that row alone. The built-in synthetic
+        oracles and their lift declare it. When False (the default), the
+        envelope calls the oracle on each row of a stack in turn.
     """
 
     eval: Callable[[Vector, Vector], float]
@@ -141,6 +176,7 @@ class FunctionOracle:
     strong_concavity: float
     hvp_yy: Optional[Callable[[Vector, Vector, Vector], Vector]] = None
     hvp_xy: Optional[Callable[[Vector, Vector, Vector], Vector]] = None
+    stacks: bool = False
 
     def __post_init__(self):
         if not (self.lipschitz_grad > 0 and np.isfinite(self.lipschitz_grad)):
@@ -168,8 +204,11 @@ class ProxRegularizer:
     attached_set: Optional[ProjectableSet] = None
 
     def value(self, z: Vector) -> float:
+        """``eval(z)``, or one value per row of a stack of points."""
         if self.is_zero:
             return 0.0
+        if np.ndim(z) > 1:
+            return np.array([float(self.eval(row)) for row in z])
         return float(self.eval(z))
 
 
@@ -218,10 +257,12 @@ class MinimaxProblem:
         return self.r2.convex
 
     def check_point(self, x, y) -> tuple[Vector, Vector]:
-        return (
-            as_vector(x, self.dim_x, "x"),
-            as_vector(y, self.dim_y, "y"),
-        )
+        """``(x, y)`` as float64 points, or as two stacks of as many rows."""
+        x = as_points(x, self.dim_x, "x")
+        y = as_points(y, self.dim_y, "y")
+        if x.shape[:-1] != y.shape[:-1]:
+            raise DimensionError(f"x and y stacks differ: {x.shape} vs {y.shape}")
+        return x, y
 
 
 @dataclass(frozen=True)
@@ -234,6 +275,8 @@ class ConstraintOracle:
     can be reconstructed from ``eval_c`` automatically.
     ``hvp_*_lam`` are the second derivatives of ``(x, y) -> <lam, c(x, y)>``
     along y-directions; they vanish when ``linear_in_y`` is set.
+    ``stacks`` declares, as for :class:`FunctionOracle`, that every
+    callable also takes stacks of points, row by row bit for bit.
     """
 
     dim: int
@@ -244,6 +287,7 @@ class ConstraintOracle:
     hvp_xy_lam: Optional[Callable[[Vector, Vector, Vector, Vector], Vector]] = None
     hvp_yy_lam: Optional[Callable[[Vector, Vector, Vector, Vector], Vector]] = None
     linear_in_y: bool = False
+    stacks: bool = False
 
 
 @dataclass(frozen=True)

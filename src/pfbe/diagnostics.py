@@ -18,7 +18,6 @@ from .core import (
     CoupledProblem,
     DimensionError,
     MinimaxProblem,
-    Vector,
     as_vector,
 )
 from .envelope import (

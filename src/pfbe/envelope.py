@@ -30,21 +30,33 @@ Hessian-vector products. A line search can thus evaluate trial points
 without gradients and complete only the one it accepts.
 :func:`prox_grad_residual` is the unit-step prox-gradient residual of
 ``Gamma`` that the solvers monitor and the diagnostics report.
+
+Every function here also takes a stack of points, ``x`` and ``y`` with
+one point per row, and gives each row the bits it would get alone; the
+scalar fields of :class:`EnvelopeEval` then hold one value per row. An
+oracle that does not declare ``stacks`` is called row by row. At one
+point a nan or inf raises :class:`NonFiniteValue`; in a stack it only
+clears that row in ``EnvelopeEval.finite``, so that one diverging row
+cannot stop the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import (
+    FunctionOracle,
     MinimaxProblem,
+    NonFiniteValue,
     Vector,
     check_finite,
     fd_hvp_xy,
     fd_hvp_yy,
+    row_dot,
 )
 from .sets import composite_prox
 
@@ -102,7 +114,10 @@ class EnvelopeEval:
     ``grad_y f`` evaluation and a single prox call. The gradient fields
     (``grad_x_f``, the raw ``grad_x f``, and ``grad_x``/``grad_y`` of
     ``Xi``) are None until :func:`with_gradients` fills them, which adds
-    one ``grad_x f`` and two Hessian-vector products along ``R``."""
+    one ``grad_x f`` and two Hessian-vector products along ``R``.
+
+    For a stack of points, ``finite`` marks the rows whose quantities are
+    all finite; it is None for one point, which raises instead."""
 
     x: Vector
     y: Vector
@@ -118,10 +133,58 @@ class EnvelopeEval:
     grad_x: Optional[Vector] = None
     grad_y: Optional[Vector] = None
     used_fd_hvp: bool = False
+    finite: Optional[np.ndarray] = None
 
     @property
     def residual_norm(self) -> float:
         return float(np.linalg.norm(self.R))
+
+    def rows(self, keep) -> "EnvelopeEval":
+        """The evaluation of a stack restricted to the rows ``keep`` selects."""
+        return replace(self, **{
+            f.name: getattr(self, f.name)[keep]
+            for f in fields(self)
+            if isinstance(getattr(self, f.name), np.ndarray)
+        })
+
+
+def _call(f: FunctionOracle, fn, *args):
+    """``fn(*args)`` as float64 at one point or at each row of a stack; an
+    oracle that does not take stacks is called row by row."""
+    if args[0].ndim == 1 or f.stacks:
+        return np.asarray(fn(*args), dtype=np.float64)
+    return np.array([fn(*row) for row in zip(*args)], dtype=np.float64)
+
+
+def _finite_rows(value, what: str, finite: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """``finite`` with the rows where ``value`` has a nan or inf cleared. At
+    one point (``finite`` is None) such a value raises NonFiniteValue."""
+    if finite is None:
+        check_finite(value, what)
+        return None
+    ok = np.isfinite(value)
+    return finite & (ok if ok.ndim == 1 else ok.all(axis=-1))
+
+
+def _along_residual(f: FunctionOracle, hvp, fd_hvp, x, y, R, moving, dim: int):
+    """The Hessian-vector product ``hvp`` along ``R``, zero where ``R`` is
+    (``moving`` is False); a missing ``hvp`` is taken by finite differences,
+    row by row for a stack, where a non-finite probe fills its row with nan."""
+    if R.ndim == 1:
+        if not moving:
+            return np.zeros(dim)
+        if hvp is None:
+            return fd_hvp(f, x, y, R)
+        return np.asarray(hvp(x, y, R), dtype=np.float64)
+    if hvp is not None and f.stacks:
+        return np.where(moving[:, None], np.asarray(hvp(x, y, R), dtype=np.float64), 0.0)
+    out = np.zeros((len(R), dim))
+    for i in np.flatnonzero(moving):
+        try:
+            out[i] = _along_residual(f, hvp, fd_hvp, x[i], y[i], R[i], True, dim)
+        except NonFiniteValue:
+            out[i] = np.nan
+    return out
 
 
 def evaluate(
@@ -131,24 +194,29 @@ def evaluate(
     y,
     need_grad: bool = True,
 ) -> EnvelopeEval:
-    """Evaluate the envelope, completed with the smooth-part gradient
-    unless ``need_grad`` is False."""
+    """Evaluate the envelope at a point or a stack of points, completed
+    with the smooth-part gradient unless ``need_grad`` is False."""
     x, y = problem.check_point(x, y)
-    f = problem.f
+    f, Y = problem.f, problem.Y
     eta, alpha = cfg.eta, cfg.alpha
+    finite = None if x.ndim == 1 else np.ones(len(x), dtype=bool)
 
-    f_val = float(f.eval(x, y))
-    check_finite(f_val, "f value")
-    gy = np.asarray(f.grad_y(x, y), dtype=np.float64)
-    check_finite(gy, "grad_y f")
+    f_val = float(f.eval(x, y)) if finite is None else _call(f, f.eval, x, y)
+    finite = _finite_rows(f_val, "f value", finite)
+    gy = _call(f, f.grad_y, x, y)
+    finite = _finite_rows(gy, "grad_y f", finite)
 
-    T = composite_prox(problem.r2, problem.Y, y + eta * gy, eta)
+    T = composite_prox(problem.r2, Y, y + eta * gy, eta)
     R = (T - y) / eta
     r2_T = problem.r2.value(T)
-    psi = f_val + eta * float(gy @ R) - r2_T - 0.5 * eta * float(R @ R)
+    psi = f_val + eta * row_dot(gy, R) - r2_T - 0.5 * eta * row_dot(R, R)
     xi = alpha * psi - (alpha - 1.0) * f_val
     gamma = xi + problem.r1.value(x) + (alpha - 1.0) * problem.r2.value(y)
-    check_finite(gamma, "gamma")
+    finite = _finite_rows(gamma, "gamma", finite)
+    if finite is None:
+        near_kink = Y.near_boundary(T, KINK_TOL)
+    else:
+        near_kink = np.array([Y.near_boundary(t, KINK_TOL) for t in T], dtype=bool)
     ev = EnvelopeEval(
         x=x,
         y=y,
@@ -159,7 +227,8 @@ def evaluate(
         psi=psi,
         xi=xi,
         gamma=gamma,
-        near_kink=problem.Y.near_boundary(T, KINK_TOL),
+        near_kink=near_kink,
+        finite=finite,
     )
     return with_gradients(problem, cfg, ev) if need_grad else ev
 
@@ -170,34 +239,26 @@ def with_gradients(
     """``ev`` completed with ``grad_x f`` and the gradient of ``Xi``."""
     f, x, y, R = problem.f, ev.x, ev.y, ev.R
     eta, alpha = cfg.eta, cfg.alpha
-    gx = np.asarray(f.grad_x(x, y), dtype=np.float64)
-    check_finite(gx, "grad_x f")
-    used_fd = False
-    if float(np.linalg.norm(R)) == 0.0:
-        hxy_r = np.zeros(problem.dim_x)
-        hyy_r = np.zeros(problem.dim_y)
-    else:
-        if f.hvp_xy is not None:
-            hxy_r = np.asarray(f.hvp_xy(x, y, R), dtype=np.float64)
-        else:
-            hxy_r = fd_hvp_xy(f, x, y, R)
-            used_fd = True
-        if f.hvp_yy is not None:
-            hyy_r = np.asarray(f.hvp_yy(x, y, R), dtype=np.float64)
-        else:
-            hyy_r = fd_hvp_yy(f, x, y, R)
-            used_fd = True
+    gx = _call(f, f.grad_x, x, y)
+    finite = _finite_rows(gx, "grad_x f", ev.finite)
+    moving = row_dot(R, R) != 0.0
+    hxy_r = _along_residual(f, f.hvp_xy, fd_hvp_xy, x, y, R, moving, problem.dim_x)
+    hyy_r = _along_residual(f, f.hvp_yy, fd_hvp_yy, x, y, R, moving, problem.dim_y)
+    used_fd = (f.hvp_xy is None or f.hvp_yy is None) and bool(np.any(moving))
     grad_x = gx + alpha * eta * hxy_r
     grad_y = alpha * (R + eta * hyy_r) - (alpha - 1.0) * ev.grad_y_f
-    check_finite(grad_x, "grad_x Xi")
-    check_finite(grad_y, "grad_y Xi")
-    return replace(ev, grad_x_f=gx, grad_x=grad_x, grad_y=grad_y, used_fd_hvp=used_fd)
+    finite = _finite_rows(grad_x, "grad_x Xi", finite)
+    finite = _finite_rows(grad_y, "grad_y Xi", finite)
+    return replace(
+        ev, grad_x_f=gx, grad_x=grad_x, grad_y=grad_y, used_fd_hvp=used_fd, finite=finite
+    )
 
 
 def grad_norm(ev: EnvelopeEval) -> float:
     """Norm of the smooth-part gradient ``(grad_x Xi, grad_y Xi)`` of an
-    evaluation completed with gradients."""
-    return float(np.sqrt(float(ev.grad_x @ ev.grad_x) + float(ev.grad_y @ ev.grad_y)))
+    evaluation completed with gradients; one norm per row of a stack."""
+    sq = row_dot(ev.grad_x, ev.grad_x) + row_dot(ev.grad_y, ev.grad_y)
+    return np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
 
 
 def prox_grad_residual(
@@ -212,13 +273,17 @@ def prox_grad_residual(
     ``r1 + indicator(X)`` on the x-block and ``(alpha-1) r2 + indicator(Y)``
     on the y-block, divided by ``ref_norm``. A reference below
     ``NORM_FLOOR`` degenerates and the unnormalized residual is returned.
+    A stack gets one residual per row, and ``ref_norm`` may then hold one
+    reference per row.
     """
     px = composite_prox(problem.r1, problem.X, ev.x - ev.grad_x, 1.0)
     py = composite_prox(problem.r2, problem.Y, ev.y - ev.grad_y, cfg.alpha - 1.0)
-    res = float(
-        np.sqrt(float(np.sum((px - ev.x) ** 2)) + float(np.sum((py - ev.y) ** 2)))
-    )
-    return res if ref_norm < NORM_FLOOR else res / ref_norm
+    # np.sum's reduction, called directly: the same bits, per row for a stack
+    sq = np.add.reduce((px - ev.x) ** 2, axis=-1) + np.add.reduce((py - ev.y) ** 2, axis=-1)
+    if sq.ndim == 0:
+        res = math.sqrt(sq)
+        return res if ref_norm < NORM_FLOOR else res / ref_norm
+    return np.sqrt(sq) / np.where(ref_norm < NORM_FLOOR, 1.0, ref_norm)
 
 
 def prox_step(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> tuple[Vector, Vector]:

@@ -20,7 +20,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (
-    ConstraintOracle,
     CoupledProblem,
     FunctionOracle,
     MinimaxProblem,
@@ -28,6 +27,7 @@ from .core import (
     ProxRegularizer,
     Vector,
     as_vector,
+    row_dot,
     zero_regularizer,
 )
 from .sets import ProductSet, composite_prox
@@ -101,6 +101,9 @@ def lift(
         generators compute or document one).
     r2 : ProxRegularizer, optional
         Concave-side regularizer for the lifted problem; defaults to zero.
+
+    The lifted oracle takes stacks of points when both ``coupled.g`` and
+    ``coupled.c`` do.
     """
     g, con = coupled.g, coupled.c
     n, m = coupled.dim_x, con.dim
@@ -108,11 +111,12 @@ def lift(
     X_lift = ProductSet([coupled.X, polar])
 
     def split(z):
-        return z[:n], z[n:]
+        return z[..., :n], z[..., n:]
 
     def lp_eval(z, y):
         x, lam = split(z)
-        return float(g.eval(x, y)) - float(lam @ np.asarray(con.eval_c(x, y)))
+        gval = np.asarray(g.eval(x, y), dtype=np.float64)
+        return gval - row_dot(lam, np.asarray(con.eval_c(x, y), dtype=np.float64))
 
     def lp_grad_x(z, y):
         x, lam = split(z)
@@ -120,7 +124,7 @@ def lift(
             con.jvp_x(x, y, lam), dtype=np.float64
         )
         glam = -np.asarray(con.eval_c(x, y), dtype=np.float64)
-        return np.concatenate([gx, glam])
+        return np.concatenate([gx, glam], axis=-1)
 
     def lp_grad_y(z, y):
         x, lam = split(z)
@@ -162,7 +166,7 @@ def lift(
                 c1 = np.asarray(con.eval_c(x, y + v), dtype=np.float64)
                 cm = np.asarray(con.eval_c(x, y - v), dtype=np.float64)
                 dc = (c1 - cm) / 2.0  # central difference fallback
-            return np.concatenate([top, -dc])
+            return np.concatenate([top, -dc], axis=-1)
 
     oracle = FunctionOracle(
         eval=lp_eval,
@@ -172,6 +176,7 @@ def lift(
         strong_concavity=g.strong_concavity,
         hvp_yy=hvp_yy,
         hvp_xy=hvp_xy,
+        stacks=g.stacks and con.stacks,
     )
 
     if coupled.r1.is_zero:

@@ -36,6 +36,7 @@ from .core import (
     FunctionOracle,
     Vector,
     as_vector,
+    row_dot,
 )
 from .lagrangian import LiftedProblem, lift
 from .rng import NormalStream
@@ -68,9 +69,17 @@ def spectral_norm_power(matvec: Callable[[Vector], Vector], dim: int,
 
 
 def _pad(v: Vector, dim: int) -> Vector:
-    out = np.zeros(dim)
-    out[: v.shape[0]] = v
+    """``v`` zero-padded to ``dim`` entries, row by row for a stack."""
+    out = np.zeros(v.shape[:-1] + (dim,))
+    out[..., : v.shape[-1]] = v
     return out
+
+
+def _matvec(A: np.ndarray, v: Vector) -> Vector:
+    """``A @ v`` for a vector, and for each row of a stack (the stacked
+    matrix-vector products keep the bits of the 1-D one; ``v @ A.T`` would
+    not)."""
+    return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,26 +113,27 @@ class SyntheticInstance:
 
 
 def _synthetic_oracles(B: np.ndarray, b: np.ndarray, c_value: float):
+    """The coupling and constraint callables; each takes a point or a stack."""
     n, p = B.shape
     m = min(n, p)
 
     def g_eval(x, y):
-        return float(b @ x + x @ (B @ y) - 0.5 * (y @ y))
+        return row_dot(b, x) + row_dot(x, _matvec(B, y)) - 0.5 * row_dot(y, y)
 
     def g_grad_x(x, y):
-        return b + B @ y
+        return b + _matvec(B, y)
 
     def g_grad_y(x, y):
-        return B.T @ x - y
+        return _matvec(B.T, x) - y
 
     def g_hvp_yy(x, y, v):
         return -np.asarray(v, dtype=np.float64)
 
     def g_hvp_xy(x, y, v):
-        return B @ v
+        return _matvec(B, v)
 
     def c_eval(x, y):
-        return x[:m] + y[:m] - c_value
+        return x[..., :m] + y[..., :m] - c_value
 
     def c_jvp_x(x, y, lam):
         return _pad(np.asarray(lam, dtype=np.float64), n)
@@ -132,7 +142,7 @@ def _synthetic_oracles(B: np.ndarray, b: np.ndarray, c_value: float):
         return _pad(np.asarray(lam, dtype=np.float64), p)
 
     def c_dc_y(x, y, v):
-        return np.asarray(v, dtype=np.float64)[:m].copy()
+        return np.asarray(v, dtype=np.float64)[..., :m].copy()
 
     return g_eval, g_grad_x, g_grad_y, g_hvp_yy, g_hvp_xy, c_eval, c_jvp_x, c_jvp_y, c_dc_y
 
@@ -186,6 +196,7 @@ def synthetic_from_data(B, b, c_value: float, seed: Optional[int] = None) -> Syn
         strong_concavity=1.0,
         hvp_yy=g_hvp_yy,
         hvp_xy=g_hvp_xy,
+        stacks=True,
     )
     con = ConstraintOracle(
         dim=m,
@@ -194,6 +205,7 @@ def synthetic_from_data(B, b, c_value: float, seed: Optional[int] = None) -> Syn
         jvp_y=c_jvp_y,
         dc_y=c_dc_y,
         linear_in_y=True,
+        stacks=True,
     )
     coupled = CoupledProblem(
         g=g,

@@ -2,6 +2,9 @@
 
 All projections are exact componentwise formulas, so Moreau identities
 (``z = proj_K(z) + proj_polar(z)`` with orthogonal parts) hold to rounding.
+Projections and :func:`composite_prox` take a point or a stack of points
+(one per row) and act along the last axis, each row with the bits of the
+1-D call.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from .core import (
     ProjectableSet,
     ProxRegularizer,
     Vector,
+    as_points,
     as_vector,
+    row_dot,
     zero_regularizer,
 )
 
@@ -37,7 +42,7 @@ class BoxSet(ProjectableSet):
         self.dim = lo.shape[0]
 
     def project(self, z: Vector) -> Vector:
-        z = as_vector(z, self.dim, "point")
+        z = as_points(z, self.dim, "point")
         return np.clip(z, self.lo, self.hi)
 
     def near_boundary(self, z: Vector, tol: float) -> bool:
@@ -59,7 +64,7 @@ class WholeSpace(ProjectableCone):
         self.dim = int(dim)
 
     def project(self, z: Vector) -> Vector:
-        return as_vector(z, self.dim, "point")
+        return as_points(z, self.dim, "point")
 
     def polar(self) -> "ZeroCone":
         return ZeroCone(self.dim)
@@ -75,8 +80,7 @@ class ZeroCone(ProjectableCone):
         self.dim = int(dim)
 
     def project(self, z: Vector) -> Vector:
-        as_vector(z, self.dim, "point")
-        return np.zeros(self.dim)
+        return np.zeros_like(as_points(z, self.dim, "point"))
 
     def polar(self) -> WholeSpace:
         return WholeSpace(self.dim)
@@ -99,7 +103,7 @@ class OrthantCone(ProjectableCone):
         self.sign = int(sign)
 
     def project(self, z: Vector) -> Vector:
-        z = as_vector(z, self.dim, "point")
+        z = as_points(z, self.dim, "point")
         if self.sign > 0:
             return np.maximum(z, 0.0)
         return np.minimum(z, 0.0)
@@ -127,12 +131,12 @@ class BallSet(ProjectableSet):
         self.dim = self.center.shape[0]
 
     def project(self, z: Vector) -> Vector:
-        z = as_vector(z, self.dim, "point")
+        z = as_points(z, self.dim, "point")
         d = z - self.center
-        nd = float(np.linalg.norm(d))
-        if nd <= self.radius:
-            return z.copy()
-        return self.center + (self.radius / nd) * d
+        nd = np.sqrt(row_dot(d, d))[..., None]  # one norm per row
+        with np.errstate(divide="ignore", invalid="ignore"):
+            onto = self.center + (self.radius / nd) * d
+        return np.where(nd <= self.radius, z, onto)
 
     def near_boundary(self, z: Vector, tol: float) -> bool:
         z = as_vector(z, self.dim, "point")
@@ -155,12 +159,12 @@ class ProductSet(ProjectableSet):
         self._offsets = np.cumsum((0,) + self.dims)
 
     def split(self, z: Vector) -> list[Vector]:
-        z = as_vector(z, self.dim, "point")
-        return [z[self._offsets[i]:self._offsets[i + 1]] for i in range(len(self.parts))]
+        z = as_points(z, self.dim, "point")
+        return [z[..., self._offsets[i]:self._offsets[i + 1]] for i in range(len(self.parts))]
 
     def project(self, z: Vector) -> Vector:
         blocks = self.split(z)
-        return np.concatenate([s.project(b) for s, b in zip(self.parts, blocks)])
+        return np.concatenate([s.project(b) for s, b in zip(self.parts, blocks)], axis=-1)
 
     def near_boundary(self, z: Vector, tol: float) -> bool:
         blocks = self.split(z)
@@ -178,8 +182,21 @@ def composite_prox(reg: ProxRegularizer | None, set_: ProjectableSet, z, step: f
     (``reg.attached_set is set_``). Other combinations raise
     :class:`IncompleteOracle` rather than silently composing projections.
     A zero ``step`` drops the regularizer and projects.
+
+    ``z`` may be a stack of points; ``step`` is then a float or a column
+    with one step per row. A nonzero regularizer's prox is taken row by
+    row, since its callable need not take stacks.
     """
-    z = as_vector(z, set_.dim, "point")
+    z = as_points(z, set_.dim, "point")
+    if z.ndim > 1:
+        if np.any(np.asarray(step) < 0):
+            raise ValueError("prox step must be nonnegative")
+        if reg is None or reg.is_zero:
+            return set_.project(z)
+        steps = np.broadcast_to(step, z.shape[:-1] + (1,))[..., 0]
+        return np.array(
+            [composite_prox(reg, set_, row, float(s)) for row, s in zip(z, steps)]
+        ).reshape(z.shape)
     if step < 0:
         raise ValueError("prox step must be nonnegative")
     if reg is None or reg.is_zero or step == 0.0:

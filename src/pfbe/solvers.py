@@ -9,6 +9,10 @@ by the smooth-gradient norm at the start point) and returns a
 :class:`SolveResult`. ``converged=True`` always implies
 ``stat <= gtol``. Line-search failure is reported through
 ``failure="StepFailure"`` with ``converged=False`` rather than raised.
+
+The loop also runs a stack of independent runs, one per row of a 2-D
+iterate, with the bits each row would get alone; the GDA step selection
+runs its pilots this way.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .core import (
     PreconditionViolation,
     UnsupportedSet,
     Vector,
+    row_dot,
 )
 from .envelope import (
     EnvelopeConfig,
@@ -39,7 +44,7 @@ from .envelope import (
 from .sets import composite_prox
 
 Schedule = Union[float, Callable[[int], float]]
-StepRule = Callable[[int, EnvelopeEval], Union[EnvelopeEval, str]]
+StepRule = Callable[[int, EnvelopeEval, Optional[np.ndarray]], Union[EnvelopeEval, str]]
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,12 @@ class SolveResult:
     * ``"StepFailure"``: the SPG line search found no acceptable step;
     * ``"Stalled"``: an SPG prox step of the current size leaves the
       iterate bit-unchanged although ``stat`` is above ``gtol``.
+
+    A stacked run holds one entry per row in ``x``, ``y``, ``fval``,
+    ``iter``, ``stat``, ``feas``, ``converged`` and the tuple
+    ``failure``, where ``"NonFiniteValue"`` marks a row whose evaluation
+    went non-finite (its ``stat`` is ``inf``; a run from one point raises
+    :class:`NonFiniteValue` instead); ``trace`` is empty.
     """
 
     x: Vector
@@ -118,10 +129,45 @@ def _resolve_schedule(value: Optional[Schedule], default: Schedule) -> Callable[
     return lambda k: const
 
 
-def _set_feas(problem: MinimaxProblem, x: Vector, y: Vector) -> float:
+def _set_feas(problem: MinimaxProblem, x: Vector, y: Vector):
     dx = problem.X.project(x) - x
     dy = problem.Y.project(y) - y
-    return float(np.sqrt(float(dx @ dx) + float(dy @ dy)))
+    return np.sqrt(row_dot(dx, dx) + row_dot(dy, dy))
+
+
+class _Rows:
+    """Outcome of each row of a stacked run, filled in as the rows leave.
+
+    ``left`` holds the start-stack indices of the rows still iterating, in
+    the order of the iterate's rows.
+    """
+
+    def __init__(self, ev: EnvelopeEval):
+        k = len(ev.x)
+        self.left = np.arange(k)
+        self.x, self.y = ev.x.copy(), ev.y.copy()
+        self.fval = np.array(ev.gamma, dtype=np.float64)
+        self.stat = np.full(k, np.inf)
+        self.iter = np.zeros(k, dtype=int)
+        self.converged = np.zeros(k, dtype=bool)
+        self.failure: list = [None] * k
+
+    def leave(self, ev, going, iters, stat=np.inf, converged=False, failure=None, then=None):
+        """Record the rows of ``ev`` that ``going`` selects as ended after
+        ``iters`` steps, and return ``then`` (default ``ev``) restricted to
+        the other rows, or None when no row is left."""
+        then = ev if then is None else then
+        if not going.any():
+            return then
+        rows = self.left[going]
+        self.x[rows], self.y[rows], self.fval[rows] = ev.x[going], ev.y[going], ev.gamma[going]
+        self.stat[rows] = np.broadcast_to(stat, going.shape)[going]
+        self.converged[rows] = np.broadcast_to(converged, going.shape)[going]
+        self.iter[rows] = iters
+        for r in rows:
+            self.failure[r] = failure
+        self.left = self.left[~going]
+        return then.rows(~going) if self.left.size else None
 
 
 def _iterate_first_order(
@@ -133,35 +179,74 @@ def _iterate_first_order(
     step: StepRule,
 ) -> SolveResult:
     """The solver loop: apply ``step`` until the residual test, the
-    budget, or a failure name returned by ``step`` ends the run."""
+    budget, or a failure name returned by ``step`` ends the run.
+
+    ``x0`` and ``y0`` may be stacks of start points, one run per row. A
+    row leaves the stack when its residual passes the test, when the
+    budget ends, or when its next evaluation goes non-finite (it then
+    keeps its last iterate and ``stat = inf``, with failure
+    ``"NonFiniteValue"``); the loop ends when no row is left. ``step``
+    gets the start-stack indices of the rows of its evaluation (None for
+    one point) and must return an evaluation for a stack.
+    """
     started = time.perf_counter()
     ev = evaluate(problem, cfg, x0, y0, need_grad=True)
     used_fd = ev.used_fd_hvp
     ref = grad_norm(ev) if scfg.normalized_stat else 1.0
     trace_gamma = [ev.gamma]
+    rows = None
+    if ev.finite is not None:
+        rows = _Rows(ev)
+        ref = np.broadcast_to(ref, rows.left.shape)
+        ev = rows.leave(ev, ~ev.finite, 0, failure="NonFiniteValue")
     trace_stat: list[float] = []
     iters = 0
     converged = False
     failure: Optional[str] = None
     stat = np.inf
 
-    for k in range(scfg.max_iter + 1):
-        stat = prox_grad_residual(problem, cfg, ev, ref)
+    # with every start of a stack non-finite, no row is left to iterate
+    for k in range(scfg.max_iter + 1 if ev is not None else 0):
+        stat = prox_grad_residual(problem, cfg, ev, ref if rows is None else ref[rows.left])
         trace_stat.append(stat)
-        if stat <= scfg.gtol:
+        if rows is not None:
+            passed = stat <= scfg.gtol
+            ev = rows.leave(ev, passed | (k == scfg.max_iter), k, stat, passed)
+            if ev is None:
+                break
+        elif stat <= scfg.gtol:
             converged = True
             break
         if k == scfg.max_iter:
             break
-        nxt = step(k, ev)
+        nxt = step(k, ev, None if rows is None else rows.left)
         if isinstance(nxt, str):
             failure = nxt
             break
+        if rows is not None:
+            nxt = rows.leave(ev, ~nxt.finite, k, failure="NonFiniteValue", then=nxt)
+            if nxt is None:
+                break
         ev = nxt
         used_fd = used_fd or ev.used_fd_hvp
         iters += 1
         trace_gamma.append(ev.gamma)
 
+    wall_time = time.perf_counter() - started
+    if rows is not None:
+        return SolveResult(
+            x=rows.x,
+            y=rows.y,
+            fval=rows.fval,
+            iter=rows.iter,
+            stat=rows.stat,
+            feas=_set_feas(problem, rows.x, rows.y),
+            wall_time=wall_time,
+            converged=rows.converged,
+            trace={},
+            failure=tuple(rows.failure),
+            used_fd_hvp=used_fd,
+        )
     trace = {}
     if scfg.record_trace:
         trace = {
@@ -174,8 +259,8 @@ def _iterate_first_order(
         fval=float(ev.gamma),
         iter=iters,
         stat=float(stat),
-        feas=_set_feas(problem, ev.x, ev.y),
-        wall_time=time.perf_counter() - started,
+        feas=float(_set_feas(problem, ev.x, ev.y)),
+        wall_time=wall_time,
         converged=converged,
         trace=trace,
         failure=failure,
@@ -207,7 +292,7 @@ def solve_spg(
     recent = deque(maxlen=scfg.ls_window)  # objective values of the last iterates
     t = float(scfg.step_init)
 
-    def step(k: int, ev: EnvelopeEval) -> Union[EnvelopeEval, str]:
+    def step(k: int, ev: EnvelopeEval, rows) -> Union[EnvelopeEval, str]:
         nonlocal t
         x, y = ev.x, ev.y
         recent.append(ev.gamma)
@@ -276,7 +361,7 @@ def solve_subgda(
     else:
         ex = lambda k: ey(k) / theta
 
-    def step(k: int, ev: EnvelopeEval) -> EnvelopeEval:
+    def step(k: int, ev: EnvelopeEval, rows) -> EnvelopeEval:
         ey_k = float(ey(k))
         if ey_k > cfg.eta * (1.0 + 1e-12):
             raise PreconditionViolation(
@@ -288,6 +373,20 @@ def solve_subgda(
         return evaluate(problem, cfg, x_new, ev.y + ey_k * R, need_grad=True)
 
     return _iterate_first_order(problem, cfg, scfg, x0, y0, step)
+
+
+def _gda_step(problem: MinimaxProblem, cfg: EnvelopeConfig, steps) -> StepRule:
+    """Simultaneous prox-gradient descent in x and ascent in y on ``f``,
+    with ``steps(k, rows) -> (eta_x, eta_y)``: floats, or for a stack
+    columns with one step per row."""
+
+    def step(k: int, ev: EnvelopeEval, rows) -> EnvelopeEval:
+        tx, ty = steps(k, rows)
+        x_new = composite_prox(problem.r1, problem.X, ev.x - tx * ev.grad_x_f, tx)
+        y_new = composite_prox(problem.r2, problem.Y, ev.y + ty * ev.grad_y_f, ty)
+        return evaluate(problem, cfg, x_new, y_new, need_grad=True)
+
+    return step
 
 
 def solve_gda_baseline(
@@ -305,12 +404,7 @@ def solve_gda_baseline(
     """
     ex = _resolve_schedule(scfg.eta_x, 0.1)
     ey = _resolve_schedule(scfg.eta_y, 0.1)
-    def step(k: int, ev: EnvelopeEval) -> EnvelopeEval:
-        tx, ty = float(ex(k)), float(ey(k))
-        x_new = composite_prox(problem.r1, problem.X, ev.x - tx * ev.grad_x_f, tx)
-        y_new = composite_prox(problem.r2, problem.Y, ev.y + ty * ev.grad_y_f, ty)
-        return evaluate(problem, cfg, x_new, y_new, need_grad=True)
-
+    step = _gda_step(problem, cfg, lambda k, rows: (float(ex(k)), float(ey(k))))
     return _iterate_first_order(problem, cfg, scfg, x0, y0, step)
 
 
@@ -330,30 +424,31 @@ def select_gda_step(
 ) -> tuple[float, dict]:
     """Pick the constant GDA step with the smallest final residual.
 
-    Runs the baseline once per grid value (both steps tied to the same
+    Runs one baseline pilot per grid value (both steps tied to the same
     value), each for ``pilot_iters`` iterations (full budget when None),
     and returns the step with the smallest final ``stat``; ties break
-    toward the smaller step. Also returns the per-step residual map.
+    toward the smaller step. Also returns the per-step residual map, in
+    which a pilot whose evaluation went non-finite scores ``inf``.
+
+    The pilots run together as the rows of one stacked iterate, each with
+    its own step, and each row leaves when its pilot ends; every row
+    keeps the bits of the pilot run alone by :func:`solve_gda_baseline`.
     """
     steps = DEFAULT_GDA_GRID if grid is None else tuple(sorted(float(s) for s in grid))
     if not steps:
         raise ValueError("empty step grid")
     budget = scfg.max_iter if pilot_iters is None else int(pilot_iters)
-    results: dict = {}
-    best = None
-    for s in steps:
-        trial_cfg = replace(
-            scfg, eta_x=s, eta_y=s, max_iter=budget, record_trace=False
+    pilot_cfg = replace(scfg, max_iter=budget, record_trace=False)
+    x0, y0 = problem.check_point(x0, y0)
+    column = np.array(steps)[:, None]
+    step = _gda_step(problem, cfg, lambda k, rows: (column[rows], column[rows]))
+    with np.errstate(over="ignore", invalid="ignore"):  # diverging rows score inf
+        res = _iterate_first_order(
+            problem, cfg, pilot_cfg,
+            np.tile(x0, (len(steps), 1)), np.tile(y0, (len(steps), 1)), step,
         )
-        try:
-            res = solve_gda_baseline(problem, cfg, trial_cfg, x0, y0)
-            final = res.stat
-        except NonFiniteValue:
-            final = np.inf  # diverged at this step size
-        results[s] = final
-        if best is None or (final, s) < best:
-            best = (final, s)
-    return best[1], results
+    results = {s: float(final) for s, final in zip(steps, res.stat)}
+    return min(results, key=lambda s: (results[s], s)), results
 
 
 def gamma_descent_check(gamma_trace, slack: Optional[float] = None) -> bool:

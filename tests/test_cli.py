@@ -77,6 +77,46 @@ def test_config_rejects_bad_values():
         RunConfig(gda_step_grid=[[1.0]])
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"seed": -1},
+        {"seed": 2**64},
+        {"seed": True},
+        {"n": 10.5},
+        {"max_iter": 2.5},
+        {"gda_pilot_iters": True},
+        {"c": "abc"},
+        {"eta": -1},
+        {"alpha": 0},
+        {"solver": []},
+    ],
+    ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()),
+)
+def test_invalid_config_exits_before_any_solve(tmp_path, monkeypatch, capsys, command, override):
+    import pfbe.cli as cli_mod
+
+    def no_solve(cfg, solver):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(cli_mod, "run_single", no_solve)
+    monkeypatch.delenv("PFBE_THREADS", raising=False)
+    d = tmp_path / "configs"
+    d.mkdir()
+    _write_config(d / "a.json")  # valid and first in sweep order: it must not run either
+    bad = _write_config(d / "b.json", **override)
+    out = tmp_path / "out.csv"
+    if command == "run":
+        rc = main(["run", "--config", str(bad), "--out", str(out)])
+    else:
+        rc = main(["sweep", "--config-dir", str(d), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert not out.exists()
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
+
+
 def test_config_solvers_property():
     assert RunConfig(solver="gda").solvers == ("gda",)
     assert RunConfig(solver=["spg", "subgda"]).solvers == ("spg", "subgda")

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from pfbe.core import FunctionOracle, MinimaxProblem, NonFiniteValue, ProxRegularizer
-from pfbe.envelope import EnvelopeConfig, evaluate, prox_step, with_gradients
+from pfbe.envelope import (
+    EnvelopeConfig,
+    evaluate,
+    grad_norm,
+    prox_grad_residual,
+    prox_step,
+    with_gradients,
+)
 from pfbe.problems import make_synthetic, synthetic_from_data
 from pfbe.sets import BoxSet, WholeSpace
 
@@ -282,3 +289,64 @@ def test_nonfinite_oracle_raises():
     cfg = EnvelopeConfig(eta=1.0, alpha=2.0, mu=1.0)
     with pytest.raises(NonFiniteValue):
         evaluate(prob, cfg, [0.0], [0.0])
+
+
+# ---------------------------------------------------------------------------
+# stacks of points
+
+
+def _bilinear_oracle(with_hvps: bool) -> FunctionOracle:
+    hvps = dict(
+        hvp_yy=lambda x, y, v: -np.asarray(v, float),
+        hvp_xy=lambda x, y, v: np.asarray(v, float).copy(),
+    )
+    return FunctionOracle(
+        eval=lambda x, y: float(x @ y - 0.5 * y @ y),
+        grad_x=lambda x, y: np.asarray(y, float).copy(),
+        grad_y=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
+        lipschitz_grad=2.0,
+        strong_concavity=1.0,
+        **(hvps if with_hvps else {}),
+    )
+
+
+def _stack_case(name):
+    if name == "lifted":  # oracle takes stacks
+        return make_synthetic(4, 3, 1.0, 2).lifted.problem
+    if name == "regularized":  # fused r1 prox on a box, r2 prox on the whole space
+        return _reg_problem()[0]
+    if name == "fd_hvp":  # no Hessian products: finite differences row by row
+        return MinimaxProblem(f=_bilinear_oracle(False), X=WholeSpace(3), Y=WholeSpace(3))
+    return MinimaxProblem(f=_bilinear_oracle(True), X=WholeSpace(3), Y=BoxSet(-np.ones(3), np.ones(3)))
+
+
+@pytest.mark.parametrize("name", ["lifted", "regularized", "fd_hvp", "box_y"])
+def test_stacked_evaluation_matches_each_row(name):
+    prob = _stack_case(name)
+    cfg = EnvelopeConfig.for_problem(prob)
+    rng = np.random.default_rng(3)
+    xs = rng.standard_normal((5, prob.dim_x))
+    ys = rng.standard_normal((5, prob.dim_y))
+    if name != "lifted":
+        ys[1] = xs[1]  # an inner maximizer: R = 0, so no Hessian products
+        xs[2] = 50.0  # T on the box boundary when Y is a box
+    xs[3], ys[3] = 1e300, 1e300  # f overflows: the row is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = evaluate(prob, cfg, xs, ys)
+    assert stack.finite.tolist() == [True, True, True, False, True]
+    with pytest.raises(NonFiniteValue), np.errstate(over="ignore", invalid="ignore"):
+        evaluate(prob, cfg, xs[3], ys[3])
+    keep = stack.finite
+    stack = stack.rows(keep)
+    refs = grad_norm(stack)
+    residuals = prox_grad_residual(prob, cfg, stack, refs)
+    singles = [evaluate(prob, cfg, x, y) for x, y in zip(xs[keep], ys[keep])]
+    assert stack.used_fd_hvp == any(ev.used_fd_hvp for ev in singles)
+    for i, ev in enumerate(singles):
+        for field in ("x", "y", "f_val", "grad_y_f", "T", "R", "psi", "xi", "gamma",
+                      "near_kink", "grad_x_f", "grad_x", "grad_y"):
+            assert np.array_equal(getattr(stack, field)[i], getattr(ev, field)), field
+        assert refs[i] == grad_norm(ev)
+        assert residuals[i] == prox_grad_residual(prob, cfg, ev, grad_norm(ev))
+    if name == "box_y":
+        assert stack.near_kink.tolist() == [False, False, True, False]

@@ -228,3 +228,42 @@ def test_dimension_errors():
         box.project([1.0])
     with pytest.raises(DimensionError):
         ProductSet([box, WholeSpace(1)]).split(np.zeros(2))
+
+
+def test_stacked_projection_matches_each_row():
+    rng = np.random.default_rng(11)
+    box = BoxSet([-1.0, 0.0, -np.inf], [1.0, 2.0, 0.5])
+    ball = BallSet([1.0, -1.0], 2.0)
+    sets = [
+        box,
+        OrthantCone(3, sign=-1),
+        WholeSpace(3),
+        ZeroCone(2),
+        ball,
+        ProductSet([box, OrthantCone(2), ball]),
+    ]
+    for s in sets:
+        stack = 3.0 * rng.standard_normal((6, s.dim))
+        if s is ball:
+            stack[0] = ball.center  # zero distance to the center
+            stack[1] = ball.center + [2.0, 0.0]  # on the sphere
+        projected = s.project(stack)
+        assert projected.shape == stack.shape
+        for row, proj in zip(stack, projected):
+            assert np.array_equal(proj, s.project(row)), s
+
+
+def test_stacked_composite_prox_matches_each_row():
+    reg = ProxRegularizer(
+        eval=lambda v: float(0.5 * (v @ v)),
+        prox=lambda v, t: np.asarray(v, float) / (1.0 + t),
+    )
+    space = WholeSpace(2)
+    stack = np.random.default_rng(5).standard_normal((4, 2))
+    steps = np.array([[0.0], [0.5], [1.0], [2.0]])  # one step per row
+    out = composite_prox(reg, space, stack, steps)
+    for row, t, o in zip(stack, steps[:, 0], out):
+        assert np.array_equal(o, composite_prox(reg, space, row, float(t)))
+    assert np.array_equal(composite_prox(reg, space, stack, 0.5)[1], out[1])
+    with pytest.raises(ValueError):
+        composite_prox(None, space, stack, -steps)

@@ -16,6 +16,7 @@ from pfbe import solvers
 from pfbe.core import (
     FunctionOracle,
     MinimaxProblem,
+    NonFiniteValue,
     PreconditionViolation,
     UnsupportedSet,
 )
@@ -425,6 +426,79 @@ def test_select_gda_step_empty_grid():
         select_gda_step(
             prob, cfg, SolverConfig(), np.zeros(2), np.zeros(1), grid=[]
         )
+
+
+def _serial_pilots(prob, cfg, scfg, z0, y0, grid, pilot_iters):
+    """Reference for select_gda_step: one baseline run per step, in turn,
+    a diverging run scoring inf."""
+    scores = {}
+    for s in sorted(grid):
+        trial = replace(scfg, eta_x=s, eta_y=s, max_iter=pilot_iters, record_trace=False)
+        try:
+            scores[s] = solve_gda_baseline(prob, cfg, trial, z0, y0).stat
+        except NonFiniteValue:
+            scores[s] = np.inf
+    return scores
+
+
+@pytest.mark.parametrize(
+    "make, stacks",
+    [(lambda: make_synthetic(10, 10, 0.5, 1), True), (make_example1, False)],
+    ids=["synthetic", "example1"],
+)
+def test_stacked_pilots_match_serial_pilots(make, stacks):
+    # the grid's three large steps make some pilots diverge; example 1's
+    # oracle takes no stacks, so its rows go through the oracle one by one
+    inst = make()
+    prob = inst.lifted.problem
+    assert prob.f.stacks is stacks
+    cfg = EnvelopeConfig.for_problem(prob)
+    z0, y0 = inst.default_start()
+    scfg = SolverConfig(max_iter=1500)
+    grid = DEFAULT_GDA_GRID + (2.0, 5.0, 20.0)
+    best, scores = select_gda_step(prob, cfg, scfg, z0, y0, grid=grid, pilot_iters=300)
+    reference = _serial_pilots(prob, cfg, scfg, z0, y0, grid, 300)
+    assert scores == reference
+    assert list(scores) == list(reference)
+    assert np.inf in scores.values() and min(scores.values()) < np.inf
+    assert best == min(reference, key=lambda s: (reference[s], s))
+
+
+def test_select_gda_step_non_finite_start():
+    # every pilot fails at its start point: all score inf, the smallest step wins
+    inst, prob, cfg = _one_d()
+    z0, y0 = np.array([1e300, 0.0]), np.array([1e300])
+    with np.errstate(over="ignore", invalid="ignore"):
+        best, scores = select_gda_step(prob, cfg, SolverConfig(), z0, y0, grid=[0.1, 0.01])
+        reference = _serial_pilots(prob, cfg, SolverConfig(), z0, y0, [0.1, 0.01], 10000)
+    assert scores == reference == {0.01: np.inf, 0.1: np.inf}
+    assert best == 0.01
+
+
+def test_stacked_run_rows_match_single_runs():
+    # one row converges, one exhausts the budget, one diverges
+    inst = make_synthetic(3, 3, 1.0, 2)
+    prob = inst.lifted.problem
+    cfg = EnvelopeConfig.for_problem(prob)
+    z0, y0 = inst.default_start()
+    scfg = SolverConfig(max_iter=300, gtol=1e-4, record_trace=False)
+    column = np.array([[1e-2], [0.1], [5.0]])
+    step = solvers._gda_step(prob, cfg, lambda k, rows: (column[rows], column[rows]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = solvers._iterate_first_order(
+            prob, cfg, scfg, np.tile(z0, (3, 1)), np.tile(y0, (3, 1)), step
+        )
+    assert res.converged.tolist() == [False, True, False]
+    assert res.failure == (None, None, "NonFiniteValue")
+    assert res.stat[2] == np.inf
+    for i in (0, 1):
+        s = float(column[i, 0])
+        one = solve_gda_baseline(prob, cfg, replace(scfg, eta_x=s, eta_y=s), z0, y0)
+        assert np.array_equal(res.x[i], one.x) and np.array_equal(res.y[i], one.y)
+        assert (res.fval[i], res.iter[i], res.stat[i], res.feas[i]) == (
+            one.fval, one.iter, one.stat, one.feas)
+    with pytest.raises(NonFiniteValue), np.errstate(over="ignore", invalid="ignore"):
+        solve_gda_baseline(prob, cfg, replace(scfg, eta_x=5.0, eta_y=5.0), z0, y0)
 
 
 # ---------------------------------------------------------------------------
