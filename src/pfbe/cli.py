@@ -101,7 +101,9 @@ class RunConfig:
     ``eta``, ``alpha`` and ``gtol`` are positive finite numbers when
     given, and the solver list is not empty. A violation raises
     ``ValueError``, which ``pfbe run`` and ``pfbe sweep`` report as one
-    ``invalid config: ...`` line (exit 1) before any solve starts.
+    ``invalid config: ...`` line (exit 1) before any solve starts; they
+    also check a given ``alpha`` against the instance's envelope threshold
+    (:func:`_load_config`).
     """
 
     problem: str = "synthetic"
@@ -200,17 +202,32 @@ def _expand_grid(step_grid) -> Optional[list]:
     return [float(a1) * 10.0 ** (-float(a2)) for a1, a2 in step_grid]
 
 
+def _setup(cfg: RunConfig):
+    """The configured instance's lifted problem and its envelope config.
+
+    Raises ``ValueError`` when ``alpha`` lies below the envelope threshold
+    ``max(1, 2/(eta*mu))``, whose defaulted ``eta`` needs the instance's ``L``.
+    """
+    inst = (make_example1() if cfg.problem == "example1"
+            else make_synthetic(cfg.n, cfg.p, cfg.c, cfg.seed))
+    lifted = inst.lifted
+    return lifted, EnvelopeConfig.for_problem(lifted.problem, eta=cfg.eta, alpha=cfg.alpha)
+
+
+def _load_config(path) -> RunConfig:
+    """The config at ``path``, its ``alpha`` checked against the instance's
+    envelope threshold; any violation raises ``ValueError``."""
+    cfg = RunConfig.from_json(path)
+    if cfg.alpha is not None:  # a defaulted alpha sits at the threshold
+        _setup(cfg)
+    return cfg
+
+
 def run_single(cfg: RunConfig, solver: str) -> BenchRow:
     """Execute one solver on the configured instance and report a row."""
-    if cfg.problem == "example1":
-        inst = make_example1()
-        n = p = 1
-    else:
-        inst = make_synthetic(cfg.n, cfg.p, cfg.c, cfg.seed)
-        n, p = cfg.n, cfg.p
-    lifted = inst.lifted
+    lifted, ecfg = _setup(cfg)
+    n, p = (1, 1) if cfg.problem == "example1" else (cfg.n, cfg.p)
     prob = lifted.problem
-    ecfg = EnvelopeConfig.for_problem(prob, eta=cfg.eta, alpha=cfg.alpha)
     scfg = SolverConfig(max_iter=cfg.max_iter, gtol=cfg.gtol, record_trace=False)
     z0, y0 = lifted.default_start()
 
@@ -269,7 +286,7 @@ def _write_output(rows, out_path: Optional[str]) -> None:
 
 def cmd_run(args) -> int:
     try:
-        cfg = RunConfig.from_json(args.config)
+        cfg = _load_config(args.config)
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
@@ -301,7 +318,7 @@ def cmd_sweep(args) -> int:
     jobs = []
     try:
         for path in paths:
-            cfg = RunConfig.from_json(path)
+            cfg = _load_config(path)
             for solver in cfg.solvers:
                 for _ in range(cfg.repeats):
                     jobs.append((cfg.to_dict(), solver))

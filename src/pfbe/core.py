@@ -18,6 +18,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TypeAlias
 
@@ -26,6 +27,7 @@ from numpy.typing import NDArray
 
 Vector: TypeAlias = NDArray[np.float64]
 
+_FLOAT64 = np.dtype(np.float64)
 _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 _CBRT_EPS = float(np.cbrt(np.finfo(np.float64).eps))
 
@@ -82,7 +84,11 @@ def as_vector(z, dim: Optional[int] = None, what: str = "vector") -> Vector:
 
 def as_points(z, dim: Optional[int] = None, what: str = "point") -> Vector:
     """Coerce ``z`` to a 1-D float64 point or a 2-D stack of points (one per
-    row), checking the point dimension if given."""
+    row), checking the point dimension if given. A float64 array that
+    already conforms is returned as it is."""
+    if type(z) is np.ndarray and z.dtype is _FLOAT64 and 0 < z.ndim <= 2:
+        if dim is None or z.shape[-1] == dim:
+            return z
     arr = np.atleast_1d(np.asarray(z, dtype=np.float64))
     if arr.ndim > 2:
         raise DimensionError(f"{what} must be 1-D or a 2-D stack, got shape {arr.shape}")
@@ -106,7 +112,7 @@ def row_dot(u, v):
 
 def check_finite(value, what: str = "value"):
     """Raise :class:`NonFiniteValue` if ``value`` contains a nan or inf."""
-    if not np.all(np.isfinite(value)):
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
         raise NonFiniteValue(f"non-finite {what}: {value!r}")
     return value
 

@@ -34,10 +34,13 @@ without gradients and complete only the one it accepts.
 Every function here also takes a stack of points, ``x`` and ``y`` with
 one point per row, and gives each row the bits it would get alone; the
 scalar fields of :class:`EnvelopeEval` then hold one value per row. An
-oracle that does not declare ``stacks`` is called row by row. At one
-point a nan or inf raises :class:`NonFiniteValue`; in a stack it only
-clears that row in ``EnvelopeEval.finite``, so that one diverging row
-cannot stop the others.
+oracle that does not declare ``stacks`` is called row by row. A nan or
+inf in ``f``, ``grad_y f``, ``grad_x f`` or a Hessian-vector product
+always reaches ``gamma`` or the gradient of ``Xi``, so finiteness is
+checked once per value evaluation and once per gradient completion. At
+one point it raises :class:`NonFiniteValue`, naming the first non-finite
+quantity; in a stack it only clears that row in ``EnvelopeEval.finite``,
+so that one diverging row cannot stop the others.
 """
 
 from __future__ import annotations
@@ -156,14 +159,24 @@ def _call(f: FunctionOracle, fn, *args):
     return np.array([fn(*row) for row in zip(*args)], dtype=np.float64)
 
 
-def _finite_rows(value, what: str, finite: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """``finite`` with the rows where ``value`` has a nan or inf cleared. At
-    one point (``finite`` is None) such a value raises NonFiniteValue."""
+def _finite_rows(finite: Optional[np.ndarray], checked, *named) -> Optional[np.ndarray]:
+    """``finite`` with the rows cleared where a value of ``checked`` has a
+    nan or inf. Each of the ``(what, value)`` pairs ``named`` that is not
+    finite makes a value of ``checked`` non-finite; at one point (``finite``
+    is None) the first such pair raises NonFiniteValue."""
     if finite is None:
-        check_finite(value, what)
+        try:
+            for value in checked:
+                check_finite(value)
+        except NonFiniteValue:
+            for what, value in named:
+                check_finite(value, what)
+            raise
         return None
-    ok = np.isfinite(value)
-    return finite & (ok if ok.ndim == 1 else ok.all(axis=-1))
+    for value in checked:
+        ok = np.isfinite(value)
+        finite = finite & (ok if ok.ndim == 1 else ok.all(axis=-1))
+    return finite
 
 
 def _along_residual(f: FunctionOracle, hvp, fd_hvp, x, y, R, moving, dim: int):
@@ -202,17 +215,18 @@ def evaluate(
     finite = None if x.ndim == 1 else np.ones(len(x), dtype=bool)
 
     f_val = float(f.eval(x, y)) if finite is None else _call(f, f.eval, x, y)
-    finite = _finite_rows(f_val, "f value", finite)
     gy = _call(f, f.grad_y, x, y)
-    finite = _finite_rows(gy, "grad_y f", finite)
-
     T = composite_prox(problem.r2, Y, y + eta * gy, eta)
     R = (T - y) / eta
     r2_T = problem.r2.value(T)
     psi = f_val + eta * row_dot(gy, R) - r2_T - 0.5 * eta * row_dot(R, R)
     xi = alpha * psi - (alpha - 1.0) * f_val
     gamma = xi + problem.r1.value(x) + (alpha - 1.0) * problem.r2.value(y)
-    finite = _finite_rows(gamma, "gamma", finite)
+    # a nan or inf f reaches xi (inf - inf, or 0 * inf at alpha = 1); one in
+    # grad_y f reaches psi through <grad_y f, R>, even where the prox clips T
+    finite = _finite_rows(
+        finite, (gamma,), ("f value", f_val), ("grad_y f", gy), ("gamma", gamma)
+    )
     if finite is None:
         near_kink = Y.near_boundary(T, KINK_TOL)
     else:
@@ -240,17 +254,20 @@ def with_gradients(
     f, x, y, R = problem.f, ev.x, ev.y, ev.R
     eta, alpha = cfg.eta, cfg.alpha
     gx = _call(f, f.grad_x, x, y)
-    finite = _finite_rows(gx, "grad_x f", ev.finite)
     moving = row_dot(R, R) != 0.0
     hxy_r = _along_residual(f, f.hvp_xy, fd_hvp_xy, x, y, R, moving, problem.dim_x)
     hyy_r = _along_residual(f, f.hvp_yy, fd_hvp_yy, x, y, R, moving, problem.dim_y)
     used_fd = (f.hvp_xy is None or f.hvp_yy is None) and bool(np.any(moving))
     grad_x = gx + alpha * eta * hxy_r
     grad_y = alpha * (R + eta * hyy_r) - (alpha - 1.0) * ev.grad_y_f
-    finite = _finite_rows(grad_x, "grad_x Xi", finite)
-    finite = _finite_rows(grad_y, "grad_y Xi", finite)
-    return replace(
-        ev, grad_x_f=gx, grad_x=grad_x, grad_y=grad_y, used_fd_hvp=used_fd, finite=finite
+    finite = _finite_rows(
+        ev.finite, (grad_x, grad_y),
+        ("grad_x f", gx), ("grad_x Xi", grad_x), ("grad_y Xi", grad_y),
+    )
+    return EnvelopeEval(
+        x=x, y=y, f_val=ev.f_val, grad_y_f=ev.grad_y_f, T=ev.T, R=R,
+        psi=ev.psi, xi=ev.xi, gamma=ev.gamma, near_kink=ev.near_kink,
+        grad_x_f=gx, grad_x=grad_x, grad_y=grad_y, used_fd_hvp=used_fd, finite=finite,
     )
 
 

@@ -42,8 +42,9 @@ class BoxSet(ProjectableSet):
         self.dim = lo.shape[0]
 
     def project(self, z: Vector) -> Vector:
-        z = as_points(z, self.dim, "point")
-        return np.clip(z, self.lo, self.hi)
+        # the clip ufunc np.clip calls, without its dispatch; np.minimum and
+        # np.maximum can pick the other zero of a signed-zero tie
+        return as_points(z, self.dim, "point").clip(self.lo, self.hi)
 
     def near_boundary(self, z: Vector, tol: float) -> bool:
         z = as_vector(z, self.dim, "point")
@@ -156,11 +157,12 @@ class ProductSet(ProjectableSet):
         self.dims = tuple(s.dim for s in self.parts)
         self.dim = int(sum(self.dims))
         self.convex = all(s.convex for s in self.parts)
-        self._offsets = np.cumsum((0,) + self.dims)
+        ends = np.cumsum(self.dims).tolist()
+        self._slices = tuple(slice(a, b) for a, b in zip([0] + ends, ends))
 
     def split(self, z: Vector) -> list[Vector]:
         z = as_points(z, self.dim, "point")
-        return [z[..., self._offsets[i]:self._offsets[i + 1]] for i in range(len(self.parts))]
+        return [z[..., sl] for sl in self._slices]
 
     def project(self, z: Vector) -> Vector:
         blocks = self.split(z)

@@ -297,11 +297,13 @@ def solve_spg(
         x, y = ev.x, ev.y
         recent.append(ev.gamma)
         gamma_ref = max(recent)
-        tk = float(np.clip(t, scfg.step_min, scfg.step_max))
+        # np.clip's bits: with 0 < step_min <= step_max no signed zeros tie
+        tk = float(min(max(t, scfg.step_min), scfg.step_max))
         for _ in range(scfg.ls_max_halvings + 1):
             xt = composite_prox(problem.r1, problem.X, x - tk * ev.grad_x, tk)
             yt = composite_prox(problem.r2, problem.Y, y - tk * ev.grad_y, tk * (cfg.alpha - 1.0))
-            dz2 = float(np.sum((xt - x) ** 2)) + float(np.sum((yt - y) ** 2))
+            # np.sum's reduction, called directly: the same bits
+            dz2 = float(np.add.reduce((xt - x) ** 2)) + float(np.add.reduce((yt - y) ** 2))
             if dz2 == 0.0:
                 return "Stalled"  # prox fixed point at this step size
             try:
@@ -325,7 +327,7 @@ def solve_spg(
             dd = float(d @ d)
             bb1 = float(s @ s) / sd
             bb2 = sd / dd if dd > 0 else bb1
-            t = float(np.clip(bb1 if use_first else bb2, scfg.step_min, scfg.step_max))
+            t = float(min(max(bb1 if use_first else bb2, scfg.step_min), scfg.step_max))
         else:
             t = min(scfg.step_max, tk * 2.0)  # nonconvex pair: grow cautiously
         return new

@@ -91,6 +91,9 @@ def test_config_rejects_bad_values():
         {"eta": -1},
         {"alpha": 0},
         {"solver": []},
+        # below max(1, 2/(eta*mu)), with eta given and with eta = min(1, 1/(2L))
+        {"eta": 0.5, "alpha": 1.5},
+        {"alpha": 1.5},
     ],
     ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()),
 )

@@ -13,6 +13,7 @@ from pfbe.core import (
     MinimaxProblem,
     NonFiniteValue,
     ZeroDirection,
+    as_points,
     as_vector,
     check_finite,
     fd_gradient,
@@ -58,12 +59,67 @@ def test_as_vector_scalars_and_lists():
         as_vector(np.zeros((2, 2)))
 
 
+def _coerced_points(z, dim=None, what="point"):
+    # the full coercion, as as_points applies it to every input that is not
+    # already a conforming float64 array
+    arr = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    if arr.ndim > 2:
+        raise DimensionError(f"{what} must be 1-D or a 2-D stack, got shape {arr.shape}")
+    if dim is not None and arr.shape[-1] != dim:
+        raise DimensionError(f"{what} has dimension {arr.shape[-1]}, expected {dim}")
+    return arr
+
+
+def test_as_points_returns_conforming_arrays_unchanged():
+    for z in (np.array([1.0, -0.0, np.inf]), np.zeros((4, 3)), np.ones((2, 6))[:, ::2]):
+        assert as_points(z, 3) is z
+        assert as_points(z) is z
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        [1, 2, 3],
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+        3,
+        2.5,
+        np.float64(2.5),
+        np.array(2.5),
+        np.arange(3),
+        np.arange(3, dtype=np.float32) / 3,
+        np.arange(3, dtype=">f8"),
+        np.ma.masked_array([1.0, 2.0, 3.0]),
+        np.zeros(2),
+        np.zeros((2, 2)),
+        np.zeros((2, 3, 3)),
+        [],
+    ],
+    ids=lambda z: f"{type(z).__name__}-{np.shape(z)}-{getattr(z, 'dtype', '')}",
+)
+@pytest.mark.parametrize("dim", [None, 1, 3])
+def test_as_points_coerces_and_rejects_as_the_full_coercion(z, dim):
+    try:
+        expected = _coerced_points(z, dim, "x")
+    except DimensionError as exc:
+        with pytest.raises(DimensionError) as got:
+            as_points(z, dim, "x")
+        assert str(got.value) == str(exc)
+        return
+    out = as_points(z, dim, "x")
+    assert type(out) is np.ndarray and out.dtype == np.float64 and out.dtype.isnative
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
 def test_check_finite():
     assert check_finite(1.5) == 1.5
-    with pytest.raises(NonFiniteValue):
-        check_finite(np.nan)
-    with pytest.raises(NonFiniteValue):
-        check_finite(np.array([1.0, np.inf]))
+    arr = np.array([1.0, -2.0])
+    assert check_finite(arr) is arr
+    for bad in (np.nan, float("inf"), np.float64(-np.inf), np.array(np.nan),
+                np.array([1.0, np.inf]), np.array([[0.0], [np.nan]]), [1.0, np.inf]):
+        with pytest.raises(NonFiniteValue, match="non-finite probe"):
+            check_finite(bad, "probe")
+    assert check_finite(3) == 3 and check_finite(np.float32(2.0)) == 2.0
 
 
 def test_function_oracle_rejects_bad_constants():

@@ -6,9 +6,12 @@ independent in-test reimplementation of the envelope formulas and
 against central finite differences.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from pfbe import envelope
 from pfbe.core import FunctionOracle, MinimaxProblem, NonFiniteValue, ProxRegularizer
 from pfbe.envelope import (
     EnvelopeConfig,
@@ -350,3 +353,90 @@ def test_stacked_evaluation_matches_each_row(name):
         assert residuals[i] == prox_grad_residual(prob, cfg, ev, grad_norm(ev))
     if name == "box_y":
         assert stack.near_kink.tolist() == [False, False, True, False]
+
+
+# ---------------------------------------------------------------------------
+# non-finite oracle values
+
+# the call that raises at one point, and the quantity its message names
+_NON_FINITE = {
+    "eval": ("evaluate", "f value"),
+    "grad_y": ("evaluate", "grad_y f"),
+    "grad_x": ("with_gradients", "grad_x f"),
+    "hvp_xy": ("with_gradients", "grad_x Xi"),
+    "hvp_yy": ("with_gradients", "grad_y Xi"),
+}
+_POISON_X = 0.75  # the oracle goes non-finite where x[0] is this
+
+
+def _poisoned_problem(oracle: str, bad: float, box_y: bool) -> MinimaxProblem:
+    """The bilinear problem whose ``oracle`` gives ``bad`` (in its first
+    entry) at the points with ``x[0] == _POISON_X``."""
+    f = _bilinear_oracle(True)
+    clean = getattr(f, oracle)
+
+    def poisoned(x, y, *rest):
+        out = clean(x, y, *rest)
+        if x[0] != _POISON_X:
+            return out
+        if oracle == "eval":
+            return bad
+        out = np.array(out, dtype=np.float64)
+        out[0] = bad
+        return out
+
+    Y = BoxSet(-np.ones(3), np.ones(3)) if box_y else WholeSpace(3)
+    return MinimaxProblem(f=replace(f, **{oracle: poisoned}), X=WholeSpace(3), Y=Y)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    "oracle, box_y",
+    [(name, False) for name in _NON_FINITE] + [("grad_y", True)],
+    ids=lambda v: {True: "box_y", False: "free_y"}.get(v, v) if isinstance(v, bool) else v,
+)
+def test_non_finite_oracle_value_is_caught(oracle, box_y, bad):
+    prob = _poisoned_problem(oracle, bad, box_y)
+    cfg = EnvelopeConfig(eta=0.5, alpha=4.0, mu=1.0)
+    rng = np.random.default_rng(9)
+    xs = rng.uniform(-0.5, 0.5, (4, 3))
+    ys = rng.uniform(-0.5, 0.5, (4, 3))
+    xs[2, 0] = _POISON_X
+    where, what = _NON_FINITE[oracle]
+    with np.errstate(invalid="ignore"):
+        # at one point: the same call raises, naming the quantity
+        if where == "evaluate":
+            with pytest.raises(NonFiniteValue, match=f"non-finite {what}:"):
+                evaluate(prob, cfg, xs[2], ys[2], need_grad=False)
+        else:
+            value = evaluate(prob, cfg, xs[2], ys[2], need_grad=False)
+            with pytest.raises(NonFiniteValue, match=f"non-finite {what}:"):
+                with_gradients(prob, cfg, value)
+        # in a stack: only that row clears
+        stack = evaluate(prob, cfg, xs, ys, need_grad=where == "evaluate")
+        assert stack.finite.tolist() == [True, True, where != "evaluate", True]
+        if where != "evaluate":
+            assert with_gradients(prob, cfg, stack).finite.tolist() == [True, True, False, True]
+    if box_y and bad == np.inf:
+        assert np.isfinite(stack.T[2]).all()  # the prox clipped the infinite ascent step
+
+
+def test_one_finiteness_check_per_evaluation(monkeypatch):
+    checks = []
+    real = envelope._finite_rows
+    monkeypatch.setattr(
+        envelope, "_finite_rows", lambda *args: checks.append(1) or real(*args)
+    )
+    prob = _stack_case("lifted")
+    cfg = EnvelopeConfig.for_problem(prob)
+    rng = np.random.default_rng(4)
+    xs = rng.standard_normal((3, prob.dim_x))
+    ys = rng.standard_normal((3, prob.dim_y))
+    for x, y in ((xs[0], ys[0]), (xs, ys)):
+        checks.clear()
+        value = evaluate(prob, cfg, x, y, need_grad=False)
+        assert len(checks) == 1
+        with_gradients(prob, cfg, value)
+        assert len(checks) == 2
+        evaluate(prob, cfg, x, y)
+        assert len(checks) == 4

@@ -42,6 +42,26 @@ def test_box_infinite_bounds():
     assert box.contains([1e30, 0.0])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 17])
+def test_box_projection_is_np_clip_bitwise(dim):
+    # signed zeros, nan and infinite values against finite, zero and infinite
+    # bounds; the bits of np.clip, at one point and for a stack
+    rng = np.random.default_rng(dim)
+    values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -1.0, 0.5, 1.0, 3.0, 1e-320])
+    for lo_choices, hi_choices in (
+        ([0.0], [1.0]),
+        ([-0.0], [0.0]),
+        ([-np.inf], [np.inf]),
+        ([-np.inf, -0.0, 0.0, -1.0], [np.inf, 0.0, 1.0]),
+    ):
+        lo = rng.choice(lo_choices, dim)
+        hi = np.maximum(lo, rng.choice(hi_choices, dim))
+        box = BoxSet(lo, hi)
+        for shape in ((dim,), (7, dim)):
+            z = rng.choice(values, shape)
+            assert box.project(z).tobytes() == np.clip(z, lo, hi).tobytes()
+
+
 def test_box_rejects_bad_bounds():
     with pytest.raises(ValueError):
         BoxSet([0.0], [np.nan])
