@@ -10,7 +10,6 @@ from .core import (
     DimensionError,
     FunctionOracle,
     IncompleteOracle,
-    InfeasibleSlice,
     MinimaxProblem,
     NonFiniteValue,
     PfbeError,
@@ -18,7 +17,6 @@ from .core import (
     ProjectableCone,
     ProjectableSet,
     ProxRegularizer,
-    StepFailure,
     UnsupportedSet,
     ZeroDirection,
     fd_gradient,

@@ -23,7 +23,8 @@ instance itself has no level parameter). Numeric fields use ``%.2e``
 so repeated runs are byte-identical apart from ``time_s``.
 
 Exit codes: 0 success, 1 invalid config or usage, 2 solver failure.
-``PFBE_THREADS`` caps sweep parallelism (default: serial); row order is
+``PFBE_THREADS`` caps sweep parallelism: unset means serial, and a value
+that is not a positive integer is an invalid config. Row order is
 ``(n, p, c, solver, seed)`` regardless of scheduling.
 """
 
@@ -34,7 +35,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -53,13 +54,6 @@ from .solvers import (
 CSV_HEADER = "solver,n,p,c,seed,fval,iter,stat,feas,time_s"
 SOLVER_NAMES = ("spg", "subgda", "gda")
 PROBLEM_NAMES = ("synthetic", "example1")
-
-_CONFIG_FIELDS = {
-    "problem", "solver", "n", "p", "c", "seed", "eta", "alpha",
-    "gtol", "max_iter", "gda_step_grid", "gda_pilot_iters", "repeats",
-    "output",
-}
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -158,7 +152,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        unknown = set(data) - _CONFIG_FIELDS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -302,11 +296,14 @@ def _sweep_job(payload):
 
 
 def _thread_budget() -> int:
-    raw = os.environ.get("PFBE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """The sweep's worker count, ``PFBE_THREADS`` or 1 when it is unset;
+    anything but a positive decimal integer raises ``ValueError``."""
+    raw = os.environ.get("PFBE_THREADS")
+    if raw is None:
         return 1
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise ValueError(f"PFBE_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def cmd_sweep(args) -> int:
@@ -317,6 +314,7 @@ def cmd_sweep(args) -> int:
         return 1
     jobs = []
     try:
+        workers = _thread_budget()
         for path in paths:
             cfg = _load_config(path)
             for solver in cfg.solvers:
@@ -326,7 +324,6 @@ def cmd_sweep(args) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
 
-    workers = _thread_budget()
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

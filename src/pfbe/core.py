@@ -56,16 +56,8 @@ class UnsupportedSet(PfbeError):
     """The requested operation is not defined for this set variant."""
 
 
-class StepFailure(PfbeError):
-    """Line search failed to find an acceptable step."""
-
-
 class DegenerateNormalization(PfbeError):
     """Stationarity normalization constant is numerically zero."""
-
-
-class InfeasibleSlice(PfbeError):
-    """A brute-force slice contains no feasible point."""
 
 
 class PreconditionViolation(PfbeError):
@@ -277,8 +269,11 @@ class ConstraintOracle:
 
     ``jvp_x(x, y, lam) = grad_x <lam, c(x, y)>`` and likewise ``jvp_y``.
     ``dc_y(x, y, v) = d/dt c(x, y + t v)`` is the forward derivative used
-    by the lifted mixed Hessian block; for constraints affine in ``y`` it
-    can be reconstructed from ``eval_c`` automatically.
+    by the lifted mixed Hessian block. For a constraint affine in ``y``
+    the lift reconstructs it exactly from ``eval_c`` when it is missing;
+    for any other constraint the lifted ``hvp_xy`` exists only when both
+    ``dc_y`` and ``hvp_xy_lam`` are given, and otherwise the envelope
+    falls back to finite differences (see :func:`pfbe.lagrangian.lift`).
     ``hvp_*_lam`` are the second derivatives of ``(x, y) -> <lam, c(x, y)>``
     along y-directions; they vanish when ``linear_in_y`` is set.
     ``stacks`` declares, as for :class:`FunctionOracle`, that every

@@ -103,7 +103,14 @@ def lift(
         Concave-side regularizer for the lifted problem; defaults to zero.
 
     The lifted oracle takes stacks of points when both ``coupled.g`` and
-    ``coupled.c`` do.
+    ``coupled.c`` do. Its Hessian-vector products are exact or absent:
+    ``hvp_yy`` needs ``g.hvp_yy`` and, unless ``c`` is ``linear_in_y``,
+    ``c.hvp_yy_lam``; ``hvp_xy`` needs ``g.hvp_xy`` and either a
+    ``linear_in_y`` constraint (its multiplier block ``-dc(x, y)[v]`` is
+    then ``c.dc_y`` or the exact forward difference of ``c.eval_c``) or
+    both ``c.hvp_xy_lam`` and ``c.dc_y``. An absent product is taken by
+    the envelope's finite differences of the lifted gradient, which set
+    ``used_fd_hvp``.
     """
     g, con = coupled.g, coupled.c
     n, m = coupled.dim_x, con.dim
@@ -132,16 +139,6 @@ def lift(
             con.jvp_y(x, y, lam), dtype=np.float64
         )
 
-    def constraint_dir_y(x, y, v):
-        if con.dc_y is not None:
-            return np.asarray(con.dc_y(x, y, v), dtype=np.float64)
-        if con.linear_in_y:
-            # affine in y, so the forward difference is exact
-            c0 = np.asarray(con.eval_c(x, y), dtype=np.float64)
-            c1 = np.asarray(con.eval_c(x, y + v), dtype=np.float64)
-            return c1 - c0
-        return None
-
     hvp_yy = None
     if g.hvp_yy is not None and (con.linear_in_y or con.hvp_yy_lam is not None):
 
@@ -153,19 +150,20 @@ def lift(
             return out
 
     hvp_xy = None
-    if g.hvp_xy is not None and (con.linear_in_y or con.hvp_xy_lam is not None):
+    if g.hvp_xy is not None and (
+        con.linear_in_y or (con.hvp_xy_lam is not None and con.dc_y is not None)
+    ):
 
         def hvp_xy(z, y, v):
             x, lam = split(z)
             top = np.asarray(g.hvp_xy(x, y, v), dtype=np.float64)
             if not con.linear_in_y:
                 top = top - np.asarray(con.hvp_xy_lam(x, y, lam, v), dtype=np.float64)
-            dc = constraint_dir_y(x, y, v)
-            if dc is None:
+            if con.dc_y is not None:
+                dc = np.asarray(con.dc_y(x, y, v), dtype=np.float64)
+            else:  # affine in y, so the forward difference is exact
                 c0 = np.asarray(con.eval_c(x, y), dtype=np.float64)
-                c1 = np.asarray(con.eval_c(x, y + v), dtype=np.float64)
-                cm = np.asarray(con.eval_c(x, y - v), dtype=np.float64)
-                dc = (c1 - cm) / 2.0  # central difference fallback
+                dc = np.asarray(con.eval_c(x, y + v), dtype=np.float64) - c0
             return np.concatenate([top, -dc], axis=-1)
 
     oracle = FunctionOracle(

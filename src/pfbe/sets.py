@@ -191,7 +191,7 @@ def composite_prox(reg: ProxRegularizer | None, set_: ProjectableSet, z, step: f
     """
     z = as_points(z, set_.dim, "point")
     if z.ndim > 1:
-        if np.any(np.asarray(step) < 0):
+        if (np.asarray(step) < 0).any():
             raise ValueError("prox step must be nonnegative")
         if reg is None or reg.is_zero:
             return set_.project(z)

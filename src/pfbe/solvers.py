@@ -47,30 +47,33 @@ Schedule = Union[float, Callable[[int], float]]
 StepRule = Callable[[int, EnvelopeEval, Optional[np.ndarray]], Union[EnvelopeEval, str]]
 
 
+# the standard nonmonotone SPG line search (Birgin, Martinez and Raydan,
+# 2000): a trial must undercut the largest of the last LS_WINDOW objective
+# values by LS_DECREASE * ||step||^2 / t; LS_MAX_HALVINGS bounds the halvings
+LS_WINDOW = 10
+LS_DECREASE = 1e-4
+LS_MAX_HALVINGS = 50
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, tolerance, and step rules shared by the solvers.
+    """Iteration budget, tolerance, and step sizes shared by the solvers.
 
-    ``bb_memory`` is the alternation period of the two spectral step
-    formulas; ``ls_*`` control the nonmonotone line search;
-    ``eta_x``/``eta_y`` are step schedules (constants or callables of the
-    iteration index) for the gradient methods, with theory-mode defaults
-    derived from the envelope config when omitted.
+    ``step_init`` is the first SPG step, and every SPG step stays within
+    ``[step_min, step_max]``; ``eta_x``/``eta_y`` are step schedules
+    (constants or callables of the iteration index) for the gradient
+    methods, with theory-mode defaults derived from the envelope config
+    when omitted. ``record_trace`` keeps the per-iterate ``gamma`` and
+    ``stat`` of a run from one point.
     """
 
     max_iter: int = 10000
     gtol: float = 1e-7
-    normalized_stat: bool = True
     step_init: float = 1.0
     step_min: float = 1e-10
     step_max: float = 1e10
-    bb_memory: int = 1
-    ls_window: int = 10
-    ls_decrease: float = 1e-4
-    ls_max_halvings: int = 50
     eta_x: Optional[Schedule] = None
     eta_y: Optional[Schedule] = None
-    theta: Optional[float] = None
     record_trace: bool = True
 
     def __post_init__(self):
@@ -80,19 +83,19 @@ class SolverConfig:
             raise ValueError("gtol must be positive")
         if not (0 < self.step_min <= self.step_max):
             raise ValueError("need 0 < step_min <= step_max")
-        if self.ls_window < 1 or self.ls_max_halvings < 1 or self.bb_memory < 1:
-            raise ValueError("window, halvings, and bb_memory must be >= 1")
 
 
 @dataclass
 class SolveResult:
     """Outcome of one solver run.
 
-    ``stat`` is the final monitored residual (normalized when the config
-    says so); ``feas`` is the distance of the iterate to ``X x Y`` (zero
-    by construction for the projected methods; benchmark reporting
-    replaces it with the base-problem constraint violation); ``trace``
-    holds per-iterate ``gamma`` and ``stat`` arrays when recorded.
+    ``stat`` is the final monitored residual, always divided by the
+    smooth-part gradient norm at the start point (left as it is when that
+    norm is below ``NORM_FLOOR``); ``feas`` is the distance of the iterate
+    to ``X x Y`` (zero by construction for the projected methods;
+    benchmark reporting replaces it with the base-problem constraint
+    violation); ``trace`` holds per-iterate ``gamma`` and ``stat`` arrays
+    when recorded.
 
     ``failure`` is None unless a step rule ended the run early, always
     with ``converged=False``:
@@ -192,7 +195,7 @@ def _iterate_first_order(
     started = time.perf_counter()
     ev = evaluate(problem, cfg, x0, y0, need_grad=True)
     used_fd = ev.used_fd_hvp
-    ref = grad_norm(ev) if scfg.normalized_stat else 1.0
+    ref = grad_norm(ev)
     trace_gamma = [ev.gamma]
     rows = None
     if ev.finite is not None:
@@ -277,19 +280,20 @@ def solve_spg(
 ) -> SolveResult:
     """Spectral projected/proximal gradient on the penalized objective.
 
-    Steps alternate the two Barzilai-Borwein formulas (period
-    ``bb_memory``), safeguarded to ``[step_min, step_max]``, with a
+    Steps alternate the two Barzilai-Borwein formulas from one iteration
+    to the next, safeguarded to ``[step_min, step_max]``, with a
     nonmonotone sufficient-decrease line search over the last
-    ``ls_window`` objective values. A trial point whose evaluation raises
-    :class:`NonFiniteValue` is rejected like one without enough decrease.
-    Trials are evaluated without gradients; only the accepted one is
-    completed with them. The run stops with ``failure="StepFailure"``
-    after ``ls_max_halvings`` rejected halvings or once the step drops
-    below ``step_min``, and with ``failure="Stalled"`` when a prox step
-    of the current size leaves the iterate bit-unchanged although the
-    unit-step residual is above ``gtol``.
+    ``LS_WINDOW`` objective values (decrease factor ``LS_DECREASE``). A
+    trial point whose evaluation raises :class:`NonFiniteValue` is
+    rejected like one without enough decrease. Trials are evaluated
+    without gradients; only the accepted one is completed with them. The
+    run stops with ``failure="StepFailure"`` after ``LS_MAX_HALVINGS``
+    rejected halvings or once the step drops below ``step_min``, and with
+    ``failure="Stalled"`` when a prox step of the current size leaves the
+    iterate bit-unchanged although the unit-step residual is above
+    ``gtol``.
     """
-    recent = deque(maxlen=scfg.ls_window)  # objective values of the last iterates
+    recent = deque(maxlen=LS_WINDOW)  # objective values of the last iterates
     t = float(scfg.step_init)
 
     def step(k: int, ev: EnvelopeEval, rows) -> Union[EnvelopeEval, str]:
@@ -299,7 +303,7 @@ def solve_spg(
         gamma_ref = max(recent)
         # np.clip's bits: with 0 < step_min <= step_max no signed zeros tie
         tk = float(min(max(t, scfg.step_min), scfg.step_max))
-        for _ in range(scfg.ls_max_halvings + 1):
+        for _ in range(LS_MAX_HALVINGS + 1):
             xt = composite_prox(problem.r1, problem.X, x - tk * ev.grad_x, tk)
             yt = composite_prox(problem.r2, problem.Y, y - tk * ev.grad_y, tk * (cfg.alpha - 1.0))
             # np.sum's reduction, called directly: the same bits
@@ -308,7 +312,7 @@ def solve_spg(
                 return "Stalled"  # prox fixed point at this step size
             try:
                 trial = evaluate(problem, cfg, xt, yt, need_grad=False)
-                if trial.gamma <= gamma_ref - scfg.ls_decrease * dz2 / tk:
+                if trial.gamma <= gamma_ref - LS_DECREASE * dz2 / tk:
                     new = with_gradients(problem, cfg, trial)
                     break
             except NonFiniteValue:
@@ -323,7 +327,7 @@ def solve_spg(
         d = np.concatenate([new.grad_x - ev.grad_x, new.grad_y - ev.grad_y])
         sd = float(s @ d)
         if sd > 1e-30:
-            use_first = (k // scfg.bb_memory) % 2 == 0
+            use_first = k % 2 == 0
             dd = float(d @ d)
             bb1 = float(s @ s) / sd
             bb2 = sd / dd if dd > 0 else bb1
@@ -348,20 +352,18 @@ def solve_subgda(
         y+ = y + eta_y R(x+, y)
 
     Theory-mode defaults: ``eta_y = eta/2`` and
-    ``eta_x = eta_y / theta`` with ``theta = alpha eta L^2 / mu`` (the
-    timescale ratio); ``eta_y`` must stay within the envelope step
+    ``eta_x = eta_y / theta``, where the timescale ratio is always the
+    derived ``theta = alpha eta L^2 / mu`` (a caller who wants another
+    ratio sets ``eta_x``); ``eta_y`` must stay within the envelope step
     ``eta`` so y-iterates remain in ``Y`` by convex combination.
     Nonconvex ``X`` is rejected (the projected step needs convexity).
     """
     if not problem.X.convex:
         raise UnsupportedSet("the two-timescale scheme requires a convex X")
     L, mu = problem.lipschitz, problem.mu
-    theta = scfg.theta if scfg.theta is not None else cfg.alpha * cfg.eta * L * L / mu
+    theta = cfg.alpha * cfg.eta * L * L / mu
     ey = _resolve_schedule(scfg.eta_y, cfg.eta / 2.0)
-    if scfg.eta_x is not None:
-        ex = _resolve_schedule(scfg.eta_x, 0.0)
-    else:
-        ex = lambda k: ey(k) / theta
+    ex = _resolve_schedule(scfg.eta_x, lambda k: ey(k) / theta)
 
     def step(k: int, ev: EnvelopeEval, rows) -> EnvelopeEval:
         ey_k = float(ey(k))

@@ -120,6 +120,26 @@ def test_invalid_config_exits_before_any_solve(tmp_path, monkeypatch, capsys, co
     assert err.startswith("invalid config: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5"])
+def test_invalid_thread_budget_exits_before_any_solve(tmp_path, monkeypatch, capsys, value):
+    import pfbe.cli as cli_mod
+
+    def no_solve(cfg, solver):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(cli_mod, "run_single", no_solve)
+    monkeypatch.setenv("PFBE_THREADS", value)
+    d = tmp_path / "configs"
+    d.mkdir()
+    _write_config(d / "a.json")
+    out = tmp_path / "out.csv"
+    rc = main(["sweep", "--config-dir", str(d), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert not out.exists()
+    assert err == f"invalid config: PFBE_THREADS must be a positive integer, got {value!r}\n"
+
+
 def test_config_solvers_property():
     assert RunConfig(solver="gda").solvers == ("gda",)
     assert RunConfig(solver=["spg", "subgda"]).solvers == ("spg", "subgda")

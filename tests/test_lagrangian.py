@@ -19,6 +19,7 @@ from pfbe.core import (
     fd_hvp_xy,
     fd_hvp_yy,
 )
+from pfbe.envelope import EnvelopeConfig, evaluate
 from pfbe.lagrangian import kkt_residual_mol, lift, multiplier_bound_monitor
 from pfbe.problems import make_example1, make_synthetic, synthetic_from_data
 from pfbe.sets import BoxSet, OrthantCone, WholeSpace
@@ -160,6 +161,45 @@ def test_lift_zero_constraint_reduces_to_plain_lagrangian():
     assert lifted.problem.f.value(z, y) == base.g.value(np.array([2.0]), y)
     res = kkt_residual_mol(lifted, [2.0], [3.0], [1.0])
     assert res.lam == 0.0
+
+
+def test_lift_leaves_an_inexact_mixed_hvp_to_the_envelope():
+    # g = x y - y^2/2 and c = y^3/3 - x <= 0: nonlinear in y, with the
+    # hvp_*_lam products but no dc_y, so no exact multiplier block of hvp_xy
+    g = FunctionOracle(
+        eval=lambda x, y: float(x[0] * y[0] - 0.5 * y[0] ** 2),
+        grad_x=lambda x, y: np.array([y[0]]),
+        grad_y=lambda x, y: np.array([x[0] - y[0]]),
+        lipschitz_grad=2.0,
+        strong_concavity=1.0,
+        hvp_yy=lambda x, y, v: -np.asarray(v, dtype=float),
+        hvp_xy=lambda x, y, v: np.asarray(v, dtype=float),
+    )
+    con = ConstraintOracle(
+        dim=1,
+        eval_c=lambda x, y: np.array([y[0] ** 3 / 3.0 - x[0]]),
+        jvp_x=lambda x, y, lam: np.array([-lam[0]]),
+        jvp_y=lambda x, y, lam: np.array([lam[0] * y[0] ** 2]),
+        hvp_xy_lam=lambda x, y, lam, v: np.zeros(1),
+        hvp_yy_lam=lambda x, y, lam, v: np.array([2.0 * lam[0] * y[0] * v[0]]),
+    )
+    coupled = CoupledProblem(
+        g=g, c=con, X=WholeSpace(1), Y=WholeSpace(1), K=OrthantCone(1, sign=-1)
+    )
+    prob = lift(coupled, lipschitz_grad=10.0).problem
+    cfg = EnvelopeConfig(eta=0.5, alpha=4.0, mu=1.0)
+    z, y = np.array([0.5, 0.3]), np.array([0.7])
+    ev = evaluate(prob, cfg, z, y)
+    h = 1e-6
+    fd = [
+        (evaluate(prob, cfg, z + e, y, need_grad=False).xi
+         - evaluate(prob, cfg, z - e, y, need_grad=False).xi) / (2.0 * h)
+        for e in h * np.eye(2)
+    ]
+    assert np.allclose(ev.grad_x, fd, rtol=1e-6, atol=1e-6)
+    assert prob.f.hvp_xy is None
+    assert prob.f.hvp_yy is not None
+    assert ev.used_fd_hvp
 
 
 # ---------------------------------------------------------------------------

@@ -238,8 +238,14 @@ def test_composite_prox_unfused_pair_raises():
 
 
 def test_composite_prox_negative_step_rejected():
+    box = BoxSet([0.0], [1.0])
     with pytest.raises(ValueError):
-        composite_prox(None, BoxSet([0.0], [1.0]), [0.5], -1.0)
+        composite_prox(None, box, [0.5], -1.0)
+    stack = np.array([[0.5], [0.2]])
+    with pytest.raises(ValueError):
+        composite_prox(None, box, stack, -1.0)
+    with pytest.raises(ValueError):
+        composite_prox(None, box, stack, np.array([[0.5], [-1.0]]))
 
 
 def test_dimension_errors():
