@@ -19,16 +19,29 @@ from .diagnostics import (
 from .envelope import EnvelopeConfig, evaluate
 from .lagrangian import kkt_residual_mol, multiplier_bound_monitor
 from .problems import make_example1, make_synthetic, synthetic_from_data
+from .rng import LANE_MIN_DRAWS, LANE_STEPS, NormalStream
 from .sets import BallSet, BoxSet, OrthantCone
 from .solvers import SolverConfig, gamma_descent_check, solve_spg, solve_subgda
 
 
 def _check_rng_reproducibility():
+    # odd, on the lane path, and ending inside a partial lane; the second
+    # stream enters array() with a pending spare
+    k = LANE_MIN_DRAWS + 2 * LANE_STEPS + 1
+    for seed, earlier in ((7, 0), (2**64 - 1, 1)):
+        fast, ref = NormalStream(seed), NormalStream(seed)
+        for _ in range(earlier):
+            assert fast.next() == ref.next()
+        got = fast.array(k)
+        want = np.array([ref.next() for _ in range(k)])
+        assert got.tobytes() == want.tobytes(), f"seed {seed}: array({k}) differs from next()"
+        after = [fast.next() for _ in range(3)]
+        assert after == [ref.next() for _ in range(3)], "stream diverges after array"
     a = make_synthetic(4, 3, 1.0, seed=7)
     b = make_synthetic(4, 3, 1.0, seed=7)
     assert np.array_equal(a.B, b.B) and np.array_equal(a.b, b.b), "instances differ"
     assert abs(np.linalg.norm(a.b) - 1.0) < 1e-12, "b not unit norm"
-    return "seed 7 regenerates bit-identical data, ||b|| = 1"
+    return f"array({k}) equals {k} scalar draws bit for bit; seed 7 regenerates, ||b|| = 1"
 
 
 def _check_moreau():

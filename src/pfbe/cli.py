@@ -93,7 +93,9 @@ class RunConfig:
     Validation is strict: counts and the seed are integers (a bool is
     not), the seed lies in ``[0, 2**64)``, ``c`` is a finite number,
     ``eta``, ``alpha`` and ``gtol`` are positive finite numbers when
-    given, and the solver list is not empty. A violation raises
+    given, the solver list is not empty, and a given ``gda_step_grid`` is
+    a nonempty list of ``[a1, a2]`` pairs whose steps ``a1 * 10^-a2`` are
+    finite and positive. A violation raises
     ``ValueError``, which ``pfbe run`` and ``pfbe sweep`` report as one
     ``invalid config: ...`` line (exit 1) before any solve starts; they
     also check a given ``alpha`` against the instance's envelope threshold
@@ -141,6 +143,14 @@ class RunConfig:
                     or not all(_is_real(v) for v in entry)
                 ):
                     raise ValueError("gda_step_grid entries must be [a1, a2] pairs")
+            if not self.gda_step_grid:
+                raise ValueError("gda_step_grid must not be empty")
+            for (a1, a2), step in zip(self.gda_step_grid, _expand_grid(self.gda_step_grid)):
+                if not (math.isfinite(step) and step > 0):
+                    raise ValueError(
+                        f"gda_step_grid entry [{a1}, {a2}] gives step {step!r}, "
+                        "not a finite positive number"
+                    )
 
     @property
     def solvers(self) -> tuple:
@@ -190,10 +200,18 @@ class BenchRow(NamedTuple):
         )
 
 
+def _grid_step(a1, a2) -> float:
+    """The step ``a1 * 10^-a2``; ``inf`` when the power overflows."""
+    try:
+        return float(a1) * 10.0 ** (-float(a2))
+    except OverflowError:
+        return math.inf
+
+
 def _expand_grid(step_grid) -> Optional[list]:
     if step_grid is None:
         return None
-    return [float(a1) * 10.0 ** (-float(a2)) for a1, a2 in step_grid]
+    return [_grid_step(a1, a2) for a1, a2 in step_grid]
 
 
 def _setup(cfg: RunConfig):

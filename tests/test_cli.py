@@ -94,6 +94,12 @@ def test_config_rejects_bad_values():
         # below max(1, 2/(eta*mu)), with eta given and with eta = min(1, 1/(2L))
         {"eta": 0.5, "alpha": 1.5},
         {"alpha": 1.5},
+        # steps a1 * 10^-a2 that overflow, are negative, zero or underflow, and no steps
+        {"gda_step_grid": [[1, -400]]},
+        {"gda_step_grid": [[-1, 1]]},
+        {"gda_step_grid": [[0, 1]]},
+        {"gda_step_grid": [[1, 400]]},
+        {"gda_step_grid": []},
     ],
     ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()),
 )

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from pfbe import rng
 from pfbe.rng import NormalStream, Xoshiro256pp, splitmix64_next
 
 M64 = (1 << 64) - 1
@@ -181,3 +182,92 @@ def test_seed_out_of_range_rejected():
         Xoshiro256pp(-1)
     with pytest.raises(ValueError):
         Xoshiro256pp(2**64)
+
+
+# --- lane path: NormalStream.array against the scalar reference ---
+
+C = rng.LANE_STEPS
+LANE_SEEDS = [0, 1, 2**63, 2**64 - 1]
+
+
+def _ref_stream(seed, count, spare):
+    """``count`` reference normals after ``spare`` (0 or 1) earlier draws,
+    the spare left pending, and the reference generator after them."""
+    gen = _RefXoshiro(seed)
+    draws = []
+    while len(draws) < spare + count:
+        draws.extend(_ref_normal_pair(gen))
+    left = draws[spare + count :]
+    return draws[spare : spare + count], left[0] if left else None, gen
+
+
+def _assert_matches_reference(seed, count, spare):
+    s = NormalStream(seed)
+    for _ in range(spare):
+        s.next()
+    got = s.array(count)
+    want, pending, gen = _ref_stream(seed, count, spare)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert s._spare == pending
+    assert s.bits._s == gen.s
+    # the stream continues: the pending spare first, then fresh pairs and raw outputs
+    follow = [s.next() for _ in range(3)]
+    ref_follow = [] if pending is None else [pending]
+    while len(ref_follow) < 3:
+        ref_follow.extend(_ref_normal_pair(gen))
+    assert follow == ref_follow[:3]
+    assert s.bits.next_u64() == gen.u64()
+
+
+@pytest.fixture
+def lanes_from_two(monkeypatch):
+    """Every count that needs a fresh pair takes the lane path."""
+    monkeypatch.setattr(rng, "LANE_MIN_DRAWS", 2)
+
+
+@pytest.mark.parametrize("spare", [0, 1])
+@pytest.mark.parametrize("seed", LANE_SEEDS)
+@pytest.mark.parametrize("count", [rng.LANE_MIN_DRAWS + d for d in (-1, 0, 1, C + 3)])
+def test_array_matches_scalar_reference_across_threshold(seed, count, spare):
+    _assert_matches_reference(seed, count, spare)
+
+
+@pytest.mark.parametrize("spare", [0, 1])
+@pytest.mark.parametrize("seed", LANE_SEEDS)
+@pytest.mark.parametrize("count", [2, 3, C - 1, C, C + 1, C + 2, 5 * C + 7])
+def test_lane_path_matches_scalar_reference_at_lane_edges(lanes_from_two, seed, count, spare):
+    _assert_matches_reference(seed, count, spare)
+
+
+@pytest.mark.parametrize("threshold", [None, 1])  # 1: array() takes the lane path
+def test_array_without_shape_and_empty(monkeypatch, threshold):
+    if threshold is not None:
+        monkeypatch.setattr(rng, "LANE_MIN_DRAWS", threshold)
+    s = NormalStream(3)
+    ref = NormalStream(3)
+    first = s.array()
+    assert isinstance(first, float) and first == ref.next()
+    empty = s.array(0)
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    assert s._spare == ref._spare and s.bits._s == ref.bits._s
+    assert s.array(2, 0).shape == (2, 0)
+    assert [s.next() for _ in range(3)] == [ref.next() for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", LANE_SEEDS)
+def test_jump_matrix_is_lane_steps_scalar_steps(seed):
+    g = Xoshiro256pp(seed)
+    start = list(g._s)
+    jump = rng._jump_matrix(C.bit_length() - 1)
+    ahead = rng._to_bits(start).astype(np.int64) @ jump.astype(np.int64) % 2
+    for _ in range(C):
+        g.next_u64()
+    assert rng._from_bits(ahead.astype(np.uint8)).tolist() == [g._s]
+    # the lane start states are the scalar states C steps apart
+    lanes = rng._lane_starts(start, 5)
+    g = Xoshiro256pp(seed)
+    for i in range(5):
+        assert lanes[i].tolist() == g._s
+        for _ in range(C):
+            g.next_u64()
