@@ -25,9 +25,9 @@ the stationary-point equivalence to hold; the config enforces it.
 :func:`evaluate` is a value evaluation (one ``grad_y f``, one prox)
 followed, when gradients are asked for, by :func:`with_gradients`, which
 completes an existing evaluation with ``grad_x f`` (kept in
-``EnvelopeEval.grad_x_f`` for step rules that need it) and the two
-Hessian-vector products. A line search can thus evaluate trial points
-without gradients and complete only the one it accepts.
+``EnvelopeEval.grad_x_f``) and the two Hessian-vector products. A line
+search can thus evaluate trial points without gradients and complete
+only the one it accepts.
 :func:`prox_grad_residual` is the unit-step prox-gradient residual of
 ``Gamma`` that the solvers monitor and the diagnostics report.
 
@@ -151,7 +151,7 @@ class EnvelopeEval:
         })
 
 
-def _call(f: FunctionOracle, fn, *args):
+def oracle_call(f: FunctionOracle, fn, *args):
     """``fn(*args)`` as float64 at one point or at each row of a stack; an
     oracle that does not take stacks is called row by row."""
     if args[0].ndim == 1 or f.stacks:
@@ -214,8 +214,8 @@ def evaluate(
     eta, alpha = cfg.eta, cfg.alpha
     finite = None if x.ndim == 1 else np.ones(len(x), dtype=bool)
 
-    f_val = float(f.eval(x, y)) if finite is None else _call(f, f.eval, x, y)
-    gy = _call(f, f.grad_y, x, y)
+    f_val = float(f.eval(x, y)) if finite is None else oracle_call(f, f.eval, x, y)
+    gy = oracle_call(f, f.grad_y, x, y)
     T = composite_prox(problem.r2, Y, y + eta * gy, eta)
     R = (T - y) / eta
     r2_T = problem.r2.value(T)
@@ -227,10 +227,6 @@ def evaluate(
     finite = _finite_rows(
         finite, (gamma,), ("f value", f_val), ("grad_y f", gy), ("gamma", gamma)
     )
-    if finite is None:
-        near_kink = Y.near_boundary(T, KINK_TOL)
-    else:
-        near_kink = np.array([Y.near_boundary(t, KINK_TOL) for t in T], dtype=bool)
     ev = EnvelopeEval(
         x=x,
         y=y,
@@ -241,7 +237,7 @@ def evaluate(
         psi=psi,
         xi=xi,
         gamma=gamma,
-        near_kink=near_kink,
+        near_kink=Y.near_boundary(T, KINK_TOL),
         finite=finite,
     )
     return with_gradients(problem, cfg, ev) if need_grad else ev
@@ -253,7 +249,7 @@ def with_gradients(
     """``ev`` completed with ``grad_x f`` and the gradient of ``Xi``."""
     f, x, y, R = problem.f, ev.x, ev.y, ev.R
     eta, alpha = cfg.eta, cfg.alpha
-    gx = _call(f, f.grad_x, x, y)
+    gx = oracle_call(f, f.grad_x, x, y)
     moving = row_dot(R, R) != 0.0
     hxy_r = _along_residual(f, f.hvp_xy, fd_hvp_xy, x, y, R, moving, problem.dim_x)
     hyy_r = _along_residual(f, f.hvp_yy, fd_hvp_yy, x, y, R, moving, problem.dim_y)
@@ -306,7 +302,7 @@ def prox_grad_residual(
 def prox_step(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> tuple[Vector, Vector]:
     """The envelope maximizer ``T(x, y)`` and residual ``R = (T - y)/eta``."""
     x, y = problem.check_point(x, y)
-    gy = np.asarray(problem.f.grad_y(x, y), dtype=np.float64)
+    gy = oracle_call(problem.f, problem.f.grad_y, x, y)
     check_finite(gy, "grad_y f")
     T = composite_prox(problem.r2, problem.Y, y + cfg.eta * gy, cfg.eta)
     R = (T - y) / cfg.eta

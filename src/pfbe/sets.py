@@ -4,7 +4,7 @@ All projections are exact componentwise formulas, so Moreau identities
 (``z = proj_K(z) + proj_polar(z)`` with orthogonal parts) hold to rounding.
 Projections and :func:`composite_prox` take a point or a stack of points
 (one per row) and act along the last axis, each row with the bits of the
-1-D call.
+1-D call; ``near_boundary`` gives one flag per row of a stack.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .core import (
     Vector,
     as_points,
     as_vector,
+    per_point,
     row_dot,
     zero_regularizer,
 )
@@ -46,11 +47,11 @@ class BoxSet(ProjectableSet):
         # np.maximum can pick the other zero of a signed-zero tie
         return as_points(z, self.dim, "point").clip(self.lo, self.hi)
 
-    def near_boundary(self, z: Vector, tol: float) -> bool:
-        z = as_vector(z, self.dim, "point")
+    def near_boundary(self, z: Vector, tol: float):
+        z = as_points(z, self.dim, "point")
         near_lo = np.isfinite(self.lo) & (np.abs(z - self.lo) <= tol)
         near_hi = np.isfinite(self.hi) & (np.abs(z - self.hi) <= tol)
-        return bool(np.any(near_lo) or np.any(near_hi))
+        return per_point(z, (near_lo | near_hi).any(axis=-1))
 
     def __repr__(self):
         return f"BoxSet(lo={self.lo!r}, hi={self.hi!r})"
@@ -86,9 +87,9 @@ class ZeroCone(ProjectableCone):
     def polar(self) -> WholeSpace:
         return WholeSpace(self.dim)
 
-    def near_boundary(self, z: Vector, tol: float) -> bool:
-        z = as_vector(z, self.dim, "point")
-        return bool(np.linalg.norm(z) <= tol)
+    def near_boundary(self, z: Vector, tol: float):
+        z = as_points(z, self.dim, "point")
+        return per_point(z, np.sqrt(row_dot(z, z)) <= tol)
 
     def __repr__(self):
         return f"ZeroCone({self.dim})"
@@ -112,9 +113,9 @@ class OrthantCone(ProjectableCone):
     def polar(self) -> "OrthantCone":
         return OrthantCone(self.dim, -self.sign)
 
-    def near_boundary(self, z: Vector, tol: float) -> bool:
-        z = as_vector(z, self.dim, "point")
-        return bool(np.any(np.abs(z) <= tol))
+    def near_boundary(self, z: Vector, tol: float):
+        z = as_points(z, self.dim, "point")
+        return per_point(z, (np.abs(z) <= tol).any(axis=-1))
 
     def __repr__(self):
         kind = "nonneg" if self.sign > 0 else "nonpos"
@@ -139,9 +140,10 @@ class BallSet(ProjectableSet):
             onto = self.center + (self.radius / nd) * d
         return np.where(nd <= self.radius, z, onto)
 
-    def near_boundary(self, z: Vector, tol: float) -> bool:
-        z = as_vector(z, self.dim, "point")
-        return bool(abs(float(np.linalg.norm(z - self.center)) - self.radius) <= tol)
+    def near_boundary(self, z: Vector, tol: float):
+        z = as_points(z, self.dim, "point")
+        d = z - self.center
+        return per_point(z, np.abs(np.sqrt(row_dot(d, d)) - self.radius) <= tol)
 
     def __repr__(self):
         return f"BallSet(dim={self.dim}, radius={self.radius})"
@@ -168,9 +170,10 @@ class ProductSet(ProjectableSet):
         blocks = self.split(z)
         return np.concatenate([s.project(b) for s, b in zip(self.parts, blocks)], axis=-1)
 
-    def near_boundary(self, z: Vector, tol: float) -> bool:
-        blocks = self.split(z)
-        return any(s.near_boundary(b, tol) for s, b in zip(self.parts, blocks))
+    def near_boundary(self, z: Vector, tol: float):
+        z = as_points(z, self.dim, "point")
+        hits = [s.near_boundary(b, tol) for s, b in zip(self.parts, self.split(z))]
+        return per_point(z, np.logical_or.reduce(hits))
 
     def __repr__(self):
         return f"ProductSet({list(self.parts)!r})"

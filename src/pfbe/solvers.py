@@ -1,14 +1,29 @@
 """First-order solvers for the penalized envelope objective.
 
 All solvers minimize ``Gamma`` over ``X x Y`` through one loop,
-:func:`_iterate_first_order`. A solver is a step rule: it maps the
-gradient-bearing :class:`EnvelopeEval` at the iterate to the one at the
-next iterate, or to a failure name that ends the run. The loop monitors
-the normalized prox-gradient residual (residual at the iterate divided
-by the smooth-gradient norm at the start point) and returns a
-:class:`SolveResult`. ``converged=True`` always implies
-``stat <= gtol``. Line-search failure is reported through
-``failure="StepFailure"`` with ``converged=False`` rather than raised.
+:func:`_iterate_first_order`. A solver is a step rule, of one of two
+kinds:
+
+* a fixed-step rule (two-timescale, GDA) maps the points of the iterate
+  to the :class:`Points` of the next iterate, from its own oracle calls
+  or from the gradients of ``f`` that the loop hands over with a tested
+  iterate;
+* a rule that needs the envelope gradient to step (SPG) maps the
+  gradient-bearing :class:`EnvelopeEval` at the iterate to the one at
+  the next iterate.
+
+Either may return a failure name instead, which ends the run. The loop
+monitors the normalized prox-gradient residual (residual at the iterate
+divided by the smooth-gradient norm at the start point) and returns a
+:class:`SolveResult`. The residual of points is tested in blocks: the
+loop collects up to ``TEST_POINTS`` iterates and evaluates them as one
+stack, whose rows keep the bits of their 1-D evaluations; a run ends at
+the first iterate of the block that passes ``gtol``, goes non-finite or
+reaches the budget, exactly where testing every iterate in turn would
+end it. An evaluation returned by a rule is tested at once.
+``converged=True`` always implies ``stat <= gtol``. Line-search failure
+is reported through ``failure="StepFailure"`` with ``converged=False``
+rather than raised.
 
 The loop also runs a stack of independent runs, one per row of a 2-D
 iterate, with the bits each row would get alone; the GDA step selection
@@ -17,14 +32,16 @@ runs its pilots this way.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .core import (
+    FunctionOracle,
     MinimaxProblem,
     NonFiniteValue,
     PreconditionViolation,
@@ -37,14 +54,29 @@ from .envelope import (
     EnvelopeEval,
     evaluate,
     grad_norm,
+    oracle_call,
     prox_grad_residual,
     prox_step,
     with_gradients,
 )
 from .sets import composite_prox
 
+
+class Points(NamedTuple):
+    """An iterate as a fixed-step rule sees it: one point, or a stack with
+    one point per run left. ``grad_x_f`` and ``grad_y_f`` hold the
+    gradients of ``f`` there when the loop has evaluated the iterate, and
+    are None for the iterates a rule produces."""
+
+    x: Vector
+    y: Vector
+    grad_x_f: Optional[Vector] = None
+    grad_y_f: Optional[Vector] = None
+
+
 Schedule = Union[float, Callable[[int], float]]
-StepRule = Callable[[int, EnvelopeEval, Optional[np.ndarray]], Union[EnvelopeEval, str]]
+Iterate = Union[EnvelopeEval, Points]
+StepRule = Callable[[int, Iterate, Optional[np.ndarray]], Union[Iterate, str]]
 
 
 # the standard nonmonotone SPG line search (Birgin, Martinez and Raydan,
@@ -53,6 +85,15 @@ StepRule = Callable[[int, EnvelopeEval, Optional[np.ndarray]], Union[EnvelopeEva
 LS_WINDOW = 10
 LS_DECREASE = 1e-4
 LS_MAX_HALVINGS = 50
+
+# points in one deferred residual test: a run from one point tests this many
+# of its iterates as one stacked evaluation, a stack of r runs
+# max(1, TEST_POINTS // r) iterates of each. On a 2-CPU Xeon with numpy 2.4
+# and one BLAS thread, a block of one iterate costs about twice as much per
+# iteration as evaluating every iterate in turn, and from 64 points on about
+# a third as much at n = p = 20 and 50; 128 points add about 1 MB to the
+# peak memory of the criterion-6 sweep and 256 points about 3 MB.
+TEST_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -95,7 +136,11 @@ class SolveResult:
     to ``X x Y`` (zero by construction for the projected methods;
     benchmark reporting replaces it with the base-problem constraint
     violation); ``trace`` holds per-iterate ``gamma`` and ``stat`` arrays
-    when recorded.
+    when recorded. A run ends at the first iterate that passes ``gtol`` or
+    reaches the budget, within the block of iterates the loop tested
+    together, and every field but ``wall_time`` is what testing each
+    iterate in turn gives; ``wall_time`` is the time of the whole call,
+    including any steps a fixed-step rule took past that iterate.
 
     ``failure`` is None unless a step rule ended the run early, always
     with ``converged=False``:
@@ -138,39 +183,138 @@ def _set_feas(problem: MinimaxProblem, x: Vector, y: Vector):
     return np.sqrt(row_dot(dx, dx) + row_dot(dy, dy))
 
 
-class _Rows:
-    """Outcome of each row of a stacked run, filled in as the rows leave.
+class _Runs:
+    """The runs of a stack, or the run from one point, with the outcome of
+    each filled in as it ends.
 
-    ``left`` holds the start-stack indices of the rows still iterating, in
-    the order of the iterate's rows.
+    ``left`` holds the start-stack indices of the runs still going, in the
+    order of the rows of their iterates. ``last`` holds the last tested
+    evaluation of a stack, the rows of the runs left in it, their
+    iteration count and their residuals; a run from one point whose
+    iterate was evaluated alone keeps its outcome current instead.
     """
 
-    def __init__(self, ev: EnvelopeEval):
-        k = len(ev.x)
+    def __init__(self, problem: MinimaxProblem, cfg: EnvelopeConfig, scfg: SolverConfig, ev):
+        self.problem, self.cfg, self.scfg = problem, cfg, scfg
+        self.one = ev.finite is None  # a run from one point
+        self.ref = grad_norm(ev)
+        self.x, self.y = np.atleast_2d(ev.x).copy(), np.atleast_2d(ev.y).copy()
+        k = len(self.x)
         self.left = np.arange(k)
-        self.x, self.y = ev.x.copy(), ev.y.copy()
-        self.fval = np.array(ev.gamma, dtype=np.float64)
+        self.fval = np.atleast_1d(ev.gamma).astype(np.float64)
         self.stat = np.full(k, np.inf)
         self.iter = np.zeros(k, dtype=int)
         self.converged = np.zeros(k, dtype=bool)
         self.failure: list = [None] * k
+        self.used_fd = False
+        self.last = None
+        self.trace_gamma: list = []
+        self.trace_stat: list = []
 
-    def leave(self, ev, going, iters, stat=np.inf, converged=False, failure=None, then=None):
-        """Record the rows of ``ev`` that ``going`` selects as ended after
-        ``iters`` steps, and return ``then`` (default ``ev``) restricted to
-        the other rows, or None when no row is left."""
-        then = ev if then is None else then
-        if not going.any():
-            return then
-        rows = self.left[going]
-        self.x[rows], self.y[rows], self.fval[rows] = ev.x[going], ev.y[going], ev.gamma[going]
-        self.stat[rows] = np.broadcast_to(stat, going.shape)[going]
-        self.converged[rows] = np.broadcast_to(converged, going.shape)[going]
-        self.iter[rows] = iters
-        for r in rows:
+    def block(self) -> int:
+        """How many iterates of each run left one deferred test takes."""
+        return max(1, TEST_POINTS // self.left.size)
+
+    def _keep(self, runs, ev: EnvelopeEval, at, iters, stat) -> None:
+        """Record the iterates in rows ``at`` of ``ev`` as the outcome of ``runs``."""
+        self.x[runs], self.y[runs], self.fval[runs] = ev.x[at], ev.y[at], ev.gamma[at]
+        self.iter[runs], self.stat[runs] = iters, stat
+
+    def test(self, ev: EnvelopeEval, k0: int, m: int = 1) -> Optional[Iterate]:
+        """Test the iterates ``k0 .. k0 + m - 1`` held by ``ev``, iterate by
+        iterate and one row per run left within each, and end each run at
+        its first iterate that passes ``gtol``, goes non-finite or reaches
+        the budget. Return the last iterate of the runs left, with its
+        gradients of ``f``, or None when no run is left. A run from one
+        point raises at a non-finite iterate."""
+        if ev.finite is None:  # one iterate of a run from one point, evaluated alone
+            stat = prox_grad_residual(self.problem, self.cfg, ev, self.ref)
+            self.used_fd = self.used_fd or ev.used_fd_hvp
+            if self.scfg.record_trace:
+                self.trace_gamma.append(ev.gamma)
+                self.trace_stat.append(stat)
+            self.x[0], self.y[0], self.fval[0], self.stat[0], self.iter[0] = (
+                ev.x, ev.y, ev.gamma, stat, k0)
+            self.converged[0] = stat <= self.scfg.gtol
+            self.last = None
+            if self.converged[0] or k0 == self.scfg.max_iter:
+                self.left = self.left[:0]
+                return None
+            return ev
+        w = self.left.size
+        ref = self.ref if self.one else np.tile(self.ref[self.left], m)
+        stat = prox_grad_residual(self.problem, self.cfg, ev, ref)
+        passed = stat <= self.scfg.gtol
+        ended = (passed | ~ev.finite).reshape(m, w)
+        if k0 + m - 1 == self.scfg.max_iter:
+            ended[-1] = True
+        hit = ended.any(axis=0)
+        first = np.where(hit, ended.argmax(axis=0), m - 1)
+        if self.one and hit[0] and not ev.finite[first[0]]:
+            # evaluated alone, the iterate raises naming its first non-finite quantity
+            evaluate(self.problem, self.cfg, ev.x[first[0]], ev.y[first[0]], need_grad=True)
+            raise NonFiniteValue(f"non-finite evaluation at iterate {k0 + first[0]}")
+        if ev.used_fd_hvp:  # only the iterates up to each run's stop count
+            moving = np.reshape(row_dot(ev.R, ev.R) != 0.0, (m, w))
+            self.used_fd = self.used_fd or bool(moving[np.arange(m)[:, None] <= first].any())
+        if self.one and self.scfg.record_trace:
+            self.trace_gamma += ev.gamma[: first[0] + 1].tolist()
+            self.trace_stat += stat[: first[0] + 1].tolist()
+        cols = np.arange(w)
+        if hit.any():
+            at = first * w + cols
+            bad = hit & ~ev.finite[at]
+            done = hit & ~bad
+            ended_runs = self.left[done]
+            self._keep(ended_runs, ev, at[done], k0 + first[done], stat[at[done]])
+            self.converged[ended_runs] = passed[at[done]]
+            if bad.any():  # a run that went non-finite keeps the iterate before
+                late = bad & (first > 0)
+                self._keep(self.left[late], ev, at[late] - w, k0 + first[late] - 1, np.inf)
+                early = bad & (first == 0)
+                if early.any() and self.last is not None:  # else the start, kept at init
+                    prev, prev_at, prev_k, _ = self.last
+                    self._keep(self.left[early], prev, prev_at[early], prev_k, np.inf)
+                for r in self.left[bad]:
+                    self.failure[r] = "NonFiniteValue"
+        at = ((m - 1) * w + cols)[~hit]
+        self.last = (ev, at, k0 + m - 1, stat[at])
+        self.left = self.left[~hit]
+        if not self.left.size:
+            return None
+        if self.one:
+            at = at[0]
+        return Points(ev.x[at], ev.y[at], ev.grad_x_f[at], ev.grad_y_f[at])
+
+    def fail(self, failure: str) -> None:
+        """End every run left with ``failure``, at its last tested iterate."""
+        if self.last is not None:
+            self._keep(self.left, *self.last)
+        for r in self.left:
             self.failure[r] = failure
-        self.left = self.left[~going]
-        return then.rows(~going) if self.left.size else None
+        self.left = self.left[:0]
+
+    def result(self, wall_time: float) -> SolveResult:
+        if not self.one:
+            return SolveResult(
+                x=self.x, y=self.y, fval=self.fval, iter=self.iter, stat=self.stat,
+                feas=_set_feas(self.problem, self.x, self.y), wall_time=wall_time,
+                converged=self.converged, trace={}, failure=tuple(self.failure),
+                used_fd_hvp=self.used_fd,
+            )
+        trace = {}
+        if self.scfg.record_trace:
+            trace = {
+                "gamma": np.asarray(self.trace_gamma, dtype=np.float64),
+                "stat": np.asarray(self.trace_stat, dtype=np.float64),
+            }
+        x, y = self.x[0], self.y[0]
+        return SolveResult(
+            x=x, y=y, fval=float(self.fval[0]), iter=int(self.iter[0]),
+            stat=float(self.stat[0]), feas=float(_set_feas(self.problem, x, y)),
+            wall_time=wall_time, converged=bool(self.converged[0]), trace=trace,
+            failure=self.failure[0], used_fd_hvp=self.used_fd,
+        )
 
 
 def _iterate_first_order(
@@ -186,89 +330,67 @@ def _iterate_first_order(
 
     ``x0`` and ``y0`` may be stacks of start points, one run per row. A
     row leaves the stack when its residual passes the test, when the
-    budget ends, or when its next evaluation goes non-finite (it then
-    keeps its last iterate and ``stat = inf``, with failure
+    budget ends, or when its evaluation goes non-finite (it then keeps its
+    last finite iterate and ``stat = inf``, with failure
     ``"NonFiniteValue"``); the loop ends when no row is left. ``step``
-    gets the start-stack indices of the rows of its evaluation (None for
-    one point) and must return an evaluation for a stack.
+    gets the start-stack indices of the rows of its iterate (None for one
+    point) and returns, for a stack, one row per run left.
+
+    :class:`Points` returned by ``step`` are collected into a block of up
+    to :meth:`_Runs.block` iterates and tested as one stacked evaluation;
+    the runs a block ends keep the bits, iterate counts and trace that
+    testing each iterate in turn gives, while ``step`` may have advanced
+    the block past their stop. The first step of a block gets the last
+    tested iterate with its gradients of ``f``. When ``step`` raises
+    :class:`NonFiniteValue`, :class:`PreconditionViolation` or
+    ``ValueError``, the iterates collected so far are tested first, and
+    the error propagates only if a run is left. An oracle that raises
+    anything else (rather than returning a nan or inf) at a point a block
+    reaches past a run's stop ends the call with that error.
     """
     started = time.perf_counter()
     ev = evaluate(problem, cfg, x0, y0, need_grad=True)
-    used_fd = ev.used_fd_hvp
-    ref = grad_norm(ev)
-    trace_gamma = [ev.gamma]
-    rows = None
-    if ev.finite is not None:
-        rows = _Rows(ev)
-        ref = np.broadcast_to(ref, rows.left.shape)
-        ev = rows.leave(ev, ~ev.finite, 0, failure="NonFiniteValue")
-    trace_stat: list[float] = []
-    iters = 0
-    converged = False
-    failure: Optional[str] = None
-    stat = np.inf
+    runs = _Runs(problem, cfg, scfg, ev)
+    it = runs.test(ev, 0)
+    k = 0  # the index of the last iterate tested
+    while it is not None:
+        block, error, nxt = [], None, None
+        size = min(runs.block(), scfg.max_iter - k)
+        try:
+            while len(block) < size:
+                nxt = step(k + len(block), it, None if runs.one else runs.left)
+                if not isinstance(nxt, Points):
+                    break
+                block.append(nxt)
+                it = nxt
+        except (NonFiniteValue, PreconditionViolation, ValueError) as exc:
+            error = exc
+        if block:  # one stack of the block's points, iterate by iterate
+            xs = np.array([p.x for p in block]).reshape(-1, problem.dim_x)
+            ys = np.array([p.y for p in block]).reshape(-1, problem.dim_y)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ev = evaluate(problem, cfg, xs, ys, need_grad=True)
+                it = runs.test(ev, k + 1, len(block))
+            k += len(block)
+        elif isinstance(nxt, EnvelopeEval):
+            k += 1
+            it = runs.test(nxt, k)
+        elif isinstance(nxt, str):
+            runs.fail(nxt)
+            it = None
+        if error is not None and it is not None:
+            raise error
+    return runs.result(time.perf_counter() - started)
 
-    # with every start of a stack non-finite, no row is left to iterate
-    for k in range(scfg.max_iter + 1 if ev is not None else 0):
-        stat = prox_grad_residual(problem, cfg, ev, ref if rows is None else ref[rows.left])
-        trace_stat.append(stat)
-        if rows is not None:
-            passed = stat <= scfg.gtol
-            ev = rows.leave(ev, passed | (k == scfg.max_iter), k, stat, passed)
-            if ev is None:
-                break
-        elif stat <= scfg.gtol:
-            converged = True
-            break
-        if k == scfg.max_iter:
-            break
-        nxt = step(k, ev, None if rows is None else rows.left)
-        if isinstance(nxt, str):
-            failure = nxt
-            break
-        if rows is not None:
-            nxt = rows.leave(ev, ~nxt.finite, k, failure="NonFiniteValue", then=nxt)
-            if nxt is None:
-                break
-        ev = nxt
-        used_fd = used_fd or ev.used_fd_hvp
-        iters += 1
-        trace_gamma.append(ev.gamma)
 
-    wall_time = time.perf_counter() - started
-    if rows is not None:
-        return SolveResult(
-            x=rows.x,
-            y=rows.y,
-            fval=rows.fval,
-            iter=rows.iter,
-            stat=rows.stat,
-            feas=_set_feas(problem, rows.x, rows.y),
-            wall_time=wall_time,
-            converged=rows.converged,
-            trace={},
-            failure=tuple(rows.failure),
-            used_fd_hvp=used_fd,
-        )
-    trace = {}
-    if scfg.record_trace:
-        trace = {
-            "gamma": np.asarray(trace_gamma, dtype=np.float64),
-            "stat": np.asarray(trace_stat, dtype=np.float64),
-        }
-    return SolveResult(
-        x=ev.x,
-        y=ev.y,
-        fval=float(ev.gamma),
-        iter=iters,
-        stat=float(stat),
-        feas=float(_set_feas(problem, ev.x, ev.y)),
-        wall_time=wall_time,
-        converged=converged,
-        trace=trace,
-        failure=failure,
-        used_fd_hvp=used_fd,
-    )
+def _grad_x_f(f: FunctionOracle, it: Iterate):
+    """``grad_x f`` at the iterate, from its evaluation when it has one."""
+    return oracle_call(f, f.grad_x, it.x, it.y) if it.grad_x_f is None else it.grad_x_f
+
+
+def _grad_y_f(f: FunctionOracle, it: Iterate):
+    """``grad_y f`` at the iterate, from its evaluation when it has one."""
+    return oracle_call(f, f.grad_y, it.x, it.y) if it.grad_y_f is None else it.grad_y_f
 
 
 def solve_spg(
@@ -354,8 +476,10 @@ def solve_subgda(
     Theory-mode defaults: ``eta_y = eta/2`` and
     ``eta_x = eta_y / theta``, where the timescale ratio is always the
     derived ``theta = alpha eta L^2 / mu`` (a caller who wants another
-    ratio sets ``eta_x``); ``eta_y`` must stay within the envelope step
-    ``eta`` so y-iterates remain in ``Y`` by convex combination.
+    ratio sets ``eta_x``); ``eta_y`` must satisfy ``0 <= eta_y <= eta``,
+    the envelope step, so y-iterates remain in ``Y`` by convex
+    combination: a step at which it does not (nan included) raises
+    :class:`PreconditionViolation`.
     Nonconvex ``X`` is rejected (the projected step needs convexity).
     """
     if not problem.X.convex:
@@ -365,30 +489,32 @@ def solve_subgda(
     ey = _resolve_schedule(scfg.eta_y, cfg.eta / 2.0)
     ex = _resolve_schedule(scfg.eta_x, lambda k: ey(k) / theta)
 
-    def step(k: int, ev: EnvelopeEval, rows) -> EnvelopeEval:
+    def step(k: int, it: Iterate, rows) -> Points:
         ey_k = float(ey(k))
-        if ey_k > cfg.eta * (1.0 + 1e-12):
+        if not 0.0 <= ey_k <= cfg.eta * (1.0 + 1e-12):
             raise PreconditionViolation(
-                f"eta_y={ey_k} exceeds the envelope step eta={cfg.eta}"
+                f"eta_y={ey_k} at iteration {k} is outside [0, eta] for the "
+                f"envelope step eta={cfg.eta}"
             )
         ex_k = float(ex(k))
-        x_new = composite_prox(problem.r1, problem.X, ev.x - ex_k * ev.grad_x_f, ex_k)
-        _, R = prox_step(problem, cfg, x_new, ev.y)
-        return evaluate(problem, cfg, x_new, ev.y + ey_k * R, need_grad=True)
+        x_new = composite_prox(problem.r1, problem.X, it.x - ex_k * _grad_x_f(problem.f, it), ex_k)
+        _, R = prox_step(problem, cfg, x_new, it.y)
+        return Points(x_new, it.y + ey_k * R)
 
     return _iterate_first_order(problem, cfg, scfg, x0, y0, step)
 
 
-def _gda_step(problem: MinimaxProblem, cfg: EnvelopeConfig, steps) -> StepRule:
+def _gda_step(problem: MinimaxProblem, steps) -> StepRule:
     """Simultaneous prox-gradient descent in x and ascent in y on ``f``,
     with ``steps(k, rows) -> (eta_x, eta_y)``: floats, or for a stack
     columns with one step per row."""
+    f = problem.f
 
-    def step(k: int, ev: EnvelopeEval, rows) -> EnvelopeEval:
+    def step(k: int, it: Iterate, rows) -> Points:
         tx, ty = steps(k, rows)
-        x_new = composite_prox(problem.r1, problem.X, ev.x - tx * ev.grad_x_f, tx)
-        y_new = composite_prox(problem.r2, problem.Y, ev.y + ty * ev.grad_y_f, ty)
-        return evaluate(problem, cfg, x_new, y_new, need_grad=True)
+        x_new = composite_prox(problem.r1, problem.X, it.x - tx * _grad_x_f(f, it), tx)
+        y_new = composite_prox(problem.r2, problem.Y, it.y + ty * _grad_y_f(f, it), ty)
+        return Points(x_new, y_new)
 
     return step
 
@@ -408,7 +534,7 @@ def solve_gda_baseline(
     """
     ex = _resolve_schedule(scfg.eta_x, 0.1)
     ey = _resolve_schedule(scfg.eta_y, 0.1)
-    step = _gda_step(problem, cfg, lambda k, rows: (float(ex(k)), float(ey(k))))
+    step = _gda_step(problem, lambda k, rows: (float(ex(k)), float(ey(k))))
     return _iterate_first_order(problem, cfg, scfg, x0, y0, step)
 
 
@@ -432,7 +558,9 @@ def select_gda_step(
     value), each for ``pilot_iters`` iterations (full budget when None),
     and returns the step with the smallest final ``stat``; ties break
     toward the smaller step. Also returns the per-step residual map, in
-    which a pilot whose evaluation went non-finite scores ``inf``.
+    which a pilot whose evaluation went non-finite scores ``inf``. An
+    empty grid, or an entry that is not finite and positive, raises
+    ``ValueError``.
 
     The pilots run together as the rows of one stacked iterate, each with
     its own step, and each row leaves when its pilot ends; every row
@@ -441,11 +569,14 @@ def select_gda_step(
     steps = DEFAULT_GDA_GRID if grid is None else tuple(sorted(float(s) for s in grid))
     if not steps:
         raise ValueError("empty step grid")
+    for s in steps:
+        if not (s > 0 and math.isfinite(s)):
+            raise ValueError(f"GDA step grid entry {s} is not finite and positive")
     budget = scfg.max_iter if pilot_iters is None else int(pilot_iters)
     pilot_cfg = replace(scfg, max_iter=budget, record_trace=False)
     x0, y0 = problem.check_point(x0, y0)
     column = np.array(steps)[:, None]
-    step = _gda_step(problem, cfg, lambda k, rows: (column[rows], column[rows]))
+    step = _gda_step(problem, lambda k, rows: (column[rows], column[rows]))
     with np.errstate(over="ignore", invalid="ignore"):  # diverging rows score inf
         res = _iterate_first_order(
             problem, cfg, pilot_cfg,

@@ -355,6 +355,24 @@ def test_stacked_evaluation_matches_each_row(name):
         assert stack.near_kink.tolist() == [False, False, True, False]
 
 
+def test_stacked_evaluation_flags_kinks_in_one_call():
+    calls = []
+
+    class CountedBox(BoxSet):
+        def near_boundary(self, z, tol):
+            calls.append(np.shape(z))
+            return super().near_boundary(z, tol)
+
+    prob = MinimaxProblem(f=_bilinear_oracle(True), X=WholeSpace(3),
+                          Y=CountedBox(-np.ones(3), np.ones(3)))
+    cfg = EnvelopeConfig.for_problem(prob)
+    xs = np.random.default_rng(4).standard_normal((6, 3))
+    xs[2] = 50.0  # T on the box boundary
+    stack = evaluate(prob, cfg, xs, np.zeros((6, 3)))
+    assert calls == [(6, 3)]
+    assert stack.near_kink.tolist() == [i == 2 for i in range(6)]
+
+
 # ---------------------------------------------------------------------------
 # non-finite oracle values
 

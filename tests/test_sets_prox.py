@@ -8,7 +8,13 @@ cone decomposition) are exercised on seeded random batches.
 import numpy as np
 import pytest
 
-from pfbe.core import DimensionError, IncompleteOracle, ProxRegularizer, zero_regularizer
+from pfbe.core import (
+    DimensionError,
+    IncompleteOracle,
+    ProjectableSet,
+    ProxRegularizer,
+    zero_regularizer,
+)
 from pfbe.sets import (
     BallSet,
     BoxSet,
@@ -277,6 +283,45 @@ def test_stacked_projection_matches_each_row():
         assert projected.shape == stack.shape
         for row, proj in zip(stack, projected):
             assert np.array_equal(proj, s.project(row)), s
+
+
+class _Default(ProjectableSet):
+    """A set with only a projection: the default ``near_boundary``."""
+
+    dim = 2
+
+    def project(self, z):
+        return np.asarray(z, dtype=np.float64)
+
+
+def test_stacked_near_boundary_matches_each_row():
+    tol = 1e-6
+    box = BoxSet([-1.0, 0.0, -np.inf], [1.0, 2.0, 0.5])
+    ball = BallSet([1.0, -1.0], 2.0)
+    orthant = OrthantCone(3, sign=-1)
+    zero = ZeroCone(2)
+    cases = {
+        box: [[1.0 - 1e-8, 1.0, -5.0], [0.0, 1e-9, 0.0], [0.0, 1.0, -1e300], [0.2, 1.0, 0.5]],
+        orthant: [[-1.0, -2.0, -3.0], [-1.0, 1e-7, -3.0], [np.nan, -1.0, -1.0]],
+        zero: [[0.0, 0.0], [1e-7, -1e-7], [1.0, 0.0]],
+        ball: [[1.0, -1.0], [3.0, -1.0], [1.0, 1.0 + 1e-8], [1.0, 5.0]],
+        _Default(): [[0.0, 0.0], [5.0, -5.0]],
+    }
+    cases[ProductSet([box, orthant, ball])] = [
+        [0.2, 1.0, 0.0] + [-1.0, -2.0, -3.0] + [1.0, 5.0],  # no part near its boundary
+        [0.2, 1.0, 0.0] + [-1.0, 1e-7, -3.0] + [1.0, 5.0],
+        [0.2, 1.0, 0.0] + [-1.0, -2.0, -3.0] + [3.0, -1.0],
+        [1.0, 1.0, 0.0] + [-1.0, -2.0, -3.0] + [1.0, 5.0],
+    ]
+    for s, rows in cases.items():
+        stack = np.array(rows, dtype=np.float64)
+        flags = s.near_boundary(stack, tol)
+        assert flags.dtype == bool and flags.shape == (len(rows),), s
+        singles = [s.near_boundary(row, tol) for row in stack]
+        assert all(type(one) is bool for one in singles), s
+        assert flags.tolist() == singles, s
+        assert any(singles) or isinstance(s, _Default), s
+        assert not all(singles), s
 
 
 def test_stacked_composite_prox_matches_each_row():

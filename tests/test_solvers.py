@@ -7,7 +7,7 @@ hand-stepped updates; failure paths are driven by a deliberately
 inconsistent oracle.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,9 +20,15 @@ from pfbe.core import (
     PreconditionViolation,
     UnsupportedSet,
 )
-from pfbe.envelope import EnvelopeConfig
+from pfbe.envelope import (
+    EnvelopeConfig,
+    evaluate,
+    grad_norm,
+    prox_grad_residual,
+    prox_step,
+)
 from pfbe.problems import make_example1, make_synthetic, synthetic_from_data
-from pfbe.sets import BoxSet, ProjectableSet, WholeSpace
+from pfbe.sets import BoxSet, ProjectableSet, WholeSpace, composite_prox
 from pfbe.solvers import (
     DEFAULT_GDA_GRID,
     SolverConfig,
@@ -217,24 +223,46 @@ def _counted_one_d():
     return replace(prob, f=f), cfg, counts
 
 
-def test_gda_reuses_monitored_gradients():
+def _count_grad_evaluations(monkeypatch):
+    calls = []
+    evaluate = solvers.evaluate
+
+    def counting_evaluate(problem, cfg, x, y, need_grad=True):
+        calls.append(need_grad)
+        return evaluate(problem, cfg, x, y, need_grad=need_grad)
+
+    monkeypatch.setattr(solvers, "evaluate", counting_evaluate)
+    return calls
+
+
+@pytest.mark.parametrize("k", [7, solvers.TEST_POINTS, solvers.TEST_POINTS + 5])
+def test_gda_oracle_calls_per_block(monkeypatch, k):
     prob, cfg, counts = _counted_one_d()
-    k = 7
+    calls = _count_grad_evaluations(monkeypatch)
     scfg = SolverConfig(max_iter=k, eta_x=0.05, eta_y=0.05, gtol=1e-12)
     res = solve_gda_baseline(prob, cfg, scfg, np.array([0.5, 0.25]), np.array([0.1]))
     assert res.iter == k
-    assert counts == {"eval": k + 1, "grad_x": k + 1, "grad_y": k + 1}
+    # one evaluation of the start, then one stacked evaluation per block of
+    # iterates; a step calls grad_x f and grad_y f itself, except the first
+    # of a block, which takes them from the last tested evaluation
+    blocks = -(-k // solvers.TEST_POINTS)
+    assert calls == [True] * (blocks + 1)
+    assert counts == {"eval": blocks + 1, "grad_x": k + 1, "grad_y": k + 1}
 
 
-def test_subgda_reuses_monitored_grad_x():
+@pytest.mark.parametrize("k", [7, solvers.TEST_POINTS, solvers.TEST_POINTS + 5])
+def test_subgda_oracle_calls_per_block(monkeypatch, k):
     prob, cfg, counts = _counted_one_d()
-    k = 7
+    calls = _count_grad_evaluations(monkeypatch)
     res = solve_subgda(
         prob, cfg, SolverConfig(max_iter=k), np.array([0.5, 0.25]), np.array([0.1])
     )
     assert res.iter == k
-    # grad_y also runs once per step for R(x+, y), a point never fully evaluated
-    assert counts == {"eval": k + 1, "grad_x": k + 1, "grad_y": 2 * k + 1}
+    # grad_x f as for GDA; grad_y f also once per step for R(x+, y) in
+    # prox_step, a point never evaluated
+    blocks = -(-k // solvers.TEST_POINTS)
+    assert calls == [True] * (blocks + 1)
+    assert counts == {"eval": blocks + 1, "grad_x": k + 1, "grad_y": k + blocks + 1}
 
 
 def test_spg_evaluates_each_point_once(monkeypatch):
@@ -306,6 +334,22 @@ def test_subgda_rejects_large_y_step():
     scfg = SolverConfig(max_iter=5, eta_y=2.0 * cfg.eta)
     with pytest.raises(PreconditionViolation):
         solve_subgda(prob, cfg, scfg, np.array([0.5, 0.25]), np.array([0.1]))
+
+
+@pytest.mark.parametrize("eta_y", [np.nan, -1e-3, "2 eta"])
+def test_subgda_rejects_eta_y_outside_envelope_step(eta_y):
+    inst, prob, cfg = _one_d()
+    eta_y = 2.0 * cfg.eta if eta_y == "2 eta" else eta_y
+    scfg = SolverConfig(max_iter=5, eta_x=0.1, eta_y=eta_y)
+    with pytest.raises(PreconditionViolation, match="eta_y="):
+        solve_subgda(prob, cfg, scfg, np.array([0.5, 0.25]), np.array([0.1]))
+
+
+def test_subgda_accepts_eta_y_at_the_ends():
+    inst, prob, cfg = _one_d()
+    for eta_y in (0.0, cfg.eta):
+        scfg = SolverConfig(max_iter=5, eta_x=0.1, eta_y=eta_y)
+        assert solve_subgda(prob, cfg, scfg, np.array([0.5, 0.25]), np.array([0.1])).iter == 5
 
 
 def test_subgda_rejects_nonconvex_x():
@@ -427,6 +471,16 @@ def test_select_gda_step_empty_grid():
         )
 
 
+@pytest.mark.parametrize("entry", [0.0, np.nan, np.inf, -0.1])
+def test_select_gda_step_rejects_non_positive_or_non_finite_steps(entry):
+    inst = make_synthetic(3, 3)
+    prob = inst.lifted.problem
+    cfg = EnvelopeConfig.for_problem(prob)
+    z0, y0 = inst.default_start()
+    with pytest.raises(ValueError, match="not finite and positive"):
+        select_gda_step(prob, cfg, SolverConfig(), z0, y0, grid=[0.1, entry], pilot_iters=5)
+
+
 def _serial_pilots(prob, cfg, scfg, z0, y0, grid, pilot_iters):
     """Reference for select_gda_step: one baseline run per step, in turn,
     a diverging run scoring inf."""
@@ -482,7 +536,7 @@ def test_stacked_run_rows_match_single_runs():
     z0, y0 = inst.default_start()
     scfg = SolverConfig(max_iter=300, gtol=1e-4, record_trace=False)
     column = np.array([[1e-2], [0.1], [5.0]])
-    step = solvers._gda_step(prob, cfg, lambda k, rows: (column[rows], column[rows]))
+    step = solvers._gda_step(prob, lambda k, rows: (column[rows], column[rows]))
     with np.errstate(over="ignore", invalid="ignore"):
         res = solvers._iterate_first_order(
             prob, cfg, scfg, np.tile(z0, (3, 1)), np.tile(y0, (3, 1)), step
@@ -498,6 +552,404 @@ def test_stacked_run_rows_match_single_runs():
             one.fval, one.iter, one.stat, one.feas)
     with pytest.raises(NonFiniteValue), np.errstate(over="ignore", invalid="ignore"):
         solve_gda_baseline(prob, cfg, replace(scfg, eta_x=5.0, eta_y=5.0), z0, y0)
+
+
+# ---------------------------------------------------------------------------
+# block-tested fixed-step runs against the evaluate-every-iterate loop
+
+
+class _RefRows:
+    """Reference bookkeeping of a stacked run, as the rows leave."""
+
+    def __init__(self, ev):
+        k = len(ev.x)
+        self.left = np.arange(k)
+        self.x, self.y = ev.x.copy(), ev.y.copy()
+        self.fval = np.array(ev.gamma, dtype=np.float64)
+        self.stat = np.full(k, np.inf)
+        self.iter = np.zeros(k, dtype=int)
+        self.converged = np.zeros(k, dtype=bool)
+        self.failure = [None] * k
+
+    def leave(self, ev, going, iters, stat=np.inf, converged=False, failure=None, then=None):
+        then = ev if then is None else then
+        if not going.any():
+            return then
+        rows = self.left[going]
+        self.x[rows], self.y[rows], self.fval[rows] = ev.x[going], ev.y[going], ev.gamma[going]
+        self.stat[rows] = np.broadcast_to(stat, going.shape)[going]
+        self.converged[rows] = np.broadcast_to(converged, going.shape)[going]
+        self.iter[rows] = iters
+        for r in rows:
+            self.failure[r] = failure
+        self.left = self.left[~going]
+        return then.rows(~going) if self.left.size else None
+
+
+def _reference_loop(problem, cfg, scfg, x0, y0, step):
+    """The solver loop that evaluates and tests every iterate in turn; the
+    step rules below map the evaluation at the iterate to the next one."""
+    ev = evaluate(problem, cfg, x0, y0, need_grad=True)
+    used_fd = ev.used_fd_hvp
+    ref = grad_norm(ev)
+    trace_gamma = [ev.gamma]
+    rows = None
+    if ev.finite is not None:
+        rows = _RefRows(ev)
+        ref = np.broadcast_to(ref, rows.left.shape)
+        ev = rows.leave(ev, ~ev.finite, 0, failure="NonFiniteValue")
+    trace_stat = []
+    iters = 0
+    converged = False
+    failure = None
+    stat = np.inf
+    for k in range(scfg.max_iter + 1 if ev is not None else 0):
+        stat = prox_grad_residual(problem, cfg, ev, ref if rows is None else ref[rows.left])
+        trace_stat.append(stat)
+        if rows is not None:
+            passed = stat <= scfg.gtol
+            ev = rows.leave(ev, passed | (k == scfg.max_iter), k, stat, passed)
+            if ev is None:
+                break
+        elif stat <= scfg.gtol:
+            converged = True
+            break
+        if k == scfg.max_iter:
+            break
+        nxt = step(k, ev, None if rows is None else rows.left)
+        if isinstance(nxt, str):
+            failure = nxt
+            break
+        if rows is not None:
+            nxt = rows.leave(ev, ~nxt.finite, k, failure="NonFiniteValue", then=nxt)
+            if nxt is None:
+                break
+        ev = nxt
+        used_fd = used_fd or ev.used_fd_hvp
+        iters += 1
+        trace_gamma.append(ev.gamma)
+    if rows is not None:
+        return solvers.SolveResult(
+            x=rows.x, y=rows.y, fval=rows.fval, iter=rows.iter, stat=rows.stat,
+            feas=solvers._set_feas(problem, rows.x, rows.y), wall_time=0.0,
+            converged=rows.converged, trace={}, failure=tuple(rows.failure),
+            used_fd_hvp=used_fd,
+        )
+    trace = {}
+    if scfg.record_trace:
+        trace = {"gamma": np.asarray(trace_gamma, dtype=np.float64),
+                 "stat": np.asarray(trace_stat, dtype=np.float64)}
+    return solvers.SolveResult(
+        x=ev.x, y=ev.y, fval=float(ev.gamma), iter=iters, stat=float(stat),
+        feas=float(solvers._set_feas(problem, ev.x, ev.y)), wall_time=0.0,
+        converged=converged, trace=trace, failure=failure, used_fd_hvp=used_fd,
+    )
+
+
+def _reference_subgda(problem, cfg, scfg, x0, y0):
+    L, mu = problem.lipschitz, problem.mu
+    theta = cfg.alpha * cfg.eta * L * L / mu
+    ey = solvers._resolve_schedule(scfg.eta_y, cfg.eta / 2.0)
+    ex = solvers._resolve_schedule(scfg.eta_x, lambda k: ey(k) / theta)
+
+    def step(k, ev, rows):
+        ey_k = float(ey(k))
+        if not 0.0 <= ey_k <= cfg.eta * (1.0 + 1e-12):
+            raise PreconditionViolation(
+                f"eta_y={ey_k} at iteration {k} is outside [0, eta] for the "
+                f"envelope step eta={cfg.eta}"
+            )
+        ex_k = float(ex(k))
+        x_new = composite_prox(problem.r1, problem.X, ev.x - ex_k * ev.grad_x_f, ex_k)
+        _, R = prox_step(problem, cfg, x_new, ev.y)
+        return evaluate(problem, cfg, x_new, ev.y + ey_k * R, need_grad=True)
+
+    return _reference_loop(problem, cfg, scfg, x0, y0, step)
+
+
+def _reference_gda_step(problem, cfg, steps):
+    def step(k, ev, rows):
+        tx, ty = steps(k, rows)
+        x_new = composite_prox(problem.r1, problem.X, ev.x - tx * ev.grad_x_f, tx)
+        y_new = composite_prox(problem.r2, problem.Y, ev.y + ty * ev.grad_y_f, ty)
+        return evaluate(problem, cfg, x_new, y_new, need_grad=True)
+
+    return step
+
+
+def _reference_gda(problem, cfg, scfg, x0, y0):
+    ex = solvers._resolve_schedule(scfg.eta_x, 0.1)
+    ey = solvers._resolve_schedule(scfg.eta_y, 0.1)
+    step = _reference_gda_step(problem, cfg, lambda k, rows: (float(ex(k)), float(ey(k))))
+    return _reference_loop(problem, cfg, scfg, x0, y0, step)
+
+
+def _outcome(run, *args):
+    """The result of ``run(*args)``, or the class and message it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(*args)
+    except (NonFiniteValue, PreconditionViolation, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple):  # raised
+        assert got == want
+        return
+    assert isinstance(got, solvers.SolveResult)
+    for field in fields(solvers.SolveResult):
+        if field.name == "wall_time":
+            continue
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "trace":
+            assert a.keys() == b.keys()
+            for key in a:
+                assert np.array_equal(a[key], b[key]), key
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+P = solvers.TEST_POINTS
+_SOLVERS = {"subgda": (solve_subgda, _reference_subgda),
+            "gda": (solve_gda_baseline, _reference_gda)}
+
+
+def _no_hvp_problem():
+    # no Hessian-vector products: the envelope takes them by finite differences
+    f = FunctionOracle(
+        eval=lambda x, y: float(x @ y - 0.5 * y @ y + 0.5 * x @ x),
+        grad_x=lambda x, y: np.asarray(y, float) + np.asarray(x, float),
+        grad_y=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
+        lipschitz_grad=2.0,
+        strong_concavity=1.0,
+    )
+    prob = MinimaxProblem(f=f, X=BoxSet([-1.0, -1.0], [1.0, 1.0]), Y=WholeSpace(2))
+    return prob, EnvelopeConfig.for_problem(prob), np.array([0.9, -0.4]), np.array([0.3, 0.1])
+
+
+def _instance(name):
+    if name == "no_hvp":
+        return _no_hvp_problem()
+    inst = make_example1() if name == "example1" else make_synthetic(*name)
+    prob = inst.lifted.problem
+    return (prob, EnvelopeConfig.for_problem(prob)) + tuple(inst.default_start())
+
+
+_INSTANCES = [(10, 10, 1.0, 1), (20, 20, 1.0, 2), (3, 3, 1.0, 2), "example1", "no_hvp"]
+
+
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+@pytest.mark.parametrize("name", _INSTANCES, ids=str)
+@pytest.mark.parametrize("budget", [0, 1, P - 1, P, P + 1, 10000])
+def test_fixed_step_runs_match_reference_loop(solver, name, budget):
+    prob, cfg, z0, y0 = _instance(name)
+    run, reference = _SOLVERS[solver]
+    gda_steps = {} if solver == "subgda" else {"eta_x": 0.05, "eta_y": 0.05}
+    scfg = SolverConfig(max_iter=budget, gtol=1e-6, record_trace=False, **gda_steps)
+    _assert_same_outcome(_outcome(run, prob, cfg, scfg, z0, y0),
+                         _outcome(reference, prob, cfg, scfg, z0, y0))
+
+
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+@pytest.mark.parametrize("name", _INSTANCES, ids=str)
+def test_mid_block_convergence_and_trace_match_reference_loop(solver, name):
+    prob, cfg, z0, y0 = _instance(name)
+    run, reference = _SOLVERS[solver]
+    gda_steps = {} if solver == "subgda" else {"eta_x": 0.05, "eta_y": 0.05}
+    # a loose tolerance: most of these runs stop inside a block
+    scfg = SolverConfig(max_iter=3 * P, gtol=0.05, **gda_steps)
+    got = _outcome(run, prob, cfg, scfg, z0, y0)
+    _assert_same_outcome(got, _outcome(reference, prob, cfg, scfg, z0, y0))
+    assert len(got.trace["stat"]) == got.iter + 1
+
+
+def test_reference_cases_stop_inside_blocks():
+    # the mid-block cases above are not all stopped by a block's last iterate
+    stops = []
+    for name in _INSTANCES:
+        prob, cfg, z0, y0 = _instance(name)
+        scfg = SolverConfig(max_iter=3 * P, gtol=0.05, eta_x=0.05, eta_y=0.05)
+        res = solve_gda_baseline(prob, cfg, scfg, z0, y0)
+        stops.append((res.converged, res.iter % P))
+    assert any(conv and 0 < r < P - 1 for conv, r in stops), stops
+
+
+@pytest.mark.parametrize("name", [(3, 3, 1.0, 2), "example1"], ids=str)
+def test_non_finite_mid_block_raises_as_reference_loop(name):
+    prob, cfg, z0, y0 = _instance(name)
+    inside = []
+    for s in (5.0, 20.0, 1e3):
+        scfg = SolverConfig(max_iter=10000, eta_x=s, eta_y=s, record_trace=False)
+        got = _outcome(solve_gda_baseline, prob, cfg, scfg, z0, y0)
+        steps = []
+        step = _reference_gda_step(prob, cfg, lambda k, rows: steps.append(k) or (s, s))
+        want = _outcome(_reference_loop, prob, cfg, scfg, z0, y0, step)
+        _assert_same_outcome(got, want)
+        if isinstance(want, tuple) and want[0] is NonFiniteValue:
+            inside.append(len(steps) % P not in (0, 1))  # the raising iterate's place
+    assert any(inside)
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_eta_y_schedule_past_eta_matches_reference_loop(when):
+    prob, cfg, z0, y0 = _instance((3, 3, 1.0, 2))
+    base = SolverConfig(max_iter=10000, gtol=1e-3, record_trace=True)
+    stop = solve_subgda(prob, cfg, base, z0, y0)
+    assert stop.converged and stop.iter > 2
+    # eta_y passes eta at iteration k, before or after the iterate that converges
+    k = stop.iter - 2 if when == "before" else stop.iter + 2
+    scfg = replace(base, eta_y=lambda j: cfg.eta / 2.0 if j < k else 2.0 * cfg.eta)
+    got = _outcome(solve_subgda, prob, cfg, scfg, z0, y0)
+    _assert_same_outcome(got, _outcome(_reference_subgda, prob, cfg, scfg, z0, y0))
+    if when == "before":
+        assert got[0] is PreconditionViolation and "eta_y" in got[1]
+    else:
+        _assert_same_outcome(got, stop)
+
+
+@pytest.mark.parametrize("name", [(3, 3, 1.0, 2), "example1"], ids=str)
+def test_stacked_rows_leaving_mid_block_match_reference_loop(name):
+    prob, cfg, z0, y0 = _instance(name)
+    column = np.array([[1e-3], [1e-2], [0.05], [0.1], [0.3], [5.0], [50.0]])
+    k = len(column)
+    scfg = SolverConfig(max_iter=700, gtol=1e-4, record_trace=False)
+    steps = lambda j, rows: (column[rows], column[rows])  # noqa: E731
+    starts = (np.tile(z0, (k, 1)), np.tile(y0, (k, 1)))
+    got = _outcome(solvers._iterate_first_order, prob, cfg, scfg, *starts,
+                   solvers._gda_step(prob, steps))
+    want = _outcome(_reference_loop, prob, cfg, scfg, *starts,
+                    _reference_gda_step(prob, cfg, steps))
+    _assert_same_outcome(got, want)
+    # rows end at different iterates, not all on a block's last one
+    block = max(1, P // k)
+    assert len(set(got.iter.tolist())) > 2
+    assert any(i % block != 0 for i in got.iter.tolist())
+
+
+def test_used_fd_hvp_counts_iterates_up_to_the_stop():
+    # f = |x|^2/2 - |y|^2/2 without Hessian products: R = -y, so finite
+    # differences run only once y leaves 0, which these rules do after the
+    # run has converged at iterate 3 (stat = 0.5^k, gtol 0.2)
+    f = FunctionOracle(
+        eval=lambda x, y: float(0.5 * x @ x - 0.5 * y @ y),
+        grad_x=lambda x, y: np.asarray(x, float).copy(),
+        grad_y=lambda x, y: -np.asarray(y, float),
+        lipschitz_grad=1.0,
+        strong_concavity=1.0,
+    )
+    prob = MinimaxProblem(f=f, X=WholeSpace(1), Y=WholeSpace(1))
+    cfg = EnvelopeConfig.for_problem(prob)
+    scfg = SolverConfig(max_iter=100, gtol=0.2)
+    x0, y0 = np.array([1.0]), np.array([0.0])
+    kick = lambda k: 1.0 if k >= 3 else 0.0  # noqa: E731
+    got = solvers._iterate_first_order(
+        prob, cfg, scfg, x0, y0, lambda k, it, rows: solvers.Points(0.5 * it.x, it.y + kick(k)))
+    want = _reference_loop(
+        prob, cfg, scfg, x0, y0,
+        lambda k, ev, rows: evaluate(prob, cfg, 0.5 * ev.x, ev.y + kick(k)))
+    _assert_same_outcome(got, want)
+    assert got.converged and got.iter == 3 and not got.used_fd_hvp
+
+
+@pytest.mark.parametrize("name", [(3, 3, 1.0, 2), "example1"], ids=str)
+def test_stacked_subgda_rows_match_reference_loop(name):
+    # example 1's oracle takes no stacks: prox_step calls it row by row
+    prob, cfg, z0, y0 = _instance(name)
+    k = 5
+    shift = np.linspace(0.0, 0.4, k)[:, None]
+    starts = (z0 + shift, y0 - shift)
+    scfg = SolverConfig(max_iter=400, gtol=0.02, eta_x=0.05, record_trace=False)
+    got = _outcome(solve_subgda, prob, cfg, scfg, *starts)
+    _assert_same_outcome(got, _outcome(_reference_subgda, prob, cfg, scfg, *starts))
+    if name != "example1":  # rows that end at different iterates, inside blocks
+        assert len(set(got.iter.tolist())) > 2
+        assert any(i % (P // k) != 0 for i in got.iter.tolist())
+    for i in range(k):
+        one = solve_subgda(prob, cfg, scfg, starts[0][i], starts[1][i])
+        assert (one.iter, one.stat, one.fval) == (got.iter[i], got.stat[i], got.fval[i])
+
+
+def _halving_rules(prob, cfg, change):
+    """A fixed-step rule that halves x and applies ``change(k, x)``, and the
+    same rule for the reference loop."""
+
+    def points(k, it, rows):
+        x = change(k, 0.5 * it.x)
+        return x if isinstance(x, str) else solvers.Points(x, it.y.copy())
+
+    def evaluated(k, ev, rows):
+        nxt = points(k, ev, rows)
+        return nxt if isinstance(nxt, str) else evaluate(prob, cfg, nxt.x, nxt.y)
+
+    return points, evaluated
+
+
+def _halving_problem():
+    f = FunctionOracle(
+        eval=lambda x, y: float(0.5 * x @ x - 0.5 * y @ y),
+        grad_x=lambda x, y: np.asarray(x, float).copy(),
+        grad_y=lambda x, y: -np.asarray(y, float),
+        lipschitz_grad=1.0,
+        strong_concavity=1.0,
+        hvp_yy=lambda x, y, v: -np.asarray(v, float),
+        hvp_xy=lambda x, y, v: np.zeros_like(np.asarray(x, float)),
+    )
+    prob = MinimaxProblem(f=f, X=WholeSpace(1), Y=WholeSpace(1))
+    return prob, EnvelopeConfig.for_problem(prob)
+
+
+def test_stacked_row_going_non_finite_at_a_block_start():
+    # two rows test P // 2 iterates per block; row 1 jumps to inf at
+    # iterate P // 2 + 1, the first of the second block, and keeps iterate P // 2
+    prob, cfg = _halving_problem()
+    jump = P // 2
+
+    def change(k, x):
+        x = x.copy()
+        if k == jump:
+            x[1] = np.inf
+        return x
+
+    points, evaluated = _halving_rules(prob, cfg, change)
+    scfg = SolverConfig(max_iter=3 * P, gtol=1e-300, record_trace=False)
+    x0, y0 = np.array([[1.0], [2.0]]), np.zeros((2, 1))
+    with np.errstate(invalid="ignore"):
+        got = solvers._iterate_first_order(prob, cfg, scfg, x0, y0, points)
+        want = _reference_loop(prob, cfg, scfg, x0, y0, evaluated)
+    _assert_same_outcome(got, want)
+    assert got.failure == (None, "NonFiniteValue") and got.iter.tolist() == [3 * P, jump]
+
+
+def test_failure_name_mid_block_matches_reference_loop():
+    prob, cfg = _halving_problem()
+    points, evaluated = _halving_rules(prob, cfg, lambda k, x: "Stop" if k == 5 else x)
+    scfg = SolverConfig(max_iter=P, gtol=1e-300)
+    args = (prob, cfg, scfg, np.array([1.0]), np.array([0.0]))
+    got = solvers._iterate_first_order(*args, points)
+    _assert_same_outcome(got, _reference_loop(*args, evaluated))
+    assert got.failure == "Stop" and got.iter == 5 and len(got.trace["stat"]) == 6
+
+
+@pytest.mark.parametrize("make", [lambda: make_synthetic(10, 10, 0.5, 1), make_example1],
+                         ids=["synthetic", "example1"])
+def test_pilot_residual_maps_match_reference_loop(make):
+    inst = make()
+    prob = inst.lifted.problem
+    cfg = EnvelopeConfig.for_problem(prob)
+    z0, y0 = inst.default_start()
+    grid = DEFAULT_GDA_GRID + (2.0, 5.0, 20.0)
+    scfg = SolverConfig(max_iter=300, record_trace=False)
+    _, scores = select_gda_step(prob, cfg, scfg, z0, y0, grid=grid)
+    column = np.array(sorted(grid))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _reference_loop(
+            prob, cfg, scfg, np.tile(z0, (len(grid), 1)), np.tile(y0, (len(grid), 1)),
+            _reference_gda_step(prob, cfg, lambda k, rows: (column[rows], column[rows])),
+        )
+    assert list(scores.values()) == ref.stat.tolist()
 
 
 # ---------------------------------------------------------------------------
