@@ -32,7 +32,6 @@ from .diagnostics import (
     check_polar_convexity,
     eps_minimax_mm,
     feasibility_mcc,
-    gamma_grad_ref_norm,
     stationarity_gamma,
     transfer_constant,
 )

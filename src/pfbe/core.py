@@ -102,11 +102,6 @@ def row_dot(u, v):
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def per_point(z: Vector, flags):
-    """``flags``, one per row of the stack ``z``, as a bool when ``z`` is one point."""
-    return bool(flags) if z.ndim == 1 else flags
-
-
 def check_finite(value, what: str = "value"):
     """Raise :class:`NonFiniteValue` if ``value`` contains a nan or inf."""
     if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
@@ -130,15 +125,13 @@ class ProjectableSet:
         z = as_vector(z, self.dim, "point")
         return float(np.linalg.norm(self.project(z) - z)) <= tol
 
-    def near_boundary(self, z: Vector, tol: float):
-        """True when ``z`` sits within ``tol`` of the set's boundary; for a
-        stack of points, a bool array with one flag per row.
+    def near_boundary(self, z: Vector, tol: float) -> bool:
+        """True when the point ``z`` sits within ``tol`` of the set's boundary.
 
         Used to flag prox outputs that touch a kink of the projection;
         the default is conservative (False) for sets without boundary.
         """
-        z = np.asarray(z)
-        return False if z.ndim == 1 else np.zeros(z.shape[:-1], dtype=bool)
+        return False
 
 
 class ProjectableCone(ProjectableSet):
@@ -256,10 +249,6 @@ class MinimaxProblem:
     @property
     def lipschitz(self) -> float:
         return self.f.lipschitz_grad
-
-    @property
-    def r2_convex(self) -> bool:
-        return self.r2.convex
 
     def check_point(self, x, y) -> tuple[Vector, Vector]:
         """``(x, y)`` as float64 points, or as two stacks of as many rows."""

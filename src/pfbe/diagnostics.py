@@ -10,7 +10,6 @@ approximate minimax point of the underlying problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .envelope import (
     NORM_FLOOR,
     EnvelopeConfig,
     evaluate,
-    grad_norm,
     prox_grad_residual,
     prox_step,
 )
@@ -32,36 +30,14 @@ from .lagrangian import LiftedProblem, multiplier_bound_monitor
 from .sets import BoxSet, composite_prox
 
 
-def gamma_grad_ref_norm(problem: MinimaxProblem, cfg: EnvelopeConfig, x0, y0) -> float:
-    """Norm of the smooth-part gradient at the reference (start) point."""
-    return grad_norm(evaluate(problem, cfg, x0, y0, need_grad=True))
-
-
-def stationarity_gamma(
-    problem: MinimaxProblem,
-    cfg: EnvelopeConfig,
-    x,
-    y,
-    normalized: bool = False,
-    ref_norm: Optional[float] = None,
-    ref_point=None,
-) -> float:
-    """Prox-gradient residual of the penalized objective at ``(x, y)``.
-
-    The residual is :func:`pfbe.envelope.prox_grad_residual`. With
-    ``normalized=True`` it is divided by the smooth gradient norm at the
-    reference point (``ref_norm`` or ``ref_point``); a reference below
-    ``NORM_FLOOR`` degenerates and the unnormalized value is
-    returned instead.
+def stationarity_gamma(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> float:
+    """Unnormalized prox-gradient residual of the penalized objective at
+    ``(x, y)``: :func:`pfbe.envelope.prox_grad_residual` of its
+    evaluation. The solvers' normalized ``stat`` divides it by
+    :func:`pfbe.envelope.grad_norm` at the start point, which
+    ``prox_grad_residual`` takes as ``ref_norm``.
     """
-    ev = evaluate(problem, cfg, x, y, need_grad=True)
-    if not normalized:
-        return prox_grad_residual(problem, cfg, ev)
-    if ref_norm is None:
-        if ref_point is None:
-            raise ValueError("normalized stationarity needs ref_norm or ref_point")
-        ref_norm = gamma_grad_ref_norm(problem, cfg, *ref_point)
-    return prox_grad_residual(problem, cfg, ev, float(ref_norm))
+    return prox_grad_residual(problem, cfg, evaluate(problem, cfg, x, y, need_grad=True))
 
 
 def eps_minimax_mm(
@@ -132,7 +108,7 @@ def certify(
     """
     prob = lifted.problem
     z = lifted.join(x, lam)
-    stat = stationarity_gamma(prob, cfg, z, y, normalized=False)
+    stat = stationarity_gamma(prob, cfg, z, y)
     eps_x, eps_y = eps_minimax_mm(prob, cfg, z, y)
     feas = feasibility_mcc(lifted.base, x, y)
     cval = np.asarray(lifted.base.c.eval_c(as_vector(x), as_vector(y)), dtype=np.float64)

@@ -71,8 +71,8 @@ NORM_FLOOR = 1e-15  # reference norms below this leave a residual unnormalized
 class EnvelopeConfig:
     """Envelope step ``eta``, penalty ``alpha``, and the modulus they obey.
 
-    Raises ``ValueError`` at construction when
-    ``alpha < max(1, 2 / (eta * mu))``.
+    Raises ``ValueError`` at construction unless all three are finite,
+    ``eta`` and ``mu`` are positive and ``alpha >= max(1, 2 / (eta * mu))``.
     """
 
     eta: float
@@ -84,6 +84,8 @@ class EnvelopeConfig:
             raise ValueError("eta must be positive and finite")
         if not (self.mu > 0 and np.isfinite(self.mu)):
             raise ValueError("mu must be positive and finite")
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         thresh = self.threshold(self.eta, self.mu)
         if not (self.alpha >= thresh * (1.0 - 1e-12)):
             raise ValueError(
@@ -114,7 +116,8 @@ class EnvelopeConfig:
 @dataclass(frozen=True)
 class EnvelopeEval:
     """All envelope quantities at one point, computed from a single
-    ``grad_y f`` evaluation and a single prox call. The gradient fields
+    ``grad_y f`` evaluation and a single prox call (whether ``T`` touches a
+    kink of the projection is :func:`near_kink`). The gradient fields
     (``grad_x_f``, the raw ``grad_x f``, and ``grad_x``/``grad_y`` of
     ``Xi``) are None until :func:`with_gradients` fills them, which adds
     one ``grad_x f`` and two Hessian-vector products along ``R``.
@@ -131,16 +134,11 @@ class EnvelopeEval:
     psi: float
     xi: float
     gamma: float
-    near_kink: bool
     grad_x_f: Optional[Vector] = None
     grad_x: Optional[Vector] = None
     grad_y: Optional[Vector] = None
     used_fd_hvp: bool = False
     finite: Optional[np.ndarray] = None
-
-    @property
-    def residual_norm(self) -> float:
-        return float(np.linalg.norm(self.R))
 
     def rows(self, keep) -> "EnvelopeEval":
         """The evaluation of a stack restricted to the rows ``keep`` selects."""
@@ -210,13 +208,13 @@ def evaluate(
     """Evaluate the envelope at a point or a stack of points, completed
     with the smooth-part gradient unless ``need_grad`` is False."""
     x, y = problem.check_point(x, y)
-    f, Y = problem.f, problem.Y
+    f = problem.f
     eta, alpha = cfg.eta, cfg.alpha
     finite = None if x.ndim == 1 else np.ones(len(x), dtype=bool)
 
     f_val = float(f.eval(x, y)) if finite is None else oracle_call(f, f.eval, x, y)
     gy = oracle_call(f, f.grad_y, x, y)
-    T = composite_prox(problem.r2, Y, y + eta * gy, eta)
+    T = composite_prox(problem.r2, problem.Y, y + eta * gy, eta)
     R = (T - y) / eta
     r2_T = problem.r2.value(T)
     psi = f_val + eta * row_dot(gy, R) - r2_T - 0.5 * eta * row_dot(R, R)
@@ -237,7 +235,6 @@ def evaluate(
         psi=psi,
         xi=xi,
         gamma=gamma,
-        near_kink=Y.near_boundary(T, KINK_TOL),
         finite=finite,
     )
     return with_gradients(problem, cfg, ev) if need_grad else ev
@@ -262,9 +259,16 @@ def with_gradients(
     )
     return EnvelopeEval(
         x=x, y=y, f_val=ev.f_val, grad_y_f=ev.grad_y_f, T=ev.T, R=R,
-        psi=ev.psi, xi=ev.xi, gamma=ev.gamma, near_kink=ev.near_kink,
+        psi=ev.psi, xi=ev.xi, gamma=ev.gamma,
         grad_x_f=gx, grad_x=grad_x, grad_y=grad_y, used_fd_hvp=used_fd, finite=finite,
     )
+
+
+def near_kink(problem: MinimaxProblem, ev: EnvelopeEval) -> bool:
+    """Whether the maximizer ``T`` of a one-point evaluation sits within
+    ``KINK_TOL`` of the boundary of ``Y``, where the prox, and so the
+    gradient of ``Xi``, may not be differentiable."""
+    return problem.Y.near_boundary(ev.T, KINK_TOL)
 
 
 def grad_norm(ev: EnvelopeEval) -> float:

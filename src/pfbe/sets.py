@@ -4,10 +4,12 @@ All projections are exact componentwise formulas, so Moreau identities
 (``z = proj_K(z) + proj_polar(z)`` with orthogonal parts) hold to rounding.
 Projections and :func:`composite_prox` take a point or a stack of points
 (one per row) and act along the last axis, each row with the bits of the
-1-D call; ``near_boundary`` gives one flag per row of a stack.
+1-D call; ``near_boundary`` takes one point.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,7 +22,6 @@ from .core import (
     Vector,
     as_points,
     as_vector,
-    per_point,
     row_dot,
     zero_regularizer,
 )
@@ -47,11 +48,11 @@ class BoxSet(ProjectableSet):
         # np.maximum can pick the other zero of a signed-zero tie
         return as_points(z, self.dim, "point").clip(self.lo, self.hi)
 
-    def near_boundary(self, z: Vector, tol: float):
-        z = as_points(z, self.dim, "point")
+    def near_boundary(self, z: Vector, tol: float) -> bool:
+        z = as_vector(z, self.dim, "point")
         near_lo = np.isfinite(self.lo) & (np.abs(z - self.lo) <= tol)
         near_hi = np.isfinite(self.hi) & (np.abs(z - self.hi) <= tol)
-        return per_point(z, (near_lo | near_hi).any(axis=-1))
+        return bool((near_lo | near_hi).any())
 
     def __repr__(self):
         return f"BoxSet(lo={self.lo!r}, hi={self.hi!r})"
@@ -87,9 +88,9 @@ class ZeroCone(ProjectableCone):
     def polar(self) -> WholeSpace:
         return WholeSpace(self.dim)
 
-    def near_boundary(self, z: Vector, tol: float):
-        z = as_points(z, self.dim, "point")
-        return per_point(z, np.sqrt(row_dot(z, z)) <= tol)
+    def near_boundary(self, z: Vector, tol: float) -> bool:
+        z = as_vector(z, self.dim, "point")
+        return math.sqrt(row_dot(z, z)) <= tol
 
     def __repr__(self):
         return f"ZeroCone({self.dim})"
@@ -113,9 +114,9 @@ class OrthantCone(ProjectableCone):
     def polar(self) -> "OrthantCone":
         return OrthantCone(self.dim, -self.sign)
 
-    def near_boundary(self, z: Vector, tol: float):
-        z = as_points(z, self.dim, "point")
-        return per_point(z, (np.abs(z) <= tol).any(axis=-1))
+    def near_boundary(self, z: Vector, tol: float) -> bool:
+        z = as_vector(z, self.dim, "point")
+        return bool((np.abs(z) <= tol).any())
 
     def __repr__(self):
         kind = "nonneg" if self.sign > 0 else "nonpos"
@@ -140,10 +141,9 @@ class BallSet(ProjectableSet):
             onto = self.center + (self.radius / nd) * d
         return np.where(nd <= self.radius, z, onto)
 
-    def near_boundary(self, z: Vector, tol: float):
-        z = as_points(z, self.dim, "point")
-        d = z - self.center
-        return per_point(z, np.abs(np.sqrt(row_dot(d, d)) - self.radius) <= tol)
+    def near_boundary(self, z: Vector, tol: float) -> bool:
+        d = as_vector(z, self.dim, "point") - self.center
+        return abs(math.sqrt(row_dot(d, d)) - self.radius) <= tol
 
     def __repr__(self):
         return f"BallSet(dim={self.dim}, radius={self.radius})"
@@ -170,10 +170,9 @@ class ProductSet(ProjectableSet):
         blocks = self.split(z)
         return np.concatenate([s.project(b) for s, b in zip(self.parts, blocks)], axis=-1)
 
-    def near_boundary(self, z: Vector, tol: float):
-        z = as_points(z, self.dim, "point")
-        hits = [s.near_boundary(b, tol) for s, b in zip(self.parts, self.split(z))]
-        return per_point(z, np.logical_or.reduce(hits))
+    def near_boundary(self, z: Vector, tol: float) -> bool:
+        blocks = self.split(as_vector(z, self.dim, "point"))
+        return any(s.near_boundary(b, tol) for s, b in zip(self.parts, blocks))
 
     def __repr__(self):
         return f"ProductSet({list(self.parts)!r})"

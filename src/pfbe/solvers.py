@@ -33,6 +33,7 @@ runs its pilots this way.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -74,7 +75,6 @@ class Points(NamedTuple):
     grad_y_f: Optional[Vector] = None
 
 
-Schedule = Union[float, Callable[[int], float]]
 Iterate = Union[EnvelopeEval, Points]
 StepRule = Callable[[int, Iterate, Optional[np.ndarray]], Union[Iterate, str]]
 
@@ -100,12 +100,13 @@ TEST_POINTS = 64
 class SolverConfig:
     """Iteration budget, tolerance, and step sizes shared by the solvers.
 
-    ``step_init`` is the first SPG step, and every SPG step stays within
-    ``[step_min, step_max]``; ``eta_x``/``eta_y`` are step schedules
-    (constants or callables of the iteration index) for the gradient
-    methods, with theory-mode defaults derived from the envelope config
-    when omitted. ``record_trace`` keeps the per-iterate ``gamma`` and
-    ``stat`` of a run from one point.
+    ``max_iter`` is an integer ``>= 0``. ``step_init`` is the first SPG
+    step, and every SPG step stays within ``[step_min, step_max]``;
+    ``eta_x``/``eta_y`` are the constant steps of the gradient methods,
+    real numbers, with defaults derived by each solver when None
+    (:func:`solve_subgda` checks the range of ``eta_y`` before its loop).
+    ``record_trace`` keeps the per-iterate ``gamma`` and ``stat`` of a
+    run from one point.
     """
 
     max_iter: int = 10000
@@ -113,13 +114,20 @@ class SolverConfig:
     step_init: float = 1.0
     step_min: float = 1e-10
     step_max: float = 1e10
-    eta_x: Optional[Schedule] = None
-    eta_y: Optional[Schedule] = None
+    eta_x: Optional[float] = None
+    eta_y: Optional[float] = None
     record_trace: bool = True
 
     def __post_init__(self):
+        # a bool is an Integral, and a fractional budget would never be reached
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
+        for name in ("eta_x", "eta_y"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number or None, got {value!r}")
         if not (self.gtol > 0):
             raise ValueError("gtol must be positive")
         if not (0 < self.step_min <= self.step_max):
@@ -167,14 +175,6 @@ class SolveResult:
     trace: dict
     failure: Optional[str] = None
     used_fd_hvp: bool = False
-
-
-def _resolve_schedule(value: Optional[Schedule], default: Schedule) -> Callable[[int], float]:
-    chosen = default if value is None else value
-    if callable(chosen):
-        return chosen
-    const = float(chosen)
-    return lambda k: const
 
 
 def _set_feas(problem: MinimaxProblem, x: Vector, y: Vector):
@@ -342,9 +342,9 @@ def _iterate_first_order(
     testing each iterate in turn gives, while ``step`` may have advanced
     the block past their stop. The first step of a block gets the last
     tested iterate with its gradients of ``f``. When ``step`` raises
-    :class:`NonFiniteValue`, :class:`PreconditionViolation` or
-    ``ValueError``, the iterates collected so far are tested first, and
-    the error propagates only if a run is left. An oracle that raises
+    :class:`NonFiniteValue` or ``ValueError`` (as a negative prox step
+    does), the iterates collected so far are tested first, and the error
+    propagates only if a run is left. An oracle that raises
     anything else (rather than returning a nan or inf) at a point a block
     reaches past a run's stop ends the call with that error.
     """
@@ -363,7 +363,7 @@ def _iterate_first_order(
                     break
                 block.append(nxt)
                 it = nxt
-        except (NonFiniteValue, PreconditionViolation, ValueError) as exc:
+        except (NonFiniteValue, ValueError) as exc:
             error = exc
         if block:  # one stack of the block's points, iterate by iterate
             xs = np.array([p.x for p in block]).reshape(-1, problem.dim_x)
@@ -473,45 +473,44 @@ def solve_subgda(
         x+ = proj_X(prox_{eta_x r1}(x - eta_x grad_x f(x, y)))
         y+ = y + eta_y R(x+, y)
 
-    Theory-mode defaults: ``eta_y = eta/2`` and
-    ``eta_x = eta_y / theta``, where the timescale ratio is always the
-    derived ``theta = alpha eta L^2 / mu`` (a caller who wants another
-    ratio sets ``eta_x``); ``eta_y`` must satisfy ``0 <= eta_y <= eta``,
-    the envelope step, so y-iterates remain in ``Y`` by convex
-    combination: a step at which it does not (nan included) raises
-    :class:`PreconditionViolation`.
-    Nonconvex ``X`` is rejected (the projected step needs convexity).
+    Both steps are constants, resolved once before the loop. Theory-mode
+    defaults: ``eta_y = eta/2`` and ``eta_x = eta_y / theta``, where the
+    timescale ratio is always the derived ``theta = alpha eta L^2 / mu``
+    (a caller who wants another ratio sets ``eta_x``). ``eta_y`` must
+    satisfy ``0 <= eta_y <= eta``, the envelope step, so y-iterates
+    remain in ``Y`` by convex combination: one that does not (nan
+    included) raises :class:`PreconditionViolation` before the first
+    step. Nonconvex ``X`` is rejected (the projected step needs
+    convexity).
     """
     if not problem.X.convex:
         raise UnsupportedSet("the two-timescale scheme requires a convex X")
     L, mu = problem.lipschitz, problem.mu
     theta = cfg.alpha * cfg.eta * L * L / mu
-    ey = _resolve_schedule(scfg.eta_y, cfg.eta / 2.0)
-    ex = _resolve_schedule(scfg.eta_x, lambda k: ey(k) / theta)
+    ey = cfg.eta / 2.0 if scfg.eta_y is None else float(scfg.eta_y)
+    ex = ey / theta if scfg.eta_x is None else float(scfg.eta_x)
+    if not 0.0 <= ey <= cfg.eta * (1.0 + 1e-12):
+        raise PreconditionViolation(
+            f"eta_y={ey} is outside [0, eta] for the envelope step eta={cfg.eta}"
+        )
 
     def step(k: int, it: Iterate, rows) -> Points:
-        ey_k = float(ey(k))
-        if not 0.0 <= ey_k <= cfg.eta * (1.0 + 1e-12):
-            raise PreconditionViolation(
-                f"eta_y={ey_k} at iteration {k} is outside [0, eta] for the "
-                f"envelope step eta={cfg.eta}"
-            )
-        ex_k = float(ex(k))
-        x_new = composite_prox(problem.r1, problem.X, it.x - ex_k * _grad_x_f(problem.f, it), ex_k)
+        x_new = composite_prox(problem.r1, problem.X, it.x - ex * _grad_x_f(problem.f, it), ex)
         _, R = prox_step(problem, cfg, x_new, it.y)
-        return Points(x_new, it.y + ey_k * R)
+        return Points(x_new, it.y + ey * R)
 
     return _iterate_first_order(problem, cfg, scfg, x0, y0, step)
 
 
-def _gda_step(problem: MinimaxProblem, steps) -> StepRule:
-    """Simultaneous prox-gradient descent in x and ascent in y on ``f``,
-    with ``steps(k, rows) -> (eta_x, eta_y)``: floats, or for a stack
-    columns with one step per row."""
+def _gda_step(problem: MinimaxProblem, eta_x, eta_y) -> StepRule:
+    """Simultaneous prox-gradient descent in x and ascent in y on ``f``
+    with constant steps: floats, or for a stack columns with one step per
+    start row, of which each step takes the rows of the runs left."""
     f = problem.f
+    per_row = isinstance(eta_x, np.ndarray)
 
     def step(k: int, it: Iterate, rows) -> Points:
-        tx, ty = steps(k, rows)
+        tx, ty = (eta_x[rows], eta_y[rows]) if per_row else (eta_x, eta_y)
         x_new = composite_prox(problem.r1, problem.X, it.x - tx * _grad_x_f(f, it), tx)
         y_new = composite_prox(problem.r2, problem.Y, it.y + ty * _grad_y_f(f, it), ty)
         return Points(x_new, y_new)
@@ -528,14 +527,13 @@ def solve_gda_baseline(
 ) -> SolveResult:
     """Simultaneous projected/proximal gradient descent-ascent on ``f``.
 
-    Constant (or scheduled) steps ``eta_x``/``eta_y`` default to 0.1.
+    Constant steps ``eta_x``/``eta_y`` default to 0.1.
     Convergence is still monitored through the penalized-objective
     residual so iteration counts are comparable across solvers.
     """
-    ex = _resolve_schedule(scfg.eta_x, 0.1)
-    ey = _resolve_schedule(scfg.eta_y, 0.1)
-    step = _gda_step(problem, lambda k, rows: (float(ex(k)), float(ey(k))))
-    return _iterate_first_order(problem, cfg, scfg, x0, y0, step)
+    ex = 0.1 if scfg.eta_x is None else float(scfg.eta_x)
+    ey = 0.1 if scfg.eta_y is None else float(scfg.eta_y)
+    return _iterate_first_order(problem, cfg, scfg, x0, y0, _gda_step(problem, ex, ey))
 
 
 DEFAULT_GDA_GRID = tuple(
@@ -576,7 +574,7 @@ def select_gda_step(
     pilot_cfg = replace(scfg, max_iter=budget, record_trace=False)
     x0, y0 = problem.check_point(x0, y0)
     column = np.array(steps)[:, None]
-    step = _gda_step(problem, lambda k, rows: (column[rows], column[rows]))
+    step = _gda_step(problem, column, column)
     with np.errstate(over="ignore", invalid="ignore"):  # diverging rows score inf
         res = _iterate_first_order(
             problem, cfg, pilot_cfg,

@@ -22,11 +22,10 @@ from pfbe.diagnostics import (
     check_polar_convexity,
     eps_minimax_mm,
     feasibility_mcc,
-    gamma_grad_ref_norm,
     stationarity_gamma,
     transfer_constant,
 )
-from pfbe.envelope import EnvelopeConfig
+from pfbe.envelope import EnvelopeConfig, evaluate, grad_norm, prox_grad_residual
 from pfbe.problems import make_example1, make_synthetic, synthetic_from_data
 from pfbe.sets import BoxSet, OrthantCone, WholeSpace, ZeroCone
 
@@ -50,26 +49,24 @@ def test_stationarity_unnormalized_frozen():
 
 def test_reference_norm_frozen():
     _, prob, cfg, z, y = _pinned()
-    ref = gamma_grad_ref_norm(prob, cfg, z, y)
+    ref = grad_norm(evaluate(prob, cfg, z, y))
     assert ref == pytest.approx(np.sqrt(1.355), abs=1e-14)
 
 
 def test_stationarity_normalized():
     _, prob, cfg, z, y = _pinned()
-    ref = gamma_grad_ref_norm(prob, cfg, z, y)
-    norm1 = stationarity_gamma(prob, cfg, z, y, normalized=True, ref_norm=ref)
-    norm2 = stationarity_gamma(prob, cfg, z, y, normalized=True, ref_point=(z, y))
-    expect = np.sqrt(0.2825) / np.sqrt(1.355)
-    assert norm1 == pytest.approx(expect, abs=1e-14)
-    assert norm2 == pytest.approx(expect, abs=1e-14)
+    ev = evaluate(prob, cfg, z, y)
+    got = prox_grad_residual(prob, cfg, ev, grad_norm(ev))
+    assert got == pytest.approx(np.sqrt(0.2825) / np.sqrt(1.355), abs=1e-14)
 
 
 def test_stationarity_degenerate_reference_falls_back():
+    # a reference norm below NORM_FLOOR leaves the residual unnormalized
     _, prob, cfg, z, y = _pinned()
-    got = stationarity_gamma(prob, cfg, z, y, normalized=True, ref_norm=0.0)
+    ev = evaluate(prob, cfg, z, y)
+    got = prox_grad_residual(prob, cfg, ev, 0.0)
     assert got == pytest.approx(np.sqrt(0.2825), abs=1e-14)
-    with pytest.raises(ValueError):
-        stationarity_gamma(prob, cfg, z, y, normalized=True)
+    assert got == stationarity_gamma(prob, cfg, z, y)
 
 
 def test_eps_minimax_frozen():

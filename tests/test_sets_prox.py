@@ -294,34 +294,34 @@ class _Default(ProjectableSet):
         return np.asarray(z, dtype=np.float64)
 
 
-def test_stacked_near_boundary_matches_each_row():
+def test_near_boundary_flags_one_point():
     tol = 1e-6
     box = BoxSet([-1.0, 0.0, -np.inf], [1.0, 2.0, 0.5])
     ball = BallSet([1.0, -1.0], 2.0)
     orthant = OrthantCone(3, sign=-1)
     zero = ZeroCone(2)
+    # (point, flag): the flag set by hand from the distance to the boundary
     cases = {
-        box: [[1.0 - 1e-8, 1.0, -5.0], [0.0, 1e-9, 0.0], [0.0, 1.0, -1e300], [0.2, 1.0, 0.5]],
-        orthant: [[-1.0, -2.0, -3.0], [-1.0, 1e-7, -3.0], [np.nan, -1.0, -1.0]],
-        zero: [[0.0, 0.0], [1e-7, -1e-7], [1.0, 0.0]],
-        ball: [[1.0, -1.0], [3.0, -1.0], [1.0, 1.0 + 1e-8], [1.0, 5.0]],
-        _Default(): [[0.0, 0.0], [5.0, -5.0]],
+        box: [([1.0 - 1e-8, 1.0, -5.0], True), ([0.0, 1e-9, 0.0], True),
+              ([0.0, 1.0, -1e300], False),  # far from the infinite lower bound
+              ([0.2, 1.0, 0.5], True)],
+        orthant: [([-1.0, -2.0, -3.0], False), ([-1.0, 1e-7, -3.0], True),
+                  ([np.nan, -1.0, -1.0], False)],
+        zero: [([0.0, 0.0], True), ([1e-7, -1e-7], True), ([1.0, 0.0], False)],
+        ball: [([1.0, -1.0], False),  # the center, a radius away
+               ([3.0, -1.0], True), ([1.0, 1.0 + 1e-8], True), ([1.0, 5.0], False)],
+        _Default(): [([0.0, 0.0], False), ([5.0, -5.0], False)],
     }
     cases[ProductSet([box, orthant, ball])] = [
-        [0.2, 1.0, 0.0] + [-1.0, -2.0, -3.0] + [1.0, 5.0],  # no part near its boundary
-        [0.2, 1.0, 0.0] + [-1.0, 1e-7, -3.0] + [1.0, 5.0],
-        [0.2, 1.0, 0.0] + [-1.0, -2.0, -3.0] + [3.0, -1.0],
-        [1.0, 1.0, 0.0] + [-1.0, -2.0, -3.0] + [1.0, 5.0],
+        ([0.2, 1.0, 0.0] + [-1.0, -2.0, -3.0] + [1.0, 5.0], False),  # no part near
+        ([0.2, 1.0, 0.0] + [-1.0, 1e-7, -3.0] + [1.0, 5.0], True),  # the orthant
+        ([0.2, 1.0, 0.0] + [-1.0, -2.0, -3.0] + [3.0, -1.0], True),  # the ball
+        ([1.0, 1.0, 0.0] + [-1.0, -2.0, -3.0] + [1.0, 5.0], True),  # the box
     ]
-    for s, rows in cases.items():
-        stack = np.array(rows, dtype=np.float64)
-        flags = s.near_boundary(stack, tol)
-        assert flags.dtype == bool and flags.shape == (len(rows),), s
-        singles = [s.near_boundary(row, tol) for row in stack]
-        assert all(type(one) is bool for one in singles), s
-        assert flags.tolist() == singles, s
-        assert any(singles) or isinstance(s, _Default), s
-        assert not all(singles), s
+    for s, points in cases.items():
+        for point, flag in points:
+            got = s.near_boundary(np.array(point), tol)
+            assert type(got) is bool and got == flag, (s, point)
 
 
 def test_stacked_composite_prox_matches_each_row():
