@@ -304,10 +304,17 @@ def prox_grad_residual(
 
 
 def prox_step(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> tuple[Vector, Vector]:
-    """The envelope maximizer ``T(x, y)`` and residual ``R = (T - y)/eta``."""
+    """The envelope maximizer ``T(x, y)`` and residual ``R = (T - y)/eta``.
+
+    A non-finite ``grad_y f`` raises :class:`NonFiniteValue` at one point;
+    in a stack it makes ``T`` and ``R`` nan in its row only, which a box
+    ``Y`` would otherwise clip back to finite values."""
     x, y = problem.check_point(x, y)
     gy = oracle_call(problem.f, problem.f.grad_y, x, y)
-    check_finite(gy, "grad_y f")
+    if x.ndim == 1:
+        check_finite(gy, "grad_y f")
     T = composite_prox(problem.r2, problem.Y, y + cfg.eta * gy, cfg.eta)
+    if x.ndim > 1:
+        T = np.where(np.isfinite(gy).all(axis=-1, keepdims=True), T, np.nan)
     R = (T - y) / cfg.eta
     return T, R

@@ -11,6 +11,10 @@ normal scaled to the unit sphere, both from the pinned deterministic
 stream, so instances regenerate identically from the seed. The lifted
 inner maximization has the closed form ``y*(x, lam) = B^T x - lam``
 (zero-padded multiplier), used as an independent reference in tests.
+One power iteration per instance gives the gradient Lipschitz constant
+of the lifted coupling, which ``g`` declares too: deleting the multiplier
+rows and columns of the lifted Hessian leaves g's, so by interlacing it
+bounds g's.
 
 The polynomial example (``n = p = 1``):
 
@@ -84,7 +88,8 @@ def _matvec(A: np.ndarray, v: Vector) -> Vector:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticInstance:
-    """One generated bilinearly-coupled instance with its lifted problem."""
+    """One generated bilinearly-coupled instance with its lifted problem;
+    ``lifted`` and ``coupled.g`` both declare ``lipschitz_lifted``."""
 
     n: int
     p: int
@@ -94,7 +99,6 @@ class SyntheticInstance:
     b: np.ndarray
     coupled: CoupledProblem
     lifted: LiftedProblem
-    lipschitz_g: float
     lipschitz_lifted: float
     mu: float = 1.0
 
@@ -162,16 +166,6 @@ def _synthetic_hessian_matvec(B: np.ndarray) -> Callable[[Vector], Vector]:
     return matvec
 
 
-def _base_hessian_matvec(B: np.ndarray) -> Callable[[Vector], Vector]:
-    n, p = B.shape
-
-    def matvec(v: Vector) -> Vector:
-        vx, vy = v[:n], v[n:]
-        return np.concatenate([B @ vy, B.T @ vx - vy])
-
-    return matvec
-
-
 def synthetic_from_data(B, b, c_value: float, seed: Optional[int] = None) -> SyntheticInstance:
     """Build the synthetic instance from explicit ``B`` and ``b`` (as given,
     no normalization), e.g. for pinned tiny cases."""
@@ -185,14 +179,14 @@ def synthetic_from_data(B, b, c_value: float, seed: Optional[int] = None) -> Syn
     (g_eval, g_grad_x, g_grad_y, g_hvp_yy, g_hvp_xy,
      c_eval, c_jvp_x, c_jvp_y, c_dc_y) = _synthetic_oracles(B, b, c_value)
 
-    L_g = spectral_norm_power(_base_hessian_matvec(B), n + p)
+    # g declares it too: by interlacing it bounds g's constant
     L_lift = spectral_norm_power(_synthetic_hessian_matvec(B), n + m + p)
 
     g = FunctionOracle(
         eval=g_eval,
         grad_x=g_grad_x,
         grad_y=g_grad_y,
-        lipschitz_grad=L_g,
+        lipschitz_grad=L_lift,
         strong_concavity=1.0,
         hvp_yy=g_hvp_yy,
         hvp_xy=g_hvp_xy,
@@ -217,8 +211,7 @@ def synthetic_from_data(B, b, c_value: float, seed: Optional[int] = None) -> Syn
     lifted = lift(coupled, lipschitz_grad=L_lift)
     return SyntheticInstance(
         n=n, p=p, c=float(c_value), seed=seed, B=B, b=b,
-        coupled=coupled, lifted=lifted,
-        lipschitz_g=L_g, lipschitz_lifted=L_lift,
+        coupled=coupled, lifted=lifted, lipschitz_lifted=L_lift,
     )
 
 

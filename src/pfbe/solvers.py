@@ -81,10 +81,14 @@ StepRule = Callable[[int, Iterate, Optional[np.ndarray]], Union[Iterate, str]]
 
 # the standard nonmonotone SPG line search (Birgin, Martinez and Raydan,
 # 2000): a trial must undercut the largest of the last LS_WINDOW objective
-# values by LS_DECREASE * ||step||^2 / t; LS_MAX_HALVINGS bounds the halvings
+# values by LS_DECREASE * ||step||^2 / t; LS_MAX_HALVINGS bounds the halvings.
+# The first step is STEP_INIT and every step stays within [STEP_MIN, STEP_MAX]
 LS_WINDOW = 10
 LS_DECREASE = 1e-4
 LS_MAX_HALVINGS = 50
+STEP_INIT = 1.0
+STEP_MIN = 1e-10
+STEP_MAX = 1e10
 
 # points in one deferred residual test: a run from one point tests this many
 # of its iterates as one stacked evaluation, a stack of r runs
@@ -100,20 +104,16 @@ TEST_POINTS = 64
 class SolverConfig:
     """Iteration budget, tolerance, and step sizes shared by the solvers.
 
-    ``max_iter`` is an integer ``>= 0``. ``step_init`` is the first SPG
-    step, and every SPG step stays within ``[step_min, step_max]``;
-    ``eta_x``/``eta_y`` are the constant steps of the gradient methods,
-    real numbers, with defaults derived by each solver when None
-    (:func:`solve_subgda` checks the range of ``eta_y`` before its loop).
-    ``record_trace`` keeps the per-iterate ``gamma`` and ``stat`` of a
-    run from one point.
+    ``max_iter`` is an integer ``>= 0``. ``eta_x``/``eta_y`` are the
+    constant steps of the gradient methods, real numbers, with defaults
+    derived by each solver when None; each solver checks its steps once
+    before its loop. ``record_trace`` keeps the per-iterate ``gamma`` and
+    ``stat`` of a run from one point. The SPG step bounds are the module
+    constants ``STEP_INIT``, ``STEP_MIN`` and ``STEP_MAX``.
     """
 
     max_iter: int = 10000
     gtol: float = 1e-7
-    step_init: float = 1.0
-    step_min: float = 1e-10
-    step_max: float = 1e10
     eta_x: Optional[float] = None
     eta_y: Optional[float] = None
     record_trace: bool = True
@@ -130,8 +130,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be a real number or None, got {value!r}")
         if not (self.gtol > 0):
             raise ValueError("gtol must be positive")
-        if not (0 < self.step_min <= self.step_max):
-            raise ValueError("need 0 < step_min <= step_max")
 
 
 @dataclass
@@ -184,14 +182,13 @@ def _set_feas(problem: MinimaxProblem, x: Vector, y: Vector):
 
 
 class _Runs:
-    """The runs of a stack, or the run from one point, with the outcome of
-    each filled in as it ends.
+    """The runs of a stack, or the run from one point, each with the
+    outcome it has so far.
 
     ``left`` holds the start-stack indices of the runs still going, in the
-    order of the rows of their iterates. ``last`` holds the last tested
-    evaluation of a stack, the rows of the runs left in it, their
-    iteration count and their residuals; a run from one point whose
-    iterate was evaluated alone keeps its outcome current instead.
+    order of the rows of their iterates. Each test stores, for every run
+    left, the iterate it stops at or else the last iterate it tested; a
+    run whose iterate is not finite keeps the iterate before it.
     """
 
     def __init__(self, problem: MinimaxProblem, cfg: EnvelopeConfig, scfg: SolverConfig, ev):
@@ -207,18 +204,12 @@ class _Runs:
         self.converged = np.zeros(k, dtype=bool)
         self.failure: list = [None] * k
         self.used_fd = False
-        self.last = None
         self.trace_gamma: list = []
         self.trace_stat: list = []
 
     def block(self) -> int:
         """How many iterates of each run left one deferred test takes."""
         return max(1, TEST_POINTS // self.left.size)
-
-    def _keep(self, runs, ev: EnvelopeEval, at, iters, stat) -> None:
-        """Record the iterates in rows ``at`` of ``ev`` as the outcome of ``runs``."""
-        self.x[runs], self.y[runs], self.fval[runs] = ev.x[at], ev.y[at], ev.gamma[at]
-        self.iter[runs], self.stat[runs] = iters, stat
 
     def test(self, ev: EnvelopeEval, k0: int, m: int = 1) -> Optional[Iterate]:
         """Test the iterates ``k0 .. k0 + m - 1`` held by ``ev``, iterate by
@@ -236,7 +227,6 @@ class _Runs:
             self.x[0], self.y[0], self.fval[0], self.stat[0], self.iter[0] = (
                 ev.x, ev.y, ev.gamma, stat, k0)
             self.converged[0] = stat <= self.scfg.gtol
-            self.last = None
             if self.converged[0] or k0 == self.scfg.max_iter:
                 self.left = self.left[:0]
                 return None
@@ -260,25 +250,22 @@ class _Runs:
         if self.one and self.scfg.record_trace:
             self.trace_gamma += ev.gamma[: first[0] + 1].tolist()
             self.trace_stat += stat[: first[0] + 1].tolist()
-        cols = np.arange(w)
-        if hit.any():
-            at = first * w + cols
-            bad = hit & ~ev.finite[at]
-            done = hit & ~bad
-            ended_runs = self.left[done]
-            self._keep(ended_runs, ev, at[done], k0 + first[done], stat[at[done]])
-            self.converged[ended_runs] = passed[at[done]]
-            if bad.any():  # a run that went non-finite keeps the iterate before
-                late = bad & (first > 0)
-                self._keep(self.left[late], ev, at[late] - w, k0 + first[late] - 1, np.inf)
-                early = bad & (first == 0)
-                if early.any() and self.last is not None:  # else the start, kept at init
-                    prev, prev_at, prev_k, _ = self.last
-                    self._keep(self.left[early], prev, prev_at[early], prev_k, np.inf)
-                for r in self.left[bad]:
-                    self.failure[r] = "NonFiniteValue"
-        at = ((m - 1) * w + cols)[~hit]
-        self.last = (ev, at, k0 + m - 1, stat[at])
+        at = first * w + np.arange(w)
+        ok = ev.finite[at]
+        runs, kept, iters = self.left, at, k0 + first
+        if not ok.all():
+            # a non-finite iterate leaves the one before: the block's previous
+            # row, or at the block's first iterate the outcome already kept
+            back = ~ok & (first > 0)
+            now = ok | back
+            runs, kept, iters = runs[now], (at - w * back)[now], (iters - back)[now]
+            for r in self.left[~ok]:
+                self.failure[r] = "NonFiniteValue"
+        self.x[runs], self.y[runs], self.fval[runs] = ev.x[kept], ev.y[kept], ev.gamma[kept]
+        self.iter[runs] = iters
+        self.stat[self.left] = np.where(ok, stat[at], np.inf)
+        self.converged[self.left] = passed[at] & ok
+        at = at[~hit]
         self.left = self.left[~hit]
         if not self.left.size:
             return None
@@ -288,8 +275,6 @@ class _Runs:
 
     def fail(self, failure: str) -> None:
         """End every run left with ``failure``, at its last tested iterate."""
-        if self.last is not None:
-            self._keep(self.left, *self.last)
         for r in self.left:
             self.failure[r] = failure
         self.left = self.left[:0]
@@ -342,11 +327,10 @@ def _iterate_first_order(
     testing each iterate in turn gives, while ``step`` may have advanced
     the block past their stop. The first step of a block gets the last
     tested iterate with its gradients of ``f``. When ``step`` raises
-    :class:`NonFiniteValue` or ``ValueError`` (as a negative prox step
-    does), the iterates collected so far are tested first, and the error
-    propagates only if a run is left. An oracle that raises
-    anything else (rather than returning a nan or inf) at a point a block
-    reaches past a run's stop ends the call with that error.
+    :class:`NonFiniteValue`, the iterates collected so far are tested
+    first, and the error propagates only if a run is left. An oracle that
+    raises anything else (rather than returning a nan or inf) at a point a
+    block reaches past a run's stop ends the call with that error.
     """
     started = time.perf_counter()
     ev = evaluate(problem, cfg, x0, y0, need_grad=True)
@@ -363,7 +347,7 @@ def _iterate_first_order(
                     break
                 block.append(nxt)
                 it = nxt
-        except (NonFiniteValue, ValueError) as exc:
+        except NonFiniteValue as exc:
             error = exc
         if block:  # one stack of the block's points, iterate by iterate
             xs = np.array([p.x for p in block]).reshape(-1, problem.dim_x)
@@ -393,6 +377,13 @@ def _grad_y_f(f: FunctionOracle, it: Iterate):
     return oracle_call(f, f.grad_y, it.x, it.y) if it.grad_y_f is None else it.grad_y_f
 
 
+def _check_steps(**steps) -> None:
+    """Raise ``ValueError`` naming a constant step that is not finite and ``>= 0``."""
+    for name, value in steps.items():
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"{name}={value} is not finite and >= 0")
+
+
 def solve_spg(
     problem: MinimaxProblem,
     cfg: EnvelopeConfig,
@@ -403,28 +394,28 @@ def solve_spg(
     """Spectral projected/proximal gradient on the penalized objective.
 
     Steps alternate the two Barzilai-Borwein formulas from one iteration
-    to the next, safeguarded to ``[step_min, step_max]``, with a
-    nonmonotone sufficient-decrease line search over the last
-    ``LS_WINDOW`` objective values (decrease factor ``LS_DECREASE``). A
+    to the next, from ``STEP_INIT`` and safeguarded to ``[STEP_MIN,
+    STEP_MAX]``, with a nonmonotone sufficient-decrease line search over
+    the last ``LS_WINDOW`` objective values (factor ``LS_DECREASE``). A
     trial point whose evaluation raises :class:`NonFiniteValue` is
     rejected like one without enough decrease. Trials are evaluated
     without gradients; only the accepted one is completed with them. The
     run stops with ``failure="StepFailure"`` after ``LS_MAX_HALVINGS``
-    rejected halvings or once the step drops below ``step_min``, and with
+    rejected halvings or once the step drops below ``STEP_MIN``, and with
     ``failure="Stalled"`` when a prox step of the current size leaves the
     iterate bit-unchanged although the unit-step residual is above
     ``gtol``.
     """
     recent = deque(maxlen=LS_WINDOW)  # objective values of the last iterates
-    t = float(scfg.step_init)
+    t = STEP_INIT
 
     def step(k: int, ev: EnvelopeEval, rows) -> Union[EnvelopeEval, str]:
         nonlocal t
         x, y = ev.x, ev.y
         recent.append(ev.gamma)
         gamma_ref = max(recent)
-        # np.clip's bits: with 0 < step_min <= step_max no signed zeros tie
-        tk = float(min(max(t, scfg.step_min), scfg.step_max))
+        # np.clip's bits: with 0 < STEP_MIN <= STEP_MAX no signed zeros tie
+        tk = float(min(max(t, STEP_MIN), STEP_MAX))
         for _ in range(LS_MAX_HALVINGS + 1):
             xt = composite_prox(problem.r1, problem.X, x - tk * ev.grad_x, tk)
             yt = composite_prox(problem.r2, problem.Y, y - tk * ev.grad_y, tk * (cfg.alpha - 1.0))
@@ -440,7 +431,7 @@ def solve_spg(
             except NonFiniteValue:
                 pass  # rejected: halve the step as for insufficient decrease
             tk *= 0.5
-            if tk < scfg.step_min:
+            if tk < STEP_MIN:
                 return "StepFailure"
         else:
             return "StepFailure"
@@ -453,9 +444,9 @@ def solve_spg(
             dd = float(d @ d)
             bb1 = float(s @ s) / sd
             bb2 = sd / dd if dd > 0 else bb1
-            t = float(min(max(bb1 if use_first else bb2, scfg.step_min), scfg.step_max))
+            t = float(min(max(bb1 if use_first else bb2, STEP_MIN), STEP_MAX))
         else:
-            t = min(scfg.step_max, tk * 2.0)  # nonconvex pair: grow cautiously
+            t = min(STEP_MAX, tk * 2.0)  # nonconvex pair: grow cautiously
         return new
 
     return _iterate_first_order(problem, cfg, scfg, x0, y0, step)
@@ -479,9 +470,10 @@ def solve_subgda(
     (a caller who wants another ratio sets ``eta_x``). ``eta_y`` must
     satisfy ``0 <= eta_y <= eta``, the envelope step, so y-iterates
     remain in ``Y`` by convex combination: one that does not (nan
-    included) raises :class:`PreconditionViolation` before the first
-    step. Nonconvex ``X`` is rejected (the projected step needs
-    convexity).
+    included) raises :class:`PreconditionViolation` before the start is
+    evaluated, and an ``eta_x`` that is not finite and ``>= 0`` raises
+    ``ValueError`` there. Nonconvex ``X`` is rejected (the projected step
+    needs convexity).
     """
     if not problem.X.convex:
         raise UnsupportedSet("the two-timescale scheme requires a convex X")
@@ -493,6 +485,7 @@ def solve_subgda(
         raise PreconditionViolation(
             f"eta_y={ey} is outside [0, eta] for the envelope step eta={cfg.eta}"
         )
+    _check_steps(eta_x=ex)
 
     def step(k: int, it: Iterate, rows) -> Points:
         x_new = composite_prox(problem.r1, problem.X, it.x - ex * _grad_x_f(problem.f, it), ex)
@@ -527,12 +520,14 @@ def solve_gda_baseline(
 ) -> SolveResult:
     """Simultaneous projected/proximal gradient descent-ascent on ``f``.
 
-    Constant steps ``eta_x``/``eta_y`` default to 0.1.
-    Convergence is still monitored through the penalized-objective
+    Constant steps ``eta_x``/``eta_y`` default to 0.1; one that is not
+    finite and ``>= 0`` raises ``ValueError`` before the start is
+    evaluated. Convergence is still monitored through the penalized
     residual so iteration counts are comparable across solvers.
     """
     ex = 0.1 if scfg.eta_x is None else float(scfg.eta_x)
     ey = 0.1 if scfg.eta_y is None else float(scfg.eta_y)
+    _check_steps(eta_x=ex, eta_y=ey)
     return _iterate_first_order(problem, cfg, scfg, x0, y0, _gda_step(problem, ex, ey))
 
 
@@ -557,8 +552,8 @@ def select_gda_step(
     and returns the step with the smallest final ``stat``; ties break
     toward the smaller step. Also returns the per-step residual map, in
     which a pilot whose evaluation went non-finite scores ``inf``. An
-    empty grid, or an entry that is not finite and positive, raises
-    ``ValueError``.
+    empty grid, an entry that is not finite and positive, or a
+    ``pilot_iters`` that is not an integer ``>= 0`` raises ``ValueError``.
 
     The pilots run together as the rows of one stacked iterate, each with
     its own step, and each row leaves when its pilot ends; every row
@@ -570,7 +565,7 @@ def select_gda_step(
     for s in steps:
         if not (s > 0 and math.isfinite(s)):
             raise ValueError(f"GDA step grid entry {s} is not finite and positive")
-    budget = scfg.max_iter if pilot_iters is None else int(pilot_iters)
+    budget = scfg.max_iter if pilot_iters is None else pilot_iters
     pilot_cfg = replace(scfg, max_iter=budget, record_trace=False)
     x0, y0 = problem.check_point(x0, y0)
     column = np.array(steps)[:, None]

@@ -426,6 +426,26 @@ def test_non_finite_oracle_value_is_caught(oracle, box_y, bad):
         assert np.isfinite(stack.T[2]).all()  # the prox clipped the infinite ascent step
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("box_y", [False, True], ids=["free_y", "box_y"])
+def test_stacked_prox_step_clears_only_the_poisoned_row(box_y, bad):
+    prob = _poisoned_problem("grad_y", bad, box_y)
+    cfg = EnvelopeConfig(eta=0.5, alpha=4.0, mu=1.0)
+    rng = np.random.default_rng(9)
+    xs = rng.uniform(-0.5, 0.5, (4, 3))
+    ys = rng.uniform(-0.5, 0.5, (4, 3))
+    xs[2, 0] = _POISON_X
+    with pytest.raises(NonFiniteValue, match="non-finite grad_y f:"):
+        prox_step(prob, cfg, xs[2], ys[2])
+    with np.errstate(invalid="ignore"):
+        T, R = prox_step(prob, cfg, xs, ys)
+    # nan even where a box Y would clip an infinite ascent step back to finite
+    assert np.isnan(T[2]).all() and np.isnan(R[2]).all()
+    for i in (0, 1, 3):
+        one = prox_step(prob, cfg, xs[i], ys[i])
+        assert np.array_equal(T[i], one[0]) and np.array_equal(R[i], one[1])
+
+
 def test_one_finiteness_check_per_evaluation(monkeypatch):
     checks = []
     real = envelope._finite_rows

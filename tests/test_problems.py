@@ -9,6 +9,7 @@ seeded random points.
 import numpy as np
 import pytest
 
+from pfbe import problems
 from pfbe.problems import (
     Example1Instance,
     SyntheticInstance,
@@ -151,7 +152,8 @@ def test_spectral_norm_power_matches_dense():
         inst = make_synthetic(n, p, 1.0, seed)
         dense_g = np.linalg.norm(_dense_base_hessian(inst.B), 2)
         dense_l = np.linalg.norm(_dense_lifted_hessian(inst.B), 2)
-        assert abs(inst.lipschitz_g - dense_g) <= 1e-9 * dense_g
+        # g declares the lifted constant, which bounds its own by interlacing
+        assert dense_g <= inst.coupled.g.lipschitz_grad
         assert abs(inst.lipschitz_lifted - dense_l) <= 1e-9 * dense_l
 
 
@@ -161,7 +163,22 @@ def test_base_lipschitz_closed_form():
     inst = make_synthetic(6, 5, 1.0, 9)
     s = np.linalg.norm(inst.B, 2)
     expect = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * s * s))
-    assert abs(inst.lipschitz_g - expect) <= 1e-9 * expect
+    dense_g = np.linalg.norm(_dense_base_hessian(inst.B), 2)
+    assert abs(dense_g - expect) <= 1e-9 * expect
+    assert dense_g <= inst.coupled.g.lipschitz_grad
+
+
+def test_one_power_iteration_per_instance(monkeypatch):
+    calls = []
+    real = problems.spectral_norm_power
+    monkeypatch.setattr(
+        problems, "spectral_norm_power", lambda *args: calls.append(args[1]) or real(*args)
+    )
+    for n, p in [(3, 3), (5, 2), (2, 6)]:
+        calls.clear()
+        inst = make_synthetic(n, p, 1.0, 7)
+        assert calls == [n + inst.m + p]  # the lifted Hessian's dimension
+        assert inst.coupled.g.lipschitz_grad == inst.lipschitz_lifted
 
 
 def test_spectral_norm_power_simple_matrix():

@@ -56,10 +56,6 @@ def test_solver_config_validation():
         SolverConfig(gtol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=-1)
-    with pytest.raises(ValueError):
-        SolverConfig(step_min=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(step_min=1.0, step_max=0.5)
     # a fractional budget is never reached: the solver loops would not end
     for max_iter in (2.5, 3.0, True, "10", None):
         with pytest.raises(ValueError, match="max_iter"):
@@ -179,18 +175,20 @@ def _exp_saddle():
     return prob, EnvelopeConfig.for_problem(prob)
 
 
-def test_spg_non_finite_trial_is_a_rejected_step():
+def test_spg_non_finite_trial_is_a_rejected_step(monkeypatch):
     prob, cfg = _exp_saddle()
     x0, y0 = np.array([0.0]), np.array([5.0])
-    short = solve_spg(prob, cfg, SolverConfig(step_init=1.0), x0, y0)
+    short = solve_spg(prob, cfg, SolverConfig(), x0, y0)
     assert short.converged and short.iter == 15
     # the first trial at step 1e3 overflows f; it must be halved, not raised
-    long = solve_spg(prob, cfg, SolverConfig(step_init=1e3), x0, y0)
+    monkeypatch.setattr(solvers, "STEP_INIT", 1e3)
+    long = solve_spg(prob, cfg, SolverConfig(), x0, y0)
     assert long.converged
     assert abs(long.x[0] - short.x[0]) <= 1e-6
+    assert long.x[0] != short.x[0]  # the patched first step took effect
 
 
-def test_spg_stalled_when_prox_step_leaves_iterate_unchanged():
+def test_spg_stalled_when_prox_step_leaves_iterate_unchanged(monkeypatch):
     # grad_x Xi = 1e-8 at y = 0: a step of 1e-10 moves x = 1 by 1e-18,
     # below the rounding of 1.0, while the unit-step residual is 1e-8
     f = FunctionOracle(
@@ -204,8 +202,9 @@ def test_spg_stalled_when_prox_step_leaves_iterate_unchanged():
     )
     prob = MinimaxProblem(f=f, X=WholeSpace(1), Y=WholeSpace(1))
     cfg = EnvelopeConfig.for_problem(prob)
-    scfg = SolverConfig(step_init=1e-10, step_min=1e-10, step_max=1e-10)
-    res = solve_spg(prob, cfg, scfg, np.array([1.0]), np.array([0.0]))
+    for name in ("STEP_INIT", "STEP_MIN", "STEP_MAX"):
+        monkeypatch.setattr(solvers, name, 1e-10)
+    res = solve_spg(prob, cfg, SolverConfig(), np.array([1.0]), np.array([0.0]))
     assert res.failure == "Stalled"
     assert not res.converged
     assert res.iter == 0
@@ -287,7 +286,8 @@ def test_spg_evaluates_each_point_once(monkeypatch):
         return evaluate(problem, cfg, x, y, need_grad=need_grad)
 
     monkeypatch.setattr(solvers, "evaluate", counting_evaluate)
-    scfg = SolverConfig(gtol=1e-9, step_init=10.0)
+    monkeypatch.setattr(solvers, "STEP_INIT", 10.0)
+    scfg = SolverConfig(gtol=1e-9)
     res = solve_spg(prob, cfg, scfg, np.array([0.9, 1.0]), np.array([-0.4]))
     assert res.converged and res.iter >= 1
     assert len(trials) > res.iter  # at least one rejected trial
@@ -423,16 +423,29 @@ def test_gda_respects_custom_steps():
     assert one.y[0] == pytest.approx(0.2, abs=1e-15)
 
 
-def test_negative_x_step_rejected():
-    # x-steps go through composite_prox, which rejects a negative prox
-    # step for eta_x as it does for eta_y
+def test_negative_x_step_rejected(monkeypatch):
+    # a constant step that is not finite and >= 0 is rejected before the
+    # start is evaluated, even when no step is taken
     inst, prob, cfg = _one_d()
     z0, y0 = np.array([1.0, 0.0]), np.array([0.0])
-    for scfg in (SolverConfig(max_iter=1, eta_x=-0.1), SolverConfig(max_iter=1, eta_y=-0.1)):
-        with pytest.raises(ValueError):
-            solve_gda_baseline(prob, cfg, scfg, z0, y0)
-    with pytest.raises(ValueError):
-        solve_subgda(prob, cfg, SolverConfig(max_iter=1, eta_x=-0.1), z0, y0)
+    monkeypatch.setattr(solvers, "evaluate", None)
+    cases = [(solve_gda_baseline, "eta_x"), (solve_gda_baseline, "eta_y"),
+             (solve_subgda, "eta_x")]
+    for solve, name in cases:
+        for value in (-0.1, np.nan, np.inf):
+            for max_iter in (0, 1, 5):
+                scfg = SolverConfig(max_iter=max_iter, **{name: value})
+                with pytest.raises(ValueError, match=f"{name}={value}"):
+                    solve(prob, cfg, scfg, z0, y0)
+
+
+def test_zero_steps_accepted():
+    inst, prob, cfg = _one_d()
+    z0, y0 = np.array([1.0, 0.0]), np.array([0.0])
+    scfg = SolverConfig(max_iter=3, eta_x=0.0, eta_y=0.0)
+    for solve in (solve_gda_baseline, solve_subgda):
+        res = solve(prob, cfg, scfg, z0, y0)
+        assert res.iter == 3 and np.array_equal(res.x, z0) and np.array_equal(res.y, y0)
 
 
 def test_default_gda_grid():
@@ -475,6 +488,25 @@ def test_select_gda_step_empty_grid():
         select_gda_step(
             prob, cfg, SolverConfig(), np.zeros(2), np.zeros(1), grid=[]
         )
+
+
+@pytest.mark.parametrize("pilot_iters", [2.9, True, "10", -1])
+def test_select_gda_step_rejects_a_budget_that_is_not_a_count(pilot_iters):
+    inst, prob, cfg = _one_d()
+    with pytest.raises(ValueError, match="max_iter"):
+        select_gda_step(prob, cfg, SolverConfig(), np.zeros(2), np.zeros(1),
+                        grid=[0.1], pilot_iters=pilot_iters)
+
+
+@pytest.mark.parametrize("pilot_iters", [0, np.int64(3)])
+def test_select_gda_step_takes_an_integer_budget(pilot_iters):
+    inst, prob, cfg = _one_d()
+    z0, y0 = np.array([0.5, 0.25]), np.array([0.1])
+    _, scores = select_gda_step(prob, cfg, SolverConfig(), z0, y0, grid=[0.1],
+                                pilot_iters=pilot_iters)
+    one = solve_gda_baseline(
+        prob, cfg, SolverConfig(max_iter=int(pilot_iters), eta_x=0.1, eta_y=0.1), z0, y0)
+    assert scores == {0.1: one.stat} and one.iter == pilot_iters
 
 
 @pytest.mark.parametrize("entry", [0.0, np.nan, np.inf, -0.1])
@@ -858,6 +890,46 @@ def test_stacked_subgda_rows_match_reference_loop(name):
         assert (one.iter, one.stat, one.fval) == (got.iter[i], got.stat[i], got.fval[i])
 
 
+_GRAD_Y_POISON = (0.5, 0.9)  # grad_y f is inf where x[0] is strictly between these
+
+
+def _grad_y_poisoned(box_y):
+    """The synthetic (3, 3, 1.0, 2) problem whose grad_y f is inf where
+    x[0] lies in the open band _GRAD_Y_POISON, with Y free or a box."""
+    prob = make_synthetic(3, 3, 1.0, 2).lifted.problem
+    clean = prob.f.grad_y
+    low, high = _GRAD_Y_POISON
+
+    def grad_y(x, y):
+        inside = (low < x[..., 0]) & (x[..., 0] < high)
+        return np.where(inside[..., None], np.inf, clean(x, y))
+
+    Y = BoxSet(-2.0 * np.ones(3), 2.0 * np.ones(3)) if box_y else prob.Y
+    return replace(prob, f=replace(prob.f, grad_y=grad_y), Y=Y)
+
+
+@pytest.mark.parametrize("box_y", [False, True], ids=["free_y", "box_y"])
+def test_stacked_subgda_row_with_non_finite_grad_y_leaves_alone(box_y):
+    # row 0 starts at x = 0 and its x[0] crosses the band mid-run; row 1
+    # starts at x[0] = 1 and stays out of it
+    prob = _grad_y_poisoned(box_y)
+    cfg = EnvelopeConfig.for_problem(prob)
+    starts = (np.array([np.zeros(6), [1.0, 0.5, 0.5, 0.0, 0.0, 0.0]]),
+              np.array([np.zeros(3), [-0.2, -0.7, -0.5]]))
+    scfg = SolverConfig(max_iter=400, gtol=1e-6, eta_x=0.05, record_trace=False)
+    got = _outcome(solve_subgda, prob, cfg, scfg, *starts)
+    _assert_same_outcome(got, _outcome(_reference_subgda, prob, cfg, scfg, *starts))
+    assert got.failure == ("NonFiniteValue", None)
+    assert got.stat[0] == np.inf and 0 < got.iter[0] < got.iter[1]
+    assert got.x[0][0] <= _GRAD_Y_POISON[0]  # the iterate before the band
+    with pytest.raises(NonFiniteValue, match="grad_y f"):
+        solve_subgda(prob, cfg, scfg, starts[0][0], starts[1][0])
+    one = solve_subgda(prob, cfg, scfg, starts[0][1], starts[1][1])
+    assert np.array_equal(got.x[1], one.x) and np.array_equal(got.y[1], one.y)
+    assert (got.fval[1], got.iter[1], got.stat[1], got.converged[1], got.feas[1]) == (
+        one.fval, one.iter, one.stat, one.converged, one.feas)
+
+
 def _halving_rules(prob, cfg, change):
     """A fixed-step rule that halves x and applies ``change(k, x)``, and the
     same rule for the reference loop."""
@@ -907,6 +979,31 @@ def test_stacked_row_going_non_finite_at_a_block_start():
         want = _reference_loop(prob, cfg, scfg, x0, y0, evaluated)
     _assert_same_outcome(got, want)
     assert got.failure == (None, "NonFiniteValue") and got.iter.tolist() == [3 * P, jump]
+
+
+def test_stacked_row_non_finite_where_the_residual_passes():
+    # f is inf at x = 0, where the residual is 0: row 1 reaches it at
+    # iterate 4, leaves as non-finite with iterate 3 and has not converged
+    prob, cfg = _halving_problem()
+    value = prob.f.eval
+    prob = replace(prob, f=replace(
+        prob.f, eval=lambda x, y: np.inf if x[0] == 0.0 else value(x, y)))
+
+    def change(k, x):
+        x = x.copy()
+        if k == 3:
+            x[1] = 0.0
+        return x
+
+    points, evaluated = _halving_rules(prob, cfg, change)
+    scfg = SolverConfig(max_iter=3 * P, gtol=1e-300, record_trace=False)
+    x0, y0 = np.array([[1.0], [2.0]]), np.zeros((2, 1))
+    with np.errstate(invalid="ignore"):
+        got = solvers._iterate_first_order(prob, cfg, scfg, x0, y0, points)
+        want = _reference_loop(prob, cfg, scfg, x0, y0, evaluated)
+    _assert_same_outcome(got, want)
+    assert got.failure == (None, "NonFiniteValue") and got.iter.tolist() == [3 * P, 3]
+    assert got.converged.tolist() == [False, False] and got.stat[1] == np.inf
 
 
 def test_failure_name_mid_block_matches_reference_loop():
