@@ -25,9 +25,7 @@ from .core import (
     zero_regularizer,
 )
 from .diagnostics import (
-    BruteForceTable,
     Certificate,
-    brute_force_value_function,
     certify,
     check_polar_convexity,
     eps_minimax_mm,

@@ -1,10 +1,11 @@
-"""Stationarity measures, transfer certificates, and brute-force references.
+"""Stationarity measures, transfer certificates, and a polar-convexity probe.
 
 All residuals are unit-step prox/projection residuals, the computable
 surrogates for the set-valued stationarity distances. The minimax
-residual pair is evaluated at ``(x, T(x, y))``, mirroring how an
-approximate stationary point of the penalized objective transfers to an
-approximate minimax point of the underlying problem.
+residual pair is :func:`pfbe.envelope.minimax_residual` evaluated at
+``(x, T(x, y))``, mirroring how an approximate stationary point of the
+penalized objective transfers to an approximate minimax point of the
+underlying problem.
 """
 
 from __future__ import annotations
@@ -13,21 +14,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CoupledProblem,
-    DimensionError,
-    MinimaxProblem,
-    as_vector,
-)
+from .core import CoupledProblem, MinimaxProblem, Vector, as_vector
 from .envelope import (
     NORM_FLOOR,
     EnvelopeConfig,
     evaluate,
+    minimax_residual,
     prox_grad_residual,
     prox_step,
 )
 from .lagrangian import LiftedProblem, multiplier_bound_monitor
-from .sets import BoxSet, composite_prox
+from .sets import composite_prox
+
+# composite_prox is not called here; perfbench/tracing.py patches it on
+# this module, so the name stays
+__all__ = [
+    "Certificate",
+    "certify",
+    "check_polar_convexity",
+    "composite_prox",
+    "eps_minimax_mm",
+    "feasibility_mcc",
+    "stationarity_gamma",
+    "transfer_constant",
+]
 
 
 def stationarity_gamma(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> float:
@@ -50,15 +60,17 @@ def eps_minimax_mm(
     * ``eps_x = ||prox_{r1 + ind_X}(x - grad_x f(x, yT)) - x||``
     * ``eps_y = ||prox_{r2 + ind_Y}(yT + grad_y f(x, yT)) - yT||``
 
-    both at unit step. A first-order minimax point returns ``(0, 0)``.
+    both at unit step: the norms of :func:`pfbe.envelope.minimax_residual`
+    at ``(x, yT)``. A first-order minimax point returns ``(0, 0)``.
     """
     x, y = problem.check_point(x, y)
     yT, _ = prox_step(problem, cfg, x, y)
-    gx = np.asarray(problem.f.grad_x(x, yT), dtype=np.float64)
-    gy = np.asarray(problem.f.grad_y(x, yT), dtype=np.float64)
-    eps_x = float(np.linalg.norm(composite_prox(problem.r1, problem.X, x - gx, 1.0) - x))
-    eps_y = float(np.linalg.norm(composite_prox(problem.r2, problem.Y, yT + gy, 1.0) - yT))
-    return eps_x, eps_y
+    return _norm_pair(problem, x, yT)
+
+
+def _norm_pair(problem: MinimaxProblem, x: Vector, yT: Vector) -> tuple[float, float]:
+    rx, ry = minimax_residual(problem, x, yT)
+    return float(np.linalg.norm(rx)), float(np.linalg.norm(ry))
 
 
 def transfer_constant(problem: MinimaxProblem, cfg: EnvelopeConfig) -> float:
@@ -104,12 +116,15 @@ def certify(
     ``passed`` requires the unnormalized penalized-stationarity residual,
     the base-problem feasibility, and the complementarity gap to all sit
     below ``tol``. ``transfer_ok`` checks the minimax residual pair
-    against ``transfer_factor * stat`` with a 10% surrogate margin.
+    against ``transfer_factor * stat`` with a 10% surrogate margin. Both
+    come from one envelope evaluation: ``stat`` is
+    :func:`stationarity_gamma` and the pair :func:`eps_minimax_mm`, taken
+    at its maximizer ``T``.
     """
     prob = lifted.problem
-    z = lifted.join(x, lam)
-    stat = stationarity_gamma(prob, cfg, z, y)
-    eps_x, eps_y = eps_minimax_mm(prob, cfg, z, y)
+    ev = evaluate(prob, cfg, lifted.join(x, lam), y)
+    stat = prox_grad_residual(prob, cfg, ev)
+    eps_x, eps_y = _norm_pair(prob, ev.x, ev.T)
     feas = feasibility_mcc(lifted.base, x, y)
     cval = np.asarray(lifted.base.c.eval_c(as_vector(x), as_vector(y)), dtype=np.float64)
     comp = abs(float(as_vector(lam) @ cval))
@@ -131,109 +146,6 @@ def certify(
         transfer_ok=transfer_ok,
         tol=tol,
         passed=passed,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class BruteForceTable:
-    """Tabulated value function over an x-grid.
-
-    ``x`` has shape ``(num_points, n)``; ``phi`` is the grid maximum of
-    ``g + r1`` over feasible y-grid points (``-inf`` on infeasible
-    slices); ``y_star`` the grid argmax; ``feasible`` marks slices with
-    at least one feasible point; ``on_window_edge`` marks slices whose
-    argmax touches the y-grid boundary (the window may truncate the
-    true maximizer).
-    """
-
-    x: np.ndarray
-    phi: np.ndarray
-    y_star: np.ndarray
-    feasible: np.ndarray
-    on_window_edge: np.ndarray
-
-
-def _axis_grids(set_, grids, points: int, what: str) -> list[np.ndarray]:
-    dim = set_.dim
-    if grids is not None:
-        if isinstance(grids, (list, tuple)) and len(grids) == dim and not np.isscalar(grids[0]):
-            return [np.asarray(g, dtype=np.float64) for g in grids]
-        arr = np.asarray(grids, dtype=np.float64)
-        if dim == 1 and arr.ndim == 1:
-            return [arr]
-        raise DimensionError(f"{what} grid must supply one axis per dimension ({dim})")
-    if isinstance(set_, BoxSet) and np.all(np.isfinite(set_.lo)) and np.all(np.isfinite(set_.hi)):
-        return [np.linspace(set_.lo[i], set_.hi[i], points) for i in range(dim)]
-    raise ValueError(f"{what} grid required for unbounded or non-box sets")
-
-
-def brute_force_value_function(
-    coupled: CoupledProblem,
-    x_grid=None,
-    y_grid=None,
-    points: int = 400,
-    feas_tol: float = 1e-9,
-) -> BruteForceTable:
-    """Exhaustive value-function table for low-dimensional problems.
-
-    Supports ``n <= 2`` and ``p <= 2``. Default grids are ``points``
-    equispaced values per axis over finite box bounds; unbounded axes
-    need explicit grids. Slices with no feasible y-grid point are
-    recorded with ``phi = -inf`` and ``feasible = False``.
-    """
-    n, p = coupled.dim_x, coupled.dim_y
-    if n > 2 or p > 2:
-        raise DimensionError("brute force supports n <= 2 and p <= 2 only")
-    x_axes = _axis_grids(coupled.X, x_grid, points, "x")
-    y_axes = _axis_grids(coupled.Y, y_grid, points, "y")
-
-    if p == 1:
-        y_points = y_axes[0][:, None]
-        edge_mask = np.zeros(y_points.shape[0], dtype=bool)
-        edge_mask[0] = edge_mask[-1] = True
-    else:
-        g1, g2 = np.meshgrid(y_axes[0], y_axes[1], indexing="ij")
-        y_points = np.column_stack([g1.ravel(), g2.ravel()])
-        e1 = np.zeros(len(y_axes[0]), dtype=bool)
-        e1[0] = e1[-1] = True
-        e2 = np.zeros(len(y_axes[1]), dtype=bool)
-        e2[0] = e2[-1] = True
-        edge_mask = (e1[:, None] | e2[None, :]).ravel()
-
-    if n == 1:
-        x_points = x_axes[0][:, None]
-    else:
-        g1, g2 = np.meshgrid(x_axes[0], x_axes[1], indexing="ij")
-        x_points = np.column_stack([g1.ravel(), g2.ravel()])
-
-    num_x = x_points.shape[0]
-    phi = np.full(num_x, -np.inf)
-    y_star = np.full((num_x, p), np.nan)
-    feasible = np.zeros(num_x, dtype=bool)
-    on_edge = np.zeros(num_x, dtype=bool)
-
-    K = coupled.K
-    for i in range(num_x):
-        xi = x_points[i]
-        best = -np.inf
-        best_j = -1
-        for j in range(y_points.shape[0]):
-            yj = y_points[j]
-            cval = np.asarray(coupled.c.eval_c(xi, yj), dtype=np.float64)
-            if float(np.linalg.norm(cval - K.project(cval))) > feas_tol:
-                continue
-            val = float(coupled.g.eval(xi, yj)) + coupled.r1.value(xi)
-            if val > best:
-                best = val
-                best_j = j
-        if best_j >= 0:
-            feasible[i] = True
-            phi[i] = best
-            y_star[i] = y_points[best_j]
-            on_edge[i] = bool(edge_mask[best_j])
-
-    return BruteForceTable(
-        x=x_points, phi=phi, y_star=y_star, feasible=feasible, on_window_edge=on_edge
     )
 
 

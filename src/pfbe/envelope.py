@@ -29,7 +29,10 @@ completes an existing evaluation with ``grad_x f`` (kept in
 search can thus evaluate trial points without gradients and complete
 only the one it accepts.
 :func:`prox_grad_residual` is the unit-step prox-gradient residual of
-``Gamma`` that the solvers monitor and the diagnostics report.
+``Gamma`` that the solvers monitor and the diagnostics report;
+:func:`minimax_residual` is the unit-step residual of the minimax problem
+itself, which the diagnostics take at ``(x, T)`` and the Lagrangian
+lifting splits into its x, multiplier and y blocks.
 
 Every function here also takes a stack of points, ``x`` and ``y`` with
 one point per row, and gives each row the bits it would get alone; the
@@ -46,7 +49,7 @@ so that one diverging row cannot stop the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -139,14 +142,6 @@ class EnvelopeEval:
     grad_y: Optional[Vector] = None
     used_fd_hvp: bool = False
     finite: Optional[np.ndarray] = None
-
-    def rows(self, keep) -> "EnvelopeEval":
-        """The evaluation of a stack restricted to the rows ``keep`` selects."""
-        return replace(self, **{
-            f.name: getattr(self, f.name)[keep]
-            for f in fields(self)
-            if isinstance(getattr(self, f.name), np.ndarray)
-        })
 
 
 def oracle_call(f: FunctionOracle, fn, *args):
@@ -301,6 +296,23 @@ def prox_grad_residual(
         res = math.sqrt(sq)
         return res if ref_norm < NORM_FLOOR else res / ref_norm
     return np.sqrt(sq) / np.where(ref_norm < NORM_FLOOR, 1.0, ref_norm)
+
+
+def minimax_residual(problem: MinimaxProblem, x, y) -> tuple[Vector, Vector]:
+    """Unit-step first-order residual of the minimax problem itself at ``(x, y)``:
+
+    * ``prox_{r1 + ind_X}(x - grad_x f(x, y)) - x``
+    * ``prox_{r2 + ind_Y}(y + grad_y f(x, y)) - y``
+
+    Both blocks vanish exactly at a first-order minimax point. On a lifted
+    problem the first block holds the x and the multiplier residuals.
+    ``x`` and ``y`` are points, or stacks, as ``problem.check_point``
+    returns them.
+    """
+    f = problem.f
+    rx = composite_prox(problem.r1, problem.X, x - oracle_call(f, f.grad_x, x, y), 1.0) - x
+    ry = composite_prox(problem.r2, problem.Y, y + oracle_call(f, f.grad_y, x, y), 1.0) - y
+    return rx, ry
 
 
 def prox_step(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> tuple[Vector, Vector]:

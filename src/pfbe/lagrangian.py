@@ -15,7 +15,7 @@ strong concavity modulus in ``y`` is never below the base modulus
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .core import (
     row_dot,
     zero_regularizer,
 )
+from .envelope import minimax_residual
 from .sets import ProductSet, composite_prox
 
 
@@ -83,12 +84,9 @@ def _lifted_r1(base_r1: ProxRegularizer, X, polar, n: int, m: int, X_lift) -> Pr
     )
 
 
-def lift(
-    coupled: CoupledProblem,
-    lipschitz_grad: float,
-    r2: Optional[ProxRegularizer] = None,
-) -> LiftedProblem:
-    """Build the lifted minimax problem over ``(x, lam)`` versus ``y``.
+def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
+    """Build the lifted minimax problem over ``(x, lam)`` versus ``y``; the
+    lifted problem has no concave-side regularizer (``r2`` is zero).
 
     Parameters
     ----------
@@ -99,8 +97,6 @@ def lift(
         region of interest. No global constant exists for constraints
         that are nonlinear in ``x``, so the caller supplies it (built-in
         generators compute or document one).
-    r2 : ProxRegularizer, optional
-        Concave-side regularizer for the lifted problem; defaults to zero.
 
     The lifted oracle takes stacks of points when both ``coupled.g`` and
     ``coupled.c`` do. Its Hessian-vector products are exact or absent:
@@ -181,13 +177,7 @@ def lift(
         r1_lift = zero_regularizer()
     else:
         r1_lift = _lifted_r1(coupled.r1, coupled.X, polar, n, m, X_lift)
-    problem = MinimaxProblem(
-        f=oracle,
-        X=X_lift,
-        Y=coupled.Y,
-        r1=r1_lift,
-        r2=r2 if r2 is not None else zero_regularizer(),
-    )
+    problem = MinimaxProblem(f=oracle, X=X_lift, Y=coupled.Y, r1=r1_lift)
     return LiftedProblem(base=coupled, problem=problem, n=n, m=m)
 
 
@@ -206,7 +196,9 @@ class KktResidual(NamedTuple):
 def kkt_residual_mol(lifted: LiftedProblem, x, lam, y, tol: float = 1e-9) -> KktResidual:
     """Residuals of the lifted first-order system at ``(x, lam, y)``.
 
-    The three blocks (unit-step prox residuals):
+    The three blocks, the norms of the lifted problem's
+    :func:`pfbe.envelope.minimax_residual` at ``((x, lam), y)`` split by
+    :meth:`LiftedProblem.split`:
 
     * ``x``:   ``0 in grad_x g - grad_x c . lam + d r1 + N_X``
     * ``y``:   ``0 in -(grad_y g - grad_y c . lam) + N_Y``
@@ -219,25 +211,16 @@ def kkt_residual_mol(lifted: LiftedProblem, x, lam, y, tol: float = 1e-9) -> Kkt
     x = as_vector(x, lifted.n, "x")
     lam = as_vector(lam, lifted.m, "lam")
     y = as_vector(y, base.dim_y, "y")
-    polar = lifted.polar_cone
-    if float(np.linalg.norm(polar.project(lam) - lam)) > tol:
+    if float(np.linalg.norm(lifted.polar_cone.project(lam) - lam)) > tol:
         raise PreconditionViolation("multiplier lies outside the polar cone")
     if float(np.linalg.norm(base.Y.project(y) - y)) > tol:
         raise PreconditionViolation("y lies outside Y")
 
-    dx = np.asarray(base.g.grad_x(x, y), dtype=np.float64) - np.asarray(
-        base.c.jvp_x(x, y, lam), dtype=np.float64
+    rz, ry = minimax_residual(lifted.problem, lifted.join(x, lam), y)
+    rx, rlam = lifted.split(rz)
+    return KktResidual(
+        x=float(np.linalg.norm(rx)), y=float(np.linalg.norm(ry)), lam=float(np.linalg.norm(rlam))
     )
-    rx = float(np.linalg.norm(composite_prox(base.r1, base.X, x - dx, 1.0) - x))
-
-    dy = np.asarray(base.g.grad_y(x, y), dtype=np.float64) - np.asarray(
-        base.c.jvp_y(x, y, lam), dtype=np.float64
-    )
-    ry = float(np.linalg.norm(base.Y.project(y + dy) - y))
-
-    cval = np.asarray(base.c.eval_c(x, y), dtype=np.float64)
-    rlam = float(np.linalg.norm(polar.project(lam + cval) - lam))
-    return KktResidual(x=rx, y=ry, lam=rlam)
 
 
 def multiplier_bound_monitor(lifted: LiftedProblem, x, lam, y) -> float:

@@ -8,13 +8,11 @@ Synthetic family (sizes ``n``, ``p``, level ``c``):
 
 with ``B`` standard normal (row-major draw order) and ``b`` standard
 normal scaled to the unit sphere, both from the pinned deterministic
-stream, so instances regenerate identically from the seed. The lifted
-inner maximization has the closed form ``y*(x, lam) = B^T x - lam``
-(zero-padded multiplier), used as an independent reference in tests.
-One power iteration per instance gives the gradient Lipschitz constant
-of the lifted coupling, which ``g`` declares too: deleting the multiplier
-rows and columns of the lifted Hessian leaves g's, so by interlacing it
-bounds g's.
+stream, so instances regenerate identically from the seed. One power
+iteration per instance gives the gradient Lipschitz constant of the
+lifted coupling, which ``g`` declares too: deleting the multiplier rows
+and columns of the lifted Hessian leaves g's, so by interlacing it bounds
+g's.
 
 The polynomial example (``n = p = 1``):
 
@@ -105,12 +103,6 @@ class SyntheticInstance:
     @property
     def m(self) -> int:
         return min(self.n, self.p)
-
-    def inner_argmax(self, x, lam) -> Vector:
-        """Closed-form maximizer of the lifted coupling in ``y``."""
-        x = as_vector(x, self.n, "x")
-        lam = as_vector(lam, self.m, "lam")
-        return self.B.T @ x - _pad(lam, self.p)
 
     def default_start(self) -> tuple[Vector, Vector]:
         return self.lifted.default_start()
@@ -243,10 +235,6 @@ class Example1Instance:
     lipschitz_g: float
     lipschitz_lifted: float
     mu: float = 1.0
-
-    def value_function(self, x) -> np.ndarray:
-        """Analytic value function ``-x^2/2`` on the box [1, 10]."""
-        return -0.5 * np.asarray(x, dtype=np.float64) ** 2
 
     def spurious_point(self) -> tuple[Vector, Vector, Vector]:
         """Lifted stationary point at the qualification failure (x = 1)."""

@@ -4,11 +4,11 @@ The exact bit-level pipeline is pinned so instances regenerate identically
 on any platform or language:
 
 * state seeding: four splitmix64 outputs from the 64-bit seed;
-* uniform doubles: ``u = (next_u64() >> 11) * 2**-53`` in ``[0, 1)``;
-* normals: Box-Muller on the pair ``(u1, u2)`` where
-  ``u1 = ((bits >> 11) + 1) * 2**-53`` lies in ``(0, 1]`` (safe log) and
-  ``u2`` uses the plain ``[0, 1)`` mapping for the angle. The cosine
-  branch is returned first, the sine branch is cached as the spare.
+* normals: Box-Muller on the pair ``(u1, u2)`` made from two consecutive
+  outputs, where ``u1 = ((bits >> 11) + 1) * 2**-53`` lies in ``(0, 1]``
+  (safe log) and ``u2 = (bits >> 11) * 2**-53`` lies in ``[0, 1)`` for
+  the angle. The cosine branch is returned first, the sine branch is
+  cached as the spare.
 
 :class:`Xoshiro256pp` and :meth:`NormalStream.next` are the scalar
 reference. :meth:`NormalStream.array` returns the same bits. From
@@ -88,10 +88,6 @@ class Xoshiro256pp:
         s3 = _rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
         return result
-
-    def next_f64(self) -> float:
-        """Uniform double in ``[0, 1)`` from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
 
 
 def _to_bits(states) -> np.ndarray:

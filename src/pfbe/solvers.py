@@ -45,7 +45,6 @@ from .core import (
     FunctionOracle,
     MinimaxProblem,
     NonFiniteValue,
-    PreconditionViolation,
     UnsupportedSet,
     Vector,
     row_dot,
@@ -469,11 +468,10 @@ def solve_subgda(
     timescale ratio is always the derived ``theta = alpha eta L^2 / mu``
     (a caller who wants another ratio sets ``eta_x``). ``eta_y`` must
     satisfy ``0 <= eta_y <= eta``, the envelope step, so y-iterates
-    remain in ``Y`` by convex combination: one that does not (nan
-    included) raises :class:`PreconditionViolation` before the start is
-    evaluated, and an ``eta_x`` that is not finite and ``>= 0`` raises
-    ``ValueError`` there. Nonconvex ``X`` is rejected (the projected step
-    needs convexity).
+    remain in ``Y`` by convex combination. One that does not (nan
+    included), or an ``eta_x`` that is not finite and ``>= 0``, raises
+    ``ValueError`` before the start is evaluated. Nonconvex ``X`` is
+    rejected (the projected step needs convexity).
     """
     if not problem.X.convex:
         raise UnsupportedSet("the two-timescale scheme requires a convex X")
@@ -482,9 +480,7 @@ def solve_subgda(
     ey = cfg.eta / 2.0 if scfg.eta_y is None else float(scfg.eta_y)
     ex = ey / theta if scfg.eta_x is None else float(scfg.eta_x)
     if not 0.0 <= ey <= cfg.eta * (1.0 + 1e-12):
-        raise PreconditionViolation(
-            f"eta_y={ey} is outside [0, eta] for the envelope step eta={cfg.eta}"
-        )
+        raise ValueError(f"eta_y={ey} is outside [0, eta] for the envelope step eta={cfg.eta}")
     _check_steps(eta_x=ex)
 
     def step(k: int, it: Iterate, rows) -> Points:

@@ -16,7 +16,6 @@ import numpy as np
 from pfbe.cli import main as cli_main
 from pfbe.core import FunctionOracle, MinimaxProblem
 from pfbe.diagnostics import (
-    brute_force_value_function,
     eps_minimax_mm,
     feasibility_mcc,
     stationarity_gamma,
@@ -34,6 +33,7 @@ from pfbe.solvers import (
     solve_spg,
     solve_subgda,
 )
+from support import grid_value_function
 
 
 def _verdict(num: int, ok: bool, detail: str) -> bool:
@@ -59,8 +59,8 @@ def test_criterion_1_example1_fidelity():
     # brute force recovers the closed-form value function -x^2/2 on [1, 10];
     # aligned x/y grids make the scan exact up to rounding
     grid = np.linspace(1.0, 10.0, 361)
-    table = brute_force_value_function(inst.coupled, x_grid=[grid], y_grid=[grid])
-    brute_err = float(np.max(np.abs(table.phi - (-0.5 * grid**2))))
+    phi, _ = grid_value_function(inst.coupled, grid, grid)
+    brute_err = float(np.max(np.abs(phi - (-0.5 * grid**2))))
     resolution = float(grid[1] - grid[0])
     elapsed = time.perf_counter() - started
 

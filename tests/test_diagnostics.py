@@ -1,4 +1,4 @@
-"""Stationarity measures, certificates, and brute-force tabulation.
+"""Stationarity measures, certificates, and the brute-force grid reference.
 
 The pinned numbers reuse the 1-D bilinear lifted instance from the
 envelope tests (eta = 1/2, alpha = 4, z = (0.5, 0.25), y = 0.1), where
@@ -15,9 +15,8 @@ grad_z Xi = (1.15, 0.1) and grad_y Xi = -0.15 by hand:
 import numpy as np
 import pytest
 
-from pfbe.core import ConstraintOracle, CoupledProblem, DimensionError
+from pfbe.core import ConstraintOracle, CoupledProblem
 from pfbe.diagnostics import (
-    brute_force_value_function,
     certify,
     check_polar_convexity,
     eps_minimax_mm,
@@ -25,9 +24,17 @@ from pfbe.diagnostics import (
     stationarity_gamma,
     transfer_constant,
 )
-from pfbe.envelope import EnvelopeConfig, evaluate, grad_norm, prox_grad_residual
+from pfbe.envelope import (
+    EnvelopeConfig,
+    evaluate,
+    grad_norm,
+    minimax_residual,
+    prox_grad_residual,
+)
+from pfbe.lagrangian import kkt_residual_mol
 from pfbe.problems import make_example1, make_synthetic, synthetic_from_data
 from pfbe.sets import BoxSet, OrthantCone, WholeSpace, ZeroCone
+from support import grid_value_function
 
 
 def _pinned():
@@ -142,32 +149,50 @@ def test_certificate_fails_off_solution():
     assert cert.stat_gamma > 1e-3
 
 
+@pytest.mark.parametrize("c", [None, 0.0, 1.0])
+def test_kkt_and_certify_take_the_one_minimax_residual(c):
+    # on example 1 (c None) and on synthetic instances, multipliers active
+    inst = make_example1() if c is None else make_synthetic(10, 10, c, 3)
+    lifted, base = inst.lifted, inst.coupled
+    prob = lifted.problem
+    cfg = EnvelopeConfig.for_problem(prob)
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        x = rng.uniform(base.X.lo, base.X.hi)
+        lam = rng.exponential(2.0, lifted.m) * (rng.random(lifted.m) < 0.6)
+        y = 3.0 * rng.standard_normal(base.dim_y)
+        z = lifted.join(x, lam)
+        # the lifted residual's blocks, which the base oracles reproduce:
+        # the lifted gradient is (grad_x g - grad_x c . lam, -c) in (x, lam)
+        rz, ry = minimax_residual(prob, z, y)
+        rx, rlam = lifted.split(rz)
+        kkt = kkt_residual_mol(lifted, x, lam, y)
+        assert kkt == (np.linalg.norm(rx), np.linalg.norm(ry), np.linalg.norm(rlam))
+        gx = base.g.grad_x(x, y) - base.c.jvp_x(x, y, lam)
+        gy = base.g.grad_y(x, y) - base.c.jvp_y(x, y, lam)
+        assert np.array_equal(rx, base.X.project(x - gx) - x)
+        assert np.array_equal(ry, base.Y.project(y + gy) - y)
+        assert np.array_equal(rlam, lifted.polar_cone.project(lam + base.c.eval_c(x, y)) - lam)
+        # one evaluation gives certify the stat and the pair at its maximizer T
+        cert = certify(lifted, cfg, x, lam, y)
+        assert cert.stat_gamma == stationarity_gamma(prob, cfg, z, y)
+        assert (cert.eps_x, cert.eps_y) == eps_minimax_mm(prob, cfg, z, y)
+
+
 # ---------------------------------------------------------------------------
 # brute force tabulation
 
 
 def test_brute_force_example1_exact_on_aligned_grids():
     # y* = x for this instance, so sharing one grid makes the tabulated
-    # maximum land exactly on the analytic value function
+    # maximum land exactly on the analytic value function -x^2/2
     inst = make_example1()
     grid = np.linspace(1.0, 10.0, 181)
-    table = brute_force_value_function(inst.coupled, x_grid=grid, y_grid=grid)
-    assert table.x.shape == (181, 1)
-    assert np.all(table.feasible)
-    expect = inst.value_function(grid)
-    assert np.max(np.abs(table.phi - expect)) <= 1e-12
-    assert np.max(np.abs(table.y_star[:, 0] - grid)) == 0.0
-    # y* = x touches the window edge exactly at the two grid ends
-    assert table.on_window_edge[0] and table.on_window_edge[-1]
-    assert not np.any(table.on_window_edge[1:-1])
+    phi, y_star = grid_value_function(inst.coupled, grid, grid)
+    assert np.max(np.abs(phi - (-0.5 * grid**2))) <= 1e-12
+    assert np.max(np.abs(y_star - grid)) == 0.0
     # the tabulated minimizer is the true one
-    assert grid[np.argmin(table.phi)] == 10.0
-
-
-def test_brute_force_requires_grid_for_unbounded_y():
-    inst = make_example1()
-    with pytest.raises(ValueError):
-        brute_force_value_function(inst.coupled)
+    assert grid[np.argmin(phi)] == 10.0
 
 
 def test_brute_force_infeasible_slices():
@@ -191,56 +216,11 @@ def test_brute_force_infeasible_slices():
     coupled = CoupledProblem(
         g=g, c=con, X=BoxSet([0.0], [1.0]), Y=BoxSet([0.0], [1.0]), K=ZeroCone(1)
     )
-    table = brute_force_value_function(
-        coupled, x_grid=np.array([0.0, 0.5, 1.0]), y_grid=np.array([0.0, 0.75])
+    phi, y_star = grid_value_function(
+        coupled, np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.75])
     )
-    assert table.feasible.tolist() == [True, False, False]
-    assert table.phi[0] == 0.0
-    assert table.phi[1] == -np.inf and table.phi[2] == -np.inf
-    assert np.isnan(table.y_star[1]).all()
-
-
-def test_brute_force_two_dimensional_blocks():
-    # n = p = 2 concave quadratic, no active constraint: the grid argmax
-    # must match an independent dense meshgrid computation
-    from pfbe.core import FunctionOracle
-
-    g = FunctionOracle(
-        eval=lambda x, y: float(x @ y - y @ y),
-        grad_x=lambda x, y: np.asarray(y, float).copy(),
-        grad_y=lambda x, y: np.asarray(x, float) - 2.0 * np.asarray(y, float),
-        lipschitz_grad=3.0,
-        strong_concavity=2.0,
-    )
-    con = ConstraintOracle(
-        dim=1,
-        eval_c=lambda x, y: np.array([-1.0]),  # always satisfied
-        jvp_x=lambda x, y, lam: np.zeros(2),
-        jvp_y=lambda x, y, lam: np.zeros(2),
-        linear_in_y=True,
-    )
-    coupled = CoupledProblem(
-        g=g,
-        c=con,
-        X=BoxSet([-1.0, -1.0], [1.0, 1.0]),
-        Y=BoxSet([-1.0, -1.0], [1.0, 1.0]),
-        K=OrthantCone(1, sign=-1),
-    )
-    table = brute_force_value_function(coupled, points=11)
-    assert table.x.shape == (121, 2)
-    ygrid = np.linspace(-1, 1, 11)
-    g1, g2 = np.meshgrid(ygrid, ygrid, indexing="ij")
-    ypts = np.column_stack([g1.ravel(), g2.ravel()])
-    for i in range(0, 121, 17):
-        vals = ypts @ table.x[i] - np.sum(ypts**2, axis=1)
-        assert table.phi[i] == pytest.approx(vals.max(), abs=1e-14)
-    assert np.all(table.feasible)
-
-
-def test_brute_force_dimension_limit():
-    inst = make_synthetic(3, 3, 1.0, 2)
-    with pytest.raises(DimensionError):
-        brute_force_value_function(inst.coupled)
+    assert phi.tolist() == [0.0, -np.inf, -np.inf]
+    assert y_star[0] == 0.0 and np.isnan(y_star[1:]).all()
 
 
 # ---------------------------------------------------------------------------

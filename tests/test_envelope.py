@@ -24,6 +24,7 @@ from pfbe.envelope import (
 )
 from pfbe.problems import make_synthetic, synthetic_from_data
 from pfbe.sets import BoxSet, WholeSpace
+from support import eval_rows
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,7 @@ def test_stacked_evaluation_matches_each_row(name):
     with pytest.raises(NonFiniteValue), np.errstate(over="ignore", invalid="ignore"):
         evaluate(prob, cfg, xs[3], ys[3])
     keep = stack.finite
-    stack = stack.rows(keep)
+    stack = eval_rows(stack, keep)
     refs = grad_norm(stack)
     residuals = prox_grad_residual(prob, cfg, stack, refs)
     singles = [evaluate(prob, cfg, x, y) for x, y in zip(xs[keep], ys[keep])]

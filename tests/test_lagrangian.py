@@ -289,8 +289,8 @@ def test_strong_duality_one_dimensional():
         lam_star = max(0.0, 2.0 * xv - 1.0)
         dual = xv + xv**2 / 2.0 + lam_star**2 / 2.0 - 2.0 * xv * lam_star + lam_star
         assert abs(dual - phi) <= 1e-12
-        # the lifted oracle evaluated at its own inner argmax reproduces H
-        y_inner = inst.inner_argmax([xv], [lam_star])
+        # the lifted oracle evaluated at its own inner argmax y = x - lam reproduces H
+        y_inner = np.array([xv - lam_star])
         z = lifted.join(np.array([xv]), np.array([lam_star]))
         assert abs(lifted.problem.f.value(z, y_inner) - dual) <= 1e-12
 
@@ -302,7 +302,7 @@ def test_stationary_points_match_value_function_minima():
     best = None
     for xv in np.linspace(0.0, 1.0, 101):
         lam_star = max(0.0, 2.0 * xv - 1.0)
-        ystar = float(inst.inner_argmax([xv], [lam_star])[0])
+        ystar = xv - lam_star  # the inner argmax B^T x - lam, with B = 1
         res = kkt_residual_mol(inst.lifted, [xv], [lam_star], [ystar])
         if best is None or res.max < best[0]:
             best = (res.max, xv)
