@@ -167,7 +167,7 @@ def _check_sandwich():
     prob = inst.lifted.problem
     L = prob.lipschitz
     eta = 0.5 / L
-    cfg = EnvelopeConfig(eta=eta, alpha=EnvelopeConfig.threshold(eta, prob.mu), mu=prob.mu)
+    cfg = EnvelopeConfig(eta=eta, alpha=EnvelopeConfig.threshold(eta, prob.mu))
     rng = np.random.default_rng(9)
     for _ in range(100):
         z = rng.normal(size=prob.dim_x)
@@ -185,7 +185,7 @@ def _check_sandwich():
 def _check_equivalence_spot():
     inst = synthetic_from_data(np.array([[1.0]]), np.array([1.0]), 1.0)
     prob = inst.lifted.problem
-    cfg = EnvelopeConfig(eta=1.0, alpha=100.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=1.0, alpha=100.0)
     z_star = np.zeros(2)  # x = 0, lam = 0
     y_star = np.zeros(1)
     stat = stationarity_gamma(prob, cfg, z_star, y_star)
@@ -215,7 +215,7 @@ def _check_example1_kkt():
 def _check_subgda_hand_step():
     inst = synthetic_from_data(np.array([[1.0]]), np.array([1.0]), 1.0)
     prob = inst.lifted.problem
-    cfg = EnvelopeConfig(eta=1.0, alpha=2.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=1.0, alpha=2.0)
     scfg = SolverConfig(max_iter=1, gtol=1e-300, eta_x=0.1, eta_y=0.1)
     res = solve_subgda(prob, cfg, scfg, np.array([1.0, 0.0]), np.array([0.0]))
     # hand iterate: x1 = clip(1 - 0.1*(b + By - lam)) = 0.9; lam1 = max(0, 0 - 0.1*(-(x+y-1)))

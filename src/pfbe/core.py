@@ -197,7 +197,6 @@ class ProxRegularizer:
 
     eval: Callable[[Vector], float]
     prox: Callable[[Vector, float], Vector]
-    convex: bool = True
     is_zero: bool = False
     attached_set: Optional[ProjectableSet] = None
 
@@ -215,7 +214,6 @@ def zero_regularizer() -> ProxRegularizer:
     return ProxRegularizer(
         eval=lambda z: 0.0,
         prox=lambda z, step: np.asarray(z, dtype=np.float64),
-        convex=True,
         is_zero=True,
     )
 
@@ -224,8 +222,8 @@ def zero_regularizer() -> ProxRegularizer:
 class MinimaxProblem:
     """min over X of max over Y of ``f(x, y) + r1(x) - r2(y)``.
 
-    ``f`` must be strongly concave in ``y`` with the declared modulus;
-    ``r2`` convexity and y-concavity are declared flags, not verified.
+    ``f`` must be strongly concave in ``y`` with the declared modulus, and
+    ``r1`` and ``r2`` convex; neither is verified.
     """
 
     f: FunctionOracle

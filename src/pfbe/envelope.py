@@ -20,7 +20,8 @@ along ``R``:
     grad_y Xi = alpha * (R + eta * hvp_yy(R)) - (alpha - 1) * grad_y f
 
 The penalty weight must satisfy ``alpha >= max(1, 2 / (eta * mu))`` for
-the stationary-point equivalence to hold; the config enforces it.
+the stationary-point equivalence to hold; every solve checks it against
+the problem's ``mu``.
 
 :func:`evaluate` is a value evaluation (one ``grad_y f``, one prox)
 followed, when gradients are asked for, by :func:`with_gradients`, which
@@ -72,33 +73,35 @@ NORM_FLOOR = 1e-15  # reference norms below this leave a residual unnormalized
 
 @dataclass(frozen=True)
 class EnvelopeConfig:
-    """Envelope step ``eta``, penalty ``alpha``, and the modulus they obey.
+    """Envelope step ``eta`` and penalty ``alpha``.
 
-    Raises ``ValueError`` at construction unless all three are finite,
-    ``eta`` and ``mu`` are positive and ``alpha >= max(1, 2 / (eta * mu))``.
+    Raises ``ValueError`` at construction unless ``eta`` is positive and
+    finite and ``alpha`` is finite and ``>= 1``. The full threshold
+    ``alpha >= max(1, 2 / (eta * mu))`` needs the modulus ``mu`` of a
+    problem: :meth:`for_problem` checks it, and so does every solve.
     """
 
     eta: float
     alpha: float
-    mu: float
 
     def __post_init__(self):
         if not (self.eta > 0 and np.isfinite(self.eta)):
             raise ValueError("eta must be positive and finite")
-        if not (self.mu > 0 and np.isfinite(self.mu)):
-            raise ValueError("mu must be positive and finite")
-        if not np.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
-        thresh = self.threshold(self.eta, self.mu)
+        if not (self.alpha >= 1.0 and np.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and >= 1, got {self.alpha!r}")
+
+    @staticmethod
+    def threshold(eta: float, mu: float) -> float:
+        return max(1.0, 2.0 / (eta * mu))
+
+    def check_threshold(self, mu: float) -> None:
+        """Raise ``ValueError`` unless ``alpha >= max(1, 2 / (eta * mu))``."""
+        thresh = self.threshold(self.eta, mu)
         if not (self.alpha >= thresh * (1.0 - 1e-12)):
             raise ValueError(
                 f"alpha={self.alpha} below the envelope threshold "
                 f"max(1, 2/(eta*mu)) = {thresh}"
             )
-
-    @staticmethod
-    def threshold(eta: float, mu: float) -> float:
-        return max(1.0, 2.0 / (eta * mu))
 
     @classmethod
     def for_problem(
@@ -107,13 +110,15 @@ class EnvelopeConfig:
         eta: Optional[float] = None,
         alpha: Optional[float] = None,
     ) -> "EnvelopeConfig":
-        """Defaults: ``eta = min(1, 1/(2 L))`` and ``alpha`` at the threshold."""
-        mu = problem.mu
+        """Defaults: ``eta = min(1, 1/(2 L))`` and ``alpha`` at the threshold,
+        which a given ``alpha`` must meet."""
         if eta is None:
             eta = min(1.0, 1.0 / (2.0 * problem.lipschitz))
         if alpha is None:
-            alpha = cls.threshold(eta, mu)
-        return cls(eta=float(eta), alpha=float(alpha), mu=float(mu))
+            alpha = cls.threshold(eta, problem.mu)
+        cfg = cls(eta=float(eta), alpha=float(alpha))
+        cfg.check_threshold(problem.mu)
+        return cfg
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .core import (
     zero_regularizer,
 )
 from .envelope import minimax_residual
-from .sets import ProductSet, composite_prox
+from .sets import BoxSet, ProductSet, composite_prox
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +54,7 @@ class LiftedProblem:
 
     @property
     def polar_cone(self):
-        return self.problem.X.parts[1]
+        return self.base.K.polar()
 
     def default_start(self) -> tuple[Vector, Vector]:
         """Deterministic start: projected origin for x, zero multiplier and y."""
@@ -78,7 +78,6 @@ def _lifted_r1(base_r1: ProxRegularizer, X, polar, n: int, m: int, X_lift) -> Pr
     return ProxRegularizer(
         eval=reg_eval,
         prox=reg_prox,
-        convex=base_r1.convex,
         is_zero=False,
         attached_set=X_lift,
     )
@@ -98,6 +97,10 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
         that are nonlinear in ``x``, so the caller supplies it (built-in
         generators compute or document one).
 
+    The lifted feasible set ``X x polar(K)`` is one :class:`BoxSet` of the
+    concatenated bounds when ``X`` and the polar cone are boxes (an
+    orthant is one), and a :class:`ProductSet` of the two otherwise.
+
     The lifted oracle takes stacks of points when both ``coupled.g`` and
     ``coupled.c`` do. Its Hessian-vector products are exact or absent:
     ``hvp_yy`` needs ``g.hvp_yy`` and, unless ``c`` is ``linear_in_y``,
@@ -111,7 +114,11 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     g, con = coupled.g, coupled.c
     n, m = coupled.dim_x, con.dim
     polar = coupled.K.polar()
-    X_lift = ProductSet([coupled.X, polar])
+    if isinstance(coupled.X, BoxSet) and isinstance(polar, BoxSet):  # an orthant is a box
+        X = coupled.X
+        X_lift = BoxSet(np.concatenate([X.lo, polar.lo]), np.concatenate([X.hi, polar.hi]))
+    else:
+        X_lift = ProductSet([coupled.X, polar])
 
     def split(z):
         return z[..., :n], z[..., n:]
@@ -204,16 +211,17 @@ def kkt_residual_mol(lifted: LiftedProblem, x, lam, y, tol: float = 1e-9) -> Kkt
     * ``y``:   ``0 in -(grad_y g - grad_y c . lam) + N_Y``
     * ``lam``: ``0 in -c(x, y) + N_polar(lam)``
 
-    Preconditions: ``lam`` in the polar cone and ``y in Y`` within ``tol``;
-    violations raise :class:`PreconditionViolation`.
+    Preconditions: ``lam`` in the polar cone and ``y in Y`` within ``tol``
+    (:meth:`ProjectableSet.contains`, which a nan fails); violations raise
+    :class:`PreconditionViolation`.
     """
     base = lifted.base
     x = as_vector(x, lifted.n, "x")
     lam = as_vector(lam, lifted.m, "lam")
     y = as_vector(y, base.dim_y, "y")
-    if float(np.linalg.norm(lifted.polar_cone.project(lam) - lam)) > tol:
+    if not lifted.polar_cone.contains(lam, tol):
         raise PreconditionViolation("multiplier lies outside the polar cone")
-    if float(np.linalg.norm(base.Y.project(y) - y)) > tol:
+    if not base.Y.contains(y, tol):
         raise PreconditionViolation("y lies outside Y")
 
     rz, ry = minimax_residual(lifted.problem, lifted.join(x, lam), y)

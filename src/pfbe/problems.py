@@ -87,7 +87,8 @@ def _matvec(A: np.ndarray, v: Vector) -> Vector:
 @dataclass(frozen=True, eq=False)
 class SyntheticInstance:
     """One generated bilinearly-coupled instance with its lifted problem;
-    ``lifted`` and ``coupled.g`` both declare ``lipschitz_lifted``."""
+    ``lifted`` and ``coupled.g`` both declare the lifted coupling's
+    gradient Lipschitz constant."""
 
     n: int
     p: int
@@ -97,8 +98,6 @@ class SyntheticInstance:
     b: np.ndarray
     coupled: CoupledProblem
     lifted: LiftedProblem
-    lipschitz_lifted: float
-    mu: float = 1.0
 
     @property
     def m(self) -> int:
@@ -202,8 +201,7 @@ def synthetic_from_data(B, b, c_value: float, seed: Optional[int] = None) -> Syn
     )
     lifted = lift(coupled, lipschitz_grad=L_lift)
     return SyntheticInstance(
-        n=n, p=p, c=float(c_value), seed=seed, B=B, b=b,
-        coupled=coupled, lifted=lifted, lipschitz_lifted=L_lift,
+        n=n, p=p, c=float(c_value), seed=seed, B=B, b=b, coupled=coupled, lifted=lifted
     )
 
 
@@ -232,9 +230,6 @@ class Example1Instance:
 
     coupled: CoupledProblem
     lifted: LiftedProblem
-    lipschitz_g: float
-    lipschitz_lifted: float
-    mu: float = 1.0
 
     def spurious_point(self) -> tuple[Vector, Vector, Vector]:
         """Lifted stationary point at the qualification failure (x = 1)."""
@@ -282,18 +277,11 @@ def make_example1() -> Example1Instance:
     def c_dc_y(x, y, v):
         return np.array([v[0], v[0]])
 
-    # gradient Lipschitz constant of g alone: || [[-4, 2], [2, -1]] || = 5
-    L_g = 5.0
-    # no global constant exists for the lift (the x-lam cross term grows
-    # like 4 x^3); this bound covers x in [1, 10] and multipliers up to
-    # the recovered value 10 at the solution set
-    L_lift = 5000.0
-
     g = FunctionOracle(
         eval=g_eval,
         grad_x=g_grad_x,
         grad_y=g_grad_y,
-        lipschitz_grad=L_g,
+        lipschitz_grad=5.0,  # || [[-4, 2], [2, -1]] ||, g's Hessian
         strong_concavity=1.0,
         hvp_yy=g_hvp_yy,
         hvp_xy=g_hvp_xy,
@@ -313,7 +301,8 @@ def make_example1() -> Example1Instance:
         Y=WholeSpace(1),
         K=OrthantCone(2, sign=-1),
     )
-    lifted = lift(coupled, lipschitz_grad=L_lift)
-    return Example1Instance(
-        coupled=coupled, lifted=lifted, lipschitz_g=L_g, lipschitz_lifted=L_lift
-    )
+    # no global constant exists for the lift (the x-lam cross term grows
+    # like 4 x^3); this bound covers x in [1, 10] and multipliers up to
+    # the recovered value 10 at the solution set
+    lifted = lift(coupled, lipschitz_grad=5000.0)
+    return Example1Instance(coupled=coupled, lifted=lifted)

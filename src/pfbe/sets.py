@@ -96,27 +96,20 @@ class ZeroCone(ProjectableCone):
         return f"ZeroCone({self.dim})"
 
 
-class OrthantCone(ProjectableCone):
-    """Nonnegative (``sign=+1``) or nonpositive (``sign=-1``) orthant."""
+class OrthantCone(BoxSet, ProjectableCone):
+    """Nonnegative (``sign=+1``) or nonpositive (``sign=-1``) orthant: the
+    box with bounds ``[0, inf)`` or ``(-inf, 0]``, so it projects by the box
+    clip and flags the same boundary as that box."""
 
     def __init__(self, dim: int, sign: int = 1):
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        self.dim = int(dim)
         self.sign = int(sign)
-
-    def project(self, z: Vector) -> Vector:
-        z = as_points(z, self.dim, "point")
-        if self.sign > 0:
-            return np.maximum(z, 0.0)
-        return np.minimum(z, 0.0)
+        bounds = (0.0, np.inf) if sign > 0 else (-np.inf, 0.0)
+        super().__init__(*(np.full(int(dim), bound) for bound in bounds))
 
     def polar(self) -> "OrthantCone":
         return OrthantCone(self.dim, -self.sign)
-
-    def near_boundary(self, z: Vector, tol: float) -> bool:
-        z = as_vector(z, self.dim, "point")
-        return bool((np.abs(z) <= tol).any())
 
     def __repr__(self):
         kind = "nonneg" if self.sign > 0 else "nonpos"

@@ -329,9 +329,12 @@ def _iterate_first_order(
     :class:`NonFiniteValue`, the iterates collected so far are tested
     first, and the error propagates only if a run is left. An oracle that
     raises anything else (rather than returning a nan or inf) at a point a
-    block reaches past a run's stop ends the call with that error.
+    block reaches past a run's stop ends the call with that error. An
+    ``alpha`` below the threshold of ``problem.mu`` raises ``ValueError``
+    before the start is evaluated.
     """
     started = time.perf_counter()
+    cfg.check_threshold(problem.mu)
     ev = evaluate(problem, cfg, x0, y0, need_grad=True)
     runs = _Runs(problem, cfg, scfg, ev)
     it = runs.test(ev, 0)

@@ -238,9 +238,7 @@ def test_criterion_3_transfer_bound_across_solves():
 
 def _sandwich_min_slack(problem, points: int, seed: int) -> float:
     ell = problem.lipschitz
-    cfg = EnvelopeConfig(
-        eta=0.5 / ell, alpha=EnvelopeConfig.threshold(0.5 / ell, problem.mu), mu=problem.mu
-    )
+    cfg = EnvelopeConfig(eta=0.5 / ell, alpha=EnvelopeConfig.threshold(0.5 / ell, problem.mu))
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(points):

@@ -229,7 +229,6 @@ def test_minimax_problem_defaults_and_checks():
     assert prob.dim_x == 2 and prob.dim_y == 2
     assert prob.mu == 1.0 and prob.lipschitz == 10.0
     assert prob.r1.is_zero and prob.r2.is_zero
-    assert prob.r2.convex
     x, y = prob.check_point([0.5, 0.5], [0.0, 0.0])
     assert x.shape == (2,)
     with pytest.raises(DimensionError):

@@ -40,7 +40,7 @@ from support import grid_value_function
 def _pinned():
     inst = synthetic_from_data([[1.0]], [1.0], 1.0)
     prob = inst.lifted.problem
-    cfg = EnvelopeConfig(eta=0.5, alpha=4.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=0.5, alpha=4.0)
     return inst, prob, cfg, np.array([0.5, 0.25]), np.array([0.1])
 
 
@@ -95,7 +95,7 @@ def test_transfer_constant_formula():
     inst, prob, cfg, _, _ = _pinned()
     L = prob.lipschitz
     assert transfer_constant(prob, cfg) == 1.0 + 2.0 * L + 0.5 * L
-    cfg2 = EnvelopeConfig(eta=0.1, alpha=20.0, mu=1.0)
+    cfg2 = EnvelopeConfig(eta=0.1, alpha=20.0)
     assert transfer_constant(prob, cfg2) == 1.0 + 2.0 * L + 0.1 * L
 
 

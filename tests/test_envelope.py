@@ -38,19 +38,25 @@ def test_threshold_formula():
 
 
 def test_config_rejects_small_alpha():
+    prob = make_synthetic(3, 3, 1.0, 2).lifted.problem  # mu = 1
+    with pytest.raises(ValueError, match="threshold"):
+        EnvelopeConfig.for_problem(prob, eta=0.5, alpha=3.9)
+    with pytest.raises(ValueError, match="threshold"):
+        EnvelopeConfig(eta=0.5, alpha=3.9).check_threshold(1.0)
+    EnvelopeConfig(eta=0.5, alpha=4.0).check_threshold(1.0)
     with pytest.raises(ValueError):
-        EnvelopeConfig(eta=0.5, alpha=3.9, mu=1.0)
-    with pytest.raises(ValueError):
-        EnvelopeConfig(eta=-0.5, alpha=4.0, mu=1.0)
-    with pytest.raises(ValueError):
-        EnvelopeConfig(eta=0.5, alpha=4.0, mu=0.0)
+        EnvelopeConfig(eta=-0.5, alpha=4.0)
+    # without a modulus the constructor checks only alpha >= 1
+    for alpha in (0.5, 1.0 - 1e-9):
+        with pytest.raises(ValueError, match=">= 1"):
+            EnvelopeConfig(eta=0.5, alpha=alpha)
     # an infinite alpha clears the threshold but makes the objective nan
     for alpha in (np.inf, np.nan):
         with pytest.raises(ValueError, match="alpha must be finite"):
-            EnvelopeConfig(eta=0.5, alpha=alpha, mu=1.0)
+            EnvelopeConfig(eta=0.5, alpha=alpha)
         with pytest.raises(ValueError, match="alpha must be finite"):
-            EnvelopeConfig.for_problem(make_synthetic(3, 3, 1.0, 2).lifted.problem, alpha=alpha)
-    cfg = EnvelopeConfig(eta=0.5, alpha=4.0, mu=1.0)
+            EnvelopeConfig.for_problem(prob, alpha=alpha)
+    cfg = EnvelopeConfig(eta=0.5, alpha=4.0)
     assert cfg.alpha == 4.0
 
 
@@ -82,7 +88,7 @@ def test_for_problem_defaults():
 
 def _pinned_case():
     inst = synthetic_from_data([[1.0]], [1.0], 1.0)
-    cfg = EnvelopeConfig(eta=0.5, alpha=4.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=0.5, alpha=4.0)
     return inst.lifted.problem, cfg, np.array([0.5, 0.25]), np.array([0.1])
 
 
@@ -170,7 +176,7 @@ def _reference_envelope(prob, kappa, cfg, x, y):
 
 def test_envelope_matches_reference_with_regularizers():
     prob, kappa = _reg_problem()
-    cfg = EnvelopeConfig(eta=0.4, alpha=6.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=0.4, alpha=6.0)
     rng = np.random.default_rng(31)
     for _ in range(50):
         x = rng.uniform(-1, 1, size=3)
@@ -221,7 +227,7 @@ def test_sandwich_inequalities():
     inst = make_synthetic(4, 4, 1.0, 23)
     prob = inst.lifted.problem
     L = prob.lipschitz
-    cfg = EnvelopeConfig(eta=0.5 / L, alpha=EnvelopeConfig.threshold(0.5 / L, 1.0), mu=1.0)
+    cfg = EnvelopeConfig(eta=0.5 / L, alpha=EnvelopeConfig.threshold(0.5 / L, 1.0))
     rng = np.random.default_rng(33)
     for _ in range(200):
         z = 2.0 * rng.standard_normal(prob.dim_x)
@@ -250,7 +256,7 @@ def test_fd_fallback_flag():
         strong_concavity=1.0,
     )
     prob = MinimaxProblem(f=f, X=WholeSpace(2), Y=WholeSpace(2))
-    cfg = EnvelopeConfig(eta=0.25, alpha=8.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=0.25, alpha=8.0)
     x = np.array([0.3, -0.2])
     y = np.array([0.1, 0.4])
     ev = evaluate(prob, cfg, x, y)
@@ -279,7 +285,7 @@ def test_near_kink_flag_on_box_y():
         hvp_xy=lambda x, y, v: np.asarray(v, float).copy(),
     )
     prob = MinimaxProblem(f=f, X=WholeSpace(1), Y=BoxSet([-1.0], [1.0]))
-    cfg = EnvelopeConfig(eta=0.5, alpha=4.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=0.5, alpha=4.0)
     # large x drives T onto the box boundary
     ev = evaluate(prob, cfg, np.array([50.0]), np.array([0.5]))
     assert ev.T.tolist() == [1.0]
@@ -297,7 +303,7 @@ def test_nonfinite_oracle_raises():
         strong_concavity=1.0,
     )
     prob = MinimaxProblem(f=f, X=WholeSpace(1), Y=WholeSpace(1))
-    cfg = EnvelopeConfig(eta=1.0, alpha=2.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=1.0, alpha=2.0)
     with pytest.raises(NonFiniteValue):
         evaluate(prob, cfg, [0.0], [0.0])
 
@@ -403,7 +409,7 @@ def _poisoned_problem(oracle: str, bad: float, box_y: bool) -> MinimaxProblem:
 )
 def test_non_finite_oracle_value_is_caught(oracle, box_y, bad):
     prob = _poisoned_problem(oracle, bad, box_y)
-    cfg = EnvelopeConfig(eta=0.5, alpha=4.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=0.5, alpha=4.0)
     rng = np.random.default_rng(9)
     xs = rng.uniform(-0.5, 0.5, (4, 3))
     ys = rng.uniform(-0.5, 0.5, (4, 3))
@@ -431,7 +437,7 @@ def test_non_finite_oracle_value_is_caught(oracle, box_y, bad):
 @pytest.mark.parametrize("box_y", [False, True], ids=["free_y", "box_y"])
 def test_stacked_prox_step_clears_only_the_poisoned_row(box_y, bad):
     prob = _poisoned_problem("grad_y", bad, box_y)
-    cfg = EnvelopeConfig(eta=0.5, alpha=4.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=0.5, alpha=4.0)
     rng = np.random.default_rng(9)
     xs = rng.uniform(-0.5, 0.5, (4, 3))
     ys = rng.uniform(-0.5, 0.5, (4, 3))

@@ -19,10 +19,13 @@ from pfbe.core import (
     fd_hvp_xy,
     fd_hvp_yy,
 )
+from pfbe.diagnostics import feasibility_mcc, stationarity_gamma, transfer_constant
 from pfbe.envelope import EnvelopeConfig, evaluate
 from pfbe.lagrangian import kkt_residual_mol, lift, multiplier_bound_monitor
 from pfbe.problems import make_example1, make_synthetic, synthetic_from_data
-from pfbe.sets import BoxSet, OrthantCone, WholeSpace
+from pfbe.sets import BallSet, BoxSet, OrthantCone, ProductSet, WholeSpace, ZeroCone
+from pfbe.solvers import SolverConfig, solve_spg
+from support import synthetic_reference
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +110,32 @@ def test_lift_structure():
     assert lifted.problem.f.strong_concavity == 1.0
 
 
+def test_lift_of_a_box_problem_is_one_box():
+    # X a box and polar(K) an orthant: X x polar(K) is one box, whose clip
+    # has the bits of the blockwise projection, nan and signed zeros included
+    rng = np.random.default_rng(64)
+    values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -2.0, 0.5, 1.0, 12.0, 5e-324])
+    for inst in (make_synthetic(4, 3, 1.0, 2), make_synthetic(3, 5, 0.0, 3), make_example1()):
+        lifted, coupled = inst.lifted, inst.coupled
+        X = lifted.problem.X
+        assert type(X) is BoxSet
+        blockwise = ProductSet([coupled.X, coupled.K.polar()])
+        for shape in ((X.dim,), (9, X.dim)):
+            for z in (rng.choice(values, shape), 3.0 * rng.standard_normal(shape)):
+                assert X.project(z).tobytes() == blockwise.project(z).tobytes()
+
+
+def test_lift_keeps_a_product_when_a_part_is_not_a_box():
+    base = make_example1().coupled
+    ball = BallSet([5.0], 4.0)
+    for X, K in ((ball, base.K), (base.X, ZeroCone(2)), (base.X, WholeSpace(2))):
+        custom = CoupledProblem(g=base.g, c=base.c, X=X, Y=base.Y, K=K)
+        lifted = lift(custom, lipschitz_grad=5000.0)
+        assert type(lifted.problem.X) is ProductSet
+        x_part, polar_part = lifted.problem.X.parts
+        assert x_part is X and repr(polar_part) == repr(lifted.polar_cone) == repr(K.polar())
+
+
 def test_lifted_r1_prox_blockwise():
     # a fused box prox on x must compose with the polar projection on lam
     box = BoxSet([0.0], [1.0])
@@ -187,7 +216,7 @@ def test_lift_leaves_an_inexact_mixed_hvp_to_the_envelope():
         g=g, c=con, X=WholeSpace(1), Y=WholeSpace(1), K=OrthantCone(1, sign=-1)
     )
     prob = lift(coupled, lipschitz_grad=10.0).problem
-    cfg = EnvelopeConfig(eta=0.5, alpha=4.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=0.5, alpha=4.0)
     z, y = np.array([0.5, 0.3]), np.array([0.7])
     ev = evaluate(prob, cfg, z, y)
     h = 1e-6
@@ -254,6 +283,21 @@ def test_kkt_preconditions():
         kkt_residual_mol(lifted, [2.0], [1.0, 0.0], [5.0])
 
 
+def test_kkt_preconditions_reject_nan():
+    # a nan multiplier or y is in neither the polar cone nor Y, even where
+    # the projection keeps the nan (a box clip) or maps it to 0 (the origin)
+    base = make_example1().coupled
+    for K in (base.K, WholeSpace(2)):
+        for Y in (base.Y, BoxSet([-1.0], [1.0])):
+            lifted = lift(CoupledProblem(g=base.g, c=base.c, X=base.X, Y=Y, K=K), 5000.0)
+            lam = lifted.polar_cone.project(np.zeros(2))
+            with pytest.raises(PreconditionViolation, match="polar cone"):
+                kkt_residual_mol(lifted, [2.0], [np.nan, 0.0], [0.5])
+            with pytest.raises(PreconditionViolation, match="outside Y"):
+                kkt_residual_mol(lifted, [2.0], lam, [np.nan])
+            assert np.isfinite(kkt_residual_mol(lifted, [2.0], lam, [0.5]).max)
+
+
 def test_multiplier_monitor_at_spurious_point():
     # |lam| = sqrt(5)/3 and |grad_y g| = 1, so the ratio is sqrt(5)/6
     inst = make_example1()
@@ -308,3 +352,33 @@ def test_stationary_points_match_value_function_minima():
             best = (res.max, xv)
     assert best[0] <= 1e-12
     assert best[1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# active multipliers: SPG solutions against the lift-free reference
+
+
+@pytest.mark.parametrize("c", [0.0, -0.5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_spg_solution_matches_the_lift_free_reference(c, seed):
+    # at c <= 0 the coupled constraint binds, so some multipliers are
+    # active and the lifted box clips the others at 0; the returned point is
+    # checked against the reference by the criterion-3 bound
+    # transfer_constant * raw stat * 1.1, which holds at any returned point
+    inst = make_synthetic(10, 10, c, seed)
+    prob = inst.lifted.problem
+    cfg = EnvelopeConfig.for_problem(prob)
+    res = solve_spg(prob, cfg, SolverConfig(), *inst.default_start())
+    x, lam = inst.lifted.split(res.x)
+    raw = stationarity_gamma(prob, cfg, res.x, res.y)
+    bound = transfer_constant(prob, cfg) * raw * 1.1
+    residual, y_star, lam_star = synthetic_reference(inst, x)
+    errors = {
+        "residual": residual,
+        "lam": float(np.linalg.norm(lam - lam_star)),
+        "y": float(np.linalg.norm(res.y - y_star)),
+    }
+    for what, err in errors.items():
+        assert err <= bound, (what, err, bound)
+    assert res.converged and feasibility_mcc(inst.coupled, x, res.y) <= 1e-6
+    assert np.count_nonzero(lam) >= 4 and lam.min() == 0.0

@@ -78,7 +78,7 @@ def test_make_synthetic_fields():
     inst = make_synthetic(4, 7, 0.5, 3)
     assert inst.n == 4 and inst.p == 7 and inst.m == 4
     assert inst.c == 0.5 and inst.seed == 3
-    assert inst.mu == 1.0
+    assert inst.lifted.problem.mu == inst.coupled.g.strong_concavity == 1.0
     assert abs(np.linalg.norm(inst.b) - 1.0) <= 1e-14
     assert inst.coupled.dim_x == 4
     assert inst.coupled.dim_y == 7
@@ -154,7 +154,7 @@ def test_spectral_norm_power_matches_dense():
         dense_l = np.linalg.norm(_dense_lifted_hessian(inst.B), 2)
         # g declares the lifted constant, which bounds its own by interlacing
         assert dense_g <= inst.coupled.g.lipschitz_grad
-        assert abs(inst.lipschitz_lifted - dense_l) <= 1e-9 * dense_l
+        assert abs(inst.lifted.problem.lipschitz - dense_l) <= 1e-9 * dense_l
 
 
 def test_base_lipschitz_closed_form():
@@ -178,7 +178,7 @@ def test_one_power_iteration_per_instance(monkeypatch):
         calls.clear()
         inst = make_synthetic(n, p, 1.0, 7)
         assert calls == [n + inst.m + p]  # the lifted Hessian's dimension
-        assert inst.coupled.g.lipschitz_grad == inst.lipschitz_lifted
+        assert inst.coupled.g.lipschitz_grad == inst.lifted.problem.lipschitz
 
 
 def test_spectral_norm_power_simple_matrix():
@@ -223,7 +223,7 @@ def test_example1_gradient_lipschitz_is_hessian_norm():
     # Hessian of g is [[-4, 2], [2, -1]]: eigenvalues 0 and -5
     inst = make_example1()
     H = np.array([[-4.0, 2.0], [2.0, -1.0]])
-    assert inst.lipschitz_g == np.linalg.norm(H, 2) == 5.0
+    assert inst.coupled.g.lipschitz_grad == np.linalg.norm(H, 2) == 5.0
 
 
 def test_example1_named_points_feasible():
@@ -251,7 +251,7 @@ def test_example1_structure():
     assert inst.coupled.dim_x == 1
     assert inst.coupled.dim_y == 1
     assert inst.coupled.dim_c == 2
-    assert inst.mu == 1.0
+    assert inst.lifted.problem.mu == inst.coupled.g.strong_concavity == 1.0
     assert inst.lifted.problem.dim_x == 3
     z0, y0 = inst.default_start()
     assert inst.lifted.problem.X.contains(z0)

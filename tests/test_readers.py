@@ -1,11 +1,14 @@
-"""Every function, class and method of ``src/pfbe`` has a reader in the program.
+"""Every function, class, method and class field of ``src/pfbe`` has a reader
+in the program.
 
 This scans ``src/pfbe`` and ``perfbench`` (its test modules excepted). A
 module-level definition is read where its name is loaded or taken as an
-attribute, a method where its name is taken as an attribute. Reads inside
-the definition itself, or inside a definition with no reader, do not count,
-so dead code cannot keep dead code alive; importing a name is not reading
-it. Exempt: dunder methods, which the interpreter calls, and ``ALLOWED``.
+attribute, a method or an annotated class field where its name is taken as
+an attribute; passing a field as a keyword to a constructor is not reading
+it. Reads inside the definition itself, or inside a definition with no
+reader, do not count, so dead code cannot keep dead code alive; importing a
+name is not reading it. Exempt: dunder methods, which the interpreter calls, and ``ALLOWED``,
+where ``Class.*`` names every member of a class.
 A definition that only the tests read belongs in the tests.
 """
 
@@ -20,21 +23,24 @@ READERS = MODULES + sorted(
 )
 # "module.qualified_name": why it stays without a reader in the program
 ALLOWED = {
-    "core.ProjectableSet.contains": "membership test of the public set interface",
+    "diagnostics.Certificate.*": "the record certify returns: its fields are for the caller",
 }
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _definitions(path: Path, tree: ast.Module):
-    """``(key, name, is_method, node)`` for each module-level function and
-    class of ``path`` and each method of those classes."""
+    """``(key, name, is_member, node)`` for each module-level function and
+    class of ``path`` and each method and annotated field of those classes."""
     for node in tree.body:
         if isinstance(node, _FUNCS + (ast.ClassDef,)):
             yield f"{path.stem}.{node.name}", node.name, False, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, _FUNCS):
-                    yield f"{path.stem}.{node.name}.{item.name}", item.name, True, item
+                name = item.name if isinstance(item, _FUNCS) else None
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                if name is not None:
+                    yield f"{path.stem}.{node.name}.{name}", name, True, item
 
 
 def _reads(node: ast.AST, skip: set, names: Counter, attrs: Counter) -> None:
@@ -57,7 +63,8 @@ def unread(modules, readers, allowed=ALLOWED) -> list:
     trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in readers}
     defs = [
         d for p in modules for d in _definitions(p, trees[p])
-        if d[0] not in allowed and not (d[1].startswith("__") and d[1].endswith("__"))
+        if d[0] not in allowed and f"{d[0].rsplit('.', 1)[0]}.*" not in allowed
+        and not (d[1].startswith("__") and d[1].endswith("__"))
     ]
     dead: dict = {}
     while True:  # each pass drops the reads inside what the last one found dead
@@ -66,11 +73,11 @@ def unread(modules, readers, allowed=ALLOWED) -> list:
         for tree in trees.values():
             _reads(tree, skip, names, attrs)
         now = {}
-        for key, name, is_method, node in defs:
+        for key, name, is_member, node in defs:
             own_names, own_attrs = Counter(), Counter()
             _reads(node, skip, own_names, own_attrs)
             count = attrs[name] - own_attrs[name]
-            if not is_method:
+            if not is_member:
                 count += names[name] - own_names[name]
             if count <= 0:
                 now[key] = node
@@ -94,9 +101,19 @@ def test_scan_flags_definitions_only_tests_read(tmp_path):
         "class Box:\n"
         "    def __init__(self):\n        self.n = 1\n"
         "    def size(self):\n        return self.n\n"
-        "    def spare(self):\n        return self.spare()\n",
+        "    def spare(self):\n        return self.spare()\n"
+        "class Record:\n"
+        "    width: int\n    depth: int = Record(width=1, depth=2).depth\n"
+        "class Kept:\n    a: int\n    def b(self):\n        return 0\n",
         encoding="utf-8",
     )
-    cli.write_text("import mod\nfrom mod import dead, spare\nspare = 1\nmod.used()\n", encoding="utf-8")
-    got = unread([mod], [mod, cli], {"mod.allowed": "a reason"})
-    assert got == ["mod.Box.spare", "mod.dead", "mod.only_dead_reads"]
+    cli.write_text(
+        "import mod\nfrom mod import dead, spare\nspare = 1\nmod.used()\n"
+        "mod.Kept(a=1).b\n",
+        encoding="utf-8",
+    )
+    got = unread([mod], [mod, cli], {"mod.allowed": "a reason", "mod.Kept.*": "a reason"})
+    assert got == [
+        "mod.Box.spare", "mod.Record", "mod.Record.depth", "mod.Record.width",
+        "mod.dead", "mod.only_dead_reads",
+    ]

@@ -51,9 +51,12 @@ def test_box_infinite_bounds():
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 17])
 def test_box_projection_is_np_clip_bitwise(dim):
     # signed zeros, nan and infinite values against finite, zero and infinite
-    # bounds; the bits of np.clip, at one point and for a stack
+    # bounds; the bits of np.clip, at one point and for a stack. An orthant
+    # is the box [0, inf) or (-inf, 0], with the bits of np.maximum(z, 0)
+    # or np.minimum(z, 0), except that numpy's clip of a stack of 1-D points
+    # keeps the sign of -0.0, as for every 1-D box
     rng = np.random.default_rng(dim)
-    values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -1.0, 0.5, 1.0, 3.0, 1e-320])
+    values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -1.0, 0.5, 1.0, 3.0, 1e-320, -1e-320])
     for lo_choices, hi_choices in (
         ([0.0], [1.0]),
         ([-0.0], [0.0]),
@@ -66,6 +69,15 @@ def test_box_projection_is_np_clip_bitwise(dim):
         for shape in ((dim,), (7, dim)):
             z = rng.choice(values, shape)
             assert box.project(z).tobytes() == np.clip(z, lo, hi).tobytes()
+    for orthant, extreme in ((OrthantCone(dim, 1), np.maximum), (OrthantCone(dim, -1), np.minimum)):
+        assert isinstance(orthant, BoxSet)
+        for shape in ((dim,), (7, dim)):
+            z = rng.choice(values, shape)
+            got, old = orthant.project(z), extreme(z, 0.0)
+            assert got.tobytes() == np.clip(z, orthant.lo, orthant.hi).tobytes()
+            assert got.tobytes() == old.tobytes() or (
+                shape == (7, 1) and np.array_equal(got, old, equal_nan=True)
+            )
 
 
 def test_box_rejects_bad_bounds():
@@ -82,6 +94,17 @@ def test_box_near_boundary():
     assert box.near_boundary(np.array([1e-8]), 1e-6)
     assert box.near_boundary(np.array([1.0 - 1e-8]), 1e-6)
     assert not box.near_boundary(np.array([0.5]), 1e-6)
+    # an orthant's one finite bound is 0: near it means |z_i| <= tol for some
+    # i (an infinite z at the infinite bound gives inf - inf, masked out)
+    values = [-np.inf, -1.0, -1e-7, -0.0, 0.0, 1e-7, 1.0, np.inf, np.nan]
+    for sign in (1, -1):
+        orthant = OrthantCone(2, sign)
+        for a in values:
+            for b in values:
+                z = np.array([a, b])
+                with np.errstate(invalid="ignore"):
+                    near = orthant.near_boundary(z, 1e-6)
+                assert near == bool((np.abs(z) <= 1e-6).any())
 
 
 def test_whole_space_identity_and_polar():

@@ -146,7 +146,7 @@ def test_spg_step_failure_on_inconsistent_oracle():
         hvp_xy=lambda x, y, v: np.zeros_like(np.asarray(v, float)),
     )
     prob = MinimaxProblem(f=f, X=WholeSpace(1), Y=WholeSpace(1))
-    cfg = EnvelopeConfig(eta=1.0, alpha=2.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=1.0, alpha=2.0)
     res = solve_spg(prob, cfg, SolverConfig(), np.array([1.0]), np.array([0.0]))
     assert not res.converged
     assert res.failure == "StepFailure"
@@ -384,7 +384,7 @@ def test_subgda_rejects_nonconvex_x():
         strong_concavity=1.0,
     )
     prob = MinimaxProblem(f=f, X=TwoPoints(), Y=WholeSpace(1))
-    cfg = EnvelopeConfig(eta=0.25, alpha=8.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=0.25, alpha=8.0)
     with pytest.raises(UnsupportedSet):
         solve_subgda(prob, cfg, SolverConfig(), np.array([1.0]), np.array([0.0]))
 
@@ -404,7 +404,7 @@ def test_gda_converges_on_decoupled_saddle():
         hvp_xy=lambda x, y, v: np.zeros_like(np.asarray(v, float)),
     )
     prob = MinimaxProblem(f=f, X=BoxSet([-1.0], [1.0]), Y=WholeSpace(1))
-    cfg = EnvelopeConfig(eta=1.0, alpha=2.0, mu=1.0)
+    cfg = EnvelopeConfig(eta=1.0, alpha=2.0)
     res = solve_gda_baseline(
         prob, cfg, SolverConfig(gtol=1e-9), np.array([1.0]), np.array([0.5])
     )
@@ -437,6 +437,23 @@ def test_negative_x_step_rejected(monkeypatch):
                 scfg = SolverConfig(max_iter=max_iter, **{name: value})
                 with pytest.raises(ValueError, match=f"{name}={value}"):
                     solve(prob, cfg, scfg, z0, y0)
+
+
+def test_alpha_below_the_problem_threshold_rejected(monkeypatch):
+    # the threshold is checked against the solved problem's modulus, once
+    # per solve and before the start is evaluated: a config made for a
+    # larger mu cannot carry a small alpha into the solvers
+    inst = make_synthetic(3, 3, 1.0, 1)
+    prob = inst.lifted.problem
+    eta = 1.0 / (2.0 * prob.lipschitz)
+    assert prob.mu == 1.0 and EnvelopeConfig.threshold(eta, prob.mu) > 15.0
+    cfg = EnvelopeConfig(eta=eta, alpha=1.0)
+    z0, y0 = inst.default_start()
+    monkeypatch.setattr(solvers, "evaluate", None)
+    scfg = SolverConfig(max_iter=50)
+    for solve in (solve_spg, solve_subgda, solve_gda_baseline, select_gda_step):
+        with pytest.raises(ValueError, match="threshold"):
+            solve(prob, cfg, scfg, z0, y0)
 
 
 def test_zero_steps_accepted():
