@@ -256,23 +256,18 @@ CHECKS = (
 )
 
 
-def run_battery(verbose: bool = True) -> int:
+def run_battery() -> int:
     """Run every check; print a line per result; return failure count."""
     failures = 0
     for name, fn in CHECKS:
         try:
-            detail = fn()
-            if verbose:
-                print(f"[PASS] {name}: {detail}")
+            print(f"[PASS] {name}: {fn()}")
         except AssertionError as exc:
             failures += 1
-            if verbose:
-                print(f"[FAIL] {name}: {exc}")
+            print(f"[FAIL] {name}: {exc}")
         except Exception as exc:  # noqa: BLE001 - battery reports, never crashes
             failures += 1
-            if verbose:
-                print(f"[FAIL] {name}: unexpected {type(exc).__name__}: {exc}")
-    if verbose:
-        total = len(CHECKS)
-        print(f"{total - failures}/{total} checks passed")
+            print(f"[FAIL] {name}: unexpected {type(exc).__name__}: {exc}")
+    total = len(CHECKS)
+    print(f"{total - failures}/{total} checks passed")
     return failures

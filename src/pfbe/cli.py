@@ -272,16 +272,15 @@ def rows_to_csv(rows) -> str:
     return "\n".join([CSV_HEADER] + [r.csv() for r in rows]) + "\n"
 
 
-def print_table(rows, stream=None) -> None:
-    stream = stream or sys.stdout
+def print_table(rows) -> None:
     cols = CSV_HEADER.split(",")
     widths = [8, 5, 5, 6, 5, 11, 7, 10, 10, 8]
     head = "  ".join(c.rjust(w) for c, w in zip(cols, widths))
-    print(head, file=stream)
-    print("-" * len(head), file=stream)
+    print(head)
+    print("-" * len(head))
     for r in rows:
         cells = r.csv().split(",")
-        print("  ".join(c.rjust(w) for c, w in zip(cells, widths)), file=stream)
+        print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
 
 
 def _exit_code(rows) -> int:
@@ -363,7 +362,7 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     from .checks import run_battery
 
-    failures = run_battery(verbose=True)
+    failures = run_battery()
     return 1 if failures else 0
 
 

@@ -182,9 +182,6 @@ class FunctionOracle:
         if not (self.strong_concavity > 0 and np.isfinite(self.strong_concavity)):
             raise ValueError("strong_concavity must be a positive finite float")
 
-    def value(self, x: Vector, y: Vector) -> float:
-        return float(self.eval(x, y))
-
 
 @dataclass(frozen=True)
 class ProxRegularizer:
@@ -314,25 +311,16 @@ class CoupledProblem:
         return self.c.dim
 
 
-def _fd_steps(x: Vector, y: Vector, h: Optional[float], scale: float) -> tuple[float, float]:
-    if h is not None:
-        if not h > 0:
-            raise ValueError("finite-difference step must be positive")
-        return float(h), float(h)
-    hx = scale * (1.0 + float(np.linalg.norm(x)))
-    hy = scale * (1.0 + float(np.linalg.norm(y)))
-    return hx, hy
-
-
-def fd_gradient(oracle: FunctionOracle, x, y, h: Optional[float] = None) -> tuple[Vector, Vector]:
+def fd_gradient(oracle: FunctionOracle, x, y) -> tuple[Vector, Vector]:
     """Central-difference gradient of ``oracle.eval`` in both blocks.
 
-    The default step is ``sqrt(eps) * (1 + ||block||)`` per block. Raises
+    The step is ``sqrt(eps) * (1 + ||block||)`` per block. Raises
     :class:`NonFiniteValue` if any probe evaluation is non-finite.
     """
     x = as_vector(x, what="x")
     y = as_vector(y, what="y")
-    hx, hy = _fd_steps(x, y, h, _SQRT_EPS)
+    hx = _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
+    hy = _SQRT_EPS * (1.0 + float(np.linalg.norm(y)))
 
     def probe(xp, yp) -> float:
         return float(check_finite(oracle.eval(xp, yp), "oracle value"))
@@ -350,13 +338,12 @@ def fd_gradient(oracle: FunctionOracle, x, y, h: Optional[float] = None) -> tupl
     return gx, gy
 
 
-def _fd_directional(grad_fn, x: Vector, y: Vector, v: Vector, h: Optional[float]) -> Vector:
+def _fd_directional(grad_fn, x: Vector, y: Vector, v: Vector) -> Vector:
     norm_v = float(np.linalg.norm(v))
     if norm_v == 0.0:
         raise ZeroDirection("finite-difference HVP needs a nonzero direction")
     unit = v / norm_v
-    if h is None:
-        h = _CBRT_EPS * (1.0 + float(np.linalg.norm(y)))
+    h = _CBRT_EPS * (1.0 + float(np.linalg.norm(y)))
     gp = np.asarray(grad_fn(x, y + h * unit), dtype=np.float64)
     gm = np.asarray(grad_fn(x, y - h * unit), dtype=np.float64)
     check_finite(gp, "gradient probe")
@@ -364,17 +351,17 @@ def _fd_directional(grad_fn, x: Vector, y: Vector, v: Vector, h: Optional[float]
     return (gp - gm) / (2.0 * h) * norm_v
 
 
-def fd_hvp_yy(oracle: FunctionOracle, x, y, v, h: Optional[float] = None) -> Vector:
+def fd_hvp_yy(oracle: FunctionOracle, x, y, v) -> Vector:
     """Central-difference ``hvp_yy`` along ``v`` (step ``~eps^(1/3)`` scaled)."""
     x = as_vector(x, what="x")
     y = as_vector(y, what="y")
     v = as_vector(v, y.shape[0], "direction")
-    return _fd_directional(oracle.grad_y, x, y, v, h)
+    return _fd_directional(oracle.grad_y, x, y, v)
 
 
-def fd_hvp_xy(oracle: FunctionOracle, x, y, v, h: Optional[float] = None) -> Vector:
+def fd_hvp_xy(oracle: FunctionOracle, x, y, v) -> Vector:
     """Central-difference ``hvp_xy`` along the y-direction ``v``."""
     x = as_vector(x, what="x")
     y = as_vector(y, what="y")
     v = as_vector(v, y.shape[0], "direction")
-    return _fd_directional(oracle.grad_x, x, y, v, h)
+    return _fd_directional(oracle.grad_x, x, y, v)

@@ -39,6 +39,9 @@ __all__ = [
     "transfer_constant",
 ]
 
+CERTIFY_TOL = 1e-6
+POLAR_CONVEXITY_TOL = 1e-10
+
 
 def stationarity_gamma(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> float:
     """Unnormalized prox-gradient residual of the penalized objective at
@@ -99,23 +102,15 @@ class Certificate:
     multiplier_ratio: float
     transfer_factor: float
     transfer_ok: bool
-    tol: float
     passed: bool
 
 
-def certify(
-    lifted: LiftedProblem,
-    cfg: EnvelopeConfig,
-    x,
-    lam,
-    y,
-    tol: float = 1e-6,
-) -> Certificate:
+def certify(lifted: LiftedProblem, cfg: EnvelopeConfig, x, lam, y) -> Certificate:
     """Build a :class:`Certificate` at a candidate lifted solution.
 
     ``passed`` requires the unnormalized penalized-stationarity residual,
     the base-problem feasibility, and the complementarity gap to all sit
-    below ``tol``. ``transfer_ok`` checks the minimax residual pair
+    below ``CERTIFY_TOL``. ``transfer_ok`` checks the minimax residual pair
     against ``transfer_factor * stat`` with a 10% surrogate margin. Both
     come from one envelope evaluation: ``stat`` is
     :func:`stationarity_gamma` and the pair :func:`eps_minimax_mm`, taken
@@ -134,7 +129,7 @@ def certify(
     transfer_ok = (eps_x <= margin * factor * stat + NORM_FLOOR) and (
         eps_y <= margin * factor * stat + NORM_FLOOR
     )
-    passed = stat <= tol and feas <= tol and comp <= tol
+    passed = stat <= CERTIFY_TOL and feas <= CERTIFY_TOL and comp <= CERTIFY_TOL
     return Certificate(
         stat_gamma=stat,
         eps_x=eps_x,
@@ -144,21 +139,16 @@ def certify(
         multiplier_ratio=ratio,
         transfer_factor=factor,
         transfer_ok=transfer_ok,
-        tol=tol,
         passed=passed,
     )
 
 
-def check_polar_convexity(
-    coupled: CoupledProblem,
-    sample_points,
-    tol: float = 1e-10,
-) -> bool:
+def check_polar_convexity(coupled: CoupledProblem, sample_points) -> bool:
     """Midpoint-convexity check of ``y -> <lam, c(x, y)>`` for sampled data.
 
     ``sample_points`` yields ``(x, lam, y1, y2)`` tuples with ``lam`` in
     the polar cone. Returns True when every midpoint inequality holds
-    within ``tol``.
+    within ``POLAR_CONVEXITY_TOL``.
     """
     for x, lam, y1, y2 in sample_points:
         x = as_vector(x, coupled.dim_x, "x")
@@ -171,6 +161,6 @@ def check_polar_convexity(
             float(lam @ np.asarray(coupled.c.eval_c(x, y1), dtype=np.float64))
             + float(lam @ np.asarray(coupled.c.eval_c(x, y2), dtype=np.float64))
         )
-        if val_mid > val_avg + tol:
+        if val_mid > val_avg + POLAR_CONVEXITY_TOL:
             return False
     return True

@@ -33,6 +33,8 @@ from .core import (
 from .envelope import minimax_residual
 from .sets import BoxSet, ProductSet, composite_prox
 
+KKT_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class LiftedProblem:
@@ -200,7 +202,7 @@ class KktResidual(NamedTuple):
         return max(self.x, self.y, self.lam)
 
 
-def kkt_residual_mol(lifted: LiftedProblem, x, lam, y, tol: float = 1e-9) -> KktResidual:
+def kkt_residual_mol(lifted: LiftedProblem, x, lam, y) -> KktResidual:
     """Residuals of the lifted first-order system at ``(x, lam, y)``.
 
     The three blocks, the norms of the lifted problem's
@@ -211,7 +213,7 @@ def kkt_residual_mol(lifted: LiftedProblem, x, lam, y, tol: float = 1e-9) -> Kkt
     * ``y``:   ``0 in -(grad_y g - grad_y c . lam) + N_Y``
     * ``lam``: ``0 in -c(x, y) + N_polar(lam)``
 
-    Preconditions: ``lam`` in the polar cone and ``y in Y`` within ``tol``
+    Preconditions: ``lam`` in the polar cone and ``y in Y`` within ``KKT_TOL``
     (:meth:`ProjectableSet.contains`, which a nan fails); violations raise
     :class:`PreconditionViolation`.
     """
@@ -219,9 +221,9 @@ def kkt_residual_mol(lifted: LiftedProblem, x, lam, y, tol: float = 1e-9) -> Kkt
     x = as_vector(x, lifted.n, "x")
     lam = as_vector(lam, lifted.m, "lam")
     y = as_vector(y, base.dim_y, "y")
-    if not lifted.polar_cone.contains(lam, tol):
+    if not lifted.polar_cone.contains(lam, KKT_TOL):
         raise PreconditionViolation("multiplier lies outside the polar cone")
-    if not base.Y.contains(y, tol):
+    if not base.Y.contains(y, KKT_TOL):
         raise PreconditionViolation("y lies outside Y")
 
     rz, ry = minimax_residual(lifted.problem, lifted.join(x, lam), y)

@@ -44,9 +44,11 @@ from .lagrangian import LiftedProblem, lift
 from .rng import NormalStream
 from .sets import BoxSet, OrthantCone, WholeSpace
 
+POWER_MAX_ITER = 500
+POWER_TOL = 1e-13
 
-def spectral_norm_power(matvec: Callable[[Vector], Vector], dim: int,
-                        max_iter: int = 500, tol: float = 1e-13) -> float:
+
+def spectral_norm_power(matvec: Callable[[Vector], Vector], dim: int) -> float:
     """Spectral norm of a symmetric operator by power iteration on its square.
 
     Deterministic start (normalized ones vector); iterating on the
@@ -58,13 +60,13 @@ def spectral_norm_power(matvec: Callable[[Vector], Vector], dim: int,
     w = np.ones(dim) / np.sqrt(dim)
     prev = 0.0
     nz = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         z = matvec(matvec(w))
         nz = float(np.linalg.norm(z))
         if nz == 0.0:
             return 0.0
         w = z / nz
-        if abs(nz - prev) <= tol * max(1.0, nz):
+        if abs(nz - prev) <= POWER_TOL * max(1.0, nz):
             break
         prev = nz
     return float(np.sqrt(nz))
@@ -98,10 +100,6 @@ class SyntheticInstance:
     b: np.ndarray
     coupled: CoupledProblem
     lifted: LiftedProblem
-
-    @property
-    def m(self) -> int:
-        return min(self.n, self.p)
 
     def default_start(self) -> tuple[Vector, Vector]:
         return self.lifted.default_start()

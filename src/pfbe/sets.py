@@ -23,7 +23,6 @@ from .core import (
     as_points,
     as_vector,
     row_dot,
-    zero_regularizer,
 )
 
 
@@ -50,9 +49,9 @@ class BoxSet(ProjectableSet):
 
     def near_boundary(self, z: Vector, tol: float) -> bool:
         z = as_vector(z, self.dim, "point")
-        near_lo = np.isfinite(self.lo) & (np.abs(z - self.lo) <= tol)
-        near_hi = np.isfinite(self.hi) & (np.abs(z - self.hi) <= tol)
-        return bool((near_lo | near_hi).any())
+        lo, hi = np.isfinite(self.lo), np.isfinite(self.hi)  # inf - inf would warn
+        return bool((np.abs(z[lo] - self.lo[lo]) <= tol).any()
+                    or (np.abs(z[hi] - self.hi[hi]) <= tol).any())
 
     def __repr__(self):
         return f"BoxSet(lo={self.lo!r}, hi={self.hi!r})"
@@ -171,7 +170,7 @@ class ProductSet(ProjectableSet):
         return f"ProductSet({list(self.parts)!r})"
 
 
-def composite_prox(reg: ProxRegularizer | None, set_: ProjectableSet, z, step: float) -> Vector:
+def composite_prox(reg: ProxRegularizer, set_: ProjectableSet, z, step: float) -> Vector:
     """Prox of ``step * reg + indicator(set_)`` at ``z``.
 
     Supported exactly when the regularizer is zero, the set is the whole
@@ -188,7 +187,7 @@ def composite_prox(reg: ProxRegularizer | None, set_: ProjectableSet, z, step: f
     if z.ndim > 1:
         if (np.asarray(step) < 0).any():
             raise ValueError("prox step must be nonnegative")
-        if reg is None or reg.is_zero:
+        if reg.is_zero:
             return set_.project(z)
         steps = np.broadcast_to(step, z.shape[:-1] + (1,))[..., 0]
         return np.array(
@@ -196,7 +195,7 @@ def composite_prox(reg: ProxRegularizer | None, set_: ProjectableSet, z, step: f
         ).reshape(z.shape)
     if step < 0:
         raise ValueError("prox step must be nonnegative")
-    if reg is None or reg.is_zero or step == 0.0:
+    if reg.is_zero or step == 0.0:
         return set_.project(z)
     if reg.attached_set is set_:
         return np.asarray(reg.prox(z, step), dtype=np.float64)
@@ -216,5 +215,4 @@ __all__ = [
     "BallSet",
     "ProductSet",
     "composite_prox",
-    "zero_regularizer",
 ]

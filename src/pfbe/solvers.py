@@ -578,15 +578,12 @@ def select_gda_step(
     return min(results, key=lambda s: (results[s], s)), results
 
 
-def gamma_descent_check(gamma_trace, slack: Optional[float] = None) -> bool:
-    """True when the objective trace is nonincreasing up to a small slack.
-
-    Default slack is ``1e-8 * (1 + |gamma_0|)``, absorbing rounding in
-    long traces.
+def gamma_descent_check(gamma_trace) -> bool:
+    """True when the objective trace is nonincreasing up to a slack of
+    ``1e-8 * (1 + |gamma_0|)``, absorbing rounding in long traces.
     """
     g = np.asarray(gamma_trace, dtype=np.float64)
     if g.size <= 1:
         return True
-    if slack is None:
-        slack = 1e-8 * (1.0 + abs(float(g[0])))
+    slack = 1e-8 * (1.0 + abs(float(g[0])))
     return bool(np.all(np.diff(g) <= slack))

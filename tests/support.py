@@ -42,7 +42,7 @@ def synthetic_reference(inst, x):
     ``||clip(x - grad phi, 0, 1) - x||`` is a first-order minimax residual of
     the constrained problem that uses only ``B``, ``b`` and ``c``.
     """
-    m = inst.m
+    m = inst.lifted.m
     a = inst.B.T @ x
     y_star = a.copy()
     y_star[:m] = np.minimum(a[:m], inst.c - x[:m])

@@ -5,7 +5,7 @@ from pfbe.cli import main as cli_main
 
 
 def test_battery_reports_zero_failures(capsys):
-    failures = run_battery(verbose=True)
+    failures = run_battery()
     out = capsys.readouterr().out
     assert failures == 0
     assert out.count("[PASS]") == len(CHECKS)

@@ -145,15 +145,6 @@ def test_fd_gradient_matches_closed_form():
         assert np.linalg.norm(gy - ey) <= 1e-5 * (1.0 + np.linalg.norm(ey))
 
 
-def test_fd_gradient_explicit_step():
-    oracle = _cubic_oracle()
-    gx, gy = fd_gradient(oracle, [1.0, 1.0], [1.0, 1.0], h=1e-6)
-    assert np.allclose(gx, [2.0, 1.0], atol=1e-6)
-    assert np.allclose(gy, [-1.0, 1.0], atol=1e-6)
-    with pytest.raises(ValueError):
-        fd_gradient(oracle, [1.0, 1.0], [1.0, 1.0], h=0.0)
-
-
 def test_fd_gradient_nonfinite_probe():
     bad = FunctionOracle(
         eval=lambda x, y: float("nan"),
@@ -214,9 +205,9 @@ def test_strong_concavity_witness_quadratic():
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
         yp = rng.standard_normal(3)
-        lhs = oracle.value(x, yp)
+        lhs = float(oracle.eval(x, yp))
         rhs = (
-            oracle.value(x, y)
+            float(oracle.eval(x, y))
             + float(np.dot(oracle.grad_y(x, y), yp - y))
             - 0.5 * mu * float(np.dot(yp - y, yp - y))
         )

@@ -156,7 +156,7 @@ def _reg_problem(kappa=0.5, n=3):
 
 def _reference_envelope(prob, kappa, cfg, x, y):
     # direct transcription of the defining formulas
-    f = prob.f.value(x, y)
+    f = float(prob.f.eval(x, y))
     gy = prob.f.grad_y(x, y)
     T = (y + cfg.eta * gy) / (1.0 + cfg.eta * kappa)
     R = (T - y) / cfg.eta
@@ -239,7 +239,7 @@ def test_sandwich_inequalities():
         lower = ev.f_val - r2y + 0.5 * cfg.eta * rr
         assert ev.psi - lower >= -1e-10
         upper_gap = (
-            prob.f.value(z, ev.T) - r2T
+            float(prob.f.eval(z, ev.T)) - r2T
             - ev.psi
             - 0.5 * cfg.eta * (1.0 - cfg.eta * L) * rr
         )

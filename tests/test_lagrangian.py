@@ -24,7 +24,7 @@ from pfbe.envelope import EnvelopeConfig, evaluate
 from pfbe.lagrangian import kkt_residual_mol, lift, multiplier_bound_monitor
 from pfbe.problems import make_example1, make_synthetic, synthetic_from_data
 from pfbe.sets import BallSet, BoxSet, OrthantCone, ProductSet, WholeSpace, ZeroCone
-from pfbe.solvers import SolverConfig, solve_spg
+from pfbe.solvers import SolverConfig, select_gda_step, solve_gda_baseline, solve_spg
 from support import synthetic_reference
 
 
@@ -51,11 +51,11 @@ def test_lifted_value_is_lagrangian():
     rng = np.random.default_rng(61)
     for _ in range(50):
         x = rng.uniform(0, 1, size=4)
-        lam = rng.uniform(0, 2, size=inst.m)
+        lam = rng.uniform(0, 2, size=inst.lifted.m)
         y = rng.standard_normal(5)
         z = lifted.join(x, lam)
-        direct = base.g.value(x, y) - float(lam @ base.c.eval_c(x, y))
-        assert np.isclose(lifted.problem.f.value(z, y), direct, rtol=1e-14, atol=1e-14)
+        direct = float(base.g.eval(x, y)) - float(lam @ base.c.eval_c(x, y))
+        assert np.isclose(float(lifted.problem.f.eval(z, y)), direct, rtol=1e-14, atol=1e-14)
 
 
 def test_lifted_gradients_blockwise():
@@ -65,7 +65,7 @@ def test_lifted_gradients_blockwise():
     rng = np.random.default_rng(62)
     for _ in range(50):
         x = rng.uniform(0, 1, size=3)
-        lam = rng.uniform(0, 2, size=inst.m)
+        lam = rng.uniform(0, 2, size=inst.lifted.m)
         y = rng.standard_normal(4)
         z = lifted.join(x, lam)
         gz = lifted.problem.f.grad_x(z, y)
@@ -187,7 +187,7 @@ def test_lift_zero_constraint_reduces_to_plain_lagrangian():
     y = np.array([1.0])
     gz = lifted.problem.f.grad_x(z, y)
     assert gz[1] == 0.0
-    assert lifted.problem.f.value(z, y) == base.g.value(np.array([2.0]), y)
+    assert float(lifted.problem.f.eval(z, y)) == float(base.g.eval(np.array([2.0]), y))
     res = kkt_residual_mol(lifted, [2.0], [3.0], [1.0])
     assert res.lam == 0.0
 
@@ -336,7 +336,7 @@ def test_strong_duality_one_dimensional():
         # the lifted oracle evaluated at its own inner argmax y = x - lam reproduces H
         y_inner = np.array([xv - lam_star])
         z = lifted.join(np.array([xv]), np.array([lam_star]))
-        assert abs(lifted.problem.f.value(z, y_inner) - dual) <= 1e-12
+        assert abs(float(lifted.problem.f.eval(z, y_inner)) - dual) <= 1e-12
 
 
 def test_stationary_points_match_value_function_minima():
@@ -355,12 +355,24 @@ def test_stationary_points_match_value_function_minima():
 
 
 # ---------------------------------------------------------------------------
-# active multipliers: SPG solutions against the lift-free reference
+# active multipliers: SPG and tuned GDA solutions against the lift-free reference
 
 
-@pytest.mark.parametrize("c", [0.0, -0.5])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_spg_solution_matches_the_lift_free_reference(c, seed):
+def _solve_active(solver, prob, cfg, z0, y0):
+    """SPG, or GDA at the step ``pfbe run`` tunes with its default grid and
+    pilot budget."""
+    if solver == "spg":
+        return solve_spg(prob, cfg, SolverConfig(), z0, y0)
+    step, _ = select_gda_step(prob, cfg, SolverConfig(), z0, y0, pilot_iters=1000)
+    return solve_gda_baseline(prob, cfg, SolverConfig(eta_x=step, eta_y=step), z0, y0)
+
+
+@pytest.mark.parametrize("solver, seed, c", [
+    # the SPG rows carry no solver in their ids
+    pytest.param(solver, seed, c, id=f"{seed}-{c}" + ("" if solver == "spg" else "-gda"))
+    for solver in ("spg", "gda") for c in (0.0, -0.5) for seed in (1, 2, 3)
+])
+def test_spg_solution_matches_the_lift_free_reference(solver, seed, c):
     # at c <= 0 the coupled constraint binds, so some multipliers are
     # active and the lifted box clips the others at 0; the returned point is
     # checked against the reference by the criterion-3 bound
@@ -368,7 +380,7 @@ def test_spg_solution_matches_the_lift_free_reference(c, seed):
     inst = make_synthetic(10, 10, c, seed)
     prob = inst.lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
-    res = solve_spg(prob, cfg, SolverConfig(), *inst.default_start())
+    res = _solve_active(solver, prob, cfg, *inst.default_start())
     x, lam = inst.lifted.split(res.x)
     raw = stationarity_gamma(prob, cfg, res.x, res.y)
     bound = transfer_constant(prob, cfg) * raw * 1.1

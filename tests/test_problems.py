@@ -76,7 +76,7 @@ def test_make_synthetic_draw_order():
 
 def test_make_synthetic_fields():
     inst = make_synthetic(4, 7, 0.5, 3)
-    assert inst.n == 4 and inst.p == 7 and inst.m == 4
+    assert inst.n == 4 and inst.p == 7 and inst.lifted.m == 4
     assert inst.c == 0.5 and inst.seed == 3
     assert inst.lifted.problem.mu == inst.coupled.g.strong_concavity == 1.0
     assert abs(np.linalg.norm(inst.b) - 1.0) <= 1e-14
@@ -109,7 +109,7 @@ def test_synthetic_from_data_no_normalization():
 
 def test_synthetic_oracle_formulas():
     inst = make_synthetic(5, 3, 1.5, 11)
-    B, b, m = inst.B, inst.b, inst.m
+    B, b, m = inst.B, inst.b, inst.lifted.m
     g = inst.coupled.g
     con = inst.coupled.c
     rng = np.random.default_rng(12)
@@ -119,7 +119,7 @@ def test_synthetic_oracle_formulas():
         lam = rng.uniform(0, 2, size=m)
         v = rng.standard_normal(3)
         assert np.isclose(
-            g.value(x, y), b @ x + x @ B @ y - 0.5 * y @ y, rtol=1e-14, atol=1e-14
+            float(g.eval(x, y)), b @ x + x @ B @ y - 0.5 * y @ y, rtol=1e-14, atol=1e-14
         )
         assert np.allclose(g.grad_x(x, y), b + B @ y, atol=1e-14)
         assert np.allclose(g.grad_y(x, y), B.T @ x - y, atol=1e-14)
@@ -140,8 +140,8 @@ def test_inner_argmax_zeroes_lifted_y_gradient():
     rng = np.random.default_rng(22)
     for _ in range(25):
         x = rng.uniform(0, 1, size=4)
-        lam = rng.uniform(0, 3, size=inst.m)
-        ystar = inst.B.T @ x - np.concatenate([lam, np.zeros(inst.p - inst.m)])
+        lam = rng.uniform(0, 3, size=inst.lifted.m)
+        ystar = inst.B.T @ x - np.concatenate([lam, np.zeros(inst.p - inst.lifted.m)])
         z = lifted.join(x, lam)
         gy = lifted.problem.f.grad_y(z, ystar)
         assert np.linalg.norm(gy) <= 1e-12
@@ -177,7 +177,7 @@ def test_one_power_iteration_per_instance(monkeypatch):
     for n, p in [(3, 3), (5, 2), (2, 6)]:
         calls.clear()
         inst = make_synthetic(n, p, 1.0, 7)
-        assert calls == [n + inst.m + p]  # the lifted Hessian's dimension
+        assert calls == [n + inst.lifted.m + p]  # the lifted Hessian's dimension
         assert inst.coupled.g.lipschitz_grad == inst.lifted.problem.lipschitz
 
 
@@ -207,7 +207,7 @@ def test_example1_oracles_hand_values():
     con = inst.coupled.c
     x, y = np.array([2.0]), np.array([3.0])
     # g = -(y - 2x)^2 / 2 = -(3 - 4)^2 / 2
-    assert g.value(x, y) == -0.5
+    assert float(g.eval(x, y)) == -0.5
     assert g.grad_x(x, y).tolist() == [2.0 * (3.0 - 4.0)]
     assert g.grad_y(x, y).tolist() == [-(3.0 - 4.0)]
     # c = (y - x, y - x^4)
@@ -243,7 +243,7 @@ def test_example1_minimax_point_attains_value_min():
     # the value function -x^2/2 is least on [1, 10] at x = 10
     xs = np.linspace(1.0, 10.0, 1001)
     assert -0.5 * x[0] ** 2 == (-0.5 * xs**2).min()
-    assert inst.coupled.g.value(x, y) == -50.0
+    assert float(inst.coupled.g.eval(x, y)) == -50.0
 
 
 def test_example1_structure():
