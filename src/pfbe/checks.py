@@ -75,8 +75,8 @@ def _check_projection_optimality():
 def _check_oracles_fd():
     rng = np.random.default_rng(2)
     for inst in (make_synthetic(3, 2, 1.0, seed=3), make_example1()):
-        g = inst.coupled.g
-        n, p = inst.coupled.dim_x, inst.coupled.dim_y
+        base = inst.lifted.base
+        g, n, p = base.g, base.dim_x, base.dim_y
         for _ in range(10):
             x = rng.uniform(0.5, 2.0, size=n)
             y = rng.normal(size=p)
@@ -92,7 +92,7 @@ def _check_oracles_fd():
 def _check_concavity_witness():
     rng = np.random.default_rng(3)
     inst = make_synthetic(4, 5, 1.0, seed=4)
-    g = inst.coupled.g
+    g = inst.lifted.base.g
     for _ in range(25):
         x = rng.uniform(size=4)
         y = rng.normal(size=5)
@@ -115,7 +115,7 @@ def _check_polar_convexity():
         )
         for _ in range(50)
     ]
-    assert check_polar_convexity(inst.coupled, samples)
+    assert check_polar_convexity(inst.lifted.base, samples)
     return "polar-weighted constraint is midpoint convex in y"
 
 
@@ -125,7 +125,7 @@ def _check_multiplier_gradient():
     z = lifted.join(np.array([0.2, 0.8, 0.5]), np.array([0.1, 0.0, 2.0]))
     y = np.array([0.3, -0.4, 1.2])
     grad = lifted.problem.f.grad_x(z, y)
-    cval = inst.coupled.c.eval_c(z[:3], y)
+    cval = inst.lifted.base.c.eval_c(z[:3], y)
     assert np.array_equal(grad[3:], -cval), "multiplier gradient is not -c"
     return "lifted multiplier gradient equals -c(x, y) exactly"
 
@@ -207,7 +207,7 @@ def _check_example1_kkt():
     x, lam, y = inst.spurious_point()
     ratio = multiplier_bound_monitor(inst.lifted, x, lam, y)
     assert abs(ratio - np.sqrt(5.0) / 6.0) <= 1e-12, f"monitor {ratio}"
-    feas = feasibility_mcc(inst.coupled, x, y)
+    feas = feasibility_mcc(inst.lifted.base, x, y)
     assert feas == 0.0
     return "both lifted stationary points verified; monitor = sqrt(5)/6"
 
@@ -231,10 +231,10 @@ def _check_solver_descent():
     prob = inst.lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
     scfg = SolverConfig(max_iter=3000, gtol=1e-8)
-    res = solve_spg(prob, cfg, scfg, *inst.default_start())
+    res = solve_spg(prob, cfg, scfg, *inst.lifted.default_start())
     assert res.converged, f"SPG stalled at stat={res.stat}"
     sub_cfg = SolverConfig(max_iter=400, gtol=1e-300, eta_x=1e-4)
-    sub = solve_subgda(prob, cfg, sub_cfg, *inst.default_start())
+    sub = solve_subgda(prob, cfg, sub_cfg, *inst.lifted.default_start())
     assert gamma_descent_check(sub.trace["gamma"]), "two-timescale trace not descending"
     return f"SPG converged in {res.iter} iters; small-step trace is monotone"
 

@@ -266,7 +266,10 @@ class ConstraintOracle:
     ``dc_y`` and ``hvp_xy_lam`` are given, and otherwise the envelope
     falls back to finite differences (see :func:`pfbe.lagrangian.lift`).
     ``hvp_*_lam`` are the second derivatives of ``(x, y) -> <lam, c(x, y)>``
-    along y-directions; they vanish when ``linear_in_y`` is set.
+    along y-directions. ``linear_in_y`` declares ``c`` affine in ``y``, so
+    ``hvp_yy_lam`` vanishes; it stands in for a missing ``hvp_xy_lam``
+    only when ``c(x, y) = A y + a(x)`` with a constant ``A`` (a given one
+    is always used).
     ``stacks`` declares, as for :class:`FunctionOracle`, that every
     callable also takes stacks of points, row by row bit for bit.
     """

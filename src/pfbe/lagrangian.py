@@ -109,8 +109,11 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     ``c.hvp_yy_lam``; ``hvp_xy`` needs ``g.hvp_xy`` and either a
     ``linear_in_y`` constraint (its multiplier block ``-dc(x, y)[v]`` is
     then ``c.dc_y`` or the exact forward difference of ``c.eval_c``) or
-    both ``c.hvp_xy_lam`` and ``c.dc_y``. An absent product is taken by
-    the envelope's finite differences of the lifted gradient, which set
+    both ``c.hvp_xy_lam`` and ``c.dc_y``. A given ``c.hvp_xy_lam`` or
+    ``c.hvp_yy_lam`` is always subtracted; ``linear_in_y`` takes a missing
+    one as zero, which for ``hvp_xy_lam`` is right only when ``c(x, y) =
+    A y + a(x)`` with a constant ``A``. An absent product is taken by the
+    envelope's finite differences of the lifted gradient, which set
     ``used_fd_hvp``.
     """
     g, con = coupled.g, coupled.c
@@ -150,7 +153,7 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
         def hvp_yy(z, y, v):
             x, lam = split(z)
             out = np.asarray(g.hvp_yy(x, y, v), dtype=np.float64)
-            if not con.linear_in_y:
+            if con.hvp_yy_lam is not None:
                 out = out - np.asarray(con.hvp_yy_lam(x, y, lam, v), dtype=np.float64)
             return out
 
@@ -162,7 +165,7 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
         def hvp_xy(z, y, v):
             x, lam = split(z)
             top = np.asarray(g.hvp_xy(x, y, v), dtype=np.float64)
-            if not con.linear_in_y:
+            if con.hvp_xy_lam is not None:
                 top = top - np.asarray(con.hvp_xy_lam(x, y, lam, v), dtype=np.float64)
             if con.dc_y is not None:
                 dc = np.asarray(con.dc_y(x, y, v), dtype=np.float64)

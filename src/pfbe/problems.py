@@ -27,7 +27,7 @@ qualification can sit away from any constrained minimax point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -89,24 +89,19 @@ def _matvec(A: np.ndarray, v: Vector) -> Vector:
 @dataclass(frozen=True, eq=False)
 class SyntheticInstance:
     """One generated bilinearly-coupled instance with its lifted problem;
-    ``lifted`` and ``coupled.g`` both declare the lifted coupling's
+    ``lifted`` and ``lifted.base.g`` both declare the lifted coupling's
     gradient Lipschitz constant."""
 
-    n: int
-    p: int
-    c: float
-    seed: Optional[int]
     B: np.ndarray
     b: np.ndarray
-    coupled: CoupledProblem
     lifted: LiftedProblem
 
-    def default_start(self) -> tuple[Vector, Vector]:
-        return self.lifted.default_start()
 
-
-def _synthetic_oracles(B: np.ndarray, b: np.ndarray, c_value: float):
-    """The coupling and constraint callables; each takes a point or a stack."""
+def _synthetic_oracles(
+    B: np.ndarray, b: np.ndarray, c_value: float, L_lift: float
+) -> tuple[FunctionOracle, ConstraintOracle]:
+    """The coupling ``g`` and the constraint ``c``; each callable takes a
+    point or a stack."""
     n, p = B.shape
     m = min(n, p)
 
@@ -137,40 +132,6 @@ def _synthetic_oracles(B: np.ndarray, b: np.ndarray, c_value: float):
     def c_dc_y(x, y, v):
         return np.asarray(v, dtype=np.float64)[..., :m].copy()
 
-    return g_eval, g_grad_x, g_grad_y, g_hvp_yy, g_hvp_xy, c_eval, c_jvp_x, c_jvp_y, c_dc_y
-
-
-def _synthetic_hessian_matvec(B: np.ndarray) -> Callable[[Vector], Vector]:
-    """Matvec of the full symmetric quadratic block over (x, lam, y)."""
-    n, p = B.shape
-    m = min(n, p)
-
-    def matvec(v: Vector) -> Vector:
-        vx, vl, vy = v[:n], v[n : n + m], v[n + m :]
-        out_x = B @ vy - _pad(vl, n)
-        out_l = -(vx[:m] + vy[:m])
-        out_y = B.T @ vx - _pad(vl, p) - vy
-        return np.concatenate([out_x, out_l, out_y])
-
-    return matvec
-
-
-def synthetic_from_data(B, b, c_value: float, seed: Optional[int] = None) -> SyntheticInstance:
-    """Build the synthetic instance from explicit ``B`` and ``b`` (as given,
-    no normalization), e.g. for pinned tiny cases."""
-    B = np.asarray(B, dtype=np.float64)
-    if B.ndim != 2:
-        raise ValueError("B must be a matrix")
-    n, p = B.shape
-    b = as_vector(b, n, "b")
-    m = min(n, p)
-
-    (g_eval, g_grad_x, g_grad_y, g_hvp_yy, g_hvp_xy,
-     c_eval, c_jvp_x, c_jvp_y, c_dc_y) = _synthetic_oracles(B, b, c_value)
-
-    # g declares it too: by interlacing it bounds g's constant
-    L_lift = spectral_norm_power(_synthetic_hessian_matvec(B), n + m + p)
-
     g = FunctionOracle(
         eval=g_eval,
         grad_x=g_grad_x,
@@ -190,6 +151,36 @@ def synthetic_from_data(B, b, c_value: float, seed: Optional[int] = None) -> Syn
         linear_in_y=True,
         stacks=True,
     )
+    return g, con
+
+
+def _synthetic_hessian_matvec(B: np.ndarray) -> Callable[[Vector], Vector]:
+    """Matvec of the full symmetric quadratic block over (x, lam, y)."""
+    n, p = B.shape
+    m = min(n, p)
+
+    def matvec(v: Vector) -> Vector:
+        vx, vl, vy = v[:n], v[n : n + m], v[n + m :]
+        out_x = B @ vy - _pad(vl, n)
+        out_l = -(vx[:m] + vy[:m])
+        out_y = B.T @ vx - _pad(vl, p) - vy
+        return np.concatenate([out_x, out_l, out_y])
+
+    return matvec
+
+
+def synthetic_from_data(B, b, c_value: float) -> SyntheticInstance:
+    """Build the synthetic instance from explicit ``B`` and ``b`` (as given,
+    no normalization), e.g. for pinned tiny cases."""
+    B = np.asarray(B, dtype=np.float64)
+    if B.ndim != 2:
+        raise ValueError("B must be a matrix")
+    n, p = B.shape
+    b = as_vector(b, n, "b")
+    m = min(n, p)
+    # g declares it too: by interlacing it bounds g's constant
+    L_lift = spectral_norm_power(_synthetic_hessian_matvec(B), n + m + p)
+    g, con = _synthetic_oracles(B, b, c_value, L_lift)
     coupled = CoupledProblem(
         g=g,
         c=con,
@@ -197,10 +188,7 @@ def synthetic_from_data(B, b, c_value: float, seed: Optional[int] = None) -> Syn
         Y=WholeSpace(p),
         K=OrthantCone(m, sign=-1),
     )
-    lifted = lift(coupled, lipschitz_grad=L_lift)
-    return SyntheticInstance(
-        n=n, p=p, c=float(c_value), seed=seed, B=B, b=b, coupled=coupled, lifted=lifted
-    )
+    return SyntheticInstance(B=B, b=b, lifted=lift(coupled, lipschitz_grad=L_lift))
 
 
 def make_synthetic(n: int, p: int, c_value: float = 1.0, seed: int = 1) -> SyntheticInstance:
@@ -219,14 +207,13 @@ def make_synthetic(n: int, p: int, c_value: float = 1.0, seed: int = 1) -> Synth
     if nb < 1e-300:
         raise DegenerateNormalization("draw of b has zero norm")
     b = b / nb
-    return synthetic_from_data(B, b, c_value, seed=seed)
+    return synthetic_from_data(B, b, c_value)
 
 
 @dataclass(frozen=True, eq=False)
 class Example1Instance:
     """The 1-D polynomial-constraint example and its lifted problem."""
 
-    coupled: CoupledProblem
     lifted: LiftedProblem
 
     def spurious_point(self) -> tuple[Vector, Vector, Vector]:
@@ -240,9 +227,6 @@ class Example1Instance:
     def minimax_point(self) -> tuple[Vector, Vector, Vector]:
         """The true constrained minimax point with its recovered multiplier."""
         return (np.array([10.0]), np.array([10.0, 0.0]), np.array([10.0]))
-
-    def default_start(self) -> tuple[Vector, Vector]:
-        return self.lifted.default_start()
 
 
 def make_example1() -> Example1Instance:
@@ -302,5 +286,4 @@ def make_example1() -> Example1Instance:
     # no global constant exists for the lift (the x-lam cross term grows
     # like 4 x^3); this bound covers x in [1, 10] and multipliers up to
     # the recovered value 10 at the solution set
-    lifted = lift(coupled, lipschitz_grad=5000.0)
-    return Example1Instance(coupled=coupled, lifted=lifted)
+    return Example1Instance(lifted=lift(coupled, lipschitz_grad=5000.0))

@@ -45,7 +45,12 @@ class BoxSet(ProjectableSet):
     def project(self, z: Vector) -> Vector:
         # the clip ufunc np.clip calls, without its dispatch; np.minimum and
         # np.maximum can pick the other zero of a signed-zero tie
-        return as_points(z, self.dim, "point").clip(self.lo, self.hi)
+        z = as_points(z, self.dim, "point")
+        if self.dim == 1 and z.ndim > 1:
+            # bounds broadcast down a (k, 1) stack keep -0.0 where the 1-D
+            # call does not; filled out to the stack, they give its bits
+            return z.clip(np.full(z.shape, self.lo[0]), np.full(z.shape, self.hi[0]))
+        return z.clip(self.lo, self.hi)
 
     def near_boundary(self, z: Vector, tol: float) -> bool:
         z = as_vector(z, self.dim, "point")

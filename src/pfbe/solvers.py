@@ -416,8 +416,7 @@ def solve_spg(
         x, y = ev.x, ev.y
         recent.append(ev.gamma)
         gamma_ref = max(recent)
-        # np.clip's bits: with 0 < STEP_MIN <= STEP_MAX no signed zeros tie
-        tk = float(min(max(t, STEP_MIN), STEP_MAX))
+        tk = t  # in [STEP_MIN, STEP_MAX]: every assignment of t keeps it there
         for _ in range(LS_MAX_HALVINGS + 1):
             xt = composite_prox(problem.r1, problem.X, x - tk * ev.grad_x, tk)
             yt = composite_prox(problem.r2, problem.Y, y - tk * ev.grad_y, tk * (cfg.alpha - 1.0))

@@ -31,8 +31,9 @@ def grid_value_function(coupled, x_grid, y_grid):
     return phi, y_star
 
 
-def synthetic_reference(inst, x):
-    """Lift-free first-order quantities of a synthetic instance at ``x``.
+def synthetic_reference(inst, c, x):
+    """Lift-free first-order quantities at ``x`` of a synthetic instance
+    made at level ``c``.
 
     With ``a = B^T x``, the inner maximum over ``{y : x_i + y_i <= c, i < m}``
     is separable: ``y*_i = min(a_i, c - x_i)`` for ``i < m`` and ``a_i``
@@ -45,8 +46,8 @@ def synthetic_reference(inst, x):
     m = inst.lifted.m
     a = inst.B.T @ x
     y_star = a.copy()
-    y_star[:m] = np.minimum(a[:m], inst.c - x[:m])
-    lam_star = np.maximum(0.0, a[:m] + x[:m] - inst.c)
+    y_star[:m] = np.minimum(a[:m], c - x[:m])
+    lam_star = np.maximum(0.0, a[:m] + x[:m] - c)
     grad = inst.b + inst.B @ y_star
     grad[:m] -= lam_star
     return float(np.linalg.norm(np.clip(x - grad, 0.0, 1.0) - x)), y_star, lam_star

@@ -59,7 +59,7 @@ def test_criterion_1_example1_fidelity():
     # brute force recovers the closed-form value function -x^2/2 on [1, 10];
     # aligned x/y grids make the scan exact up to rounding
     grid = np.linspace(1.0, 10.0, 361)
-    phi, _ = grid_value_function(inst.coupled, grid, grid)
+    phi, _ = grid_value_function(inst.lifted.base, grid, grid)
     brute_err = float(np.max(np.abs(phi - (-0.5 * grid**2))))
     resolution = float(grid[1] - grid[0])
     elapsed = time.perf_counter() - started
@@ -199,7 +199,7 @@ def test_criterion_3_transfer_bound_across_solves():
                 inst = make_synthetic(n, n, c, seed)
                 prob = inst.lifted.problem
                 cfg = EnvelopeConfig.for_problem(prob)
-                z0, y0 = inst.default_start()
+                z0, y0 = inst.lifted.default_start()
                 const = transfer_constant(prob, cfg)
                 results = [
                     solve_spg(prob, cfg, SolverConfig(), z0, y0),
@@ -342,13 +342,13 @@ def test_criterion_6_solver_benchmark_targets():
             inst = make_synthetic(n, n, 1.0, seed)
             prob = inst.lifted.problem
             cfg = EnvelopeConfig.for_problem(prob)
-            z0, y0 = inst.default_start()
+            z0, y0 = inst.lifted.default_start()
 
             started = time.perf_counter()
             spg = solve_spg(prob, cfg, SolverConfig(), z0, y0)
             spg_time = time.perf_counter() - started
             x_base, _ = inst.lifted.split(spg.x)
-            feas = feasibility_mcc(inst.coupled, x_base, spg.y)
+            feas = feasibility_mcc(inst.lifted.base, x_base, spg.y)
             assert spg.converged and spg.stat <= 1e-7
             assert feas <= 1e-6
             assert spg.iter < 5000
@@ -444,7 +444,7 @@ def test_criterion_8_two_timescale_monotone_descent():
     inst = make_synthetic(5, 5, 1.0, 1)
     prob = inst.lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
-    z0, y0 = inst.default_start()
+    z0, y0 = inst.lifted.default_start()
     # gtol far below reach forces the full iteration budget
     res = solve_subgda(
         prob, cfg, SolverConfig(max_iter=10000, gtol=1e-300, record_trace=True), z0, y0

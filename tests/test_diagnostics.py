@@ -117,10 +117,10 @@ def test_transfer_bound_holds_on_random_points():
 
 def test_feasibility_values():
     inst = make_example1()
-    assert feasibility_mcc(inst.coupled, [2.0], [3.0]) == pytest.approx(1.0, abs=1e-15)
-    assert feasibility_mcc(inst.coupled, [2.0], [1.0]) == 0.0
+    assert feasibility_mcc(inst.lifted.base, [2.0], [3.0]) == pytest.approx(1.0, abs=1e-15)
+    assert feasibility_mcc(inst.lifted.base, [2.0], [1.0]) == 0.0
     # distance accounts for every violated component
-    assert feasibility_mcc(inst.coupled, [1.0], [2.0]) == pytest.approx(
+    assert feasibility_mcc(inst.lifted.base, [1.0], [2.0]) == pytest.approx(
         np.sqrt(2.0), abs=1e-15
     )
 
@@ -153,7 +153,7 @@ def test_certificate_fails_off_solution():
 def test_kkt_and_certify_take_the_one_minimax_residual(c):
     # on example 1 (c None) and on synthetic instances, multipliers active
     inst = make_example1() if c is None else make_synthetic(10, 10, c, 3)
-    lifted, base = inst.lifted, inst.coupled
+    lifted, base = inst.lifted, inst.lifted.base
     prob = lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
     rng = np.random.default_rng(8)
@@ -188,7 +188,7 @@ def test_brute_force_example1_exact_on_aligned_grids():
     # maximum land exactly on the analytic value function -x^2/2
     inst = make_example1()
     grid = np.linspace(1.0, 10.0, 181)
-    phi, y_star = grid_value_function(inst.coupled, grid, grid)
+    phi, y_star = grid_value_function(inst.lifted.base, grid, grid)
     assert np.max(np.abs(phi - (-0.5 * grid**2))) <= 1e-12
     assert np.max(np.abs(y_star - grid)) == 0.0
     # the tabulated minimizer is the true one
@@ -239,7 +239,7 @@ def test_polar_convexity_linear_constraint():
         )
         for _ in range(100)
     ]
-    assert check_polar_convexity(inst.coupled, samples)
+    assert check_polar_convexity(inst.lifted.base, samples)
 
 
 def test_polar_convexity_detects_concave_constraint():

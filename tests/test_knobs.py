@@ -10,7 +10,9 @@ modules excepted) for two kinds of setting:
   module-level class, must be passed by keyword or by position, with a
   value whose source text differs from the default's, by some call of that
   name, ``name(...)`` or ``obj.name(...)``. The parameters of ``__init__``
-  count under the class name, and ``ALLOWED`` names the exceptions.
+  count under the class name. A defaulted field of a dataclass or a
+  ``NamedTuple`` is a parameter of its class too, and ``replace(obj,
+  field=...)`` also sets it. ``ALLOWED`` names the exceptions.
 
 A setting that only tests set is a knob no run of the program can turn; it
 belongs in a module constant.
@@ -18,6 +20,7 @@ belongs in a module constant.
 
 import ast
 from collections import defaultdict
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,8 +30,16 @@ CALLERS = MODULES + sorted(
     p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")
 )
 CONFIG = "SolverConfig"
-# "module.qualified_name(parameter)": why no caller needs to set it
-ALLOWED: dict = {}
+# "module.qualified_name(parameter)" or "module.Class.field", or a
+# pattern of them: why no caller needs to set it
+MODEL = "the paper's model; tests exercise them"
+ALLOWED = {
+    "cli.RunConfig.*": "from_dict sets each key a JSON config gives",
+    "core.MinimaxProblem.r2": MODEL,
+    "core.CoupledProblem.r1": MODEL,
+    "core.ConstraintOracle.hvp_xy_lam": MODEL,
+    "core.ConstraintOracle.hvp_yy_lam": MODEL,
+}
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -67,13 +78,33 @@ def never_set(solvers: Path, callers) -> list:
     return sorted(_fields(solvers) - used)
 
 
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a ``NamedTuple``: a class whose fields are parameters."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    names = {getattr(n, "id", getattr(n, "attr", None)) for n in decorators + cls.bases}
+    return bool(names & {"dataclass", "NamedTuple"})
+
+
+def _record_fields(cls: ast.ClassDef):
+    """The fields of a record class in order, and the source text of each
+    default by field name."""
+    fields = [item for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and "ClassVar" not in ast.unparse(item.annotation)]
+    return ([f.target.id for f in fields],
+            {f.target.id: ast.unparse(f.value) for f in fields if f.value is not None})
+
+
 def _defaulted(path: Path):
-    """``(key, callee, positional, defaults)`` for each module-level function
-    of ``path`` and each method of its module-level classes: the name calls
-    use, the parameters a call fills by position, and the source text of
-    each default by parameter name."""
+    """``(name, callee, positional, defaults)`` for each module-level function
+    of ``path``, each method of its module-level classes and each record
+    class: the name format of a parameter, the name calls use, the
+    parameters a call fills by position, and the source text of each
+    default by parameter name."""
     for node in _parse(path).body:
         owner = node if isinstance(node, ast.ClassDef) else None
+        if owner and _is_record(owner):
+            yield (f"{path.stem}.{owner.name}.{{}}", owner.name) + _record_fields(owner)
         for fn in owner.body if owner else [node]:
             if not isinstance(fn, _FUNCS):
                 continue
@@ -90,7 +121,7 @@ def _defaulted(path: Path):
                 positional = positional[1:]  # self or cls
             key = f"{path.stem}.{owner.name}.{fn.name}" if owner else f"{path.stem}.{fn.name}"
             callee = owner.name if owner and fn.name == "__init__" else fn.name
-            yield key, callee, positional, defaults
+            yield key + "({})", callee, positional, defaults
 
 
 def _passed(call: ast.Call, positional: list, param: str) -> list:
@@ -104,8 +135,9 @@ def _passed(call: ast.Call, positional: list, param: str) -> list:
 
 
 def defaults_never_set(modules, callers, allowed=ALLOWED) -> list:
-    """``module.qualified_name(parameter)`` for each defaulted parameter in
-    ``modules`` that no call in ``callers`` sets to another value."""
+    """``module.qualified_name(parameter)`` for each defaulted parameter, and
+    ``module.Class.field`` for each defaulted record field, in ``modules``
+    that no call in ``callers`` sets to another value."""
     calls = defaultdict(list)
     for path in callers:
         for node in ast.walk(_parse(path)):
@@ -113,13 +145,17 @@ def defaults_never_set(modules, callers, allowed=ALLOWED) -> list:
                 calls[_callee(node)].append(node)
     unset = []
     for path in modules:
-        for key, callee, positional, defaults in _defaulted(path):
+        for name_format, callee, positional, defaults in _defaulted(path):
+            # replace(obj, field=...) sets a field by keyword only
+            setters = [(call, positional) for call in calls[callee]]
+            if not name_format.endswith(")"):
+                setters += [(call, []) for call in calls["replace"]]
             for param, default in defaults.items():
-                name = f"{key}({param})"
-                if name in allowed:
+                name = name_format.format(param)
+                if any(fnmatchcase(name, pattern) for pattern in allowed):
                     continue
-                if not any(value != default for call in calls[callee]
-                           for value in _passed(call, positional, param)):
+                if not any(value != default for call, fill in setters
+                           for value in _passed(call, fill, param)):
                     unset.append(name)
     return sorted(unset)
 
@@ -181,3 +217,42 @@ def test_scan_flags_a_default_only_tests_set(tmp_path):
     assert got == [
         "mod.Box.grow(by)", "mod.by_keyword(h)", "mod.by_position(quiet)",
     ]
+
+
+def test_scan_flags_a_record_field_only_tests_set(tmp_path):
+    mod, cli = tmp_path / "mod.py", tmp_path / "cli.py"
+    mod.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar, NamedTuple\n"
+        "@dataclass(frozen=True)\n"
+        "class Config:\n"
+        "    size: int\n"
+        "    tol: float = 1e-6\n"
+        "    scale: float = 1.0\n"
+        "    tags: list = field(default_factory=list)\n"
+        "    LIMIT: ClassVar[int] = 3\n"
+        "    def with_tol(self, tol=1e-3):\n"
+        "        return dataclasses.replace(self, tol=tol)\n"
+        "@dataclasses.dataclass\n"
+        "class Run:\n"
+        "    seed: int = 0\n"
+        "    out: str = 'a.csv'\n"
+        "class Row(NamedTuple):\n"
+        "    x: float\n"
+        "    note: str = ''\n"
+        "    flag: bool = False\n"
+        "class Plain:\n"
+        "    level: int = 4\n",
+        encoding="utf-8",
+    )
+    cli.write_text(
+        "import mod\n"
+        "mod.Config(3, 1e-6, 2.0)\n"  # by position; tol only to its default
+        "mod.Config(3).with_tol(tol=1e-2)\n"
+        "mod.Row(1.0, flag=True)\n"
+        "mod.Run(seed=0)\n",
+        encoding="utf-8",
+    )
+    got = defaults_never_set([mod], [mod, cli], {"mod.Run.*": "a reason"})
+    assert got == ["mod.Config.tags", "mod.Row.note"]

@@ -6,6 +6,8 @@ formulas are compared against their dense matrix counterparts on
 seeded random points.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -76,15 +78,21 @@ def test_make_synthetic_draw_order():
 
 def test_make_synthetic_fields():
     inst = make_synthetic(4, 7, 0.5, 3)
-    assert inst.n == 4 and inst.p == 7 and inst.lifted.m == 4
-    assert inst.c == 0.5 and inst.seed == 3
-    assert inst.lifted.problem.mu == inst.coupled.g.strong_concavity == 1.0
+    assert inst.B.shape == (4, 7) and inst.lifted.m == 4
+    assert np.array_equal(inst.lifted.base.c.eval_c(np.zeros(4), np.zeros(7)), np.full(4, -0.5))
+    assert inst.lifted.problem.mu == inst.lifted.base.g.strong_concavity == 1.0
     assert abs(np.linalg.norm(inst.b) - 1.0) <= 1e-14
-    assert inst.coupled.dim_x == 4
-    assert inst.coupled.dim_y == 7
-    assert inst.coupled.dim_c == 4
+    assert inst.lifted.base.dim_x == 4
+    assert inst.lifted.base.dim_y == 7
+    assert inst.lifted.base.dim_c == 4
     assert inst.lifted.problem.dim_x == 4 + 4  # x block plus multipliers
     assert inst.lifted.problem.dim_y == 7
+
+
+def test_an_instance_is_its_draw_and_its_lifted_problem():
+    # the coupled problem and the start are read from the lifted problem
+    assert [f.name for f in fields(SyntheticInstance)] == ["B", "b", "lifted"]
+    assert [f.name for f in fields(Example1Instance)] == ["lifted"]
 
 
 def test_make_synthetic_rejects_bad_sizes_and_seeds():
@@ -110,8 +118,8 @@ def test_synthetic_from_data_no_normalization():
 def test_synthetic_oracle_formulas():
     inst = make_synthetic(5, 3, 1.5, 11)
     B, b, m = inst.B, inst.b, inst.lifted.m
-    g = inst.coupled.g
-    con = inst.coupled.c
+    g = inst.lifted.base.g
+    con = inst.lifted.base.c
     rng = np.random.default_rng(12)
     for _ in range(50):
         x = rng.uniform(0, 1, size=5)
@@ -141,7 +149,7 @@ def test_inner_argmax_zeroes_lifted_y_gradient():
     for _ in range(25):
         x = rng.uniform(0, 1, size=4)
         lam = rng.uniform(0, 3, size=inst.lifted.m)
-        ystar = inst.B.T @ x - np.concatenate([lam, np.zeros(inst.p - inst.lifted.m)])
+        ystar = inst.B.T @ x - np.concatenate([lam, np.zeros(lifted.base.dim_y - lifted.m)])
         z = lifted.join(x, lam)
         gy = lifted.problem.f.grad_y(z, ystar)
         assert np.linalg.norm(gy) <= 1e-12
@@ -153,7 +161,7 @@ def test_spectral_norm_power_matches_dense():
         dense_g = np.linalg.norm(_dense_base_hessian(inst.B), 2)
         dense_l = np.linalg.norm(_dense_lifted_hessian(inst.B), 2)
         # g declares the lifted constant, which bounds its own by interlacing
-        assert dense_g <= inst.coupled.g.lipschitz_grad
+        assert dense_g <= inst.lifted.base.g.lipschitz_grad
         assert abs(inst.lifted.problem.lipschitz - dense_l) <= 1e-9 * dense_l
 
 
@@ -165,7 +173,7 @@ def test_base_lipschitz_closed_form():
     expect = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * s * s))
     dense_g = np.linalg.norm(_dense_base_hessian(inst.B), 2)
     assert abs(dense_g - expect) <= 1e-9 * expect
-    assert dense_g <= inst.coupled.g.lipschitz_grad
+    assert dense_g <= inst.lifted.base.g.lipschitz_grad
 
 
 def test_one_power_iteration_per_instance(monkeypatch):
@@ -178,7 +186,7 @@ def test_one_power_iteration_per_instance(monkeypatch):
         calls.clear()
         inst = make_synthetic(n, p, 1.0, 7)
         assert calls == [n + inst.lifted.m + p]  # the lifted Hessian's dimension
-        assert inst.coupled.g.lipschitz_grad == inst.lifted.problem.lipschitz
+        assert inst.lifted.base.g.lipschitz_grad == inst.lifted.problem.lipschitz
 
 
 def test_spectral_norm_power_simple_matrix():
@@ -189,11 +197,11 @@ def test_spectral_norm_power_simple_matrix():
 
 def test_default_start_feasible():
     inst = make_synthetic(3, 4, 1.0, 5)
-    z0, y0 = inst.default_start()
+    z0, y0 = inst.lifted.default_start()
     assert inst.lifted.problem.X.contains(z0)
     assert inst.lifted.problem.Y.contains(y0)
     x0, lam0 = inst.lifted.split(z0)
-    assert inst.coupled.X.contains(x0)
+    assert inst.lifted.base.X.contains(x0)
     assert inst.lifted.polar_cone.contains(lam0)
 
 
@@ -203,8 +211,8 @@ def test_default_start_feasible():
 
 def test_example1_oracles_hand_values():
     inst = make_example1()
-    g = inst.coupled.g
-    con = inst.coupled.c
+    g = inst.lifted.base.g
+    con = inst.lifted.base.c
     x, y = np.array([2.0]), np.array([3.0])
     # g = -(y - 2x)^2 / 2 = -(3 - 4)^2 / 2
     assert float(g.eval(x, y)) == -0.5
@@ -223,16 +231,16 @@ def test_example1_gradient_lipschitz_is_hessian_norm():
     # Hessian of g is [[-4, 2], [2, -1]]: eigenvalues 0 and -5
     inst = make_example1()
     H = np.array([[-4.0, 2.0], [2.0, -1.0]])
-    assert inst.coupled.g.lipschitz_grad == np.linalg.norm(H, 2) == 5.0
+    assert inst.lifted.base.g.lipschitz_grad == np.linalg.norm(H, 2) == 5.0
 
 
 def test_example1_named_points_feasible():
     inst = make_example1()
     for x, lam, y in (inst.spurious_point(), inst.minimax_point()):
-        assert inst.coupled.X.contains(x)
+        assert inst.lifted.base.X.contains(x)
         assert inst.lifted.polar_cone.contains(lam)
         # y attains the binding constraint: c(x, y) <= 0 with equality in c1
-        cval = inst.coupled.c.eval_c(x, y)
+        cval = inst.lifted.base.c.eval_c(x, y)
         assert cval[0] == 0.0
         assert np.all(cval <= 1e-12)
 
@@ -243,16 +251,16 @@ def test_example1_minimax_point_attains_value_min():
     # the value function -x^2/2 is least on [1, 10] at x = 10
     xs = np.linspace(1.0, 10.0, 1001)
     assert -0.5 * x[0] ** 2 == (-0.5 * xs**2).min()
-    assert float(inst.coupled.g.eval(x, y)) == -50.0
+    assert float(inst.lifted.base.g.eval(x, y)) == -50.0
 
 
 def test_example1_structure():
     inst = make_example1()
-    assert inst.coupled.dim_x == 1
-    assert inst.coupled.dim_y == 1
-    assert inst.coupled.dim_c == 2
-    assert inst.lifted.problem.mu == inst.coupled.g.strong_concavity == 1.0
+    assert inst.lifted.base.dim_x == 1
+    assert inst.lifted.base.dim_y == 1
+    assert inst.lifted.base.dim_c == 2
+    assert inst.lifted.problem.mu == inst.lifted.base.g.strong_concavity == 1.0
     assert inst.lifted.problem.dim_x == 3
-    z0, y0 = inst.default_start()
+    z0, y0 = inst.lifted.default_start()
     assert inst.lifted.problem.X.contains(z0)
     assert inst.lifted.problem.Y.contains(y0)

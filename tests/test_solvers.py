@@ -113,7 +113,7 @@ def test_spg_example_two_point_set():
     inst = make_example1()
     prob = inst.lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
-    res = solve_spg(prob, cfg, SolverConfig(max_iter=20000), *inst.default_start())
+    res = solve_spg(prob, cfg, SolverConfig(max_iter=20000), *inst.lifted.default_start())
     assert res.converged
     x_final = res.x[0]
     assert min(abs(x_final - 1.0), abs(x_final - 10.0)) <= 1e-5
@@ -448,7 +448,7 @@ def test_alpha_below_the_problem_threshold_rejected(monkeypatch):
     eta = 1.0 / (2.0 * prob.lipschitz)
     assert prob.mu == 1.0 and EnvelopeConfig.threshold(eta, prob.mu) > 15.0
     cfg = EnvelopeConfig(eta=eta, alpha=1.0)
-    z0, y0 = inst.default_start()
+    z0, y0 = inst.lifted.default_start()
     monkeypatch.setattr(solvers, "evaluate", None)
     scfg = SolverConfig(max_iter=50)
     for solve in (solve_spg, solve_subgda, solve_gda_baseline, select_gda_step):
@@ -531,7 +531,7 @@ def test_select_gda_step_rejects_non_positive_or_non_finite_steps(entry):
     inst = make_synthetic(3, 3)
     prob = inst.lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
-    z0, y0 = inst.default_start()
+    z0, y0 = inst.lifted.default_start()
     with pytest.raises(ValueError, match="not finite and positive"):
         select_gda_step(prob, cfg, SolverConfig(), z0, y0, grid=[0.1, entry], pilot_iters=5)
 
@@ -561,7 +561,7 @@ def test_stacked_pilots_match_serial_pilots(make, stacks):
     prob = inst.lifted.problem
     assert prob.f.stacks is stacks
     cfg = EnvelopeConfig.for_problem(prob)
-    z0, y0 = inst.default_start()
+    z0, y0 = inst.lifted.default_start()
     scfg = SolverConfig(max_iter=1500)
     grid = DEFAULT_GDA_GRID + (2.0, 5.0, 20.0)
     best, scores = select_gda_step(prob, cfg, scfg, z0, y0, grid=grid, pilot_iters=300)
@@ -588,7 +588,7 @@ def test_stacked_run_rows_match_single_runs():
     inst = make_synthetic(3, 3, 1.0, 2)
     prob = inst.lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
-    z0, y0 = inst.default_start()
+    z0, y0 = inst.lifted.default_start()
     scfg = SolverConfig(max_iter=300, gtol=1e-4, record_trace=False)
     column = np.array([[1e-2], [0.1], [5.0]])
     step = solvers._gda_step(prob, column, column)
@@ -785,7 +785,7 @@ def _instance(name):
         return _no_hvp_problem()
     inst = make_example1() if name == "example1" else make_synthetic(*name)
     prob = inst.lifted.problem
-    return (prob, EnvelopeConfig.for_problem(prob)) + tuple(inst.default_start())
+    return (prob, EnvelopeConfig.for_problem(prob)) + tuple(inst.lifted.default_start())
 
 
 _INSTANCES = [(10, 10, 1.0, 1), (20, 20, 1.0, 2), (3, 3, 1.0, 2), "example1", "no_hvp"]
@@ -1037,7 +1037,7 @@ def test_pilot_residual_maps_match_reference_loop(make):
     inst = make()
     prob = inst.lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
-    z0, y0 = inst.default_start()
+    z0, y0 = inst.lifted.default_start()
     grid = DEFAULT_GDA_GRID + (2.0, 5.0, 20.0)
     scfg = SolverConfig(max_iter=300, record_trace=False)
     _, scores = select_gda_step(prob, cfg, scfg, z0, y0, grid=grid)
@@ -1070,14 +1070,14 @@ def test_spg_beats_gda_on_benchmark_instance():
     inst = make_synthetic(10, 10, 1.0, 1)
     prob = inst.lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
-    z0, y0 = inst.default_start()
+    z0, y0 = inst.lifted.default_start()
     scfg = SolverConfig(record_trace=False)
     spg = solve_spg(prob, cfg, scfg, z0, y0)
     assert spg.converged and spg.iter < 5000
     from pfbe.diagnostics import feasibility_mcc
 
     x_part, _ = inst.lifted.split(spg.x)
-    assert feasibility_mcc(inst.coupled, x_part, spg.y) <= 1e-6
+    assert feasibility_mcc(inst.lifted.base, x_part, spg.y) <= 1e-6
     best, _ = select_gda_step(prob, cfg, scfg, z0, y0, pilot_iters=1000)
     gda = solve_gda_baseline(
         prob, cfg, SolverConfig(eta_x=best, eta_y=best, record_trace=False), z0, y0
