@@ -1,4 +1,4 @@
-"""Problem containers, first-order oracles, and finite-difference probes.
+"""Problem containers, oracles, and the finite-difference probes of ``pfbe check``.
 
 Conventions used across the package:
 
@@ -19,6 +19,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TypeAlias
 
@@ -49,7 +50,7 @@ class DimensionError(PfbeError):
 
 
 class IncompleteOracle(PfbeError):
-    """A required oracle piece is missing (e.g. no fused prox for r2 + set)."""
+    """A required oracle piece is missing (e.g. no fused prox, or no HVP)."""
 
 
 class UnsupportedSet(PfbeError):
@@ -62,6 +63,11 @@ class DegenerateNormalization(PfbeError):
 
 class PreconditionViolation(PfbeError):
     """An input violates a documented precondition (e.g. multiplier outside the cone)."""
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool (a bool is an Integral)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def as_vector(z, dim: Optional[int] = None, what: str = "vector") -> Vector:
@@ -143,7 +149,7 @@ class ProjectableCone(ProjectableSet):
 
 @dataclass(frozen=True)
 class FunctionOracle:
-    """Smooth coupling function with first-order (and optional second-order) oracles.
+    """Smooth coupling function with first- and second-order oracles.
 
     Parameters
     ----------
@@ -152,12 +158,13 @@ class FunctionOracle:
     grad_x, grad_y : callable
         Partial gradients, ``(x, y) -> array``.
     lipschitz_grad : float
-        A Lipschitz constant for the full gradient map; must be positive.
+        A Lipschitz constant for the full gradient map; positive and finite.
     strong_concavity : float
-        Strong concavity modulus of ``y -> eval(x, y)``; must be positive.
-    hvp_yy, hvp_xy : callable, optional
-        Exact Hessian-vector products along y-directions. When missing,
-        consumers fall back to finite differences and flag the result.
+        Strong concavity modulus of ``y -> eval(x, y)``; positive and finite.
+    hvp_yy, hvp_xy : callable
+        Exact Hessian-vector products along y-directions, ``(x, y, v) ->
+        array``, which the envelope gradient needs. A value that is not
+        callable raises :class:`IncompleteOracle` at construction.
     stacks : bool
         Whether every callable also takes stacks of points, 2-D arrays
         with one point per row (and, for the products, one direction per
@@ -172,15 +179,18 @@ class FunctionOracle:
     grad_y: Callable[[Vector, Vector], Vector]
     lipschitz_grad: float
     strong_concavity: float
-    hvp_yy: Optional[Callable[[Vector, Vector, Vector], Vector]] = None
-    hvp_xy: Optional[Callable[[Vector, Vector, Vector], Vector]] = None
+    hvp_yy: Callable[[Vector, Vector, Vector], Vector]
+    hvp_xy: Callable[[Vector, Vector, Vector], Vector]
     stacks: bool = False
 
     def __post_init__(self):
-        if not (self.lipschitz_grad > 0 and np.isfinite(self.lipschitz_grad)):
-            raise ValueError("lipschitz_grad must be a positive finite float")
-        if not (self.strong_concavity > 0 and np.isfinite(self.strong_concavity)):
-            raise ValueError("strong_concavity must be a positive finite float")
+        for name in ("lipschitz_grad", "strong_concavity"):
+            value = getattr(self, name)
+            if not (is_real(value) and value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be a positive finite float, got {value!r}")
+        for name in ("hvp_yy", "hvp_xy"):
+            if not callable(getattr(self, name)):
+                raise IncompleteOracle(f"FunctionOracle.{name} must be callable")
 
 
 @dataclass(frozen=True)
@@ -259,17 +269,15 @@ class ConstraintOracle:
     """Coupled constraint map ``c : R^n x R^p -> R^m`` with adjoint products.
 
     ``jvp_x(x, y, lam) = grad_x <lam, c(x, y)>`` and likewise ``jvp_y``.
-    ``dc_y(x, y, v) = d/dt c(x, y + t v)`` is the forward derivative used
-    by the lifted mixed Hessian block. For a constraint affine in ``y``
-    the lift reconstructs it exactly from ``eval_c`` when it is missing;
-    for any other constraint the lifted ``hvp_xy`` exists only when both
-    ``dc_y`` and ``hvp_xy_lam`` are given, and otherwise the envelope
-    falls back to finite differences (see :func:`pfbe.lagrangian.lift`).
+    ``dc_y(x, y, v) = d/dt c(x, y + t v)`` is the forward derivative that
+    the lifted mixed Hessian block needs; a value that is not callable
+    raises :class:`IncompleteOracle` at construction.
     ``hvp_*_lam`` are the second derivatives of ``(x, y) -> <lam, c(x, y)>``
-    along y-directions. ``linear_in_y`` declares ``c`` affine in ``y``, so
-    ``hvp_yy_lam`` vanishes; it stands in for a missing ``hvp_xy_lam``
-    only when ``c(x, y) = A y + a(x)`` with a constant ``A`` (a given one
-    is always used).
+    along y-directions, which :func:`pfbe.lagrangian.lift` requires unless
+    ``linear_in_y`` declares ``c`` affine in ``y``. Then ``hvp_yy_lam``
+    vanishes, and a missing ``hvp_xy_lam`` is taken as zero, which is right
+    only when ``c(x, y) = A y + a(x)`` with a constant ``A`` (a given one is
+    always used).
     ``stacks`` declares, as for :class:`FunctionOracle`, that every
     callable also takes stacks of points, row by row bit for bit.
     """
@@ -278,11 +286,15 @@ class ConstraintOracle:
     eval_c: Callable[[Vector, Vector], Vector]
     jvp_x: Callable[[Vector, Vector, Vector], Vector]
     jvp_y: Callable[[Vector, Vector, Vector], Vector]
-    dc_y: Optional[Callable[[Vector, Vector, Vector], Vector]] = None
+    dc_y: Callable[[Vector, Vector, Vector], Vector]
     hvp_xy_lam: Optional[Callable[[Vector, Vector, Vector, Vector], Vector]] = None
     hvp_yy_lam: Optional[Callable[[Vector, Vector, Vector, Vector], Vector]] = None
     linear_in_y: bool = False
     stacks: bool = False
+
+    def __post_init__(self):
+        if not callable(self.dc_y):
+            raise IncompleteOracle("ConstraintOracle.dc_y must be callable")
 
 
 @dataclass(frozen=True)

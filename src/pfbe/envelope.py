@@ -14,7 +14,7 @@ penalized objective minimized by the solvers is
 
 whose smooth part ``Xi = alpha * psi - (alpha - 1) * f`` is differentiable
 wherever the prox is; its gradient needs two Hessian-vector products
-along ``R``:
+along ``R``, which every :class:`~pfbe.core.FunctionOracle` supplies exactly:
 
     grad_x Xi = grad_x f + alpha * eta * hvp_xy(R)
     grad_y Xi = alpha * (R + eta * hvp_yy(R)) - (alpha - 1) * grad_y f
@@ -61,8 +61,7 @@ from .core import (
     NonFiniteValue,
     Vector,
     check_finite,
-    fd_hvp_xy,
-    fd_hvp_yy,
+    is_real,
     row_dot,
 )
 from .sets import composite_prox
@@ -75,19 +74,20 @@ NORM_FLOOR = 1e-15  # reference norms below this leave a residual unnormalized
 class EnvelopeConfig:
     """Envelope step ``eta`` and penalty ``alpha``.
 
-    Raises ``ValueError`` at construction unless ``eta`` is positive and
-    finite and ``alpha`` is finite and ``>= 1``. The full threshold
-    ``alpha >= max(1, 2 / (eta * mu))`` needs the modulus ``mu`` of a
-    problem: :meth:`for_problem` checks it, and so does every solve.
+    Raises ``ValueError`` at construction unless ``eta`` is a positive
+    finite real number and ``alpha`` a finite real number ``>= 1`` (a bool
+    is neither). The full threshold ``alpha >= max(1, 2 / (eta * mu))``
+    needs the modulus ``mu`` of a problem: :meth:`for_problem` checks it,
+    and so does every solve.
     """
 
     eta: float
     alpha: float
 
     def __post_init__(self):
-        if not (self.eta > 0 and np.isfinite(self.eta)):
-            raise ValueError("eta must be positive and finite")
-        if not (self.alpha >= 1.0 and np.isfinite(self.alpha)):
+        if not (is_real(self.eta) and self.eta > 0 and np.isfinite(self.eta)):
+            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
+        if not (is_real(self.alpha) and self.alpha >= 1.0 and np.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and >= 1, got {self.alpha!r}")
 
     @staticmethod
@@ -116,7 +116,7 @@ class EnvelopeConfig:
             eta = min(1.0, 1.0 / (2.0 * problem.lipschitz))
         if alpha is None:
             alpha = cls.threshold(eta, problem.mu)
-        cfg = cls(eta=float(eta), alpha=float(alpha))
+        cfg = cls(eta=eta, alpha=alpha)
         cfg.check_threshold(problem.mu)
         return cfg
 
@@ -145,7 +145,6 @@ class EnvelopeEval:
     grad_x_f: Optional[Vector] = None
     grad_x: Optional[Vector] = None
     grad_y: Optional[Vector] = None
-    used_fd_hvp: bool = False
     finite: Optional[np.ndarray] = None
 
 
@@ -177,24 +176,17 @@ def _finite_rows(finite: Optional[np.ndarray], checked, *named) -> Optional[np.n
     return finite
 
 
-def _along_residual(f: FunctionOracle, hvp, fd_hvp, x, y, R, moving, dim: int):
-    """The Hessian-vector product ``hvp`` along ``R``, zero where ``R`` is
-    (``moving`` is False); a missing ``hvp`` is taken by finite differences,
-    row by row for a stack, where a non-finite probe fills its row with nan."""
+def _along_residual(f: FunctionOracle, hvp, x, y, R, moving, dim: int):
+    """The exact Hessian-vector product ``hvp`` of ``f`` along ``R``, zero
+    where ``R`` is (``moving`` is False); an oracle that does not take
+    stacks is called on each moving row of a stack in turn."""
     if R.ndim == 1:
-        if not moving:
-            return np.zeros(dim)
-        if hvp is None:
-            return fd_hvp(f, x, y, R)
-        return np.asarray(hvp(x, y, R), dtype=np.float64)
-    if hvp is not None and f.stacks:
+        return np.asarray(hvp(x, y, R), dtype=np.float64) if moving else np.zeros(dim)
+    if f.stacks:
         return np.where(moving[:, None], np.asarray(hvp(x, y, R), dtype=np.float64), 0.0)
     out = np.zeros((len(R), dim))
     for i in np.flatnonzero(moving):
-        try:
-            out[i] = _along_residual(f, hvp, fd_hvp, x[i], y[i], R[i], True, dim)
-        except NonFiniteValue:
-            out[i] = np.nan
+        out[i] = hvp(x[i], y[i], R[i])
     return out
 
 
@@ -248,9 +240,8 @@ def with_gradients(
     eta, alpha = cfg.eta, cfg.alpha
     gx = oracle_call(f, f.grad_x, x, y)
     moving = row_dot(R, R) != 0.0
-    hxy_r = _along_residual(f, f.hvp_xy, fd_hvp_xy, x, y, R, moving, problem.dim_x)
-    hyy_r = _along_residual(f, f.hvp_yy, fd_hvp_yy, x, y, R, moving, problem.dim_y)
-    used_fd = (f.hvp_xy is None or f.hvp_yy is None) and bool(np.any(moving))
+    hxy_r = _along_residual(f, f.hvp_xy, x, y, R, moving, problem.dim_x)
+    hyy_r = _along_residual(f, f.hvp_yy, x, y, R, moving, problem.dim_y)
     grad_x = gx + alpha * eta * hxy_r
     grad_y = alpha * (R + eta * hyy_r) - (alpha - 1.0) * ev.grad_y_f
     finite = _finite_rows(
@@ -260,7 +251,7 @@ def with_gradients(
     return EnvelopeEval(
         x=x, y=y, f_val=ev.f_val, grad_y_f=ev.grad_y_f, T=ev.T, R=R,
         psi=ev.psi, xi=ev.xi, gamma=ev.gamma,
-        grad_x_f=gx, grad_x=grad_x, grad_y=grad_y, used_fd_hvp=used_fd, finite=finite,
+        grad_x_f=gx, grad_x=grad_x, grad_y=grad_y, finite=finite,
     )
 
 

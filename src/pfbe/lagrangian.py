@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     CoupledProblem,
     FunctionOracle,
+    IncompleteOracle,
     MinimaxProblem,
     PreconditionViolation,
     ProxRegularizer,
@@ -104,20 +105,18 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     orthant is one), and a :class:`ProductSet` of the two otherwise.
 
     The lifted oracle takes stacks of points when both ``coupled.g`` and
-    ``coupled.c`` do. Its Hessian-vector products are exact or absent:
-    ``hvp_yy`` needs ``g.hvp_yy`` and, unless ``c`` is ``linear_in_y``,
-    ``c.hvp_yy_lam``; ``hvp_xy`` needs ``g.hvp_xy`` and either a
-    ``linear_in_y`` constraint (its multiplier block ``-dc(x, y)[v]`` is
-    then ``c.dc_y`` or the exact forward difference of ``c.eval_c``) or
-    both ``c.hvp_xy_lam`` and ``c.dc_y``. A given ``c.hvp_xy_lam`` or
-    ``c.hvp_yy_lam`` is always subtracted; ``linear_in_y`` takes a missing
-    one as zero, which for ``hvp_xy_lam`` is right only when ``c(x, y) =
-    A y + a(x)`` with a constant ``A``. An absent product is taken by the
-    envelope's finite differences of the lifted gradient, which set
-    ``used_fd_hvp``.
+    ``coupled.c`` do. Its Hessian-vector products are exact: ``hvp_yy`` is
+    ``g.hvp_yy - c.hvp_yy_lam`` and ``hvp_xy`` stacks ``g.hvp_xy -
+    c.hvp_xy_lam`` over the multiplier block ``-c.dc_y``. A constraint that
+    is not ``linear_in_y`` must give both ``hvp_xy_lam`` and
+    ``hvp_yy_lam``, or :class:`IncompleteOracle` is raised;
+    ``linear_in_y`` takes a missing one as zero, which for ``hvp_xy_lam``
+    is right only when ``c(x, y) = A y + a(x)`` with a constant ``A``.
     """
     g, con = coupled.g, coupled.c
     n, m = coupled.dim_x, con.dim
+    if not con.linear_in_y and (con.hvp_xy_lam is None or con.hvp_yy_lam is None):
+        raise IncompleteOracle("a constraint not linear_in_y needs hvp_xy_lam and hvp_yy_lam")
     polar = coupled.K.polar()
     if isinstance(coupled.X, BoxSet) and isinstance(polar, BoxSet):  # an orthant is a box
         X = coupled.X
@@ -147,38 +146,26 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
             con.jvp_y(x, y, lam), dtype=np.float64
         )
 
-    hvp_yy = None
-    if g.hvp_yy is not None and (con.linear_in_y or con.hvp_yy_lam is not None):
+    def hvp_yy(z, y, v):
+        x, lam = split(z)
+        out = np.asarray(g.hvp_yy(x, y, v), dtype=np.float64)
+        if con.hvp_yy_lam is not None:
+            out = out - np.asarray(con.hvp_yy_lam(x, y, lam, v), dtype=np.float64)
+        return out
 
-        def hvp_yy(z, y, v):
-            x, lam = split(z)
-            out = np.asarray(g.hvp_yy(x, y, v), dtype=np.float64)
-            if con.hvp_yy_lam is not None:
-                out = out - np.asarray(con.hvp_yy_lam(x, y, lam, v), dtype=np.float64)
-            return out
-
-    hvp_xy = None
-    if g.hvp_xy is not None and (
-        con.linear_in_y or (con.hvp_xy_lam is not None and con.dc_y is not None)
-    ):
-
-        def hvp_xy(z, y, v):
-            x, lam = split(z)
-            top = np.asarray(g.hvp_xy(x, y, v), dtype=np.float64)
-            if con.hvp_xy_lam is not None:
-                top = top - np.asarray(con.hvp_xy_lam(x, y, lam, v), dtype=np.float64)
-            if con.dc_y is not None:
-                dc = np.asarray(con.dc_y(x, y, v), dtype=np.float64)
-            else:  # affine in y, so the forward difference is exact
-                c0 = np.asarray(con.eval_c(x, y), dtype=np.float64)
-                dc = np.asarray(con.eval_c(x, y + v), dtype=np.float64) - c0
-            return np.concatenate([top, -dc], axis=-1)
+    def hvp_xy(z, y, v):
+        x, lam = split(z)
+        top = np.asarray(g.hvp_xy(x, y, v), dtype=np.float64)
+        if con.hvp_xy_lam is not None:
+            top = top - np.asarray(con.hvp_xy_lam(x, y, lam, v), dtype=np.float64)
+        dc = np.asarray(con.dc_y(x, y, v), dtype=np.float64)
+        return np.concatenate([top, -dc], axis=-1)
 
     oracle = FunctionOracle(
         eval=lp_eval,
         grad_x=lp_grad_x,
         grad_y=lp_grad_y,
-        lipschitz_grad=float(lipschitz_grad),
+        lipschitz_grad=lipschitz_grad,
         strong_concavity=g.strong_concavity,
         hvp_yy=hvp_yy,
         hvp_xy=hvp_xy,

@@ -38,6 +38,7 @@ from .core import (
     FunctionOracle,
     Vector,
     as_vector,
+    is_real,
     row_dot,
 )
 from .lagrangian import LiftedProblem, lift
@@ -53,10 +54,9 @@ def spectral_norm_power(matvec: Callable[[Vector], Vector], dim: int) -> float:
 
     Deterministic start (normalized ones vector); iterating on the
     squared operator avoids sign oscillation between extreme eigenvalue
-    pairs of equal magnitude.
+    pairs of equal magnitude. A zero operator, one of dimension 0
+    included, has norm 0.
     """
-    if dim == 0:
-        return 0.0
     w = np.ones(dim) / np.sqrt(dim)
     prev = 0.0
     nz = 0.0
@@ -171,7 +171,10 @@ def _synthetic_hessian_matvec(B: np.ndarray) -> Callable[[Vector], Vector]:
 
 def synthetic_from_data(B, b, c_value: float) -> SyntheticInstance:
     """Build the synthetic instance from explicit ``B`` and ``b`` (as given,
-    no normalization), e.g. for pinned tiny cases."""
+    no normalization), e.g. for pinned tiny cases, at the finite level
+    ``c_value``."""
+    if not (is_real(c_value) and np.isfinite(c_value)):
+        raise ValueError(f"c_value must be a finite real number, got {c_value!r}")
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
         raise ValueError("B must be a matrix")

@@ -22,6 +22,7 @@ from .core import (
     Vector,
     as_points,
     as_vector,
+    is_real,
     row_dot,
 )
 
@@ -125,7 +126,7 @@ class BallSet(ProjectableSet):
 
     def __init__(self, center, radius: float):
         self.center = as_vector(center, what="center")
-        if not (radius > 0 and np.isfinite(radius)):
+        if not (is_real(radius) and radius > 0 and np.isfinite(radius)):
             raise ValueError("radius must be positive and finite")
         self.radius = float(radius)
         self.dim = self.center.shape[0]

@@ -47,6 +47,7 @@ from .core import (
     NonFiniteValue,
     UnsupportedSet,
     Vector,
+    is_real,
     row_dot,
 )
 from .envelope import (
@@ -103,12 +104,13 @@ TEST_POINTS = 64
 class SolverConfig:
     """Iteration budget, tolerance, and step sizes shared by the solvers.
 
-    ``max_iter`` is an integer ``>= 0``. ``eta_x``/``eta_y`` are the
-    constant steps of the gradient methods, real numbers, with defaults
-    derived by each solver when None; each solver checks its steps once
-    before its loop. ``record_trace`` keeps the per-iterate ``gamma`` and
-    ``stat`` of a run from one point. The SPG step bounds are the module
-    constants ``STEP_INIT``, ``STEP_MIN`` and ``STEP_MAX``.
+    ``max_iter`` is an integer ``>= 0`` and ``gtol`` positive and finite.
+    ``eta_x``/``eta_y`` are the constant steps of the gradient methods,
+    real numbers (a bool is not one), with defaults derived by each solver
+    when None; each solver checks its steps once before its loop.
+    ``record_trace`` keeps the per-iterate ``gamma`` and ``stat`` of a run
+    from one point. The SPG step bounds are the module constants
+    ``STEP_INIT``, ``STEP_MIN`` and ``STEP_MAX``.
     """
 
     max_iter: int = 10000
@@ -125,10 +127,10 @@ class SolverConfig:
             raise ValueError("max_iter must be nonnegative")
         for name in ("eta_x", "eta_y"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, numbers.Real):
+            if value is not None and not is_real(value):
                 raise ValueError(f"{name} must be a real number or None, got {value!r}")
-        if not (self.gtol > 0):
-            raise ValueError("gtol must be positive")
+        if not (is_real(self.gtol) and self.gtol > 0 and math.isfinite(self.gtol)):
+            raise ValueError(f"gtol must be positive and finite, got {self.gtol!r}")
 
 
 @dataclass
@@ -171,7 +173,6 @@ class SolveResult:
     converged: bool
     trace: dict
     failure: Optional[str] = None
-    used_fd_hvp: bool = False
 
 
 def _set_feas(problem: MinimaxProblem, x: Vector, y: Vector):
@@ -202,7 +203,6 @@ class _Runs:
         self.iter = np.zeros(k, dtype=int)
         self.converged = np.zeros(k, dtype=bool)
         self.failure: list = [None] * k
-        self.used_fd = False
         self.trace_gamma: list = []
         self.trace_stat: list = []
 
@@ -219,7 +219,6 @@ class _Runs:
         point raises at a non-finite iterate."""
         if ev.finite is None:  # one iterate of a run from one point, evaluated alone
             stat = prox_grad_residual(self.problem, self.cfg, ev, self.ref)
-            self.used_fd = self.used_fd or ev.used_fd_hvp
             if self.scfg.record_trace:
                 self.trace_gamma.append(ev.gamma)
                 self.trace_stat.append(stat)
@@ -243,9 +242,6 @@ class _Runs:
             # evaluated alone, the iterate raises naming its first non-finite quantity
             evaluate(self.problem, self.cfg, ev.x[first[0]], ev.y[first[0]], need_grad=True)
             raise NonFiniteValue(f"non-finite evaluation at iterate {k0 + first[0]}")
-        if ev.used_fd_hvp:  # only the iterates up to each run's stop count
-            moving = np.reshape(row_dot(ev.R, ev.R) != 0.0, (m, w))
-            self.used_fd = self.used_fd or bool(moving[np.arange(m)[:, None] <= first].any())
         if self.one and self.scfg.record_trace:
             self.trace_gamma += ev.gamma[: first[0] + 1].tolist()
             self.trace_stat += stat[: first[0] + 1].tolist()
@@ -284,7 +280,6 @@ class _Runs:
                 x=self.x, y=self.y, fval=self.fval, iter=self.iter, stat=self.stat,
                 feas=_set_feas(self.problem, self.x, self.y), wall_time=wall_time,
                 converged=self.converged, trace={}, failure=tuple(self.failure),
-                used_fd_hvp=self.used_fd,
             )
         trace = {}
         if self.scfg.record_trace:
@@ -297,7 +292,7 @@ class _Runs:
             x=x, y=y, fval=float(self.fval[0]), iter=int(self.iter[0]),
             stat=float(self.stat[0]), feas=float(_set_feas(self.problem, x, y)),
             wall_time=wall_time, converged=bool(self.converged[0]), trace=trace,
-            failure=self.failure[0], used_fd_hvp=self.used_fd,
+            failure=self.failure[0],
         )
 
 
@@ -550,19 +545,21 @@ def select_gda_step(
     and returns the step with the smallest final ``stat``; ties break
     toward the smaller step. Also returns the per-step residual map, in
     which a pilot whose evaluation went non-finite scores ``inf``. An
-    empty grid, an entry that is not finite and positive, or a
+    empty grid, an entry that is not a finite positive real number (a
+    bool is not), or a
     ``pilot_iters`` that is not an integer ``>= 0`` raises ``ValueError``.
 
     The pilots run together as the rows of one stacked iterate, each with
     its own step, and each row leaves when its pilot ends; every row
     keeps the bits of the pilot run alone by :func:`solve_gda_baseline`.
     """
-    steps = DEFAULT_GDA_GRID if grid is None else tuple(sorted(float(s) for s in grid))
+    steps = DEFAULT_GDA_GRID if grid is None else tuple(grid)
     if not steps:
         raise ValueError("empty step grid")
     for s in steps:
-        if not (s > 0 and math.isfinite(s)):
-            raise ValueError(f"GDA step grid entry {s} is not finite and positive")
+        if not (is_real(s) and s > 0 and math.isfinite(s)):
+            raise ValueError(f"GDA step grid entry {s!r} is not finite and positive")
+    steps = tuple(sorted(float(s) for s in steps))
     budget = scfg.max_iter if pilot_iters is None else pilot_iters
     pilot_cfg = replace(scfg, max_iter=budget, record_trace=False)
     x0, y0 = problem.check_point(x0, y0)

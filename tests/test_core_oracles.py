@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from pfbe.core import (
+    ConstraintOracle,
     DimensionError,
     FunctionOracle,
+    IncompleteOracle,
     MinimaxProblem,
     NonFiniteValue,
     ZeroDirection,
@@ -122,15 +124,40 @@ def test_check_finite():
     assert check_finite(3) == 3 and check_finite(np.float32(2.0)) == 2.0
 
 
+def _zero_hvp(x, y, v):
+    return np.zeros(1)
+
+
 def test_function_oracle_rejects_bad_constants():
     dummy = lambda x, y: 0.0
     dummyg = lambda x, y: np.zeros(1)
+    hvps = dict(hvp_yy=_zero_hvp, hvp_xy=_zero_hvp)
     with pytest.raises(ValueError):
-        FunctionOracle(dummy, dummyg, dummyg, lipschitz_grad=-1.0, strong_concavity=1.0)
+        FunctionOracle(dummy, dummyg, dummyg, lipschitz_grad=-1.0, strong_concavity=1.0, **hvps)
     with pytest.raises(ValueError):
-        FunctionOracle(dummy, dummyg, dummyg, lipschitz_grad=1.0, strong_concavity=0.0)
+        FunctionOracle(dummy, dummyg, dummyg, lipschitz_grad=1.0, strong_concavity=0.0, **hvps)
     with pytest.raises(ValueError):
-        FunctionOracle(dummy, dummyg, dummyg, lipschitz_grad=np.inf, strong_concavity=1.0)
+        FunctionOracle(dummy, dummyg, dummyg, lipschitz_grad=np.inf, strong_concavity=1.0, **hvps)
+
+
+@pytest.mark.parametrize("missing", ["hvp_yy", "hvp_xy"])
+def test_function_oracle_without_an_exact_product_is_incomplete(missing):
+    dummyg = lambda x, y: np.zeros(1)
+    pieces = dict(
+        eval=lambda x, y: 0.0, grad_x=dummyg, grad_y=dummyg,
+        lipschitz_grad=1.0, strong_concavity=1.0, hvp_yy=_zero_hvp, hvp_xy=_zero_hvp,
+    )
+    pieces[missing] = None
+    with pytest.raises(IncompleteOracle, match=missing):
+        FunctionOracle(**pieces)
+
+
+def test_constraint_oracle_without_dc_y_is_incomplete():
+    zero = lambda x, y, lam: np.zeros(1)
+    with pytest.raises(IncompleteOracle, match="dc_y"):
+        ConstraintOracle(
+            dim=1, eval_c=lambda x, y: np.zeros(1), jvp_x=zero, jvp_y=zero, dc_y=None,
+        )
 
 
 def test_fd_gradient_matches_closed_form():
@@ -152,6 +179,8 @@ def test_fd_gradient_nonfinite_probe():
         grad_y=lambda x, y: np.zeros(1),
         lipschitz_grad=1.0,
         strong_concavity=1.0,
+        hvp_yy=_zero_hvp,
+        hvp_xy=_zero_hvp,
     )
     with pytest.raises(NonFiniteValue):
         fd_gradient(bad, [0.0], [0.0])
@@ -198,6 +227,8 @@ def test_strong_concavity_witness_quadratic():
         grad_y=lambda x, y: np.asarray(x, float) - 2.0 * np.asarray(y, float),
         lipschitz_grad=3.0,
         strong_concavity=2.0,
+        hvp_yy=lambda x, y, v: -2.0 * np.asarray(v, float),
+        hvp_xy=lambda x, y, v: np.asarray(v, float),
     )
     rng = np.random.default_rng(9)
     mu = oracle.strong_concavity

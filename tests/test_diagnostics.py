@@ -205,12 +205,15 @@ def test_brute_force_infeasible_slices():
         grad_y=lambda x, y: np.array([-2.0 * y[0]]),
         lipschitz_grad=2.0,
         strong_concavity=2.0,
+        hvp_yy=lambda x, y, v: -2.0 * np.asarray(v, float),
+        hvp_xy=lambda x, y, v: np.zeros(1),
     )
     con = ConstraintOracle(
         dim=1,
         eval_c=lambda x, y: np.array([y[0] - x[0]]),
         jvp_x=lambda x, y, lam: np.array([-lam[0]]),
         jvp_y=lambda x, y, lam: np.array([lam[0]]),
+        dc_y=lambda x, y, v: np.array([v[0]]),
         linear_in_y=True,
     )
     coupled = CoupledProblem(
@@ -251,12 +254,15 @@ def test_polar_convexity_detects_concave_constraint():
         grad_y=lambda x, y: np.array([-2.0 * y[0]]),
         lipschitz_grad=2.0,
         strong_concavity=2.0,
+        hvp_yy=lambda x, y, v: -2.0 * np.asarray(v, float),
+        hvp_xy=lambda x, y, v: np.zeros(1),
     )
     con = ConstraintOracle(
         dim=1,
         eval_c=lambda x, y: np.array([-(y[0] ** 2)]),  # concave in y
         jvp_x=lambda x, y, lam: np.zeros(1),
         jvp_y=lambda x, y, lam: np.array([-2.0 * y[0] * lam[0]]),
+        dc_y=lambda x, y, v: np.array([-2.0 * y[0] * v[0]]),
     )
     coupled = CoupledProblem(
         g=g, c=con, X=BoxSet([0.0], [1.0]), Y=WholeSpace(1), K=OrthantCone(1, sign=-1)

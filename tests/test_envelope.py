@@ -103,7 +103,6 @@ def test_envelope_frozen_values():
     assert ev.gamma == pytest.approx(0.6675, abs=1e-15)
     assert np.allclose(ev.grad_x, [1.15, 0.1], atol=1e-15)
     assert np.allclose(ev.grad_y, [-0.15], atol=1e-15)
-    assert not ev.used_fd_hvp
     assert not near_kink(prob, ev)
     assert np.linalg.norm(ev.R) == pytest.approx(0.15, abs=1e-15)
 
@@ -246,34 +245,6 @@ def test_sandwich_inequalities():
         assert upper_gap >= -1e-10
 
 
-def test_fd_fallback_flag():
-    # an oracle without Hessian products: gradients still computed, flagged
-    f = FunctionOracle(
-        eval=lambda x, y: float(x @ y - 0.5 * y @ y),
-        grad_x=lambda x, y: np.asarray(y, float).copy(),
-        grad_y=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
-        lipschitz_grad=2.0,
-        strong_concavity=1.0,
-    )
-    prob = MinimaxProblem(f=f, X=WholeSpace(2), Y=WholeSpace(2))
-    cfg = EnvelopeConfig(eta=0.25, alpha=8.0)
-    x = np.array([0.3, -0.2])
-    y = np.array([0.1, 0.4])
-    ev = evaluate(prob, cfg, x, y)
-    assert ev.used_fd_hvp
-    # exact values from the bilinear structure: Hxy = I, Hyy = -I
-    R = ev.R
-    exact_gx = y + cfg.alpha * cfg.eta * R
-    exact_gy = cfg.alpha * (R - cfg.eta * R) - (cfg.alpha - 1.0) * (x - y)
-    assert np.allclose(ev.grad_x, exact_gx, atol=1e-5)
-    assert np.allclose(ev.grad_y, exact_gy, atol=1e-5)
-    # at the inner maximizer R = 0, so no Hessian products are needed
-    ev0 = evaluate(prob, cfg, x, x.copy())
-    assert np.linalg.norm(ev0.R) == 0.0
-    assert not ev0.used_fd_hvp
-    assert np.allclose(ev0.grad_y, np.zeros(2), atol=0)
-
-
 def test_near_kink_flag_on_box_y():
     f = FunctionOracle(
         eval=lambda x, y: float(x @ y - 0.5 * y @ y),
@@ -301,6 +272,8 @@ def test_nonfinite_oracle_raises():
         grad_y=lambda x, y: np.zeros(1),
         lipschitz_grad=1.0,
         strong_concavity=1.0,
+        hvp_yy=lambda x, y, v: np.zeros(1),
+        hvp_xy=lambda x, y, v: np.zeros(1),
     )
     prob = MinimaxProblem(f=f, X=WholeSpace(1), Y=WholeSpace(1))
     cfg = EnvelopeConfig(eta=1.0, alpha=2.0)
@@ -312,18 +285,15 @@ def test_nonfinite_oracle_raises():
 # stacks of points
 
 
-def _bilinear_oracle(with_hvps: bool) -> FunctionOracle:
-    hvps = dict(
-        hvp_yy=lambda x, y, v: -np.asarray(v, float),
-        hvp_xy=lambda x, y, v: np.asarray(v, float).copy(),
-    )
+def _bilinear_oracle() -> FunctionOracle:
     return FunctionOracle(
         eval=lambda x, y: float(x @ y - 0.5 * y @ y),
         grad_x=lambda x, y: np.asarray(y, float).copy(),
         grad_y=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
         lipschitz_grad=2.0,
         strong_concavity=1.0,
-        **(hvps if with_hvps else {}),
+        hvp_yy=lambda x, y, v: -np.asarray(v, float),
+        hvp_xy=lambda x, y, v: np.asarray(v, float).copy(),
     )
 
 
@@ -332,12 +302,11 @@ def _stack_case(name):
         return make_synthetic(4, 3, 1.0, 2).lifted.problem
     if name == "regularized":  # fused r1 prox on a box, r2 prox on the whole space
         return _reg_problem()[0]
-    if name == "fd_hvp":  # no Hessian products: finite differences row by row
-        return MinimaxProblem(f=_bilinear_oracle(False), X=WholeSpace(3), Y=WholeSpace(3))
-    return MinimaxProblem(f=_bilinear_oracle(True), X=WholeSpace(3), Y=BoxSet(-np.ones(3), np.ones(3)))
+    # an oracle without stacks: its products are taken row by row
+    return MinimaxProblem(f=_bilinear_oracle(), X=WholeSpace(3), Y=BoxSet(-np.ones(3), np.ones(3)))
 
 
-@pytest.mark.parametrize("name", ["lifted", "regularized", "fd_hvp", "box_y"])
+@pytest.mark.parametrize("name", ["lifted", "regularized", "box_y"])
 def test_stacked_evaluation_matches_each_row(name):
     prob = _stack_case(name)
     cfg = EnvelopeConfig.for_problem(prob)
@@ -358,7 +327,6 @@ def test_stacked_evaluation_matches_each_row(name):
     refs = grad_norm(stack)
     residuals = prox_grad_residual(prob, cfg, stack, refs)
     singles = [evaluate(prob, cfg, x, y) for x, y in zip(xs[keep], ys[keep])]
-    assert stack.used_fd_hvp == any(ev.used_fd_hvp for ev in singles)
     for i, ev in enumerate(singles):
         for field in ("x", "y", "f_val", "grad_y_f", "T", "R", "psi", "xi", "gamma",
                       "grad_x_f", "grad_x", "grad_y"):
@@ -384,7 +352,7 @@ _POISON_X = 0.75  # the oracle goes non-finite where x[0] is this
 def _poisoned_problem(oracle: str, bad: float, box_y: bool) -> MinimaxProblem:
     """The bilinear problem whose ``oracle`` gives ``bad`` (in its first
     entry) at the points with ``x[0] == _POISON_X``."""
-    f = _bilinear_oracle(True)
+    f = _bilinear_oracle()
     clean = getattr(f, oracle)
 
     def poisoned(x, y, *rest):

@@ -14,6 +14,7 @@ from pfbe.core import (
     ConstraintOracle,
     CoupledProblem,
     FunctionOracle,
+    IncompleteOracle,
     PreconditionViolation,
     ProxRegularizer,
     fd_hvp_xy,
@@ -83,7 +84,6 @@ def test_lifted_hvp_against_finite_differences():
     for inst in (make_synthetic(3, 4, 1.0, 14), make_example1()):
         lifted = inst.lifted
         f = lifted.problem.f
-        assert f.hvp_yy is not None and f.hvp_xy is not None
         rng = np.random.default_rng(63)
         dim_z = lifted.problem.dim_x
         dim_y = lifted.problem.dim_y
@@ -152,6 +152,8 @@ def test_lifted_r1_prox_blockwise():
             grad_y=lambda x, y: np.array([-(y[0] - x[0])]),
             lipschitz_grad=2.0,
             strong_concavity=1.0,
+            hvp_yy=lambda x, y, v: -np.asarray(v, dtype=float),
+            hvp_xy=lambda x, y, v: np.asarray(v, dtype=float),
         ),
         c=base.c,
         X=box,
@@ -176,6 +178,7 @@ def test_lift_zero_constraint_reduces_to_plain_lagrangian():
         eval_c=lambda x, y: np.zeros(1),
         jvp_x=lambda x, y, lam: np.zeros(1),
         jvp_y=lambda x, y, lam: np.zeros(1),
+        dc_y=lambda x, y, v: np.zeros(1),
         linear_in_y=True,
     )
     base = make_example1().lifted.base
@@ -192,10 +195,9 @@ def test_lift_zero_constraint_reduces_to_plain_lagrangian():
     assert res.lam == 0.0
 
 
-def test_lift_leaves_an_inexact_mixed_hvp_to_the_envelope():
-    # g = x y - y^2/2 and c = y^3/3 - x <= 0: nonlinear in y, with the
-    # hvp_*_lam products but no dc_y, so no exact multiplier block of hvp_xy
-    g = FunctionOracle(
+def _bilinear_g():
+    # g = x y - y^2/2
+    return FunctionOracle(
         eval=lambda x, y: float(x[0] * y[0] - 0.5 * y[0] ** 2),
         grad_x=lambda x, y: np.array([y[0]]),
         grad_y=lambda x, y: np.array([x[0] - y[0]]),
@@ -204,35 +206,37 @@ def test_lift_leaves_an_inexact_mixed_hvp_to_the_envelope():
         hvp_yy=lambda x, y, v: -np.asarray(v, dtype=float),
         hvp_xy=lambda x, y, v: np.asarray(v, dtype=float),
     )
+
+
+@pytest.mark.parametrize(
+    "missing", [("hvp_xy_lam",), ("hvp_yy_lam",), ("hvp_xy_lam", "hvp_yy_lam")], ids="+".join
+)
+def test_lift_rejects_a_nonlinear_constraint_without_its_products(missing):
+    # c = y^3/3 - x <= 0 is not affine in y, so the lifted products need
+    # both second derivatives of <lam, c>
+    products = dict(
+        hvp_xy_lam=lambda x, y, lam, v: np.zeros(1),
+        hvp_yy_lam=lambda x, y, lam, v: np.array([2.0 * lam[0] * y[0] * v[0]]),
+    )
+    for name in missing:
+        del products[name]
     con = ConstraintOracle(
         dim=1,
         eval_c=lambda x, y: np.array([y[0] ** 3 / 3.0 - x[0]]),
         jvp_x=lambda x, y, lam: np.array([-lam[0]]),
         jvp_y=lambda x, y, lam: np.array([lam[0] * y[0] ** 2]),
-        hvp_xy_lam=lambda x, y, lam, v: np.zeros(1),
-        hvp_yy_lam=lambda x, y, lam, v: np.array([2.0 * lam[0] * y[0] * v[0]]),
+        dc_y=lambda x, y, v: np.array([y[0] ** 2 * v[0]]),
+        **products,
     )
     coupled = CoupledProblem(
-        g=g, c=con, X=WholeSpace(1), Y=WholeSpace(1), K=OrthantCone(1, sign=-1)
+        g=_bilinear_g(), c=con, X=WholeSpace(1), Y=WholeSpace(1), K=OrthantCone(1, sign=-1)
     )
-    prob = lift(coupled, lipschitz_grad=10.0).problem
-    cfg = EnvelopeConfig(eta=0.5, alpha=4.0)
-    z, y = np.array([0.5, 0.3]), np.array([0.7])
-    ev = evaluate(prob, cfg, z, y)
-    h = 1e-6
-    fd = [
-        (evaluate(prob, cfg, z + e, y, need_grad=False).xi
-         - evaluate(prob, cfg, z - e, y, need_grad=False).xi) / (2.0 * h)
-        for e in h * np.eye(2)
-    ]
-    assert np.allclose(ev.grad_x, fd, rtol=1e-6, atol=1e-6)
-    assert prob.f.hvp_xy is None
-    assert prob.f.hvp_yy is not None
-    assert ev.used_fd_hvp
+    with pytest.raises(IncompleteOracle, match="linear_in_y"):
+        lift(coupled, lipschitz_grad=10.0)
 
 
 def _mixed_constraint(case):
-    """A constraint on n = p = 1 for each way ``lift`` builds an exact ``hvp_xy``."""
+    """A constraint on n = p = 1 for each way ``lift`` builds its ``hvp_xy``."""
     if case == "x-dependent-coefficient":  # c = x y - 1: affine in y, A depends on x
         return ConstraintOracle(
             dim=1,
@@ -243,45 +247,27 @@ def _mixed_constraint(case):
             hvp_xy_lam=lambda x, y, lam, v: np.array([lam[0] * v[0]]),
             linear_in_y=True,
         )
-    if case == "nonlinear":  # c = x y^2 / 2 - 1, with every product given
-        return ConstraintOracle(
-            dim=1,
-            eval_c=lambda x, y: np.array([0.5 * x[0] * y[0] ** 2 - 1.0]),
-            jvp_x=lambda x, y, lam: np.array([0.5 * lam[0] * y[0] ** 2]),
-            jvp_y=lambda x, y, lam: np.array([lam[0] * x[0] * y[0]]),
-            dc_y=lambda x, y, v: np.array([x[0] * y[0] * v[0]]),
-            hvp_xy_lam=lambda x, y, lam, v: np.array([lam[0] * y[0] * v[0]]),
-            hvp_yy_lam=lambda x, y, lam, v: np.array([lam[0] * x[0] * v[0]]),
-        )
-    # c = y - x^2 without dc_y: the multiplier block is a forward difference
+    # "nonlinear": c = x y^2 / 2 - 1, with every product given
     return ConstraintOracle(
         dim=1,
-        eval_c=lambda x, y: np.array([y[0] - x[0] ** 2]),
-        jvp_x=lambda x, y, lam: np.array([-2.0 * lam[0] * x[0]]),
-        jvp_y=lambda x, y, lam: np.array([lam[0]]),
-        linear_in_y=True,
+        eval_c=lambda x, y: np.array([0.5 * x[0] * y[0] ** 2 - 1.0]),
+        jvp_x=lambda x, y, lam: np.array([0.5 * lam[0] * y[0] ** 2]),
+        jvp_y=lambda x, y, lam: np.array([lam[0] * x[0] * y[0]]),
+        dc_y=lambda x, y, v: np.array([x[0] * y[0] * v[0]]),
+        hvp_xy_lam=lambda x, y, lam, v: np.array([lam[0] * y[0] * v[0]]),
+        hvp_yy_lam=lambda x, y, lam, v: np.array([lam[0] * x[0] * v[0]]),
     )
 
 
-@pytest.mark.parametrize("case", ["x-dependent-coefficient", "nonlinear", "no-dc_y"])
+@pytest.mark.parametrize("case", ["x-dependent-coefficient", "nonlinear"])
 def test_lifted_hvp_of_a_given_constraint_against_central_differences(case):
     # g = x y - y^2/2; each lifted product is the central difference in y
     # of the lifted gradient, whose x-entry at the first case is 1.8, not 1.0
-    g = FunctionOracle(
-        eval=lambda x, y: float(x[0] * y[0] - 0.5 * y[0] ** 2),
-        grad_x=lambda x, y: np.array([y[0]]),
-        grad_y=lambda x, y: np.array([x[0] - y[0]]),
-        lipschitz_grad=2.0,
-        strong_concavity=1.0,
-        hvp_yy=lambda x, y, v: -np.asarray(v, dtype=float),
-        hvp_xy=lambda x, y, v: np.asarray(v, dtype=float),
-    )
     coupled = CoupledProblem(
-        g=g, c=_mixed_constraint(case), X=WholeSpace(1), Y=WholeSpace(1),
+        g=_bilinear_g(), c=_mixed_constraint(case), X=WholeSpace(1), Y=WholeSpace(1),
         K=OrthantCone(1, sign=-1),
     )
     f = lift(coupled, lipschitz_grad=10.0).problem.f
-    assert f.hvp_xy is not None and f.hvp_yy is not None
     h = 1e-6
     for z, y, v in (([0.7, -0.8], [0.3], [1.0]), ([-1.3, 2.1], [0.4], [-0.6])):
         z, y, v = np.array(z), np.array(y), np.array(v)

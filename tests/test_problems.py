@@ -193,6 +193,8 @@ def test_spectral_norm_power_simple_matrix():
     A = np.array([[3.0, 0.0], [0.0, -4.0]])
     got = spectral_norm_power(lambda v: A @ v, 2)
     assert abs(got - 4.0) <= 1e-10
+    assert spectral_norm_power(lambda v: 0.0 * v, 3) == 0.0
+    assert spectral_norm_power(lambda v: v, 0) == 0.0
 
 
 def test_default_start_feasible():

@@ -26,8 +26,9 @@ from pfbe.envelope import (
     prox_grad_residual,
     prox_step,
 )
+from pfbe.lagrangian import lift
 from pfbe.problems import make_example1, make_synthetic, synthetic_from_data
-from pfbe.sets import BoxSet, ProjectableSet, WholeSpace, composite_prox
+from pfbe.sets import BallSet, BoxSet, ProjectableSet, WholeSpace, composite_prox
 from pfbe.solvers import (
     DEFAULT_GDA_GRID,
     SolverConfig,
@@ -69,6 +70,43 @@ def test_solver_config_validation():
         assert np.isnan(getattr(SolverConfig(**{name: np.nan}), name))
 
 
+def _oracle_with_lipschitz(value):
+    return FunctionOracle(
+        eval=lambda x, y: 0.0, grad_x=lambda x, y: np.zeros(1), grad_y=lambda x, y: np.zeros(1),
+        lipschitz_grad=value, strong_concavity=1.0,
+        hvp_yy=lambda x, y, v: np.zeros(1), hvp_xy=lambda x, y, v: np.zeros(1),
+    )
+
+
+def _select_on_one_d(grid):
+    inst, prob, cfg = _one_d()
+    return select_gda_step(prob, cfg, SolverConfig(max_iter=5), *inst.lifted.default_start(),
+                           grid=grid)
+
+
+# each entry point takes a real number; a bool is an Integral, and an
+# infinite tolerance would pass every residual at once
+@pytest.mark.parametrize("make, name", [
+    (lambda: SolverConfig(eta_x=True), "eta_x"),
+    (lambda: SolverConfig(eta_y=False), "eta_y"),
+    (lambda: SolverConfig(gtol=True), "gtol"),
+    (lambda: SolverConfig(gtol=float("inf")), "gtol"),
+    (lambda: EnvelopeConfig(eta=True, alpha=4.0), "eta"),
+    (lambda: EnvelopeConfig(eta=0.5, alpha=True), "alpha"),
+    (lambda: EnvelopeConfig.for_problem(_one_d()[1], eta=True), "eta"),
+    (lambda: _select_on_one_d([True]), "grid entry"),
+    (lambda: _oracle_with_lipschitz(True), "lipschitz_grad"),
+    (lambda: lift(make_example1().lifted.base, lipschitz_grad=True), "lipschitz_grad"),
+    (lambda: make_synthetic(2, 2, True, 1), "c_value"),
+    (lambda: BallSet([0.0], True), "radius"),
+], ids=["eta_x-bool", "eta_y-bool", "gtol-bool", "gtol-inf", "eta-bool", "alpha-bool",
+        "for_problem-eta-bool", "grid-bool", "lipschitz-bool", "lift-lipschitz-bool",
+        "c_value-bool", "radius-bool"])
+def test_entry_points_reject_bools_and_an_infinite_gtol(make, name):
+    with pytest.raises(ValueError, match=name):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # spectral prox-gradient
 
@@ -84,7 +122,6 @@ def test_spg_converges_to_origin_on_one_d():
     assert abs(res.fval) <= 1e-10
     assert res.feas == 0.0  # projected iterates never leave the set
     assert res.failure is None
-    assert not res.used_fd_hvp
 
 
 def test_spg_starts_at_solution():
@@ -382,6 +419,8 @@ def test_subgda_rejects_nonconvex_x():
         grad_y=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
         lipschitz_grad=2.0,
         strong_concavity=1.0,
+        hvp_yy=lambda x, y, v: -np.asarray(v, float),
+        hvp_xy=lambda x, y, v: np.asarray(v, float).copy(),
     )
     prob = MinimaxProblem(f=f, X=TwoPoints(), Y=WholeSpace(1))
     cfg = EnvelopeConfig(eta=0.25, alpha=8.0)
@@ -645,7 +684,6 @@ def _reference_loop(problem, cfg, scfg, x0, y0, step):
     """The solver loop that evaluates and tests every iterate in turn; the
     step rules below map the evaluation at the iterate to the next one."""
     ev = evaluate(problem, cfg, x0, y0, need_grad=True)
-    used_fd = ev.used_fd_hvp
     ref = grad_norm(ev)
     trace_gamma = [ev.gamma]
     rows = None
@@ -680,7 +718,6 @@ def _reference_loop(problem, cfg, scfg, x0, y0, step):
             if nxt is None:
                 break
         ev = nxt
-        used_fd = used_fd or ev.used_fd_hvp
         iters += 1
         trace_gamma.append(ev.gamma)
     if rows is not None:
@@ -688,7 +725,6 @@ def _reference_loop(problem, cfg, scfg, x0, y0, step):
             x=rows.x, y=rows.y, fval=rows.fval, iter=rows.iter, stat=rows.stat,
             feas=solvers._set_feas(problem, rows.x, rows.y), wall_time=0.0,
             converged=rows.converged, trace={}, failure=tuple(rows.failure),
-            used_fd_hvp=used_fd,
         )
     trace = {}
     if scfg.record_trace:
@@ -697,7 +733,7 @@ def _reference_loop(problem, cfg, scfg, x0, y0, step):
     return solvers.SolveResult(
         x=ev.x, y=ev.y, fval=float(ev.gamma), iter=iters, stat=float(stat),
         feas=float(solvers._set_feas(problem, ev.x, ev.y)), wall_time=0.0,
-        converged=converged, trace=trace, failure=failure, used_fd_hvp=used_fd,
+        converged=converged, trace=trace, failure=failure,
     )
 
 
@@ -767,28 +803,13 @@ _SOLVERS = {"subgda": (solve_subgda, _reference_subgda),
             "gda": (solve_gda_baseline, _reference_gda)}
 
 
-def _no_hvp_problem():
-    # no Hessian-vector products: the envelope takes them by finite differences
-    f = FunctionOracle(
-        eval=lambda x, y: float(x @ y - 0.5 * y @ y + 0.5 * x @ x),
-        grad_x=lambda x, y: np.asarray(y, float) + np.asarray(x, float),
-        grad_y=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
-        lipschitz_grad=2.0,
-        strong_concavity=1.0,
-    )
-    prob = MinimaxProblem(f=f, X=BoxSet([-1.0, -1.0], [1.0, 1.0]), Y=WholeSpace(2))
-    return prob, EnvelopeConfig.for_problem(prob), np.array([0.9, -0.4]), np.array([0.3, 0.1])
-
-
 def _instance(name):
-    if name == "no_hvp":
-        return _no_hvp_problem()
     inst = make_example1() if name == "example1" else make_synthetic(*name)
     prob = inst.lifted.problem
     return (prob, EnvelopeConfig.for_problem(prob)) + tuple(inst.lifted.default_start())
 
 
-_INSTANCES = [(10, 10, 1.0, 1), (20, 20, 1.0, 2), (3, 3, 1.0, 2), "example1", "no_hvp"]
+_INSTANCES = [(10, 10, 1.0, 1), (20, 20, 1.0, 2), (3, 3, 1.0, 2), "example1"]
 
 
 @pytest.mark.parametrize("solver", sorted(_SOLVERS))
@@ -860,31 +881,6 @@ def test_stacked_rows_leaving_mid_block_match_reference_loop(name):
     block = max(1, P // k)
     assert len(set(got.iter.tolist())) > 2
     assert any(i % block != 0 for i in got.iter.tolist())
-
-
-def test_used_fd_hvp_counts_iterates_up_to_the_stop():
-    # f = |x|^2/2 - |y|^2/2 without Hessian products: R = -y, so finite
-    # differences run only once y leaves 0, which these rules do after the
-    # run has converged at iterate 3 (stat = 0.5^k, gtol 0.2)
-    f = FunctionOracle(
-        eval=lambda x, y: float(0.5 * x @ x - 0.5 * y @ y),
-        grad_x=lambda x, y: np.asarray(x, float).copy(),
-        grad_y=lambda x, y: -np.asarray(y, float),
-        lipschitz_grad=1.0,
-        strong_concavity=1.0,
-    )
-    prob = MinimaxProblem(f=f, X=WholeSpace(1), Y=WholeSpace(1))
-    cfg = EnvelopeConfig.for_problem(prob)
-    scfg = SolverConfig(max_iter=100, gtol=0.2)
-    x0, y0 = np.array([1.0]), np.array([0.0])
-    kick = lambda k: 1.0 if k >= 3 else 0.0  # noqa: E731
-    got = solvers._iterate_first_order(
-        prob, cfg, scfg, x0, y0, lambda k, it, rows: solvers.Points(0.5 * it.x, it.y + kick(k)))
-    want = _reference_loop(
-        prob, cfg, scfg, x0, y0,
-        lambda k, ev, rows: evaluate(prob, cfg, 0.5 * ev.x, ev.y + kick(k)))
-    _assert_same_outcome(got, want)
-    assert got.converged and got.iter == 3 and not got.used_fd_hvp
 
 
 @pytest.mark.parametrize("name", [(3, 3, 1.0, 2), "example1"], ids=str)
