@@ -39,10 +39,11 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
-from .core import PfbeError
+from .core import PfbeError, check_int, check_real
 from .diagnostics import feasibility_mcc
 from .envelope import EnvelopeConfig
 from .problems import make_example1, make_synthetic
+from .rng import check_seed
 from .solvers import (
     SolverConfig,
     select_gda_step,
@@ -55,47 +56,19 @@ CSV_HEADER = "solver,n,p,c,seed,fval,iter,stat,feas,time_s"
 SOLVER_NAMES = ("spg", "subgda", "gda")
 PROBLEM_NAMES = ("synthetic", "example1")
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    if not (_is_int(value) or isinstance(value, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _check_int(name: str, value, low: int) -> None:
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
-
-
-def _check_real(name: str, value) -> None:
-    if not _is_real(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-def _check_positive(name: str, value) -> None:
-    _check_real(name, value)
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
 
 @dataclass
 class RunConfig:
     """Validated benchmark configuration (see module docstring for schema).
 
-    Validation is strict: counts and the seed are integers (a bool is
-    not), the seed lies in ``[0, 2**64)``, ``c`` is a finite number,
-    ``eta``, ``alpha`` and ``gtol`` are positive finite numbers when
-    given, the solver list is not empty, and a given ``gda_step_grid`` is
-    a nonempty list of ``[a1, a2]`` pairs whose steps ``a1 * 10^-a2`` are
-    finite and positive. A violation raises
+    Validation is strict, by the library's own checks
+    (:func:`~pfbe.core.check_int`, :func:`~pfbe.core.check_real` and
+    :func:`~pfbe.rng.check_seed`): counts and the seed are integers (a
+    bool is not), the seed lies in ``[0, 2**64)``, ``c`` is a finite
+    number, ``eta``, ``alpha`` and ``gtol`` are positive finite numbers
+    when given, the solver list is not empty, and a given
+    ``gda_step_grid`` is a nonempty list of ``[a1, a2]`` pairs whose steps
+    ``a1 * 10^-a2`` are finite and positive. A violation raises
     ``ValueError``, which ``pfbe run`` and ``pfbe sweep`` report as one
     ``invalid config: ...`` line (exit 1) before any solve starts; they
     also check a given ``alpha`` against the instance's envelope threshold
@@ -126,31 +99,24 @@ class RunConfig:
             if s not in SOLVER_NAMES:
                 raise ValueError(f"unknown solver {s!r}")
         for name, low in (("n", 1), ("p", 1), ("max_iter", 0), ("gda_pilot_iters", 0),
-                          ("repeats", 1), ("seed", 0)):
-            _check_int(name, getattr(self, name), low)
-        if self.seed >= 2**64:
-            raise ValueError(f"seed must be below 2**64, got {self.seed}")
-        _check_real("c", self.c)
-        _check_positive("gtol", self.gtol)
+                          ("repeats", 1)):
+            check_int(name, getattr(self, name), low)
+        check_seed(self.seed)
+        check_real("c", self.c)
+        check_real("gtol", self.gtol, 0, strict=True)
         for name in ("eta", "alpha"):
             if getattr(self, name) is not None:
-                _check_positive(name, getattr(self, name))
+                check_real(name, getattr(self, name), 0, strict=True)
         if self.gda_step_grid is not None:
             for entry in self.gda_step_grid:
-                if (
-                    not isinstance(entry, (list, tuple))
-                    or len(entry) != 2
-                    or not all(_is_real(v) for v in entry)
-                ):
+                if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                     raise ValueError("gda_step_grid entries must be [a1, a2] pairs")
+                for v in entry:
+                    check_real("gda_step_grid entry", v)
             if not self.gda_step_grid:
                 raise ValueError("gda_step_grid must not be empty")
             for (a1, a2), step in zip(self.gda_step_grid, _expand_grid(self.gda_step_grid)):
-                if not (math.isfinite(step) and step > 0):
-                    raise ValueError(
-                        f"gda_step_grid entry [{a1}, {a2}] gives step {step!r}, "
-                        "not a finite positive number"
-                    )
+                check_real(f"gda_step_grid step of [{a1}, {a2}]", step, 0, strict=True)
 
     @property
     def solvers(self) -> tuple:

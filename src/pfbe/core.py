@@ -65,9 +65,31 @@ class PreconditionViolation(PfbeError):
     """An input violates a documented precondition (e.g. multiplier outside the cone)."""
 
 
-def is_real(value) -> bool:
-    """Whether ``value`` is a real number and not a bool (a bool is an Integral)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def check_int(name: str, value, low: int) -> int:
+    """``value`` as an ``int``; raises ``ValueError`` naming ``name`` unless it
+    is an integer ``>= low``. A bool is not one; a numpy integer is."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return int(value)
+
+
+def check_real(name: str, value, low: Optional[float] = None, strict: bool = False) -> float:
+    """``value`` as a ``float``; raises ``ValueError`` naming ``name`` unless it
+    is a finite real number that is ``>= low``, or ``> low`` when ``strict``,
+    if ``low`` is given. A bool is not one (it is an Integral); an integer
+    beyond the float range is not finite."""
+    try:
+        finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if low is not None and not (value > low if strict else value >= low):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value!r}")
+    return float(value)
 
 
 def as_vector(z, dim: Optional[int] = None, what: str = "vector") -> Vector:
@@ -185,9 +207,7 @@ class FunctionOracle:
 
     def __post_init__(self):
         for name in ("lipschitz_grad", "strong_concavity"):
-            value = getattr(self, name)
-            if not (is_real(value) and value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be a positive finite float, got {value!r}")
+            check_real(name, getattr(self, name), 0, strict=True)
         for name in ("hvp_yy", "hvp_xy"):
             if not callable(getattr(self, name)):
                 raise IncompleteOracle(f"FunctionOracle.{name} must be callable")

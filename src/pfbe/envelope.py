@@ -61,7 +61,7 @@ from .core import (
     NonFiniteValue,
     Vector,
     check_finite,
-    is_real,
+    check_real,
     row_dot,
 )
 from .sets import composite_prox
@@ -85,10 +85,8 @@ class EnvelopeConfig:
     alpha: float
 
     def __post_init__(self):
-        if not (is_real(self.eta) and self.eta > 0 and np.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
-        if not (is_real(self.alpha) and self.alpha >= 1.0 and np.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be finite and >= 1, got {self.alpha!r}")
+        check_real("eta", self.eta, 0, strict=True)
+        check_real("alpha", self.alpha, 1)
 
     @staticmethod
     def threshold(eta: float, mu: float) -> float:
@@ -114,6 +112,7 @@ class EnvelopeConfig:
         which a given ``alpha`` must meet."""
         if eta is None:
             eta = min(1.0, 1.0 / (2.0 * problem.lipschitz))
+        eta = check_real("eta", eta, 0, strict=True)  # before the threshold divides by it
         if alpha is None:
             alpha = cls.threshold(eta, problem.mu)
         cfg = cls(eta=eta, alpha=alpha)

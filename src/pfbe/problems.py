@@ -38,7 +38,8 @@ from .core import (
     FunctionOracle,
     Vector,
     as_vector,
-    is_real,
+    check_int,
+    check_real,
     row_dot,
 )
 from .lagrangian import LiftedProblem, lift
@@ -173,8 +174,7 @@ def synthetic_from_data(B, b, c_value: float) -> SyntheticInstance:
     """Build the synthetic instance from explicit ``B`` and ``b`` (as given,
     no normalization), e.g. for pinned tiny cases, at the finite level
     ``c_value``."""
-    if not (is_real(c_value) and np.isfinite(c_value)):
-        raise ValueError(f"c_value must be a finite real number, got {c_value!r}")
+    check_real("c_value", c_value)
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
         raise ValueError("B must be a matrix")
@@ -201,8 +201,8 @@ def make_synthetic(n: int, p: int, c_value: float = 1.0, seed: int = 1) -> Synth
     scaled to the unit sphere. Identical seeds regenerate identical
     instances bit for bit.
     """
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be positive")
+    check_int("n", n, 1)
+    check_int("p", p, 1)
     stream = NormalStream(seed)
     B = stream.array(n, p)
     b = stream.array(n)

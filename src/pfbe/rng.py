@@ -41,11 +41,22 @@ import math
 
 import numpy as np
 
+from .core import check_int
+
 _MASK64 = (1 << 64) - 1
 
 LANE_STEPS = 256  # outputs per lane; a power of two, so one jump is one T^(2^k)
 LANE_MIN_DRAWS = 3072  # fewer draws than this take the scalar loop
 _BOX_MULLER_PAIRS = 8192  # Box-Muller chunk; bounds the temporary lists
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an ``int``; raises ``ValueError`` naming it unless it is an
+    integer in ``[0, 2**64)``."""
+    seed = check_int("seed", seed, 0)
+    if seed > _MASK64:
+        raise ValueError(f"seed must be below 2**64, got {seed}")
+    return seed
 
 
 def _rotl(v: int, k: int) -> int:
@@ -66,10 +77,7 @@ class Xoshiro256pp:
     """xoshiro256++ generator seeded through splitmix64."""
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed <= _MASK64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        state = seed
+        state = check_seed(seed)
         s = []
         for _ in range(4):
             state, out = splitmix64_next(state)

@@ -22,7 +22,8 @@ from .core import (
     Vector,
     as_points,
     as_vector,
-    is_real,
+    check_int,
+    check_real,
     row_dot,
 )
 
@@ -67,9 +68,7 @@ class WholeSpace(ProjectableCone):
     """All of R^d; projection is the identity. Polar cone is the origin."""
 
     def __init__(self, dim: int):
-        if dim < 0:
-            raise ValueError("dimension must be nonnegative")
-        self.dim = int(dim)
+        self.dim = check_int("dim", dim, 0)
 
     def project(self, z: Vector) -> Vector:
         return as_points(z, self.dim, "point")
@@ -85,7 +84,7 @@ class ZeroCone(ProjectableCone):
     """The origin ``{0}``; polar cone is the whole space."""
 
     def __init__(self, dim: int):
-        self.dim = int(dim)
+        self.dim = check_int("dim", dim, 0)
 
     def project(self, z: Vector) -> Vector:
         return np.zeros_like(as_points(z, self.dim, "point"))
@@ -110,8 +109,9 @@ class OrthantCone(BoxSet, ProjectableCone):
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         self.sign = int(sign)
+        dim = check_int("dim", dim, 0)
         bounds = (0.0, np.inf) if sign > 0 else (-np.inf, 0.0)
-        super().__init__(*(np.full(int(dim), bound) for bound in bounds))
+        super().__init__(*(np.full(dim, bound) for bound in bounds))
 
     def polar(self) -> "OrthantCone":
         return OrthantCone(self.dim, -self.sign)
@@ -126,9 +126,7 @@ class BallSet(ProjectableSet):
 
     def __init__(self, center, radius: float):
         self.center = as_vector(center, what="center")
-        if not (is_real(radius) and radius > 0 and np.isfinite(radius)):
-            raise ValueError("radius must be positive and finite")
-        self.radius = float(radius)
+        self.radius = check_real("radius", radius, 0, strict=True)
         self.dim = self.center.shape[0]
 
     def project(self, z: Vector) -> Vector:

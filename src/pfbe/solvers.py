@@ -32,8 +32,6 @@ runs its pilots this way.
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -47,8 +45,8 @@ from .core import (
     NonFiniteValue,
     UnsupportedSet,
     Vector,
-    is_real,
-    row_dot,
+    check_int,
+    check_real,
 )
 from .envelope import (
     EnvelopeConfig,
@@ -106,8 +104,10 @@ class SolverConfig:
 
     ``max_iter`` is an integer ``>= 0`` and ``gtol`` positive and finite.
     ``eta_x``/``eta_y`` are the constant steps of the gradient methods,
-    real numbers (a bool is not one), with defaults derived by each solver
-    when None; each solver checks its steps once before its loop.
+    finite real numbers ``>= 0`` (a bool is not one), with defaults derived
+    by each solver when None. Each is checked when the config is built
+    (by :func:`~pfbe.core.check_int` and :func:`~pfbe.core.check_real`),
+    and a violation raises ``ValueError`` naming it.
     ``record_trace`` keeps the per-iterate ``gamma`` and ``stat`` of a run
     from one point. The SPG step bounds are the module constants
     ``STEP_INIT``, ``STEP_MIN`` and ``STEP_MAX``.
@@ -120,17 +120,11 @@ class SolverConfig:
     record_trace: bool = True
 
     def __post_init__(self):
-        # a bool is an Integral, and a fractional budget would never be reached
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+        check_int("max_iter", self.max_iter, 0)  # a fractional budget is never reached
+        check_real("gtol", self.gtol, 0, strict=True)
         for name in ("eta_x", "eta_y"):
-            value = getattr(self, name)
-            if value is not None and not is_real(value):
-                raise ValueError(f"{name} must be a real number or None, got {value!r}")
-        if not (is_real(self.gtol) and self.gtol > 0 and math.isfinite(self.gtol)):
-            raise ValueError(f"gtol must be positive and finite, got {self.gtol!r}")
+            if getattr(self, name) is not None:
+                check_real(name, getattr(self, name), 0)
 
 
 @dataclass
@@ -139,15 +133,13 @@ class SolveResult:
 
     ``stat`` is the final monitored residual, always divided by the
     smooth-part gradient norm at the start point (left as it is when that
-    norm is below ``NORM_FLOOR``); ``feas`` is the distance of the iterate
-    to ``X x Y`` (zero by construction for the projected methods;
-    benchmark reporting replaces it with the base-problem constraint
-    violation); ``trace`` holds per-iterate ``gamma`` and ``stat`` arrays
-    when recorded. A run ends at the first iterate that passes ``gtol`` or
-    reaches the budget, within the block of iterates the loop tested
-    together, and every field but ``wall_time`` is what testing each
-    iterate in turn gives; ``wall_time`` is the time of the whole call,
-    including any steps a fixed-step rule took past that iterate.
+    norm is below ``NORM_FLOOR``); ``trace`` holds per-iterate ``gamma``
+    and ``stat`` arrays when recorded. A run ends at the first iterate
+    that passes ``gtol`` or reaches the budget, within the block of
+    iterates the loop tested together, and every field but ``wall_time``
+    is what testing each iterate in turn gives; ``wall_time`` is the time
+    of the whole call, including any steps a fixed-step rule took past
+    that iterate.
 
     ``failure`` is None unless a step rule ended the run early, always
     with ``converged=False``:
@@ -157,9 +149,9 @@ class SolveResult:
       iterate bit-unchanged although ``stat`` is above ``gtol``.
 
     A stacked run holds one entry per row in ``x``, ``y``, ``fval``,
-    ``iter``, ``stat``, ``feas``, ``converged`` and the tuple
-    ``failure``, where ``"NonFiniteValue"`` marks a row whose evaluation
-    went non-finite (its ``stat`` is ``inf``; a run from one point raises
+    ``iter``, ``stat``, ``converged`` and the tuple ``failure``, where
+    ``"NonFiniteValue"`` marks a row whose evaluation went non-finite (its
+    ``stat`` is ``inf``; a run from one point raises
     :class:`NonFiniteValue` instead); ``trace`` is empty.
     """
 
@@ -168,17 +160,10 @@ class SolveResult:
     fval: float
     iter: int
     stat: float
-    feas: float
     wall_time: float
     converged: bool
     trace: dict
     failure: Optional[str] = None
-
-
-def _set_feas(problem: MinimaxProblem, x: Vector, y: Vector):
-    dx = problem.X.project(x) - x
-    dy = problem.Y.project(y) - y
-    return np.sqrt(row_dot(dx, dx) + row_dot(dy, dy))
 
 
 class _Runs:
@@ -278,8 +263,8 @@ class _Runs:
         if not self.one:
             return SolveResult(
                 x=self.x, y=self.y, fval=self.fval, iter=self.iter, stat=self.stat,
-                feas=_set_feas(self.problem, self.x, self.y), wall_time=wall_time,
-                converged=self.converged, trace={}, failure=tuple(self.failure),
+                wall_time=wall_time, converged=self.converged, trace={},
+                failure=tuple(self.failure),
             )
         trace = {}
         if self.scfg.record_trace:
@@ -290,9 +275,8 @@ class _Runs:
         x, y = self.x[0], self.y[0]
         return SolveResult(
             x=x, y=y, fval=float(self.fval[0]), iter=int(self.iter[0]),
-            stat=float(self.stat[0]), feas=float(_set_feas(self.problem, x, y)),
-            wall_time=wall_time, converged=bool(self.converged[0]), trace=trace,
-            failure=self.failure[0],
+            stat=float(self.stat[0]), wall_time=wall_time,
+            converged=bool(self.converged[0]), trace=trace, failure=self.failure[0],
         )
 
 
@@ -324,9 +308,10 @@ def _iterate_first_order(
     :class:`NonFiniteValue`, the iterates collected so far are tested
     first, and the error propagates only if a run is left. An oracle that
     raises anything else (rather than returning a nan or inf) at a point a
-    block reaches past a run's stop ends the call with that error. An
-    ``alpha`` below the threshold of ``problem.mu`` raises ``ValueError``
-    before the start is evaluated.
+    block reaches past a run's stop ends the call with that error. ``cfg``
+    and ``scfg`` were checked when they were built; the one rule that
+    needs the problem, ``alpha`` at or above the threshold of
+    ``problem.mu``, raises ``ValueError`` before the start is evaluated.
     """
     started = time.perf_counter()
     cfg.check_threshold(problem.mu)
@@ -372,13 +357,6 @@ def _grad_x_f(f: FunctionOracle, it: Iterate):
 def _grad_y_f(f: FunctionOracle, it: Iterate):
     """``grad_y f`` at the iterate, from its evaluation when it has one."""
     return oracle_call(f, f.grad_y, it.x, it.y) if it.grad_y_f is None else it.grad_y_f
-
-
-def _check_steps(**steps) -> None:
-    """Raise ``ValueError`` naming a constant step that is not finite and ``>= 0``."""
-    for name, value in steps.items():
-        if not (value >= 0 and math.isfinite(value)):
-            raise ValueError(f"{name}={value} is not finite and >= 0")
 
 
 def solve_spg(
@@ -463,10 +441,10 @@ def solve_subgda(
     Both steps are constants, resolved once before the loop. Theory-mode
     defaults: ``eta_y = eta/2`` and ``eta_x = eta_y / theta``, where the
     timescale ratio is always the derived ``theta = alpha eta L^2 / mu``
-    (a caller who wants another ratio sets ``eta_x``). ``eta_y`` must
-    satisfy ``0 <= eta_y <= eta``, the envelope step, so y-iterates
-    remain in ``Y`` by convex combination. One that does not (nan
-    included), or an ``eta_x`` that is not finite and ``>= 0``, raises
+    (a caller who wants another ratio sets ``eta_x``). A given step was
+    checked finite and ``>= 0`` when ``SolverConfig`` was built; ``eta_y``
+    must also satisfy ``eta_y <= eta``, the envelope step, so y-iterates
+    remain in ``Y`` by convex combination. One that does not raises
     ``ValueError`` before the start is evaluated. Nonconvex ``X`` is
     rejected (the projected step needs convexity).
     """
@@ -476,9 +454,8 @@ def solve_subgda(
     theta = cfg.alpha * cfg.eta * L * L / mu
     ey = cfg.eta / 2.0 if scfg.eta_y is None else float(scfg.eta_y)
     ex = ey / theta if scfg.eta_x is None else float(scfg.eta_x)
-    if not 0.0 <= ey <= cfg.eta * (1.0 + 1e-12):
+    if not ey <= cfg.eta * (1.0 + 1e-12):
         raise ValueError(f"eta_y={ey} is outside [0, eta] for the envelope step eta={cfg.eta}")
-    _check_steps(eta_x=ex)
 
     def step(k: int, it: Iterate, rows) -> Points:
         x_new = composite_prox(problem.r1, problem.X, it.x - ex * _grad_x_f(problem.f, it), ex)
@@ -513,14 +490,13 @@ def solve_gda_baseline(
 ) -> SolveResult:
     """Simultaneous projected/proximal gradient descent-ascent on ``f``.
 
-    Constant steps ``eta_x``/``eta_y`` default to 0.1; one that is not
-    finite and ``>= 0`` raises ``ValueError`` before the start is
-    evaluated. Convergence is still monitored through the penalized
+    Constant steps ``eta_x``/``eta_y`` default to 0.1; a given one was
+    checked finite and ``>= 0`` when ``SolverConfig`` was built.
+    Convergence is still monitored through the penalized
     residual so iteration counts are comparable across solvers.
     """
     ex = 0.1 if scfg.eta_x is None else float(scfg.eta_x)
     ey = 0.1 if scfg.eta_y is None else float(scfg.eta_y)
-    _check_steps(eta_x=ex, eta_y=ey)
     return _iterate_first_order(problem, cfg, scfg, x0, y0, _gda_step(problem, ex, ey))
 
 
@@ -546,8 +522,8 @@ def select_gda_step(
     toward the smaller step. Also returns the per-step residual map, in
     which a pilot whose evaluation went non-finite scores ``inf``. An
     empty grid, an entry that is not a finite positive real number (a
-    bool is not), or a
-    ``pilot_iters`` that is not an integer ``>= 0`` raises ``ValueError``.
+    bool is not), or a ``pilot_iters`` that is not an integer ``>= 0``
+    raises ``ValueError``.
 
     The pilots run together as the rows of one stacked iterate, each with
     its own step, and each row leaves when its pilot ends; every row
@@ -556,11 +532,8 @@ def select_gda_step(
     steps = DEFAULT_GDA_GRID if grid is None else tuple(grid)
     if not steps:
         raise ValueError("empty step grid")
-    for s in steps:
-        if not (is_real(s) and s > 0 and math.isfinite(s)):
-            raise ValueError(f"GDA step grid entry {s!r} is not finite and positive")
-    steps = tuple(sorted(float(s) for s in steps))
-    budget = scfg.max_iter if pilot_iters is None else pilot_iters
+    steps = tuple(sorted(check_real("GDA step grid entry", s, 0, strict=True) for s in steps))
+    budget = scfg.max_iter if pilot_iters is None else check_int("pilot_iters", pilot_iters, 0)
     pilot_cfg = replace(scfg, max_iter=budget, record_trace=False)
     x0, y0 = problem.check_point(x0, y0)
     column = np.array(steps)[:, None]

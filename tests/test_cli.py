@@ -88,6 +88,9 @@ def test_config_rejects_bad_values():
         {"max_iter": 2.5},
         {"gda_pilot_iters": True},
         {"c": "abc"},
+        # integers beyond the float range
+        {"eta": 10**400},
+        {"c": 10**400},
         {"eta": -1},
         {"alpha": 0},
         {"solver": []},

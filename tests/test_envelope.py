@@ -52,9 +52,9 @@ def test_config_rejects_small_alpha():
             EnvelopeConfig(eta=0.5, alpha=alpha)
     # an infinite alpha clears the threshold but makes the objective nan
     for alpha in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="alpha must be finite"):
+        with pytest.raises(ValueError, match="alpha must be a finite"):
             EnvelopeConfig(eta=0.5, alpha=alpha)
-        with pytest.raises(ValueError, match="alpha must be finite"):
+        with pytest.raises(ValueError, match="alpha must be a finite"):
             EnvelopeConfig.for_problem(prob, alpha=alpha)
     cfg = EnvelopeConfig(eta=0.5, alpha=4.0)
     assert cfg.alpha == 4.0

@@ -28,7 +28,16 @@ from pfbe.envelope import (
 )
 from pfbe.lagrangian import lift
 from pfbe.problems import make_example1, make_synthetic, synthetic_from_data
-from pfbe.sets import BallSet, BoxSet, ProjectableSet, WholeSpace, composite_prox
+from pfbe.rng import NormalStream, Xoshiro256pp
+from pfbe.sets import (
+    BallSet,
+    BoxSet,
+    OrthantCone,
+    ProjectableSet,
+    WholeSpace,
+    ZeroCone,
+    composite_prox,
+)
 from pfbe.solvers import (
     DEFAULT_GDA_GRID,
     SolverConfig,
@@ -62,12 +71,11 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match="max_iter"):
             SolverConfig(max_iter=max_iter)
     assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
-    # steps are constants; a nan eta_y constructs, and solve_subgda rejects it
+    # steps are constants, and a nan one does not construct
     for name in ("eta_x", "eta_y"):
-        for step in (lambda k: 0.1, "0.1"):
+        for step in (lambda k: 0.1, "0.1", np.nan):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: step})
-        assert np.isnan(getattr(SolverConfig(**{name: np.nan}), name))
 
 
 def _oracle_with_lipschitz(value):
@@ -99,10 +107,34 @@ def _select_on_one_d(grid):
     (lambda: lift(make_example1().lifted.base, lipschitz_grad=True), "lipschitz_grad"),
     (lambda: make_synthetic(2, 2, True, 1), "c_value"),
     (lambda: BallSet([0.0], True), "radius"),
+    # an integer beyond the float range is not finite, and no OverflowError
+    (lambda: SolverConfig(gtol=10**400), "gtol"),
+    (lambda: EnvelopeConfig(eta=10**400, alpha=2.0), "eta"),
+    (lambda: EnvelopeConfig.for_problem(_one_d()[1], eta=10**400), "eta"),
 ], ids=["eta_x-bool", "eta_y-bool", "gtol-bool", "gtol-inf", "eta-bool", "alpha-bool",
         "for_problem-eta-bool", "grid-bool", "lipschitz-bool", "lift-lipschitz-bool",
-        "c_value-bool", "radius-bool"])
+        "c_value-bool", "radius-bool", "gtol-huge", "eta-huge", "for_problem-eta-huge"])
 def test_entry_points_reject_bools_and_an_infinite_gtol(make, name):
+    with pytest.raises(ValueError, match=name):
+        make()
+
+
+# a size, dimension or seed is an integer: a bool, a fraction or a string
+# is rejected, never rounded, truncated or read as 1
+@pytest.mark.parametrize("make, name", [
+    (lambda: make_synthetic(2, 2, 1.0, 1.5), "seed"),
+    (lambda: make_synthetic(2, 2, 1.0, True), "seed"),
+    (lambda: make_synthetic(2, 2, 1.0, "1"), "seed"),
+    (lambda: make_synthetic(True, 2, 1.0, 1), "n"),
+    (lambda: make_synthetic(2.5, 2, 1.0, 1), "n"),
+    (lambda: Xoshiro256pp(1.5), "seed"),
+    (lambda: NormalStream(True), "seed"),
+    (lambda: WholeSpace(2.5), "dim"),
+    (lambda: ZeroCone(-1), "dim"),
+    (lambda: OrthantCone(True), "dim"),
+], ids=["seed-float", "seed-bool", "seed-str", "n-bool", "n-float", "xoshiro-seed-float",
+        "normal-seed-bool", "wholespace-float", "zerocone-negative", "orthant-bool"])
+def test_counts_and_seeds_are_never_coerced(make, name):
     with pytest.raises(ValueError, match=name):
         make()
 
@@ -120,7 +152,7 @@ def test_spg_converges_to_origin_on_one_d():
     assert np.linalg.norm(res.x) <= 1e-7
     assert abs(res.y[0]) <= 1e-7
     assert abs(res.fval) <= 1e-10
-    assert res.feas == 0.0  # projected iterates never leave the set
+    assert prob.X.contains(res.x) and prob.Y.contains(res.y)  # projected iterates stay in
     assert res.failure is None
 
 
@@ -389,11 +421,12 @@ def test_subgda_rejects_eta_y_outside_envelope_step(eta_y, monkeypatch):
     inst, prob, cfg = _one_d()
     eta_y = 2.0 * cfg.eta if eta_y == "2 eta" else eta_y
     # checked once, before the start point is evaluated, so also when the
-    # run has no step to take
+    # run has no step to take; a nan or negative one already when the
+    # config is built
     monkeypatch.setattr(solvers, "evaluate", None)
     for max_iter in (5, 0):
-        scfg = SolverConfig(max_iter=max_iter, eta_x=0.1, eta_y=eta_y)
-        with pytest.raises(ValueError, match="eta_y="):
+        with pytest.raises(ValueError, match="eta_y"):
+            scfg = SolverConfig(max_iter=max_iter, eta_x=0.1, eta_y=eta_y)
             solve_subgda(prob, cfg, scfg, np.array([0.5, 0.25]), np.array([0.1]))
 
 
@@ -463,8 +496,9 @@ def test_gda_respects_custom_steps():
 
 
 def test_negative_x_step_rejected(monkeypatch):
-    # a constant step that is not finite and >= 0 is rejected before the
-    # start is evaluated, even when no step is taken
+    # a constant step that is not finite and >= 0 is rejected when the
+    # config is built, so before the start is evaluated, even when no step
+    # is taken
     inst, prob, cfg = _one_d()
     z0, y0 = np.array([1.0, 0.0]), np.array([0.0])
     monkeypatch.setattr(solvers, "evaluate", None)
@@ -473,8 +507,8 @@ def test_negative_x_step_rejected(monkeypatch):
     for solve, name in cases:
         for value in (-0.1, np.nan, np.inf):
             for max_iter in (0, 1, 5):
-                scfg = SolverConfig(max_iter=max_iter, **{name: value})
-                with pytest.raises(ValueError, match=f"{name}={value}"):
+                with pytest.raises(ValueError, match=f"{name} must be"):
+                    scfg = SolverConfig(max_iter=max_iter, **{name: value})
                     solve(prob, cfg, scfg, z0, y0)
 
 
@@ -549,7 +583,7 @@ def test_select_gda_step_empty_grid():
 @pytest.mark.parametrize("pilot_iters", [2.9, True, "10", -1])
 def test_select_gda_step_rejects_a_budget_that_is_not_a_count(pilot_iters):
     inst, prob, cfg = _one_d()
-    with pytest.raises(ValueError, match="max_iter"):
+    with pytest.raises(ValueError, match="pilot_iters"):
         select_gda_step(prob, cfg, SolverConfig(), np.zeros(2), np.zeros(1),
                         grid=[0.1], pilot_iters=pilot_iters)
 
@@ -571,7 +605,7 @@ def test_select_gda_step_rejects_non_positive_or_non_finite_steps(entry):
     prob = inst.lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
     z0, y0 = inst.lifted.default_start()
-    with pytest.raises(ValueError, match="not finite and positive"):
+    with pytest.raises(ValueError, match="grid entry"):
         select_gda_step(prob, cfg, SolverConfig(), z0, y0, grid=[0.1, entry], pilot_iters=5)
 
 
@@ -642,8 +676,7 @@ def test_stacked_run_rows_match_single_runs():
         s = float(column[i, 0])
         one = solve_gda_baseline(prob, cfg, replace(scfg, eta_x=s, eta_y=s), z0, y0)
         assert np.array_equal(res.x[i], one.x) and np.array_equal(res.y[i], one.y)
-        assert (res.fval[i], res.iter[i], res.stat[i], res.feas[i]) == (
-            one.fval, one.iter, one.stat, one.feas)
+        assert (res.fval[i], res.iter[i], res.stat[i]) == (one.fval, one.iter, one.stat)
     with pytest.raises(NonFiniteValue), np.errstate(over="ignore", invalid="ignore"):
         solve_gda_baseline(prob, cfg, replace(scfg, eta_x=5.0, eta_y=5.0), z0, y0)
 
@@ -723,8 +756,7 @@ def _reference_loop(problem, cfg, scfg, x0, y0, step):
     if rows is not None:
         return solvers.SolveResult(
             x=rows.x, y=rows.y, fval=rows.fval, iter=rows.iter, stat=rows.stat,
-            feas=solvers._set_feas(problem, rows.x, rows.y), wall_time=0.0,
-            converged=rows.converged, trace={}, failure=tuple(rows.failure),
+            wall_time=0.0, converged=rows.converged, trace={}, failure=tuple(rows.failure),
         )
     trace = {}
     if scfg.record_trace:
@@ -732,8 +764,7 @@ def _reference_loop(problem, cfg, scfg, x0, y0, step):
                  "stat": np.asarray(trace_stat, dtype=np.float64)}
     return solvers.SolveResult(
         x=ev.x, y=ev.y, fval=float(ev.gamma), iter=iters, stat=float(stat),
-        feas=float(solvers._set_feas(problem, ev.x, ev.y)), wall_time=0.0,
-        converged=converged, trace=trace, failure=failure,
+        wall_time=0.0, converged=converged, trace=trace, failure=failure,
     )
 
 
@@ -937,8 +968,8 @@ def test_stacked_subgda_row_with_non_finite_grad_y_leaves_alone(box_y):
         solve_subgda(prob, cfg, scfg, starts[0][0], starts[1][0])
     one = solve_subgda(prob, cfg, scfg, starts[0][1], starts[1][1])
     assert np.array_equal(got.x[1], one.x) and np.array_equal(got.y[1], one.y)
-    assert (got.fval[1], got.iter[1], got.stat[1], got.converged[1], got.feas[1]) == (
-        one.fval, one.iter, one.stat, one.converged, one.feas)
+    assert (got.fval[1], got.iter[1], got.stat[1], got.converged[1]) == (
+        one.fval, one.iter, one.stat, one.converged)
 
 
 def _halving_rules(prob, cfg, change):
