@@ -132,7 +132,9 @@ def row_dot(u, v):
 
 def check_finite(value, what: str = "value"):
     """Raise :class:`NonFiniteValue` if ``value`` contains a nan or inf."""
-    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+    # a count is cheaper than ndarray.all at the sizes of an iterate
+    if not (math.isfinite(value) if isinstance(value, float)
+            else np.count_nonzero(finite := np.isfinite(value)) == finite.size):
         raise NonFiniteValue(f"non-finite {what}: {value!r}")
     return value
 

@@ -124,42 +124,34 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     else:
         X_lift = ProductSet([coupled.X, polar])
 
-    def split(z):
-        return z[..., :n], z[..., n:]
-
+    # each partial result enters a float64 ufunc (or asarray), so an oracle
+    # may return lists; the lift adds no view of z or y to what g and c give
     def lp_eval(z, y):
-        x, lam = split(z)
-        gval = np.asarray(g.eval(x, y), dtype=np.float64)
-        return gval - row_dot(lam, np.asarray(con.eval_c(x, y), dtype=np.float64))
+        x, lam = z[..., :n], z[..., n:]
+        c = np.asarray(con.eval_c(x, y), dtype=np.float64)
+        return np.subtract(g.eval(x, y), row_dot(lam, c), dtype=np.float64)
 
     def lp_grad_x(z, y):
-        x, lam = split(z)
-        gx = np.asarray(g.grad_x(x, y), dtype=np.float64) - np.asarray(
-            con.jvp_x(x, y, lam), dtype=np.float64
-        )
-        glam = -np.asarray(con.eval_c(x, y), dtype=np.float64)
-        return np.concatenate([gx, glam], axis=-1)
+        x, lam = z[..., :n], z[..., n:]
+        gx = np.subtract(g.grad_x(x, y), con.jvp_x(x, y, lam), dtype=np.float64)
+        return np.concatenate([gx, np.negative(con.eval_c(x, y), dtype=np.float64)], axis=-1)
 
     def lp_grad_y(z, y):
-        x, lam = split(z)
-        return np.asarray(g.grad_y(x, y), dtype=np.float64) - np.asarray(
-            con.jvp_y(x, y, lam), dtype=np.float64
-        )
+        x, lam = z[..., :n], z[..., n:]
+        return np.subtract(g.grad_y(x, y), con.jvp_y(x, y, lam), dtype=np.float64)
 
     def hvp_yy(z, y, v):
-        x, lam = split(z)
-        out = np.asarray(g.hvp_yy(x, y, v), dtype=np.float64)
-        if con.hvp_yy_lam is not None:
-            out = out - np.asarray(con.hvp_yy_lam(x, y, lam, v), dtype=np.float64)
-        return out
+        x, lam = z[..., :n], z[..., n:]
+        if con.hvp_yy_lam is None:
+            return np.asarray(g.hvp_yy(x, y, v), dtype=np.float64)
+        return np.subtract(g.hvp_yy(x, y, v), con.hvp_yy_lam(x, y, lam, v), dtype=np.float64)
 
     def hvp_xy(z, y, v):
-        x, lam = split(z)
-        top = np.asarray(g.hvp_xy(x, y, v), dtype=np.float64)
+        x, lam = z[..., :n], z[..., n:]
+        top = g.hvp_xy(x, y, v)
         if con.hvp_xy_lam is not None:
-            top = top - np.asarray(con.hvp_xy_lam(x, y, lam, v), dtype=np.float64)
-        dc = np.asarray(con.dc_y(x, y, v), dtype=np.float64)
-        return np.concatenate([top, -dc], axis=-1)
+            top = np.subtract(top, con.hvp_xy_lam(x, y, lam, v), dtype=np.float64)
+        return np.concatenate([top, np.negative(con.dc_y(x, y, v), dtype=np.float64)], axis=-1)
 
     oracle = FunctionOracle(
         eval=lp_eval,

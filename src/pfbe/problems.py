@@ -74,7 +74,10 @@ def spectral_norm_power(matvec: Callable[[Vector], Vector], dim: int) -> float:
 
 
 def _pad(v: Vector, dim: int) -> Vector:
-    """``v`` zero-padded to ``dim`` entries, row by row for a stack."""
+    """``v`` zero-padded to ``dim`` entries, row by row for a stack; ``v``
+    itself when it has them."""
+    if v.shape[-1] == dim:
+        return v
     out = np.zeros(v.shape[:-1] + (dim,))
     out[..., : v.shape[-1]] = v
     return out
@@ -102,7 +105,7 @@ def _synthetic_oracles(
     B: np.ndarray, b: np.ndarray, c_value: float, L_lift: float
 ) -> tuple[FunctionOracle, ConstraintOracle]:
     """The coupling ``g`` and the constraint ``c``; each callable takes a
-    point or a stack."""
+    point or a stack, and ``c``'s products may return a view of theirs."""
     n, p = B.shape
     m = min(n, p)
 
@@ -116,7 +119,7 @@ def _synthetic_oracles(
         return _matvec(B.T, x) - y
 
     def g_hvp_yy(x, y, v):
-        return -np.asarray(v, dtype=np.float64)
+        return -v
 
     def g_hvp_xy(x, y, v):
         return _matvec(B, v)
@@ -125,13 +128,13 @@ def _synthetic_oracles(
         return x[..., :m] + y[..., :m] - c_value
 
     def c_jvp_x(x, y, lam):
-        return _pad(np.asarray(lam, dtype=np.float64), n)
+        return _pad(lam, n)
 
     def c_jvp_y(x, y, lam):
-        return _pad(np.asarray(lam, dtype=np.float64), p)
+        return _pad(lam, p)
 
     def c_dc_y(x, y, v):
-        return np.asarray(v, dtype=np.float64)[..., :m].copy()
+        return v[..., :m]
 
     g = FunctionOracle(
         eval=g_eval,

@@ -106,11 +106,11 @@ class OrthantCone(BoxSet, ProjectableCone):
     clip and flags the same boundary as that box."""
 
     def __init__(self, dim: int, sign: int = 1):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        self.sign = int(sign)
+        self.sign = check_int("sign", sign, -1)  # not a bool or a float
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         dim = check_int("dim", dim, 0)
-        bounds = (0.0, np.inf) if sign > 0 else (-np.inf, 0.0)
+        bounds = (0.0, np.inf) if self.sign > 0 else (-np.inf, 0.0)
         super().__init__(*(np.full(dim, bound) for bound in bounds))
 
     def polar(self) -> "OrthantCone":
@@ -187,28 +187,22 @@ def composite_prox(reg: ProxRegularizer, set_: ProjectableSet, z, step: float) -
     with one step per row. A nonzero regularizer's prox is taken row by
     row, since its callable need not take stacks.
     """
+    if step < 0 if isinstance(step, float) else np.count_nonzero(np.less(step, 0.0)):
+        raise ValueError("prox step must be nonnegative")
+    if reg.is_zero or np.all(step == 0.0):
+        return set_.project(z)  # which checks z
+    if not (reg.attached_set is set_ or isinstance(set_, WholeSpace)):
+        raise IncompleteOracle(
+            "no fused prox available for this regularizer/set pair; supply a "
+            "ProxRegularizer with attached_set or use a whole-space set"
+        )
     z = as_points(z, set_.dim, "point")
     if z.ndim > 1:
-        if (np.asarray(step) < 0).any():
-            raise ValueError("prox step must be nonnegative")
-        if reg.is_zero:
-            return set_.project(z)
         steps = np.broadcast_to(step, z.shape[:-1] + (1,))[..., 0]
         return np.array(
             [composite_prox(reg, set_, row, float(s)) for row, s in zip(z, steps)]
         ).reshape(z.shape)
-    if step < 0:
-        raise ValueError("prox step must be nonnegative")
-    if reg.is_zero or step == 0.0:
-        return set_.project(z)
-    if reg.attached_set is set_:
-        return np.asarray(reg.prox(z, step), dtype=np.float64)
-    if isinstance(set_, WholeSpace):
-        return np.asarray(reg.prox(z, step), dtype=np.float64)
-    raise IncompleteOracle(
-        "no fused prox available for this regularizer/set pair; supply a "
-        "ProxRegularizer with attached_set or use a whole-space set"
-    )
+    return np.asarray(reg.prox(z, step), dtype=np.float64)
 
 
 __all__ = [

@@ -90,12 +90,14 @@ STEP_MAX = 1e10
 
 # points in one deferred residual test: a run from one point tests this many
 # of its iterates as one stacked evaluation, a stack of r runs
-# max(1, TEST_POINTS // r) iterates of each. On a 2-CPU Xeon with numpy 2.4
-# and one BLAS thread, a block of one iterate costs about twice as much per
-# iteration as evaluating every iterate in turn, and from 64 points on about
-# a third as much at n = p = 20 and 50; 128 points add about 1 MB to the
-# peak memory of the criterion-6 sweep and 256 points about 3 MB.
-TEST_POINTS = 64
+# max(1, TEST_POINTS // r) iterates of each. The stacked evaluation costs
+# about 70 us before its first row at n = p = 20, which the 20 GDA pilots
+# pay once per 6 steps at 128 points and per 3 at 64. On a 2-CPU Xeon with
+# numpy 2.4 and one BLAS thread, 128 points took 4% less time than 64 over
+# the 27 jobs of the criterion-6 sweep and 5% less over its n = p = 50
+# subgda and gda jobs (one process, 4 alternating rounds each), and added
+# 1.0 MB to its peak memory (35.9 -> 36.9 MB); 256 points add about 3 MB.
+TEST_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -245,8 +247,9 @@ class _Runs:
         self.iter[runs] = iters
         self.stat[self.left] = np.where(ok, stat[at], np.inf)
         self.converged[self.left] = passed[at] & ok
-        at = at[~hit]
-        self.left = self.left[~hit]
+        if hit.any():  # else left stays the same array, as _iterate_first_order promises
+            at = at[~hit]
+            self.left = self.left[~hit]
         if not self.left.size:
             return None
         if self.one:
@@ -297,7 +300,8 @@ def _iterate_first_order(
     last finite iterate and ``stat = inf``, with failure
     ``"NonFiniteValue"``); the loop ends when no row is left. ``step``
     gets the start-stack indices of the rows of its iterate (None for one
-    point) and returns, for a stack, one row per run left.
+    point), the same array until a run leaves, and returns, for a stack,
+    one row per run left.
 
     :class:`Points` returned by ``step`` are collected into a block of up
     to :meth:`_Runs.block` iterates and tested as one stacked evaluation;
@@ -468,12 +472,16 @@ def solve_subgda(
 def _gda_step(problem: MinimaxProblem, eta_x, eta_y) -> StepRule:
     """Simultaneous prox-gradient descent in x and ascent in y on ``f``
     with constant steps: floats, or for a stack columns with one step per
-    start row, of which each step takes the rows of the runs left."""
+    start row, of which each step takes the rows of the runs left (taken
+    anew only when ``rows`` is another array, that is, when a run left)."""
     f = problem.f
     per_row = isinstance(eta_x, np.ndarray)
+    seen, tx, ty = None, eta_x, eta_y
 
     def step(k: int, it: Iterate, rows) -> Points:
-        tx, ty = (eta_x[rows], eta_y[rows]) if per_row else (eta_x, eta_y)
+        nonlocal seen, tx, ty
+        if per_row and rows is not seen:
+            seen, tx, ty = rows, eta_x[rows], eta_y[rows]
         x_new = composite_prox(problem.r1, problem.X, it.x - tx * _grad_x_f(f, it), tx)
         y_new = composite_prox(problem.r2, problem.Y, it.y + ty * _grad_y_f(f, it), ty)
         return Points(x_new, y_new)

@@ -124,6 +124,30 @@ def test_check_finite():
     assert check_finite(3) == 3 and check_finite(np.float32(2.0)) == 2.0
 
 
+@pytest.mark.parametrize("value", [
+    np.array([1e308, 1e308]),  # finite, though its sum and its dot overflow
+    np.full((3, 4), -1e308),
+    np.float64(2.0),
+    np.float64(1e308),
+    np.array(5.0),
+    [1e308, 1e308],
+])
+def test_check_finite_passes_finite_values_whatever_they_sum_to(value):
+    assert check_finite(value) is value
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 3, 6])
+def test_check_finite_finds_a_nonfinite_entry_at_any_position(bad, at):
+    v = np.full(7, 1e308)
+    v[at] = bad
+    stack = np.ones((3, 7))
+    stack[1, at] = bad
+    for value in (v, stack, stack.T, np.float64(bad), v[at:at + 1]):
+        with pytest.raises(NonFiniteValue, match="non-finite probe"):
+            check_finite(value, "probe")
+
+
 def _zero_hvp(x, y, v):
     return np.zeros(1)
 

@@ -80,6 +80,76 @@ def test_lifted_gradients_blockwise():
         assert np.allclose(gy, expect_y, atol=1e-14)
 
 
+LIFTED_CALLS = ("eval", "grad_x", "grad_y", "hvp_xy", "hvp_yy")
+
+
+@pytest.mark.parametrize("n, p", [(5, 5), (4, 3), (3, 4)])  # m = n = p, m = p < n, m = n < p
+def test_lifted_oracle_keeps_row_bits_and_owns_its_outputs(n, p):
+    lifted = make_synthetic(n, p, 1.0, 5).lifted
+    f = lifted.problem.f
+    rng = np.random.default_rng(n * 10 + p)
+    z = rng.standard_normal((5, lifted.n + lifted.m))
+    y = rng.standard_normal((5, p))
+    v = rng.standard_normal((5, p))
+    for name in LIFTED_CALLS:
+        args = (z, y) if name in ("eval", "grad_x", "grad_y") else (z, y, v)
+        stacked = getattr(f, name)(*args)
+        rows = [getattr(f, name)(*row) for row in zip(*args)]
+        assert np.asarray(stacked).tobytes() == np.array(rows).tobytes(), name
+        for out, point in [(stacked, args)] + list(zip(rows, zip(*args))):
+            # a caller may write into an output without touching its point
+            assert not np.shares_memory(out, point[0]), name
+            assert not np.shares_memory(out, point[1]), name
+
+
+def _list_problem(wrap):
+    """A coupled problem in two dimensions whose value is a Python float and
+    whose other oracles return ``wrap`` of a list of floats."""
+
+    def g_eval(x, y):
+        return float(x[0] * y[0] + 2.0 * x[1] * y[1] - 0.5 * (y[0] ** 2 + y[1] ** 2))
+
+    g = FunctionOracle(
+        eval=g_eval,
+        grad_x=lambda x, y: wrap([float(y[0]), 2.0 * y[1]]),
+        grad_y=lambda x, y: wrap([x[0] - y[0], 2.0 * x[1] - y[1]]),
+        lipschitz_grad=4.0,
+        strong_concavity=1.0,
+        hvp_yy=lambda x, y, v: wrap([-v[0], -v[1]]),
+        hvp_xy=lambda x, y, v: wrap([float(v[0]), 2.0 * v[1]]),
+    )
+    con = ConstraintOracle(
+        dim=2,
+        eval_c=lambda x, y: wrap([y[0] + x[0] - 1.0, y[1] - x[1]]),
+        jvp_x=lambda x, y, lam: wrap([float(lam[0]), -lam[1]]),
+        jvp_y=lambda x, y, lam: wrap([float(lam[0]), float(lam[1])]),
+        dc_y=lambda x, y, v: wrap([float(v[0]), float(v[1])]),
+        linear_in_y=True,
+    )
+    return CoupledProblem(
+        g=g, c=con, X=BoxSet([0.0, 0.0], [1.0, 1.0]), Y=WholeSpace(2), K=OrthantCone(2, sign=-1)
+    )
+
+
+def test_lift_takes_oracles_that_return_lists_and_floats():
+    by_list = lift(_list_problem(list), lipschitz_grad=8.0).problem
+    by_array = lift(_list_problem(np.array), lipschitz_grad=8.0).problem
+    rng = np.random.default_rng(64)
+    z = np.concatenate([rng.uniform(0, 1, 2), rng.uniform(0, 2, 2)])
+    y, v = rng.standard_normal(2), rng.standard_normal(2)
+    for name in LIFTED_CALLS:
+        args = (z, y) if name in ("eval", "grad_x", "grad_y") else (z, y, v)
+        got, want = getattr(by_list.f, name)(*args), getattr(by_array.f, name)(*args)
+        assert type(got) is type(want) and np.asarray(got).dtype == np.float64, name
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    cfg = EnvelopeConfig.for_problem(by_array)
+    for point in ((z, y), (np.tile(z, (3, 1)), np.tile(y, (3, 1)))):
+        got, want = evaluate(by_list, cfg, *point), evaluate(by_array, cfg, *point)
+        for field in ("gamma", "T", "grad_x", "grad_y"):
+            assert np.asarray(getattr(got, field)).tobytes() == np.asarray(
+                getattr(want, field)).tobytes(), field
+
+
 def test_lifted_hvp_against_finite_differences():
     for inst in (make_synthetic(3, 4, 1.0, 14), make_example1()):
         lifted = inst.lifted

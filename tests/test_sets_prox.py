@@ -120,6 +120,19 @@ def test_whole_space_identity_and_polar():
     assert isinstance(ws.polar().polar(), WholeSpace)
 
 
+@pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, np.float64(1.0), 0, 2, -2, "1", None])
+def test_orthant_sign_is_the_integer_one_or_minus_one(sign):
+    # a bool or a float equal to +-1 is not coerced to a sign
+    with pytest.raises(ValueError, match="sign"):
+        OrthantCone(2, sign)
+
+
+def test_orthant_takes_a_numpy_integer_sign():
+    cone = OrthantCone(2, np.int64(-1))
+    assert type(cone.sign) is int and cone.sign == -1
+    assert cone.hi.tolist() == [0.0, 0.0] and cone.polar().sign == 1
+
+
 def test_orthant_projection_and_polar():
     nonneg = OrthantCone(3, sign=1)
     nonpos = OrthantCone(3, sign=-1)

@@ -7,12 +7,13 @@ hand-stepped updates; failure paths are driven by a deliberately
 inconsistent oracle.
 """
 
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from pfbe import solvers
+from pfbe import core, solvers
 from pfbe.core import (
     FunctionOracle,
     MinimaxProblem,
@@ -314,10 +315,35 @@ def _count_grad_evaluations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("k", [7, solvers.TEST_POINTS, solvers.TEST_POINTS + 5])
+def _count_as_points(monkeypatch):
+    """Count the calls of ``core.as_points``, at every module that binds it."""
+    calls = []
+    inner = core.as_points
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("pfbe") and getattr(module, "as_points", None) is inner:
+            monkeypatch.setattr(module, "as_points", counted)
+    return calls
+
+
+# at the start and at each block of iterates: the stacked evaluation checks
+# x and y and projects T onto Y, and the residual test projects onto X and Y
+AS_POINTS_PER_TEST = 5
+# k = 7 and half a block (and 5 more) leave the block unfilled, TEST_POINTS
+# fills it exactly, and 5 more iterates need a second one
+BUDGETS = [7, solvers.TEST_POINTS // 2, solvers.TEST_POINTS // 2 + 5,
+           solvers.TEST_POINTS, solvers.TEST_POINTS + 5]
+
+
+@pytest.mark.parametrize("k", BUDGETS)
 def test_gda_oracle_calls_per_block(monkeypatch, k):
     prob, cfg, counts = _counted_one_d()
     calls = _count_grad_evaluations(monkeypatch)
+    checks = _count_as_points(monkeypatch)
     scfg = SolverConfig(max_iter=k, eta_x=0.05, eta_y=0.05, gtol=1e-12)
     res = solve_gda_baseline(prob, cfg, scfg, np.array([0.5, 0.25]), np.array([0.1]))
     assert res.iter == k
@@ -327,14 +353,17 @@ def test_gda_oracle_calls_per_block(monkeypatch, k):
     blocks = -(-k // solvers.TEST_POINTS)
     assert calls == [True] * (blocks + 1)
     assert counts == {"eval": blocks + 1, "grad_x": k + 1, "grad_y": k + 1}
+    # a step checks each of its two prox points once, in its projection
+    assert len(checks) == 2 * k + AS_POINTS_PER_TEST * (blocks + 1)
 
 
-@pytest.mark.parametrize("k", [7, solvers.TEST_POINTS, solvers.TEST_POINTS + 5])
+@pytest.mark.parametrize("k", BUDGETS)
 def test_subgda_oracle_calls_per_block(monkeypatch, k):
     prob, cfg, counts = _counted_one_d()
     calls = _count_grad_evaluations(monkeypatch)
+    checks = _count_as_points(monkeypatch)
     res = solve_subgda(
-        prob, cfg, SolverConfig(max_iter=k), np.array([0.5, 0.25]), np.array([0.1])
+        prob, cfg, SolverConfig(max_iter=k, gtol=1e-12), np.array([0.5, 0.25]), np.array([0.1])
     )
     assert res.iter == k
     # grad_x f as for GDA; grad_y f also once per step for R(x+, y) in
@@ -342,6 +371,26 @@ def test_subgda_oracle_calls_per_block(monkeypatch, k):
     blocks = -(-k // solvers.TEST_POINTS)
     assert calls == [True] * (blocks + 1)
     assert counts == {"eval": blocks + 1, "grad_x": k + 1, "grad_y": k + blocks + 1}
+    # a step checks x+ in its projection, (x+, y) in prox_step and the
+    # point it projects onto Y
+    assert len(checks) == 4 * k + AS_POINTS_PER_TEST * (blocks + 1)
+
+
+@pytest.mark.parametrize("k", [7, solvers.TEST_POINTS])
+def test_stacked_gda_pilot_checks_points_once_per_prox(monkeypatch, k):
+    prob, cfg, counts = _counted_one_d()
+    checks = _count_as_points(monkeypatch)
+    grid = (0.01, 0.02)  # neither pilot converges or diverges within k
+    _, scores = select_gda_step(
+        prob, cfg, SolverConfig(gtol=1e-12), np.array([0.5, 0.25]), np.array([0.1]),
+        grid=grid, pilot_iters=k,
+    )
+    assert all(np.isfinite(list(scores.values())))
+    # the start point once at entry; then each stacked step as one GDA step,
+    # whatever the number of pilots, and each block as one test
+    blocks = -(-k // (solvers.TEST_POINTS // len(grid)))
+    assert counts == {"eval": blocks + 1, "grad_x": k + 1, "grad_y": k + 1}
+    assert len(checks) == 2 + 2 * k + AS_POINTS_PER_TEST * (blocks + 1)
 
 
 def test_spg_evaluates_each_point_once(monkeypatch):
@@ -845,7 +894,9 @@ _INSTANCES = [(10, 10, 1.0, 1), (20, 20, 1.0, 2), (3, 3, 1.0, 2), "example1"]
 
 @pytest.mark.parametrize("solver", sorted(_SOLVERS))
 @pytest.mark.parametrize("name", _INSTANCES, ids=str)
-@pytest.mark.parametrize("budget", [0, 1, P - 1, P, P + 1, 10000])
+# budgets around the end of a full block, and around half a block, where the
+# budget cuts the first block short
+@pytest.mark.parametrize("budget", [0, 1, P // 2 - 1, P // 2, P // 2 + 1, P - 1, P, P + 1, 10000])
 def test_fixed_step_runs_match_reference_loop(solver, name, budget):
     prob, cfg, z0, y0 = _instance(name)
     run, reference = _SOLVERS[solver]
