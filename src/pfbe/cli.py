@@ -133,16 +133,8 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def emit(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 class BenchRow(NamedTuple):
@@ -195,7 +187,8 @@ def _setup(cfg: RunConfig):
 def _load_config(path) -> RunConfig:
     """The config at ``path``, its ``alpha`` checked against the instance's
     envelope threshold; any violation raises ``ValueError``."""
-    cfg = RunConfig.from_json(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = RunConfig.from_dict(json.load(fh))
     if cfg.alpha is not None:  # a defaulted alpha sits at the threshold
         _setup(cfg)
     return cfg
@@ -302,7 +295,7 @@ def cmd_sweep(args) -> int:
             cfg = _load_config(path)
             for solver in cfg.solvers:
                 for _ in range(cfg.repeats):
-                    jobs.append((cfg.to_dict(), solver))
+                    jobs.append((asdict(cfg), solver))
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1

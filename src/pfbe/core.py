@@ -291,15 +291,11 @@ class ConstraintOracle:
     """Coupled constraint map ``c : R^n x R^p -> R^m`` with adjoint products.
 
     ``jvp_x(x, y, lam) = grad_x <lam, c(x, y)>`` and likewise ``jvp_y``.
-    ``dc_y(x, y, v) = d/dt c(x, y + t v)`` is the forward derivative that
-    the lifted mixed Hessian block needs; a value that is not callable
-    raises :class:`IncompleteOracle` at construction.
-    ``hvp_*_lam`` are the second derivatives of ``(x, y) -> <lam, c(x, y)>``
-    along y-directions, which :func:`pfbe.lagrangian.lift` requires unless
-    ``linear_in_y`` declares ``c`` affine in ``y``. Then ``hvp_yy_lam``
-    vanishes, and a missing ``hvp_xy_lam`` is taken as zero, which is right
-    only when ``c(x, y) = A y + a(x)`` with a constant ``A`` (a given one is
-    always used).
+    ``dc_y(x, y, v) = d/dt c(x, y + t v)``, and ``hvp_xy_lam`` and
+    ``hvp_yy_lam`` are the derivatives of ``jvp_x`` and ``jvp_y`` along a
+    y-direction ``v``: the exact products the lift needs. A value of the
+    three that is not callable raises :class:`IncompleteOracle` at
+    construction.
     ``stacks`` declares, as for :class:`FunctionOracle`, that every
     callable also takes stacks of points, row by row bit for bit.
     """
@@ -309,14 +305,14 @@ class ConstraintOracle:
     jvp_x: Callable[[Vector, Vector, Vector], Vector]
     jvp_y: Callable[[Vector, Vector, Vector], Vector]
     dc_y: Callable[[Vector, Vector, Vector], Vector]
-    hvp_xy_lam: Optional[Callable[[Vector, Vector, Vector, Vector], Vector]] = None
-    hvp_yy_lam: Optional[Callable[[Vector, Vector, Vector, Vector], Vector]] = None
-    linear_in_y: bool = False
+    hvp_xy_lam: Callable[[Vector, Vector, Vector, Vector], Vector]
+    hvp_yy_lam: Callable[[Vector, Vector, Vector, Vector], Vector]
     stacks: bool = False
 
     def __post_init__(self):
-        if not callable(self.dc_y):
-            raise IncompleteOracle("ConstraintOracle.dc_y must be callable")
+        for name in ("dc_y", "hvp_xy_lam", "hvp_yy_lam"):
+            if not callable(getattr(self, name)):
+                raise IncompleteOracle(f"ConstraintOracle.{name} must be callable")
 
 
 @dataclass(frozen=True)

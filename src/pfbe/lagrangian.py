@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     CoupledProblem,
     FunctionOracle,
-    IncompleteOracle,
     MinimaxProblem,
     PreconditionViolation,
     ProxRegularizer,
@@ -107,16 +106,11 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     The lifted oracle takes stacks of points when both ``coupled.g`` and
     ``coupled.c`` do. Its Hessian-vector products are exact: ``hvp_yy`` is
     ``g.hvp_yy - c.hvp_yy_lam`` and ``hvp_xy`` stacks ``g.hvp_xy -
-    c.hvp_xy_lam`` over the multiplier block ``-c.dc_y``. A constraint that
-    is not ``linear_in_y`` must give both ``hvp_xy_lam`` and
-    ``hvp_yy_lam``, or :class:`IncompleteOracle` is raised;
-    ``linear_in_y`` takes a missing one as zero, which for ``hvp_xy_lam``
-    is right only when ``c(x, y) = A y + a(x)`` with a constant ``A``.
+    c.hvp_xy_lam`` over the multiplier block ``-c.dc_y``, each from the
+    oracles' own products, which :class:`ConstraintOracle` requires.
     """
     g, con = coupled.g, coupled.c
     n, m = coupled.dim_x, con.dim
-    if not con.linear_in_y and (con.hvp_xy_lam is None or con.hvp_yy_lam is None):
-        raise IncompleteOracle("a constraint not linear_in_y needs hvp_xy_lam and hvp_yy_lam")
     polar = coupled.K.polar()
     if isinstance(coupled.X, BoxSet) and isinstance(polar, BoxSet):  # an orthant is a box
         X = coupled.X
@@ -142,15 +136,11 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
 
     def hvp_yy(z, y, v):
         x, lam = z[..., :n], z[..., n:]
-        if con.hvp_yy_lam is None:
-            return np.asarray(g.hvp_yy(x, y, v), dtype=np.float64)
         return np.subtract(g.hvp_yy(x, y, v), con.hvp_yy_lam(x, y, lam, v), dtype=np.float64)
 
     def hvp_xy(z, y, v):
         x, lam = z[..., :n], z[..., n:]
-        top = g.hvp_xy(x, y, v)
-        if con.hvp_xy_lam is not None:
-            top = np.subtract(top, con.hvp_xy_lam(x, y, lam, v), dtype=np.float64)
+        top = np.subtract(g.hvp_xy(x, y, v), con.hvp_xy_lam(x, y, lam, v), dtype=np.float64)
         return np.concatenate([top, np.negative(con.dc_y(x, y, v), dtype=np.float64)], axis=-1)
 
     oracle = FunctionOracle(

@@ -90,6 +90,16 @@ def _matvec(A: np.ndarray, v: Vector) -> Vector:
     return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
 
 
+def _zero_hvp_xy_lam(x, y, lam, v) -> Vector:
+    """``hvp_xy_lam`` of ``c = A y + a(x)``, ``A`` constant: zeros like ``x``."""
+    return np.zeros(np.shape(x))
+
+
+def _zero_hvp_yy_lam(x, y, lam, v) -> Vector:
+    """``hvp_yy_lam`` of ``c`` affine in ``y``: zeros like ``v``."""
+    return np.zeros(np.shape(v))
+
+
 @dataclass(frozen=True, eq=False)
 class SyntheticInstance:
     """One generated bilinearly-coupled instance with its lifted problem;
@@ -152,7 +162,8 @@ def _synthetic_oracles(
         jvp_x=c_jvp_x,
         jvp_y=c_jvp_y,
         dc_y=c_dc_y,
-        linear_in_y=True,
+        hvp_xy_lam=_zero_hvp_xy_lam,
+        hvp_yy_lam=_zero_hvp_yy_lam,
         stacks=True,
     )
     return g, con
@@ -174,15 +185,18 @@ def _synthetic_hessian_matvec(B: np.ndarray) -> Callable[[Vector], Vector]:
 
 
 def synthetic_from_data(B, b, c_value: float) -> SyntheticInstance:
-    """Build the synthetic instance from explicit ``B`` and ``b`` (as given,
-    no normalization), e.g. for pinned tiny cases, at the finite level
-    ``c_value``."""
+    """Build the synthetic instance from explicit finite ``B`` and ``b`` (as
+    given, no normalization), e.g. for pinned tiny cases, at the finite
+    level ``c_value``."""
     check_real("c_value", c_value)
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
         raise ValueError("B must be a matrix")
     n, p = B.shape
     b = as_vector(b, n, "b")
+    for name, data in (("B", B), ("b", b)):
+        if not np.isfinite(data).all():
+            raise ValueError(f"{name} must be finite")
     m = min(n, p)
     # g declares it too: by interlacing it bounds g's constant
     L_lift = spectral_norm_power(_synthetic_hessian_matvec(B), n + m + p)
@@ -280,7 +294,8 @@ def make_example1() -> Example1Instance:
         jvp_x=c_jvp_x,
         jvp_y=c_jvp_y,
         dc_y=c_dc_y,
-        linear_in_y=True,
+        hvp_xy_lam=_zero_hvp_xy_lam,
+        hvp_yy_lam=_zero_hvp_yy_lam,
     )
     coupled = CoupledProblem(
         g=g,

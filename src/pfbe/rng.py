@@ -219,11 +219,11 @@ class NormalStream:
         """Row-major array of draws with the given shape.
 
         The draws, the spare left behind and the generator state afterwards
-        are those of as many :meth:`next` calls.
+        are those of as many :meth:`next` calls. An entry that is not an
+        integer ``>= 0`` raises ``ValueError`` before any draw.
         """
-        count = 1
-        for s in shape:
-            count *= int(s)
+        shape = tuple(check_int("array shape entry", s, 0) for s in shape)
+        count = math.prod(shape)
         if count < LANE_MIN_DRAWS:
             flat = np.array([self.next() for _ in range(count)], dtype=np.float64)
         else:

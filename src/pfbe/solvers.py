@@ -40,6 +40,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .core import (
+    DimensionError,
     FunctionOracle,
     MinimaxProblem,
     NonFiniteValue,
@@ -383,8 +384,11 @@ def solve_spg(
     rejected halvings or once the step drops below ``STEP_MIN``, and with
     ``failure="Stalled"`` when a prox step of the current size leaves the
     iterate bit-unchanged although the unit-step residual is above
-    ``gtol``.
+    ``gtol``. SPG runs from one point: a stack of starts raises
+    :class:`DimensionError` at once (stacked SPG is ROADMAP item 2).
     """
+    if problem.check_point(x0, y0)[0].ndim > 1:
+        raise DimensionError(f"solve_spg runs from one point, got a stack of {len(x0)}")
     recent = deque(maxlen=LS_WINDOW)  # objective values of the last iterates
     t = STEP_INIT
 

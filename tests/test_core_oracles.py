@@ -176,12 +176,26 @@ def test_function_oracle_without_an_exact_product_is_incomplete(missing):
         FunctionOracle(**pieces)
 
 
-def test_constraint_oracle_without_dc_y_is_incomplete():
+def _constraint_parts():
     zero = lambda x, y, lam: np.zeros(1)
+    zero_hvp = lambda x, y, lam, v: np.zeros(1)
+    return dict(
+        dim=1, eval_c=lambda x, y: np.zeros(1), jvp_x=zero, jvp_y=zero,
+        dc_y=lambda x, y, v: np.zeros(1), hvp_xy_lam=zero_hvp, hvp_yy_lam=zero_hvp,
+    )
+
+
+def test_constraint_oracle_without_dc_y_is_incomplete():
     with pytest.raises(IncompleteOracle, match="dc_y"):
-        ConstraintOracle(
-            dim=1, eval_c=lambda x, y: np.zeros(1), jvp_x=zero, jvp_y=zero, dc_y=None,
-        )
+        ConstraintOracle(**{**_constraint_parts(), "dc_y": None})
+
+
+@pytest.mark.parametrize("name", ["hvp_xy_lam", "hvp_yy_lam"])
+@pytest.mark.parametrize("value", [None, "not callable"])
+def test_constraint_oracle_without_a_product_is_incomplete(name, value):
+    ConstraintOracle(**_constraint_parts())  # complete, it builds
+    with pytest.raises(IncompleteOracle, match=f"ConstraintOracle.{name}"):
+        ConstraintOracle(**{**_constraint_parts(), name: value})
 
 
 def test_fd_gradient_matches_closed_form():

@@ -214,7 +214,8 @@ def test_brute_force_infeasible_slices():
         jvp_x=lambda x, y, lam: np.array([-lam[0]]),
         jvp_y=lambda x, y, lam: np.array([lam[0]]),
         dc_y=lambda x, y, v: np.array([v[0]]),
-        linear_in_y=True,
+        hvp_xy_lam=lambda x, y, lam, v: np.zeros(1),
+        hvp_yy_lam=lambda x, y, lam, v: np.zeros(1),
     )
     coupled = CoupledProblem(
         g=g, c=con, X=BoxSet([0.0], [1.0]), Y=BoxSet([0.0], [1.0]), K=ZeroCone(1)
@@ -263,6 +264,8 @@ def test_polar_convexity_detects_concave_constraint():
         jvp_x=lambda x, y, lam: np.zeros(1),
         jvp_y=lambda x, y, lam: np.array([-2.0 * y[0] * lam[0]]),
         dc_y=lambda x, y, v: np.array([-2.0 * y[0] * v[0]]),
+        hvp_xy_lam=lambda x, y, lam, v: np.zeros(1),
+        hvp_yy_lam=lambda x, y, lam, v: np.array([-2.0 * lam[0] * v[0]]),
     )
     coupled = CoupledProblem(
         g=g, c=con, X=BoxSet([0.0], [1.0]), Y=WholeSpace(1), K=OrthantCone(1, sign=-1)

@@ -12,7 +12,8 @@ modules excepted) for two kinds of setting:
   name, ``name(...)`` or ``obj.name(...)``. The parameters of ``__init__``
   count under the class name. A defaulted field of a dataclass or a
   ``NamedTuple`` is a parameter of its class too, and ``replace(obj,
-  field=...)`` also sets it. ``ALLOWED`` names the exceptions.
+  field=...)`` also sets it. ``ALLOWED`` names the exceptions; an entry
+  that matches no such setting is stale and fails the scan too.
 
 A setting that only tests set is a knob no run of the program can turn; it
 belongs in a module constant.
@@ -37,8 +38,6 @@ ALLOWED = {
     "cli.RunConfig.*": "from_dict sets each key a JSON config gives",
     "core.MinimaxProblem.r2": MODEL,
     "core.CoupledProblem.r1": MODEL,
-    "core.ConstraintOracle.hvp_xy_lam": MODEL,
-    "core.ConstraintOracle.hvp_yy_lam": MODEL,
 }
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -137,13 +136,14 @@ def _passed(call: ast.Call, positional: list, param: str) -> list:
 def defaults_never_set(modules, callers, allowed=ALLOWED) -> list:
     """``module.qualified_name(parameter)`` for each defaulted parameter, and
     ``module.Class.field`` for each defaulted record field, in ``modules``
-    that no call in ``callers`` sets to another value."""
+    that no call in ``callers`` sets to another value; then a line for each
+    key of ``allowed`` that matches none of those settings."""
     calls = defaultdict(list)
     for path in callers:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Call):
                 calls[_callee(node)].append(node)
-    unset = []
+    unset, matched = [], set()
     for path in modules:
         for name_format, callee, positional, defaults in _defaulted(path):
             # replace(obj, field=...) sets a field by keyword only
@@ -152,12 +152,14 @@ def defaults_never_set(modules, callers, allowed=ALLOWED) -> list:
                 setters += [(call, []) for call in calls["replace"]]
             for param, default in defaults.items():
                 name = name_format.format(param)
-                if any(fnmatchcase(name, pattern) for pattern in allowed):
+                hits = {pattern for pattern in allowed if fnmatchcase(name, pattern)}
+                if hits:
+                    matched |= hits
                     continue
                 if not any(value != default for call, fill in setters
                            for value in _passed(call, fill, param)):
                     unset.append(name)
-    return sorted(unset)
+    return sorted(unset) + [f"stale ALLOWED entry {key}" for key in sorted(set(allowed) - matched)]
 
 
 def test_every_solver_config_field_is_set_by_a_caller():
@@ -256,3 +258,25 @@ def test_scan_flags_a_record_field_only_tests_set(tmp_path):
     )
     got = defaults_never_set([mod], [mod, cli], {"mod.Run.*": "a reason"})
     assert got == ["mod.Config.tags", "mod.Row.note"]
+
+
+def test_scan_flags_a_stale_allowed_entry(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from dataclasses import dataclass\n"
+        "def solve(x, tol=1e-6):\n    return x\n"
+        "@dataclass\n"
+        "class Oracle:\n"
+        "    grad: object\n"  # required: not a setting
+        "    stacks: bool = False\n",
+        encoding="utf-8",
+    )
+    allowed = {
+        "mod.solve(tol)": "a reason",
+        "mod.Oracle.stacks": "a reason",
+        "mod.Oracle.grad": "no longer defaulted",
+        "mod.gone(*)": "a function that went",
+        "mod.Oracle.s*": "a pattern that matches",
+    }
+    got = defaults_never_set([mod], [mod], allowed)
+    assert got == ["stale ALLOWED entry mod.Oracle.grad", "stale ALLOWED entry mod.gone(*)"]

@@ -124,7 +124,8 @@ def _list_problem(wrap):
         jvp_x=lambda x, y, lam: wrap([float(lam[0]), -lam[1]]),
         jvp_y=lambda x, y, lam: wrap([float(lam[0]), float(lam[1])]),
         dc_y=lambda x, y, v: wrap([float(v[0]), float(v[1])]),
-        linear_in_y=True,
+        hvp_xy_lam=lambda x, y, lam, v: wrap([0.0, 0.0]),
+        hvp_yy_lam=lambda x, y, lam, v: wrap([0.0, 0.0]),
     )
     return CoupledProblem(
         g=g, c=con, X=BoxSet([0.0, 0.0], [1.0, 1.0]), Y=WholeSpace(2), K=OrthantCone(2, sign=-1)
@@ -249,7 +250,8 @@ def test_lift_zero_constraint_reduces_to_plain_lagrangian():
         jvp_x=lambda x, y, lam: np.zeros(1),
         jvp_y=lambda x, y, lam: np.zeros(1),
         dc_y=lambda x, y, v: np.zeros(1),
-        linear_in_y=True,
+        hvp_xy_lam=lambda x, y, lam, v: np.zeros(1),
+        hvp_yy_lam=lambda x, y, lam, v: np.zeros(1),
     )
     base = make_example1().lifted.base
     custom = CoupledProblem(
@@ -282,27 +284,56 @@ def _bilinear_g():
     "missing", [("hvp_xy_lam",), ("hvp_yy_lam",), ("hvp_xy_lam", "hvp_yy_lam")], ids="+".join
 )
 def test_lift_rejects_a_nonlinear_constraint_without_its_products(missing):
-    # c = y^3/3 - x <= 0 is not affine in y, so the lifted products need
-    # both second derivatives of <lam, c>
+    # c = y^3/3 - x <= 0 needs both second derivatives of <lam, c> for the
+    # lifted products; without one the constraint is not built, so no
+    # lift can take it
     products = dict(
         hvp_xy_lam=lambda x, y, lam, v: np.zeros(1),
         hvp_yy_lam=lambda x, y, lam, v: np.array([2.0 * lam[0] * y[0] * v[0]]),
     )
     for name in missing:
-        del products[name]
-    con = ConstraintOracle(
+        products[name] = None
+    with pytest.raises(IncompleteOracle, match=missing[0]):
+        ConstraintOracle(
+            dim=1,
+            eval_c=lambda x, y: np.array([y[0] ** 3 / 3.0 - x[0]]),
+            jvp_x=lambda x, y, lam: np.array([-lam[0]]),
+            jvp_y=lambda x, y, lam: np.array([lam[0] * y[0] ** 2]),
+            dc_y=lambda x, y, v: np.array([y[0] ** 2 * v[0]]),
+            **products,
+        )
+
+
+def _x_coefficient_constraint(**products):
+    """``c = (1 + x0) y0 - 1``: affine in y, with a coefficient that depends on x."""
+    return ConstraintOracle(
         dim=1,
-        eval_c=lambda x, y: np.array([y[0] ** 3 / 3.0 - x[0]]),
-        jvp_x=lambda x, y, lam: np.array([-lam[0]]),
-        jvp_y=lambda x, y, lam: np.array([lam[0] * y[0] ** 2]),
-        dc_y=lambda x, y, v: np.array([y[0] ** 2 * v[0]]),
+        eval_c=lambda x, y: np.array([(1.0 + x[0]) * y[0] - 1.0]),
+        jvp_x=lambda x, y, lam: np.array([lam[0] * y[0]]),
+        jvp_y=lambda x, y, lam: np.array([lam[0] * (1.0 + x[0])]),
+        dc_y=lambda x, y, v: np.array([(1.0 + x[0]) * v[0]]),
         **products,
+    )
+
+
+def test_an_affine_constraint_with_an_x_dependent_coefficient_needs_its_mixed_product():
+    # taking the missing mixed product as zero gave a lifted hvp_xy of
+    # (1.0, -1.5) at z = (0.5, 0.7), y = 0.3, v = 1, where central
+    # differences of the lifted grad_x give (0.3, -1.5)
+    zero = lambda x, y, lam, v: np.zeros(1)
+    with pytest.raises(IncompleteOracle, match="hvp_xy_lam"):
+        _x_coefficient_constraint(hvp_xy_lam=None, hvp_yy_lam=zero)
+    con = _x_coefficient_constraint(
+        hvp_xy_lam=lambda x, y, lam, v: np.array([lam[0] * v[0]]), hvp_yy_lam=zero
     )
     coupled = CoupledProblem(
         g=_bilinear_g(), c=con, X=WholeSpace(1), Y=WholeSpace(1), K=OrthantCone(1, sign=-1)
     )
-    with pytest.raises(IncompleteOracle, match="linear_in_y"):
-        lift(coupled, lipschitz_grad=10.0)
+    f = lift(coupled, lipschitz_grad=10.0).problem.f
+    z, y, v, h = np.array([0.5, 0.7]), np.array([0.3]), np.array([1.0]), 1e-6
+    fd_xy = (f.grad_x(z, y + h * v) - f.grad_x(z, y - h * v)) / (2.0 * h)
+    assert np.allclose(fd_xy, [0.3, -1.5], rtol=1e-8, atol=1e-8)
+    assert np.allclose(f.hvp_xy(z, y, v), fd_xy, rtol=1e-8, atol=1e-8)
 
 
 def _mixed_constraint(case):
@@ -315,7 +346,7 @@ def _mixed_constraint(case):
             jvp_y=lambda x, y, lam: np.array([lam[0] * x[0]]),
             dc_y=lambda x, y, v: np.array([x[0] * v[0]]),
             hvp_xy_lam=lambda x, y, lam, v: np.array([lam[0] * v[0]]),
-            linear_in_y=True,
+            hvp_yy_lam=lambda x, y, lam, v: np.zeros(1),
         )
     # "nonlinear": c = x y^2 / 2 - 1, with every product given
     return ConstraintOracle(

@@ -111,6 +111,19 @@ def test_synthetic_from_data_no_normalization():
         synthetic_from_data([1.0, 2.0], [1.0], 1.0)
 
 
+@pytest.mark.parametrize("bad", ["B", "b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_synthetic_from_data_rejects_non_finite_data(monkeypatch, bad, value):
+    def no_power_run(*args):
+        raise AssertionError("the power iteration ran on bad data")
+
+    monkeypatch.setattr(problems, "spectral_norm_power", no_power_run)
+    data = {"B": np.eye(2), "b": np.zeros(2)}
+    data[bad].flat[0] = value
+    with pytest.raises(ValueError, match=f"^{bad} must be finite"):
+        synthetic_from_data(data["B"], data["b"], 1.0)
+
+
 # ---------------------------------------------------------------------------
 # oracle formulas against dense linear algebra
 
@@ -139,7 +152,46 @@ def test_synthetic_oracle_formulas():
         assert np.allclose(con.jvp_x(x, y, lam), full_lam_x, atol=0)
         assert np.allclose(con.jvp_y(x, y, lam), lam, atol=0)
         assert np.allclose(con.dc_y(x, y, v), v[:m], atol=0)
-    assert con.linear_in_y
+        # the constraint is affine in y with a constant coefficient
+        assert np.array_equal(con.hvp_xy_lam(x, y, lam, v), np.zeros(5))
+        assert np.array_equal(con.hvp_yy_lam(x, y, lam, v), np.zeros(3))
+
+
+def _along(fn, x, y, v, *rest, h=1e-3):
+    """``d/dt fn(x, y + t v, *rest)`` at ``t = 0`` by a central difference;
+    both built-in constraints are affine in y, so a long step loses nothing
+    to truncation and little to the rounding of ``x^4``."""
+    return (np.asarray(fn(x, y + h * v, *rest)) - np.asarray(fn(x, y - h * v, *rest))) / (2 * h)
+
+
+def _builtin_constraint_points(case, rng):
+    """``(constraint, x, y, lam, v)`` at a point, and for the synthetic
+    family also at a 3-row stack."""
+    if case == "example1":
+        con = make_example1().lifted.base.c
+        yield (con, rng.uniform(1, 10, 1), rng.normal(size=1), rng.uniform(0, 3, 2),
+               rng.normal(size=1))
+        return
+    n, p = case
+    inst = make_synthetic(n, p, 1.0, n + p)
+    con = inst.lifted.base.c
+    for rows in ((), (3,)):
+        yield (con, rng.uniform(0, 1, rows + (n,)), rng.normal(size=rows + (p,)),
+               rng.uniform(0, 2, rows + (inst.lifted.m,)), rng.normal(size=rows + (p,)))
+
+
+@pytest.mark.parametrize("case", [(5, 5), (4, 3), (3, 4), "example1"], ids=str)
+def test_builtin_constraint_products_against_central_differences(case):
+    # dc_y differentiates c, hvp_xy_lam jvp_x and hvp_yy_lam jvp_y, each along v
+    rng = np.random.default_rng(31)
+    for con, x, y, lam, v in _builtin_constraint_points(case, rng):
+        for exact, fd in (
+            (con.dc_y(x, y, v), _along(con.eval_c, x, y, v)),
+            (con.hvp_xy_lam(x, y, lam, v), _along(con.jvp_x, x, y, v, lam)),
+            (con.hvp_yy_lam(x, y, lam, v), _along(con.jvp_y, x, y, v, lam)),
+        ):
+            assert np.shape(exact) == fd.shape
+            assert np.allclose(exact, fd, rtol=1e-7, atol=1e-7)
 
 
 def test_inner_argmax_zeroes_lifted_y_gradient():

@@ -49,8 +49,6 @@ ALLOWED = {
     "lagrangian._lifted_r1.reg_eval": (1, ITEM9),
     "lagrangian._lifted_r1.reg_prox": (4, ITEM9),
     "lagrangian.lift": (2, ITEM9 + " (a nonzero r1; a lifted set that is a ProductSet)"),
-    "lagrangian.lift.hvp_yy": (1, ITEM9 + " (a given hvp_yy_lam)"),
-    "lagrangian.lift.hvp_xy": (1, ITEM9 + " (a given hvp_xy_lam)"),
     "solvers._iterate_first_order": (3, ITEM11 + " (a step rule returns a failure name)"),
     "solvers._Runs.test": (6, ITEM11 + " (a non-finite iterate)"),
     "solvers._Runs.fail": (3, ITEM11),

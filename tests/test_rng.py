@@ -152,6 +152,14 @@ def test_normal_array_row_major():
     assert mat.ravel().tolist() == flat.tolist()
 
 
+@pytest.mark.parametrize("shape", [(-1,), (-2, -3), (2, -3), (True, 2), (2.0,), ("3",)], ids=str)
+def test_array_rejects_a_bad_shape_before_any_draw(shape):
+    s = NormalStream(17)
+    with pytest.raises(ValueError, match="array shape entry"):
+        s.array(*shape)
+    assert s.next() == NormalStream(17).next()  # the stream did not move
+
+
 def test_same_seed_same_stream_distinct_seeds_differ():
     a = NormalStream(5).array(32)
     b = NormalStream(5).array(32)

@@ -15,6 +15,7 @@ import pytest
 
 from pfbe import core, solvers
 from pfbe.core import (
+    DimensionError,
     FunctionOracle,
     MinimaxProblem,
     NonFiniteValue,
@@ -161,6 +162,20 @@ def test_spg_starts_at_solution():
     inst, prob, cfg = _one_d()
     res = solve_spg(prob, cfg, SolverConfig(), np.zeros(2), np.zeros(1))
     assert res.converged and res.iter == 0
+
+
+def test_spg_rejects_a_stack_of_starts_before_evaluating(monkeypatch):
+    inst = make_synthetic(3, 3, 1.0, 1)
+    prob = inst.lifted.problem
+    cfg = EnvelopeConfig.for_problem(prob)
+    z0, y0 = inst.lifted.default_start()
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("a stack of starts was evaluated")
+
+    monkeypatch.setattr(solvers, "evaluate", no_evaluation)
+    with pytest.raises(DimensionError, match="one point"):
+        solve_spg(prob, cfg, SolverConfig(max_iter=5), np.tile(z0, (2, 1)), np.tile(y0, (2, 1)))
 
 
 def test_spg_trace_and_determinism():
