@@ -152,8 +152,10 @@ class ProjectableSet:
         raise NotImplementedError
 
     def contains(self, z: Vector, tol: float = 1e-12) -> bool:
+        """True when ``z`` lies within ``tol`` of its projection; a point
+        with a nan or inf fails, before ``inf - inf`` could warn."""
         z = as_vector(z, self.dim, "point")
-        return float(np.linalg.norm(self.project(z) - z)) <= tol
+        return bool(np.isfinite(z).all()) and float(np.linalg.norm(self.project(z) - z)) <= tol
 
     def near_boundary(self, z: Vector, tol: float) -> bool:
         """True when the point ``z`` sits within ``tol`` of the set's boundary.

@@ -186,7 +186,7 @@ def kkt_residual_mol(lifted: LiftedProblem, x, lam, y) -> KktResidual:
     * ``lam``: ``0 in -c(x, y) + N_polar(lam)``
 
     Preconditions: ``lam`` in the polar cone and ``y in Y`` within ``KKT_TOL``
-    (:meth:`ProjectableSet.contains`, which a nan fails); violations raise
+    (:meth:`ProjectableSet.contains`, which a nan or inf fails); violations raise
     :class:`PreconditionViolation`.
     """
     base = lifted.base

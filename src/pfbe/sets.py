@@ -187,7 +187,8 @@ def composite_prox(reg: ProxRegularizer, set_: ProjectableSet, z, step: float) -
     with one step per row. A nonzero regularizer's prox is taken row by
     row, since its callable need not take stacks.
     """
-    if step < 0 if isinstance(step, float) else np.count_nonzero(np.less(step, 0.0)):
+    # a nan or negative step fails; np.minimum keeps a nan, and a step >= 0 gives 0.0
+    if (not step >= 0.0) if isinstance(step, float) else np.count_nonzero(np.minimum(step, 0.0)):
         raise ValueError("prox step must be nonnegative")
     if reg.is_zero or np.all(step == 0.0):
         return set_.project(z)  # which checks z

@@ -445,6 +445,16 @@ def test_kkt_preconditions_reject_nan():
             assert np.isfinite(kkt_residual_mol(lifted, [2.0], lam, [0.5]).max)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_kkt_preconditions_reject_inf(bad):
+    # an inf coordinate fails contains with PreconditionViolation, not inf - inf's warning
+    lifted = make_synthetic(2, 2, 1.0, 1).lifted
+    with pytest.raises(PreconditionViolation, match="polar cone"):
+        kkt_residual_mol(lifted, np.zeros(2), [bad, 0.0], np.zeros(2))
+    with pytest.raises(PreconditionViolation, match="outside Y"):
+        kkt_residual_mol(lifted, np.zeros(2), lifted.polar_cone.project(np.zeros(2)), [bad, 0.0])
+
+
 def test_multiplier_monitor_at_spurious_point():
     # |lam| = sqrt(5)/3 and |grad_y g| = 1, so the ratio is sqrt(5)/6
     inst = make_example1()

@@ -7,6 +7,7 @@ so arbitrary seeds can be cross-checked, not just the frozen ones.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,9 +240,16 @@ def test_array_matches_scalar_reference_across_threshold(seed, count, spare):
     _assert_matches_reference(seed, count, spare)
 
 
+B = rng.BLOCK
+# 2 * B +- 1 and 2 * B end at or next to a block edge, with or without the
+# spare; 3 * C + B + B // 2 ends its fourth lane mid-block
+EDGE_COUNTS = [2, 3, C - 1, C, C + 1, C + 2, 5 * C + 7]
+EDGE_COUNTS += [2 * B - 1, 2 * B, 2 * B + 1, 3 * C + B + B // 2]
+
+
 @pytest.mark.parametrize("spare", [0, 1])
 @pytest.mark.parametrize("seed", LANE_SEEDS)
-@pytest.mark.parametrize("count", [2, 3, C - 1, C, C + 1, C + 2, 5 * C + 7])
+@pytest.mark.parametrize("count", EDGE_COUNTS)
 def test_lane_path_matches_scalar_reference_at_lane_edges(lanes_from_two, seed, count, spare):
     _assert_matches_reference(seed, count, spare)
 
@@ -265,7 +273,7 @@ def test_array_without_shape_and_empty(monkeypatch, threshold):
 def test_jump_matrix_is_lane_steps_scalar_steps(seed):
     g = Xoshiro256pp(seed)
     start = list(g._s)
-    jump = rng._jump_matrix(C.bit_length() - 1)
+    jump = np.unpackbits(rng._jump_matrix(C.bit_length() - 1), axis=1)  # packed rows
     ahead = rng._to_bits(start).astype(np.int64) @ jump.astype(np.int64) % 2
     for _ in range(C):
         g.next_u64()
@@ -277,3 +285,23 @@ def test_jump_matrix_is_lane_steps_scalar_steps(seed):
         assert lanes[i].tolist() == g._s
         for _ in range(C):
             g.next_u64()
+
+
+@pytest.mark.parametrize("spare", [0, 1])
+def test_lane_path_memory_is_bounded(spare):
+    """With the jump matrices built, a lane draw holds little beyond its
+    result: one block's outputs and their Box-Muller temporaries."""
+    NormalStream(5).array(400, 400)  # builds the jump matrices it needs
+    s = NormalStream(5)
+    for _ in range(spare):
+        s.next()
+    tracemalloc.start()
+    try:
+        out = s.array(400, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * out.nbytes  # 3.0x when every raw output is kept until the end
+    powers = rng._jump_matrix.cache_info().currsize  # T^(2^k) for k < powers
+    assert powers > C.bit_length()
+    assert sum(rng._jump_matrix(k).nbytes for k in range(powers)) <= 8192 * powers

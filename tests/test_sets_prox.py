@@ -293,6 +293,50 @@ def test_composite_prox_negative_step_rejected():
         composite_prox(zero_regularizer(), box, stack, np.array([[0.5], [-1.0]]))
 
 
+def _soft_threshold_reg():
+    def soft(z, t):
+        return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+
+    return ProxRegularizer(eval=lambda v: float(np.abs(v).sum()), prox=soft)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [float("nan"), np.float64("nan"), -np.inf, -1, np.float64(-1.0),
+     np.array([[np.nan], [1.0]]), np.array([[1.0], [-np.inf]])],
+    ids=["nan", "np-nan", "-inf", "int-1", "np-1", "nan-column", "-inf-column"],
+)
+def test_composite_prox_rejects_a_step_not_at_least_zero(step):
+    # a nan step must not slip past the sign check into a nan prox
+    z = np.array([[2.0, -0.3, 0.1], [1.0, 1.0, -4.0]])
+    for point in ((z, z[0]) if np.ndim(step) == 0 else (z,)):
+        with pytest.raises(ValueError, match="prox step must be nonnegative"):
+            composite_prox(_soft_threshold_reg(), WholeSpace(3), point, step)
+    ok = composite_prox(_soft_threshold_reg(), WholeSpace(3), z, np.array([[0.5], [np.inf]]))
+    assert ok.tolist() == [[1.5, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "set_, point",
+    [
+        (OrthantCone(2, sign=-1), [-np.inf, 0.0]),
+        (OrthantCone(2), [np.inf, 0.0]),
+        (BoxSet([-np.inf, 0.0], [np.inf, 1.0]), [-np.inf, 0.5]),
+        (WholeSpace(2), [np.inf, 0.0]),
+        (WholeSpace(2), [0.0, np.nan]),
+        (ZeroCone(2), [np.nan, 0.0]),
+        (BallSet([0.0, 0.0], 1.0), [np.inf, 0.0]),
+        (ProductSet([WholeSpace(1), OrthantCone(1)]), [-np.inf, 1.0]),
+    ],
+    ids=["nonpos-orthant", "nonneg-orthant", "box", "whole-inf", "whole-nan", "zero-nan",
+         "ball", "product"],
+)
+def test_contains_fails_a_nonfinite_point_without_a_warning(set_, point):
+    # inf - inf in the projection residual would warn, and the suite makes warnings errors
+    assert not set_.contains(point)
+    assert not set_.contains(point, tol=np.inf)
+
+
 def test_dimension_errors():
     box = BoxSet([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(DimensionError):
