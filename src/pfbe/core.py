@@ -198,6 +198,11 @@ class FunctionOracle:
         bits of the call on that row alone. The built-in synthetic
         oracles and their lift declare it. When False (the default), the
         envelope calls the oracle on each row of a stack in turn.
+    first_order : callable, optional
+        ``(x, y) -> (eval, grad_x, grad_y)`` in one call, with the bits and
+        the stacking of the separate calls. The envelope takes all three
+        from it at every evaluation, and from the separate calls when it
+        is None (the default).
     """
 
     eval: Callable[[Vector, Vector], float]
@@ -208,6 +213,7 @@ class FunctionOracle:
     hvp_yy: Callable[[Vector, Vector, Vector], Vector]
     hvp_xy: Callable[[Vector, Vector, Vector], Vector]
     stacks: bool = False
+    first_order: Optional[Callable[[Vector, Vector], tuple]] = None
 
     def __post_init__(self):
         for name in ("lipschitz_grad", "strong_concavity"):

@@ -23,12 +23,12 @@ The penalty weight must satisfy ``alpha >= max(1, 2 / (eta * mu))`` for
 the stationary-point equivalence to hold; every solve checks it against
 the problem's ``mu``.
 
-:func:`evaluate` is a value evaluation (one ``grad_y f``, one prox)
-followed, when gradients are asked for, by :func:`with_gradients`, which
-completes an existing evaluation with ``grad_x f`` (kept in
-``EnvelopeEval.grad_x_f``) and the two Hessian-vector products. A line
-search can thus evaluate trial points without gradients and complete
-only the one it accepts.
+:func:`evaluate` is a value evaluation (one call of ``f``, ``grad_x f``
+and ``grad_y f``, bundled when the oracle has ``first_order``, and one
+prox) followed, when gradients are asked for, by :func:`with_gradients`,
+which completes an existing evaluation with the two Hessian-vector
+products. A line search can thus evaluate trial points without the
+products and complete only the one it accepts.
 :func:`prox_grad_residual` is the unit-step prox-gradient residual of
 ``Gamma`` that the solvers monitor and the diagnostics report;
 :func:`minimax_residual` is the unit-step residual of the minimax problem
@@ -122,12 +122,12 @@ class EnvelopeConfig:
 
 @dataclass(frozen=True)
 class EnvelopeEval:
-    """All envelope quantities at one point, computed from a single
-    ``grad_y f`` evaluation and a single prox call (whether ``T`` touches a
-    kink of the projection is :func:`near_kink`). The gradient fields
-    (``grad_x_f``, the raw ``grad_x f``, and ``grad_x``/``grad_y`` of
-    ``Xi``) are None until :func:`with_gradients` fills them, which adds
-    one ``grad_x f`` and two Hessian-vector products along ``R``.
+    """All envelope quantities at one point, computed from one evaluation of
+    ``f``, ``grad_x f`` (kept in ``grad_x_f``) and ``grad_y f`` and a single
+    prox call (whether ``T`` touches a kink of the projection is
+    :func:`near_kink`); ``R_sq`` is ``||R||^2``. The gradient of ``Xi``
+    (``grad_x``, ``grad_y``) is None until :func:`with_gradients` fills it,
+    which adds two Hessian-vector products along ``R``.
 
     For a stack of points, ``finite`` marks the rows whose quantities are
     all finite; it is None for one point, which raises instead."""
@@ -141,7 +141,8 @@ class EnvelopeEval:
     psi: float
     xi: float
     gamma: float
-    grad_x_f: Optional[Vector] = None
+    grad_x_f: Vector
+    R_sq: float
     grad_x: Optional[Vector] = None
     grad_y: Optional[Vector] = None
     finite: Optional[np.ndarray] = None
@@ -153,6 +154,19 @@ def oracle_call(f: FunctionOracle, fn, *args):
     if args[0].ndim == 1 or f.stacks:
         return np.asarray(fn(*args), dtype=np.float64)
     return np.array([fn(*row) for row in zip(*args)], dtype=np.float64)
+
+
+def _first_order(f: FunctionOracle, x, y):
+    """``(f, grad_x f, grad_y f)`` at a point (``f`` a float) or a stack: one
+    call of the oracle's bundle when it has one that takes these points,
+    else the three separate calls, which give the same bits."""
+    if f.first_order is not None and (x.ndim == 1 or f.stacks):
+        fv, gx, gy = f.first_order(x, y)
+    else:
+        fv = f.eval(x, y) if x.ndim == 1 else oracle_call(f, f.eval, x, y)
+        gx, gy = oracle_call(f, f.grad_x, x, y), oracle_call(f, f.grad_y, x, y)
+    fv = float(fv) if x.ndim == 1 else np.asarray(fv, dtype=np.float64)
+    return fv, np.asarray(gx, dtype=np.float64), np.asarray(gy, dtype=np.float64)
 
 
 def _finite_rows(finite: Optional[np.ndarray], checked, *named) -> Optional[np.ndarray]:
@@ -203,12 +217,12 @@ def evaluate(
     eta, alpha = cfg.eta, cfg.alpha
     finite = None if x.ndim == 1 else np.ones(len(x), dtype=bool)
 
-    f_val = float(f.eval(x, y)) if finite is None else oracle_call(f, f.eval, x, y)
-    gy = oracle_call(f, f.grad_y, x, y)
+    f_val, gx, gy = _first_order(f, x, y)
     T = composite_prox(problem.r2, problem.Y, y + eta * gy, eta)
     R = (T - y) / eta
     r2_T = problem.r2.value(T)
-    psi = f_val + eta * row_dot(gy, R) - r2_T - 0.5 * eta * row_dot(R, R)
+    R_sq = row_dot(R, R)
+    psi = f_val + eta * row_dot(gy, R) - r2_T - 0.5 * eta * R_sq
     xi = alpha * psi - (alpha - 1.0) * f_val
     gamma = xi + problem.r1.value(x) + (alpha - 1.0) * problem.r2.value(y)
     # a nan or inf f reaches xi (inf - inf, or 0 * inf at alpha = 1); one in
@@ -226,6 +240,8 @@ def evaluate(
         psi=psi,
         xi=xi,
         gamma=gamma,
+        grad_x_f=gx,
+        R_sq=R_sq,
         finite=finite,
     )
     return with_gradients(problem, cfg, ev) if need_grad else ev
@@ -234,11 +250,10 @@ def evaluate(
 def with_gradients(
     problem: MinimaxProblem, cfg: EnvelopeConfig, ev: EnvelopeEval
 ) -> EnvelopeEval:
-    """``ev`` completed with ``grad_x f`` and the gradient of ``Xi``."""
-    f, x, y, R = problem.f, ev.x, ev.y, ev.R
+    """``ev`` completed with the gradient of ``Xi``."""
+    f, x, y, R, gx = problem.f, ev.x, ev.y, ev.R, ev.grad_x_f
     eta, alpha = cfg.eta, cfg.alpha
-    gx = oracle_call(f, f.grad_x, x, y)
-    moving = row_dot(R, R) != 0.0
+    moving = ev.R_sq != 0.0
     hxy_r = _along_residual(f, f.hvp_xy, x, y, R, moving, problem.dim_x)
     hyy_r = _along_residual(f, f.hvp_yy, x, y, R, moving, problem.dim_y)
     grad_x = gx + alpha * eta * hxy_r
@@ -249,8 +264,8 @@ def with_gradients(
     )
     return EnvelopeEval(
         x=x, y=y, f_val=ev.f_val, grad_y_f=ev.grad_y_f, T=ev.T, R=R,
-        psi=ev.psi, xi=ev.xi, gamma=ev.gamma,
-        grad_x_f=gx, grad_x=grad_x, grad_y=grad_y, finite=finite,
+        psi=ev.psi, xi=ev.xi, gamma=ev.gamma, grad_x_f=gx, R_sq=ev.R_sq,
+        grad_x=grad_x, grad_y=grad_y, finite=finite,
     )
 
 

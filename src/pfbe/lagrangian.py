@@ -104,10 +104,12 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     orthant is one), and a :class:`ProductSet` of the two otherwise.
 
     The lifted oracle takes stacks of points when both ``coupled.g`` and
-    ``coupled.c`` do. Its Hessian-vector products are exact: ``hvp_yy`` is
-    ``g.hvp_yy - c.hvp_yy_lam`` and ``hvp_xy`` stacks ``g.hvp_xy -
-    c.hvp_xy_lam`` over the multiplier block ``-c.dc_y``, each from the
-    oracles' own products, which :class:`ConstraintOracle` requires.
+    ``coupled.c`` do, and has a ``first_order`` bundle when ``coupled.g``
+    has one; it splits ``z`` and calls ``c.eval_c`` once for all three.
+    Its Hessian-vector products are exact: ``hvp_yy`` is ``g.hvp_yy -
+    c.hvp_yy_lam`` and ``hvp_xy`` stacks ``g.hvp_xy - c.hvp_xy_lam`` over
+    the multiplier block ``-c.dc_y``, each from the oracles' own products,
+    which :class:`ConstraintOracle` requires.
     """
     g, con = coupled.g, coupled.c
     n, m = coupled.dim_x, con.dim
@@ -134,6 +136,16 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
         x, lam = z[..., :n], z[..., n:]
         return np.subtract(g.grad_y(x, y), con.jvp_y(x, y, lam), dtype=np.float64)
 
+    def lp_first_order(z, y):  # one split of z and one c for all three
+        x, lam = z[..., :n], z[..., n:]
+        gv, gx, gy = g.first_order(x, y)
+        c = np.asarray(con.eval_c(x, y), dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # inf - inf at a point the envelope rejects
+            gx = np.subtract(gx, con.jvp_x(x, y, lam), dtype=np.float64)
+        gx = np.concatenate([gx, np.negative(c, dtype=np.float64)], axis=-1)
+        gy = np.subtract(gy, con.jvp_y(x, y, lam), dtype=np.float64)
+        return np.subtract(gv, row_dot(lam, c), dtype=np.float64), gx, gy
+
     def hvp_yy(z, y, v):
         x, lam = z[..., :n], z[..., n:]
         return np.subtract(g.hvp_yy(x, y, v), con.hvp_yy_lam(x, y, lam, v), dtype=np.float64)
@@ -152,6 +164,7 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
         hvp_yy=hvp_yy,
         hvp_xy=hvp_xy,
         stacks=g.stacks and con.stacks,
+        first_order=None if g.first_order is None else lp_first_order,
     )
 
     if coupled.r1.is_zero:

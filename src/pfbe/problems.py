@@ -128,6 +128,10 @@ def _synthetic_oracles(
     def g_grad_y(x, y):
         return _matvec(B.T, x) - y
 
+    def g_first_order(x, y):  # one B y for the value and grad_x
+        By = _matvec(B, y)
+        return row_dot(b, x) + row_dot(x, By) - 0.5 * row_dot(y, y), b + By, g_grad_y(x, y)
+
     def g_hvp_yy(x, y, v):
         return -v
 
@@ -155,6 +159,7 @@ def _synthetic_oracles(
         hvp_yy=g_hvp_yy,
         hvp_xy=g_hvp_xy,
         stacks=True,
+        first_order=g_first_order,
     )
     con = ConstraintOracle(
         dim=m,

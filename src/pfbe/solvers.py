@@ -379,13 +379,14 @@ def solve_spg(
     the last ``LS_WINDOW`` objective values (factor ``LS_DECREASE``). A
     trial point whose evaluation raises :class:`NonFiniteValue` is
     rejected like one without enough decrease. Trials are evaluated
-    without gradients; only the accepted one is completed with them. The
-    run stops with ``failure="StepFailure"`` after ``LS_MAX_HALVINGS``
-    rejected halvings or once the step drops below ``STEP_MIN``, and with
-    ``failure="Stalled"`` when a prox step of the current size leaves the
-    iterate bit-unchanged although the unit-step residual is above
-    ``gtol``. SPG runs from one point: a stack of starts raises
-    :class:`DimensionError` at once (stacked SPG is ROADMAP item 2).
+    without the Hessian-vector products; only the accepted one is
+    completed with them. The run stops with ``failure="StepFailure"``
+    after ``LS_MAX_HALVINGS`` rejected halvings or once the step drops
+    below ``STEP_MIN``, and with ``failure="Stalled"`` when a prox step of
+    the current size leaves the iterate bit-unchanged although the
+    unit-step residual is above ``gtol``. SPG runs from one point: a stack
+    of starts raises :class:`DimensionError` at once (stacked SPG is
+    ROADMAP item 2).
     """
     if problem.check_point(x0, y0)[0].ndim > 1:
         raise DimensionError(f"solve_spg runs from one point, got a stack of {len(x0)}")
@@ -401,8 +402,9 @@ def solve_spg(
         for _ in range(LS_MAX_HALVINGS + 1):
             xt = composite_prox(problem.r1, problem.X, x - tk * ev.grad_x, tk)
             yt = composite_prox(problem.r2, problem.Y, y - tk * ev.grad_y, tk * (cfg.alpha - 1.0))
+            dx, dy = xt - x, yt - y
             # np.sum's reduction, called directly: the same bits
-            dz2 = float(np.add.reduce((xt - x) ** 2)) + float(np.add.reduce((yt - y) ** 2))
+            dz2 = float(np.add.reduce(dx ** 2)) + float(np.add.reduce(dy ** 2))
             if dz2 == 0.0:
                 return "Stalled"  # prox fixed point at this step size
             try:
@@ -418,7 +420,7 @@ def solve_spg(
         else:
             return "StepFailure"
 
-        s = np.concatenate([xt - x, yt - y])
+        s = np.concatenate([dx, dy])
         d = np.concatenate([new.grad_x - ev.grad_x, new.grad_y - ev.grad_y])
         sd = float(s @ d)
         if sd > 1e-30:

@@ -112,11 +112,13 @@ def test_wrappers_match_evaluate():
     ev = evaluate(prob, cfg, z, y)
     T, R = prox_step(prob, cfg, z, y)
     assert np.array_equal(T, ev.T) and np.array_equal(R, ev.R)
-    # the value evaluation carries no gradients; completing it gives the
-    # gradient-bearing evaluation bit for bit
+    # the value evaluation carries grad_x f but no gradient of Xi; completing
+    # it gives the gradient-bearing evaluation bit for bit
     value = evaluate(prob, cfg, z, y, need_grad=False)
-    assert value.grad_x_f is None and value.grad_x is None and value.grad_y is None
+    assert np.array_equal(value.grad_x_f, ev.grad_x_f)
+    assert value.grad_x is None and value.grad_y is None
     assert value.psi == ev.psi and value.gamma == ev.gamma and value.xi == ev.xi
+    assert value.R_sq == ev.R_sq == float(ev.R @ ev.R)
     done = with_gradients(prob, cfg, value)
     for name in ("grad_x_f", "grad_x", "grad_y"):
         assert np.array_equal(getattr(done, name), getattr(ev, name))

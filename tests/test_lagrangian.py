@@ -7,6 +7,8 @@ residuals, and a closed-form strong-duality calculation on the 1-D
 bilinear instance.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,59 @@ def test_lifted_oracle_keeps_row_bits_and_owns_its_outputs(n, p):
             # a caller may write into an output without touching its point
             assert not np.shares_memory(out, point[0]), name
             assert not np.shares_memory(out, point[1]), name
+
+
+SEPARATE = ("eval", "grad_x", "grad_y")
+
+
+def _recorded(call):
+    """``call()`` and the messages of the warnings it emits."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = call()
+    return out, {str(w.message) for w in seen}
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf], ids=str)
+@pytest.mark.parametrize("rows", [None, 1, 3, 128], ids=lambda r: f"stack{r}" if r else "point")
+def test_first_order_bundle_has_the_bits_of_the_three_calls(rows, bad):
+    # the synthetic g and its lift, at a point or a stack whose middle row
+    # holds a nan or an inf in a multiplier and in y
+    lifted = make_synthetic(6, 4, 1.0, 3).lifted
+    rng = np.random.default_rng(21)
+    z = rng.standard_normal((rows or 1, lifted.n + lifted.m))
+    y = rng.standard_normal((rows or 1, 4))
+    if bad is not None:
+        z[len(z) // 2, -1] = y[len(y) // 2, 0] = bad
+    if rows is None:
+        z, y = z[0], y[0]
+    for f, args in ((lifted.base.g, (z[..., : lifted.n], y)), (lifted.problem.f, (z, y))):
+        got, noise = _recorded(lambda: f.first_order(*args))
+        want, value_noise = zip(*(_recorded(lambda: getattr(f, name)(*args)) for name in SEPARATE))
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        # a value evaluation calls eval and grad_y anyway; the bundle's
+        # grad_x adds no warning of its own
+        assert noise <= value_noise[0] | value_noise[2]
+        for out in got[1:]:
+            assert not np.shares_memory(out, z) and not np.shares_memory(out, y)
+
+
+def test_lifted_bundle_computes_inf_minus_inf_without_a_warning():
+    # at x = 0.5, lam = y = inf: g's grad_x is 1 + inf and the multiplier
+    # term inf, so the lifted grad_x is inf - inf, while f and grad_y f are
+    # nan and -inf without a warning
+    f = synthetic_from_data([[1.0]], [1.0], 1.0).lifted.problem.f
+    z, y = np.array([0.5, np.inf]), np.array([np.inf])
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in subtract"):
+        gx = f.grad_x(z, y)
+    value, grad_y = f.eval(z, y), f.grad_y(z, y)
+    got = f.first_order(z, y)
+    assert np.isnan(value) and grad_y[0] == -np.inf and np.isnan(gx[0])
+    assert [_bits(v) for v in got] == [_bits(v) for v in (value, gx, grad_y)]
 
 
 def _list_problem(wrap):

@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from pfbe import core, solvers
+from pfbe import core, envelope, problems, solvers
 from pfbe.core import (
     DimensionError,
     FunctionOracle,
@@ -302,8 +302,11 @@ def test_spg_stalled_when_prox_step_leaves_iterate_unchanged(monkeypatch):
 
 
 def _counted_one_d():
+    """The 1-D problem with its oracle calls counted; the bundle
+    ``first_order`` counts as its own kind, apart from the three calls it
+    replaces."""
     inst, prob, cfg = _one_d()
-    counts = {"eval": 0, "grad_x": 0, "grad_y": 0}
+    counts = {"eval": 0, "grad_x": 0, "grad_y": 0, "first_order": 0}
 
     def counted(name):
         inner = getattr(prob.f, name)
@@ -363,11 +366,13 @@ def test_gda_oracle_calls_per_block(monkeypatch, k):
     res = solve_gda_baseline(prob, cfg, scfg, np.array([0.5, 0.25]), np.array([0.1]))
     assert res.iter == k
     # one evaluation of the start, then one stacked evaluation per block of
-    # iterates; a step calls grad_x f and grad_y f itself, except the first
-    # of a block, which takes them from the last tested evaluation
+    # iterates, each one bundle call; a step calls grad_x f and grad_y f
+    # itself, except the first of a block, which takes them from the last
+    # tested evaluation
     blocks = -(-k // solvers.TEST_POINTS)
     assert calls == [True] * (blocks + 1)
-    assert counts == {"eval": blocks + 1, "grad_x": k + 1, "grad_y": k + 1}
+    assert counts == {"eval": 0, "grad_x": k - blocks, "grad_y": k - blocks,
+                      "first_order": blocks + 1}
     # a step checks each of its two prox points once, in its projection
     assert len(checks) == 2 * k + AS_POINTS_PER_TEST * (blocks + 1)
 
@@ -381,11 +386,11 @@ def test_subgda_oracle_calls_per_block(monkeypatch, k):
         prob, cfg, SolverConfig(max_iter=k, gtol=1e-12), np.array([0.5, 0.25]), np.array([0.1])
     )
     assert res.iter == k
-    # grad_x f as for GDA; grad_y f also once per step for R(x+, y) in
+    # grad_x f as for GDA; grad_y f once per step for R(x+, y) in
     # prox_step, a point never evaluated
     blocks = -(-k // solvers.TEST_POINTS)
     assert calls == [True] * (blocks + 1)
-    assert counts == {"eval": blocks + 1, "grad_x": k + 1, "grad_y": k + blocks + 1}
+    assert counts == {"eval": 0, "grad_x": k - blocks, "grad_y": k, "first_order": blocks + 1}
     # a step checks x+ in its projection, (x+, y) in prox_step and the
     # point it projects onto Y
     assert len(checks) == 4 * k + AS_POINTS_PER_TEST * (blocks + 1)
@@ -404,7 +409,8 @@ def test_stacked_gda_pilot_checks_points_once_per_prox(monkeypatch, k):
     # the start point once at entry; then each stacked step as one GDA step,
     # whatever the number of pilots, and each block as one test
     blocks = -(-k // (solvers.TEST_POINTS // len(grid)))
-    assert counts == {"eval": blocks + 1, "grad_x": k + 1, "grad_y": k + 1}
+    assert counts == {"eval": 0, "grad_x": k - blocks, "grad_y": k - blocks,
+                      "first_order": blocks + 1}
     assert len(checks) == 2 + 2 * k + AS_POINTS_PER_TEST * (blocks + 1)
 
 
@@ -424,11 +430,47 @@ def test_spg_evaluates_each_point_once(monkeypatch):
     res = solve_spg(prob, cfg, scfg, np.array([0.9, 1.0]), np.array([-0.4]))
     assert res.converged and res.iter >= 1
     assert len(trials) > res.iter  # at least one rejected trial
-    # one value evaluation per trial plus the start; gradients only at
-    # the start and at each accepted trial
-    assert counts["eval"] == len(trials) + 1
-    assert counts["grad_y"] == len(trials) + 1
-    assert counts["grad_x"] == res.iter + 1
+    # one value evaluation per trial plus the start, each one bundle call
+    # that gives f, grad_x f and grad_y f; no separate call on SPG's path
+    assert counts["first_order"] == len(trials) + 1
+    assert counts["eval"] == 0
+    assert counts["grad_y"] == 0
+    assert counts["grad_x"] == 0
+
+
+def test_spg_products_with_B(monkeypatch):
+    # the bundle of each evaluation (the start and every trial) makes B y,
+    # for f and grad_x f, and B^T x, for grad_y f; a completion adds
+    # hvp_xy = B R where R is nonzero. With separate calls, grad_x f made
+    # one more B y per completion, so an iteration made 4 products, not 3
+    inst = make_synthetic(5, 5, 1.0, 1)
+    prob = inst.lifted.problem
+    cfg = EnvelopeConfig.for_problem(prob)
+    products, evaluations, moving = [], [], []
+    matvec, evaluate, complete = problems._matvec, solvers.evaluate, envelope.with_gradients
+
+    def counted_matvec(A, v):
+        products.append(np.shares_memory(A, inst.B))
+        return matvec(A, v)
+
+    def counted_evaluate(problem, cfg, x, y, need_grad=True):
+        evaluations.append(need_grad)
+        return evaluate(problem, cfg, x, y, need_grad=need_grad)
+
+    def counted_completion(problem, cfg, ev):
+        moving.append(bool(np.any(ev.R != 0.0)))
+        return complete(problem, cfg, ev)
+
+    monkeypatch.setattr(problems, "_matvec", counted_matvec)
+    monkeypatch.setattr(solvers, "evaluate", counted_evaluate)
+    for module in (envelope, solvers):
+        monkeypatch.setattr(module, "with_gradients", counted_completion)
+    res = solve_spg(prob, cfg, SolverConfig(), *inst.lifted.default_start())
+    assert res.converged and res.iter > 10
+    assert all(products)  # every product is one with B or B^T
+    assert len(moving) == res.iter + 1  # the start and each accepted trial
+    assert len(evaluations) > res.iter + 1  # at least one rejected trial
+    assert len(products) == 2 * len(evaluations) + sum(moving)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,7 +1055,8 @@ def _grad_y_poisoned(box_y):
         return np.where(inside[..., None], np.inf, clean(x, y))
 
     Y = BoxSet(-2.0 * np.ones(3), 2.0 * np.ones(3)) if box_y else prob.Y
-    return replace(prob, f=replace(prob.f, grad_y=grad_y), Y=Y)
+    # without the bundle, whose grad_y f is the clean one
+    return replace(prob, f=replace(prob.f, grad_y=grad_y, first_order=None), Y=Y)
 
 
 @pytest.mark.parametrize("box_y", [False, True], ids=["free_y", "box_y"])
