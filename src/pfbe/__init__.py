@@ -56,10 +56,8 @@ from .problems import (
 )
 from .rng import NormalStream, Xoshiro256pp, splitmix64_next
 from .sets import (
-    BallSet,
     BoxSet,
     OrthantCone,
-    ProductSet,
     WholeSpace,
     ZeroCone,
     composite_prox,

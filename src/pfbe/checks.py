@@ -20,7 +20,7 @@ from .envelope import EnvelopeConfig, evaluate, near_kink
 from .lagrangian import kkt_residual_mol, multiplier_bound_monitor
 from .problems import make_example1, make_synthetic, synthetic_from_data
 from .rng import LANE_MIN_DRAWS, LANE_STEPS, NormalStream
-from .sets import BallSet, BoxSet, OrthantCone
+from .sets import BoxSet, OrthantCone, WholeSpace, ZeroCone
 from .solvers import SolverConfig, gamma_descent_check, solve_spg, solve_subgda
 
 
@@ -46,13 +46,13 @@ def _check_rng_reproducibility():
 
 def _check_moreau():
     rng = np.random.default_rng(0)
-    K = OrthantCone(6, sign=-1)
-    polar = K.polar()
     worst = 0.0
-    for _ in range(50):
-        z = rng.normal(size=6) * 10
-        zk, zp = K.project(z), polar.project(z)
-        worst = max(worst, float(np.linalg.norm(zk + zp - z)), abs(float(zk @ zp)))
+    for K in (OrthantCone(6, sign=-1), WholeSpace(6), ZeroCone(6)):
+        polar = K.polar()
+        for _ in range(50):
+            z = rng.normal(size=6) * 10
+            zk, zp = K.project(z), polar.project(z)
+            worst = max(worst, float(np.linalg.norm(zk + zp - z)), abs(float(zk @ zp)))
     assert worst <= 1e-10, f"moreau violation {worst}"
     return f"decomposition + orthogonality within {worst:.1e}"
 
@@ -60,10 +60,10 @@ def _check_moreau():
 def _check_projection_optimality():
     rng = np.random.default_rng(1)
     box = BoxSet(-np.ones(4), np.ones(4))
-    ball = BallSet(np.zeros(3), 2.0)
+    mixed = BoxSet([-1.0, 0.0, -np.inf], [np.inf, 2.0, 0.5])  # finite and infinite bounds
     worst = -np.inf
     for _ in range(50):
-        for S, d in ((box, 4), (ball, 3)):
+        for S, d in ((box, 4), (mixed, 3)):
             z = rng.normal(size=d) * 5
             pz = S.project(z)
             v = S.project(rng.normal(size=d) * 5)  # arbitrary feasible point

@@ -157,14 +157,6 @@ class ProjectableSet:
         z = as_vector(z, self.dim, "point")
         return bool(np.isfinite(z).all()) and float(np.linalg.norm(self.project(z) - z)) <= tol
 
-    def near_boundary(self, z: Vector, tol: float) -> bool:
-        """True when the point ``z`` sits within ``tol`` of the set's boundary.
-
-        Used to flag prox outputs that touch a kink of the projection;
-        the default is conservative (False) for sets without boundary.
-        """
-        return False
-
 
 class ProjectableCone(ProjectableSet):
     """Closed convex cone; adds the polar cone."""

@@ -272,7 +272,9 @@ def with_gradients(
 def near_kink(problem: MinimaxProblem, ev: EnvelopeEval) -> bool:
     """Whether the maximizer ``T`` of a one-point evaluation sits within
     ``KINK_TOL`` of the boundary of ``Y``, where the prox, and so the
-    gradient of ``Xi``, may not be differentiable."""
+    gradient of ``Xi``, may not be differentiable. ``Y`` needs a
+    ``near_boundary`` method, as every set of :mod:`pfbe.sets` has (a
+    box's); the whole space has no finite bound, so nothing is near it."""
     return problem.Y.near_boundary(ev.T, KINK_TOL)
 
 

@@ -25,13 +25,14 @@ from .core import (
     MinimaxProblem,
     PreconditionViolation,
     ProxRegularizer,
+    UnsupportedSet,
     Vector,
     as_vector,
     row_dot,
     zero_regularizer,
 )
 from .envelope import minimax_residual
-from .sets import BoxSet, ProductSet, composite_prox
+from .sets import BoxSet, composite_prox
 
 KKT_TOL = 1e-9
 
@@ -100,8 +101,8 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
         generators compute or document one).
 
     The lifted feasible set ``X x polar(K)`` is one :class:`BoxSet` of the
-    concatenated bounds when ``X`` and the polar cone are boxes (an
-    orthant is one), and a :class:`ProductSet` of the two otherwise.
+    concatenated bounds; every set of :mod:`pfbe.sets` is a box, and an
+    ``X`` or polar cone that is not one raises :class:`UnsupportedSet`.
 
     The lifted oracle takes stacks of points when both ``coupled.g`` and
     ``coupled.c`` do, and has a ``first_order`` bundle when ``coupled.g``
@@ -114,11 +115,10 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     g, con = coupled.g, coupled.c
     n, m = coupled.dim_x, con.dim
     polar = coupled.K.polar()
-    if isinstance(coupled.X, BoxSet) and isinstance(polar, BoxSet):  # an orthant is a box
-        X = coupled.X
-        X_lift = BoxSet(np.concatenate([X.lo, polar.lo]), np.concatenate([X.hi, polar.hi]))
-    else:
-        X_lift = ProductSet([coupled.X, polar])
+    X = coupled.X
+    if not (isinstance(X, BoxSet) and isinstance(polar, BoxSet)):
+        raise UnsupportedSet("the lift needs a box X and a box polar cone")
+    X_lift = BoxSet(np.concatenate([X.lo, polar.lo]), np.concatenate([X.hi, polar.hi]))
 
     # each partial result enters a float64 ufunc (or asarray), so an oracle
     # may return lists; the lift adds no view of z or y to what g and c give

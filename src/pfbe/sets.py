@@ -1,15 +1,16 @@
-"""Projectable set and cone variants, plus the fused prox combination rules.
+"""Projectable boxes and cones, plus the fused prox combination rule.
 
-All projections are exact componentwise formulas, so Moreau identities
-(``z = proj_K(z) + proj_polar(z)`` with orthogonal parts) hold to rounding.
+Every set here is an axis-aligned box: the whole space is ``(-inf, inf)^d``,
+the origin ``[0, 0]^d`` and an orthant ``[0, inf)^d`` or ``(-inf, 0]^d``. So
+each projection is the componentwise clip, Moreau identities
+(``z = proj_K(z) + proj_polar(z)`` with orthogonal parts) hold to rounding,
+and a product of two of these sets is again one box.
 Projections and :func:`composite_prox` take a point or a stack of points
 (one per row) and act along the last axis, each row with the bits of the
 1-D call; ``near_boundary`` takes one point.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,8 +24,6 @@ from .core import (
     as_points,
     as_vector,
     check_int,
-    check_real,
-    row_dot,
 )
 
 
@@ -64,13 +63,16 @@ class BoxSet(ProjectableSet):
         return f"BoxSet(lo={self.lo!r}, hi={self.hi!r})"
 
 
-class WholeSpace(ProjectableCone):
-    """All of R^d; projection is the identity. Polar cone is the origin."""
+class WholeSpace(BoxSet, ProjectableCone):
+    """All of R^d: the box ``(-inf, inf)^d``. Polar cone is the origin."""
 
     def __init__(self, dim: int):
-        self.dim = check_int("dim", dim, 0)
+        dim = check_int("dim", dim, 0)
+        super().__init__(np.full(dim, -np.inf), np.full(dim, np.inf))
 
     def project(self, z: Vector) -> Vector:
+        # the clip to infinite bounds gives the same bits; this skips it on
+        # every prox in Y
         return as_points(z, self.dim, "point")
 
     def polar(self) -> "ZeroCone":
@@ -80,21 +82,15 @@ class WholeSpace(ProjectableCone):
         return f"WholeSpace({self.dim})"
 
 
-class ZeroCone(ProjectableCone):
-    """The origin ``{0}``; polar cone is the whole space."""
+class ZeroCone(BoxSet, ProjectableCone):
+    """The origin ``{0}``: the box ``[0, 0]^d``. Polar cone is the whole space."""
 
     def __init__(self, dim: int):
-        self.dim = check_int("dim", dim, 0)
-
-    def project(self, z: Vector) -> Vector:
-        return np.zeros_like(as_points(z, self.dim, "point"))
+        dim = check_int("dim", dim, 0)
+        super().__init__(np.zeros(dim), np.zeros(dim))
 
     def polar(self) -> WholeSpace:
         return WholeSpace(self.dim)
-
-    def near_boundary(self, z: Vector, tol: float) -> bool:
-        z = as_vector(z, self.dim, "point")
-        return math.sqrt(row_dot(z, z)) <= tol
 
     def __repr__(self):
         return f"ZeroCone({self.dim})"
@@ -119,59 +115,6 @@ class OrthantCone(BoxSet, ProjectableCone):
     def __repr__(self):
         kind = "nonneg" if self.sign > 0 else "nonpos"
         return f"OrthantCone({self.dim}, {kind})"
-
-
-class BallSet(ProjectableSet):
-    """Euclidean ball ``{z : ||z - center|| <= radius}``."""
-
-    def __init__(self, center, radius: float):
-        self.center = as_vector(center, what="center")
-        self.radius = check_real("radius", radius, 0, strict=True)
-        self.dim = self.center.shape[0]
-
-    def project(self, z: Vector) -> Vector:
-        z = as_points(z, self.dim, "point")
-        d = z - self.center
-        nd = np.sqrt(row_dot(d, d))[..., None]  # one norm per row
-        with np.errstate(divide="ignore", invalid="ignore"):
-            onto = self.center + (self.radius / nd) * d
-        return np.where(nd <= self.radius, z, onto)
-
-    def near_boundary(self, z: Vector, tol: float) -> bool:
-        d = as_vector(z, self.dim, "point") - self.center
-        return abs(math.sqrt(row_dot(d, d)) - self.radius) <= tol
-
-    def __repr__(self):
-        return f"BallSet(dim={self.dim}, radius={self.radius})"
-
-
-class ProductSet(ProjectableSet):
-    """Cartesian product of sets, stored as one concatenated vector."""
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        if not self.parts:
-            raise ValueError("product of zero sets")
-        self.dims = tuple(s.dim for s in self.parts)
-        self.dim = int(sum(self.dims))
-        self.convex = all(s.convex for s in self.parts)
-        ends = np.cumsum(self.dims).tolist()
-        self._slices = tuple(slice(a, b) for a, b in zip([0] + ends, ends))
-
-    def split(self, z: Vector) -> list[Vector]:
-        z = as_points(z, self.dim, "point")
-        return [z[..., sl] for sl in self._slices]
-
-    def project(self, z: Vector) -> Vector:
-        blocks = self.split(z)
-        return np.concatenate([s.project(b) for s, b in zip(self.parts, blocks)], axis=-1)
-
-    def near_boundary(self, z: Vector, tol: float) -> bool:
-        blocks = self.split(as_vector(z, self.dim, "point"))
-        return any(s.near_boundary(b, tol) for s, b in zip(self.parts, blocks))
-
-    def __repr__(self):
-        return f"ProductSet({list(self.parts)!r})"
 
 
 def composite_prox(reg: ProxRegularizer, set_: ProjectableSet, z, step: float) -> Vector:
@@ -205,13 +148,3 @@ def composite_prox(reg: ProxRegularizer, set_: ProjectableSet, z, step: float) -
         ).reshape(z.shape)
     return np.asarray(reg.prox(z, step), dtype=np.float64)
 
-
-__all__ = [
-    "BoxSet",
-    "WholeSpace",
-    "ZeroCone",
-    "OrthantCone",
-    "BallSet",
-    "ProductSet",
-    "composite_prox",
-]

@@ -18,7 +18,9 @@ from pfbe.core import (
     FunctionOracle,
     IncompleteOracle,
     PreconditionViolation,
+    ProjectableSet,
     ProxRegularizer,
+    UnsupportedSet,
     fd_hvp_xy,
     fd_hvp_yy,
 )
@@ -26,7 +28,7 @@ from pfbe.diagnostics import feasibility_mcc, stationarity_gamma, transfer_const
 from pfbe.envelope import EnvelopeConfig, evaluate
 from pfbe.lagrangian import kkt_residual_mol, lift, multiplier_bound_monitor
 from pfbe.problems import make_example1, make_synthetic, synthetic_from_data
-from pfbe.sets import BallSet, BoxSet, OrthantCone, ProductSet, WholeSpace, ZeroCone
+from pfbe.sets import BoxSet, OrthantCone, WholeSpace, ZeroCone
 from pfbe.solvers import SolverConfig, select_gda_step, solve_gda_baseline, solve_spg
 from support import synthetic_reference
 
@@ -237,29 +239,40 @@ def test_lift_structure():
 
 
 def test_lift_of_a_box_problem_is_one_box():
-    # X a box and polar(K) an orthant: X x polar(K) is one box, whose clip
-    # has the bits of the blockwise projection, nan and signed zeros included
+    # X a box and polar(K) an orthant, the whole space or the origin (each a
+    # box): X x polar(K) is one box, whose clip has the bits of the blockwise
+    # projection, nan and signed zeros included
     rng = np.random.default_rng(64)
     values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -2.0, 0.5, 1.0, 12.0, 5e-324])
-    for inst in (make_synthetic(4, 3, 1.0, 2), make_synthetic(3, 5, 0.0, 3), make_example1()):
-        lifted, coupled = inst.lifted, inst.lifted.base
-        X = lifted.problem.X
-        assert type(X) is BoxSet
-        blockwise = ProductSet([coupled.X, coupled.K.polar()])
+    base = make_example1().lifted.base
+    lifts = [inst.lifted for inst in
+             (make_synthetic(4, 3, 1.0, 2), make_synthetic(3, 5, 0.0, 3), make_example1())]
+    for K in (ZeroCone(2), WholeSpace(2)):  # an equality or a free constraint
+        custom = CoupledProblem(g=base.g, c=base.c, X=base.X, Y=base.Y, K=K)
+        lifts.append(lift(custom, lipschitz_grad=5000.0))
+    for lifted in lifts:
+        X, coupled, n = lifted.problem.X, lifted.base, lifted.base.dim_x
+        assert type(X) is BoxSet and repr(lifted.polar_cone) == repr(coupled.K.polar())
         for shape in ((X.dim,), (9, X.dim)):
             for z in (rng.choice(values, shape), 3.0 * rng.standard_normal(shape)):
-                assert X.project(z).tobytes() == blockwise.project(z).tobytes()
+                blockwise = np.concatenate(
+                    [coupled.X.project(z[..., :n]), lifted.polar_cone.project(z[..., n:])], axis=-1)
+                assert X.project(z).tobytes() == blockwise.tobytes()
 
 
-def test_lift_keeps_a_product_when_a_part_is_not_a_box():
+def test_lift_rejects_an_x_that_is_not_a_box():
+    class Interval(ProjectableSet):
+        """[0, 1] with its own projection, not a BoxSet."""
+
+        dim = 1
+
+        def project(self, z):
+            return np.clip(np.asarray(z, dtype=np.float64), 0.0, 1.0)
+
     base = make_example1().lifted.base
-    ball = BallSet([5.0], 4.0)
-    for X, K in ((ball, base.K), (base.X, ZeroCone(2)), (base.X, WholeSpace(2))):
-        custom = CoupledProblem(g=base.g, c=base.c, X=X, Y=base.Y, K=K)
-        lifted = lift(custom, lipschitz_grad=5000.0)
-        assert type(lifted.problem.X) is ProductSet
-        x_part, polar_part = lifted.problem.X.parts
-        assert x_part is X and repr(polar_part) == repr(lifted.polar_cone) == repr(K.polar())
+    custom = CoupledProblem(g=base.g, c=base.c, X=Interval(), Y=base.Y, K=base.K)
+    with pytest.raises(UnsupportedSet, match="box"):
+        lift(custom, lipschitz_grad=5000.0)
 
 
 def test_lifted_r1_prox_blockwise():
@@ -486,8 +499,8 @@ def test_kkt_preconditions():
 
 
 def test_kkt_preconditions_reject_nan():
-    # a nan multiplier or y is in neither the polar cone nor Y, even where
-    # the projection keeps the nan (a box clip) or maps it to 0 (the origin)
+    # a nan multiplier or y is in neither the polar cone nor Y, though every
+    # one of them is a box whose clip keeps the nan (the origin too)
     base = make_example1().lifted.base
     for K in (base.K, WholeSpace(2)):
         for Y in (base.Y, BoxSet([-1.0], [1.0])):

@@ -11,15 +11,12 @@ import pytest
 from pfbe.core import (
     DimensionError,
     IncompleteOracle,
-    ProjectableSet,
     ProxRegularizer,
     zero_regularizer,
 )
 from pfbe.sets import (
-    BallSet,
     BoxSet,
     OrthantCone,
-    ProductSet,
     WholeSpace,
     ZeroCone,
     composite_prox,
@@ -117,7 +114,23 @@ def test_whole_space_identity_and_polar():
     assert isinstance(ws.polar(), ZeroCone)
     assert ws.polar().dim == 3
     assert np.array_equal(ws.polar().project(z), np.zeros(3))
+    # the origin is the box [0, 0]^d, whose clip keeps a nan
+    origin = ws.polar()
+    assert isinstance(origin, BoxSet) and origin.lo.tolist() == origin.hi.tolist() == [0.0] * 3
+    assert np.isnan(origin.project([np.nan, 1.0, -1.0])).tolist() == [True, False, False]
     assert isinstance(ws.polar().polar(), WholeSpace)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_whole_space_fast_path_has_the_clip_bits(dim):
+    # WholeSpace.project skips the clip to infinite bounds: it must give the
+    # bytes of that clip, at one point and for a stack
+    rng = np.random.default_rng(dim)
+    values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0])
+    whole = BoxSet(np.full(dim, -np.inf), np.full(dim, np.inf))
+    for shape in ((dim,), (9, dim)):
+        z = rng.choice(values, shape)
+        assert WholeSpace(dim).project(z).tobytes() == whole.project(z).tobytes()
 
 
 @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, np.float64(1.0), 0, 2, -2, "1", None])
@@ -146,30 +159,6 @@ def test_orthant_projection_and_polar():
     assert not nonneg.contains([-1e-6, 0.0, 0.0])
 
 
-def test_ball_projection_values():
-    ball = BallSet([0.0, 0.0], 1.0)
-    assert np.allclose(ball.project([3.0, 4.0]), [0.6, 0.8])
-    inside = np.array([0.1, -0.2])
-    assert np.array_equal(ball.project(inside), inside)
-    shifted = BallSet([1.0, 1.0], 2.0)
-    assert np.allclose(shifted.project([1.0, 4.0]), [1.0, 3.0])
-
-
-def test_product_projection_blockwise():
-    prod = ProductSet([BoxSet([0.0], [1.0]), OrthantCone(2, sign=-1)])
-    assert prod.dim == 3
-    z = np.array([2.0, 1.0, -3.0])
-    assert prod.project(z).tolist() == [1.0, 0.0, -3.0]
-    xs, lam = prod.split(z)
-    assert xs.tolist() == [2.0]
-    assert lam.tolist() == [1.0, -3.0]
-
-
-def test_product_convexity_flag():
-    prod = ProductSet([BoxSet([0.0], [1.0]), WholeSpace(1)])
-    assert prod.convex
-
-
 # ---------------------------------------------------------------------------
 # metric properties on random batches
 
@@ -178,10 +167,8 @@ SETS_FOR_PROPERTIES = [
     BoxSet([-1.0, 0.0, -np.inf], [1.0, 2.0, 0.0]),
     OrthantCone(3, sign=-1),
     OrthantCone(3, sign=1),
-    BallSet([0.5, -0.5, 0.0], 2.0),
     WholeSpace(3),
     ZeroCone(3),
-    ProductSet([BoxSet([0.0], [1.0]), OrthantCone(2, sign=-1)]),
 ]
 
 
@@ -325,11 +312,8 @@ def test_composite_prox_rejects_a_step_not_at_least_zero(step):
         (WholeSpace(2), [np.inf, 0.0]),
         (WholeSpace(2), [0.0, np.nan]),
         (ZeroCone(2), [np.nan, 0.0]),
-        (BallSet([0.0, 0.0], 1.0), [np.inf, 0.0]),
-        (ProductSet([WholeSpace(1), OrthantCone(1)]), [-np.inf, 1.0]),
     ],
-    ids=["nonpos-orthant", "nonneg-orthant", "box", "whole-inf", "whole-nan", "zero-nan",
-         "ball", "product"],
+    ids=["nonpos-orthant", "nonneg-orthant", "box", "whole-inf", "whole-nan", "zero-nan"],
 )
 def test_contains_fails_a_nonfinite_point_without_a_warning(set_, point):
     # inf - inf in the projection residual would warn, and the suite makes warnings errors
@@ -342,47 +326,29 @@ def test_dimension_errors():
     with pytest.raises(DimensionError):
         box.project([1.0])
     with pytest.raises(DimensionError):
-        ProductSet([box, WholeSpace(1)]).split(np.zeros(2))
+        WholeSpace(2).project(np.zeros(3))  # the fast path checks the point too
 
 
 def test_stacked_projection_matches_each_row():
     rng = np.random.default_rng(11)
-    box = BoxSet([-1.0, 0.0, -np.inf], [1.0, 2.0, 0.5])
-    ball = BallSet([1.0, -1.0], 2.0)
     sets = [
-        box,
+        BoxSet([-1.0, 0.0, -np.inf], [1.0, 2.0, 0.5]),
         OrthantCone(3, sign=-1),
         WholeSpace(3),
         ZeroCone(2),
-        ball,
-        ProductSet([box, OrthantCone(2), ball]),
     ]
     for s in sets:
         stack = 3.0 * rng.standard_normal((6, s.dim))
-        if s is ball:
-            stack[0] = ball.center  # zero distance to the center
-            stack[1] = ball.center + [2.0, 0.0]  # on the sphere
         projected = s.project(stack)
         assert projected.shape == stack.shape
         for row, proj in zip(stack, projected):
             assert np.array_equal(proj, s.project(row)), s
 
 
-class _Default(ProjectableSet):
-    """A set with only a projection: the default ``near_boundary``."""
-
-    dim = 2
-
-    def project(self, z):
-        return np.asarray(z, dtype=np.float64)
-
-
 def test_near_boundary_flags_one_point():
     tol = 1e-6
     box = BoxSet([-1.0, 0.0, -np.inf], [1.0, 2.0, 0.5])
-    ball = BallSet([1.0, -1.0], 2.0)
     orthant = OrthantCone(3, sign=-1)
-    zero = ZeroCone(2)
     # (point, flag): the flag set by hand from the distance to the boundary
     cases = {
         box: [([1.0 - 1e-8, 1.0, -5.0], True), ([0.0, 1e-9, 0.0], True),
@@ -390,17 +356,11 @@ def test_near_boundary_flags_one_point():
               ([0.2, 1.0, 0.5], True)],
         orthant: [([-1.0, -2.0, -3.0], False), ([-1.0, 1e-7, -3.0], True),
                   ([np.nan, -1.0, -1.0], False)],
-        zero: [([0.0, 0.0], True), ([1e-7, -1e-7], True), ([1.0, 0.0], False)],
-        ball: [([1.0, -1.0], False),  # the center, a radius away
-               ([3.0, -1.0], True), ([1.0, 1.0 + 1e-8], True), ([1.0, 5.0], False)],
-        _Default(): [([0.0, 0.0], False), ([5.0, -5.0], False)],
+        # the origin is the box [0, 0]: near it means |z_i| <= tol for some i
+        ZeroCone(2): [([0.0, 0.0], True), ([1e-7, -1e-7], True), ([1.0, 0.0], True),
+                      ([1.0, -1.0], False)],
+        WholeSpace(2): [([0.0, 0.0], False), ([np.inf, -np.inf], False)],  # no finite bound
     }
-    cases[ProductSet([box, orthant, ball])] = [
-        ([0.2, 1.0, 0.0] + [-1.0, -2.0, -3.0] + [1.0, 5.0], False),  # no part near
-        ([0.2, 1.0, 0.0] + [-1.0, 1e-7, -3.0] + [1.0, 5.0], True),  # the orthant
-        ([0.2, 1.0, 0.0] + [-1.0, -2.0, -3.0] + [3.0, -1.0], True),  # the ball
-        ([1.0, 1.0, 0.0] + [-1.0, -2.0, -3.0] + [1.0, 5.0], True),  # the box
-    ]
     for s, points in cases.items():
         for point, flag in points:
             got = s.near_boundary(np.array(point), tol)

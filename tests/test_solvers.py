@@ -32,7 +32,6 @@ from pfbe.lagrangian import lift
 from pfbe.problems import make_example1, make_synthetic, synthetic_from_data
 from pfbe.rng import NormalStream, Xoshiro256pp
 from pfbe.sets import (
-    BallSet,
     BoxSet,
     OrthantCone,
     ProjectableSet,
@@ -108,14 +107,13 @@ def _select_on_one_d(grid):
     (lambda: _oracle_with_lipschitz(True), "lipschitz_grad"),
     (lambda: lift(make_example1().lifted.base, lipschitz_grad=True), "lipschitz_grad"),
     (lambda: make_synthetic(2, 2, True, 1), "c_value"),
-    (lambda: BallSet([0.0], True), "radius"),
     # an integer beyond the float range is not finite, and no OverflowError
     (lambda: SolverConfig(gtol=10**400), "gtol"),
     (lambda: EnvelopeConfig(eta=10**400, alpha=2.0), "eta"),
     (lambda: EnvelopeConfig.for_problem(_one_d()[1], eta=10**400), "eta"),
 ], ids=["eta_x-bool", "eta_y-bool", "gtol-bool", "gtol-inf", "eta-bool", "alpha-bool",
         "for_problem-eta-bool", "grid-bool", "lipschitz-bool", "lift-lipschitz-bool",
-        "c_value-bool", "radius-bool", "gtol-huge", "eta-huge", "for_problem-eta-huge"])
+        "c_value-bool", "gtol-huge", "eta-huge", "for_problem-eta-huge"])
 def test_entry_points_reject_bools_and_an_infinite_gtol(make, name):
     with pytest.raises(ValueError, match=name):
         make()
