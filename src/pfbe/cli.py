@@ -22,7 +22,8 @@ final penalized objective, ``stat`` the normalized residual, and
 instance itself has no level parameter). Numeric fields use ``%.2e``
 so repeated runs are byte-identical apart from ``time_s``.
 
-Exit codes: 0 success, 1 invalid config or usage, 2 solver failure.
+Exit codes: 0 success, 1 invalid config or usage (also an output that
+cannot be written), 2 solver failure.
 ``PFBE_THREADS`` caps sweep parallelism: unset means serial, and a value
 that is not a positive integer is an invalid config. Row order is
 ``(n, p, c, solver, seed)`` regardless of scheduling.
@@ -66,13 +67,13 @@ class RunConfig:
     :func:`~pfbe.rng.check_seed`): counts and the seed are integers (a
     bool is not), the seed lies in ``[0, 2**64)``, ``c`` is a finite
     number, ``eta``, ``alpha`` and ``gtol`` are positive finite numbers
-    when given, the solver list is not empty, and a given
-    ``gda_step_grid`` is a nonempty list of ``[a1, a2]`` pairs whose steps
-    ``a1 * 10^-a2`` are finite and positive. A violation raises
-    ``ValueError``, which ``pfbe run`` and ``pfbe sweep`` report as one
-    ``invalid config: ...`` line (exit 1) before any solve starts; they
-    also check a given ``alpha`` against the instance's envelope threshold
-    (:func:`_load_config`).
+    when given, the solver list is not empty, a given ``gda_step_grid``
+    is a nonempty list of ``[a1, a2]`` pairs whose steps ``a1 * 10^-a2``
+    are finite and positive, and a given ``output`` is a string. A
+    violation raises ``ValueError``, which ``pfbe run`` and ``pfbe sweep``
+    report as one ``invalid config: ...`` line (exit 1) before any solve
+    starts; they also check a given ``alpha`` against the instance's
+    envelope threshold (:func:`_load_config`).
     """
 
     problem: str = "synthetic"
@@ -107,6 +108,8 @@ class RunConfig:
         for name in ("eta", "alpha"):
             if getattr(self, name) is not None:
                 check_real(name, getattr(self, name), 0, strict=True)
+        if not isinstance(self.output, (str, type(None))):
+            raise ValueError(f"output must be a path string, got {self.output!r}")
         if self.gda_step_grid is not None:
             for entry in self.gda_step_grid:
                 if not isinstance(entry, (list, tuple)) or len(entry) != 2:
@@ -246,12 +249,25 @@ def _exit_code(rows) -> int:
     return 2 if any(r.failure is not None for r in rows) else 0
 
 
-def _write_output(rows, out_path: Optional[str]) -> None:
-    text = rows_to_csv(rows)
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _no_output_dir(out_path: Optional[str]) -> bool:
+    """Report, as one line before any solve, an ``out_path`` in a missing directory."""
+    if out_path and not Path(out_path).parent.is_dir():
+        print(f"cannot write output: no directory {Path(out_path).parent}", file=sys.stderr)
+        return True
+    return False
+
+
+def _write_output(rows, out_path: Optional[str]) -> int:
+    """Write the rows to ``out_path`` (stdout when None); 1, and one stderr line, on failure."""
+    try:
+        if out_path:
+            Path(out_path).write_text(rows_to_csv(rows), encoding="utf-8")
+        else:
+            sys.stdout.write(rows_to_csv(rows))
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_run(args) -> int:
@@ -260,10 +276,12 @@ def cmd_run(args) -> int:
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
+    out = args.out or cfg.output
+    if _no_output_dir(out):
+        return 1
     rows = [run_single(cfg, s) for s in cfg.solvers for _ in range(cfg.repeats)]
     print_table(rows)
-    _write_output(rows, args.out or cfg.output)
-    return _exit_code(rows)
+    return _write_output(rows, out) or _exit_code(rows)
 
 
 def _sweep_job(payload):
@@ -299,6 +317,8 @@ def cmd_sweep(args) -> int:
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
+    if _no_output_dir(args.out):
+        return 1
 
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -314,8 +334,7 @@ def cmd_sweep(args) -> int:
     )
     rows = [rows[i] for i in order]
     print_table(rows)
-    _write_output(rows, args.out)
-    return _exit_code(rows)
+    return _write_output(rows, args.out) or _exit_code(rows)
 
 
 def cmd_check(args) -> int:

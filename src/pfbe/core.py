@@ -5,15 +5,19 @@ Conventions used across the package:
 * a decision vector is a 1-D ``float64`` array; ``x`` is the minimization
   block (dimension ``n``), ``y`` the concave maximization block
   (dimension ``p``);
-* the envelope, the projections and the built-in oracles also take a
-  stack of points, a 2-D array with one point per row, and act on each
-  row as on that 1-D point, bit for bit (:func:`row_dot` gives the
-  per-row dot products that keep those bits);
 * gradients follow the same block split, so ``grad_x`` maps to ``R^n``
   and ``grad_y`` to ``R^p``;
 * mixed Hessian-vector products act on y-directions:
   ``hvp_xy(x, y, v) = d/dt grad_x(x, y + t*v) | t=0`` lands in ``R^n``
-  and ``hvp_yy(x, y, v) = d/dt grad_y(x, y + t*v) | t=0`` in ``R^p``.
+  and ``hvp_yy(x, y, v) = d/dt grad_y(x, y + t*v) | t=0`` in ``R^p``;
+* every callable of a :class:`FunctionOracle`, :class:`ConstraintOracle`
+  or :class:`ProxRegularizer` takes a point or a stack (a 2-D array, one
+  point per row) and returns one value, gradient or product per row with
+  the bits of that row's own call (:func:`row_dot` keeps them for dot
+  products); a ``prox`` takes a float step or a column of per-row steps.
+  :func:`check_rows` guards the results by shape only: a callable that
+  reads one point can still return the expected shape, with wrong values,
+  for instance on a stack with as many rows as a point has coordinates.
 """
 
 from __future__ import annotations
@@ -130,6 +134,16 @@ def row_dot(u, v):
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
+def check_rows(what: str, value, shape) -> Vector:
+    """``value`` as float64; raises :class:`DimensionError` naming ``what``,
+    the callable that returned it, unless it has one row per point: ``shape``.
+    A wrong value of the right shape passes."""
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != shape:
+        raise DimensionError(f"{what} returned shape {value.shape}, expected {shape}")
+    return value
+
+
 def check_finite(value, what: str = "value"):
     """Raise :class:`NonFiniteValue` if ``value`` contains a nan or inf."""
     # a count is cheaper than ndarray.all at the sizes of an iterate
@@ -142,11 +156,13 @@ def check_finite(value, what: str = "value"):
 class ProjectableSet:
     """Closed set with a euclidean projection oracle.
 
-    Subclasses set ``dim`` and ``convex`` and implement :meth:`project`.
+    Subclasses set ``dim`` and ``convex`` and implement :meth:`project`;
+    ``whole`` is True when the set is all of ``R^dim``.
     """
 
     dim: int
     convex: bool = True
+    whole: bool = False
 
     def project(self, z: Vector) -> Vector:
         raise NotImplementedError
@@ -183,18 +199,11 @@ class FunctionOracle:
         Exact Hessian-vector products along y-directions, ``(x, y, v) ->
         array``, which the envelope gradient needs. A value that is not
         callable raises :class:`IncompleteOracle` at construction.
-    stacks : bool
-        Whether every callable also takes stacks of points, 2-D arrays
-        with one point per row (and, for the products, one direction per
-        row), and returns one value, gradient or product per row with the
-        bits of the call on that row alone. The built-in synthetic
-        oracles and their lift declare it. When False (the default), the
-        envelope calls the oracle on each row of a stack in turn.
     first_order : callable, optional
-        ``(x, y) -> (eval, grad_x, grad_y)`` in one call, with the bits and
-        the stacking of the separate calls. The envelope takes all three
-        from it at every evaluation, and from the separate calls when it
-        is None (the default).
+        ``(x, y) -> (eval, grad_x, grad_y)`` in one call, with the bits of
+        the separate calls. The envelope takes all three from it at every
+        evaluation, and from the separate calls when it is None (the
+        default).
     """
 
     eval: Callable[[Vector, Vector], float]
@@ -204,7 +213,6 @@ class FunctionOracle:
     strong_concavity: float
     hvp_yy: Callable[[Vector, Vector, Vector], Vector]
     hvp_xy: Callable[[Vector, Vector, Vector], Vector]
-    stacks: bool = False
     first_order: Optional[Callable[[Vector, Vector], tuple]] = None
 
     def __post_init__(self):
@@ -230,12 +238,11 @@ class ProxRegularizer:
     attached_set: Optional[ProjectableSet] = None
 
     def value(self, z: Vector) -> float:
-        """``eval(z)``, or one value per row of a stack of points."""
+        """``eval(z)``: a float at one point, one value per row of a stack."""
         if self.is_zero:
             return 0.0
-        if np.ndim(z) > 1:
-            return np.array([float(self.eval(row)) for row in z])
-        return float(self.eval(z))
+        value, rows = self.eval(z), np.shape(z)[:-1]  # rows is () at one point
+        return check_rows("ProxRegularizer.eval", value, rows) if rows else float(value)
 
 
 def zero_regularizer() -> ProxRegularizer:
@@ -296,8 +303,6 @@ class ConstraintOracle:
     y-direction ``v``: the exact products the lift needs. A value of the
     three that is not callable raises :class:`IncompleteOracle` at
     construction.
-    ``stacks`` declares, as for :class:`FunctionOracle`, that every
-    callable also takes stacks of points, row by row bit for bit.
     """
 
     dim: int
@@ -307,7 +312,6 @@ class ConstraintOracle:
     dc_y: Callable[[Vector, Vector, Vector], Vector]
     hvp_xy_lam: Callable[[Vector, Vector, Vector, Vector], Vector]
     hvp_yy_lam: Callable[[Vector, Vector, Vector, Vector], Vector]
-    stacks: bool = False
 
     def __post_init__(self):
         for name in ("dc_y", "hvp_xy_lam", "hvp_yy_lam"):

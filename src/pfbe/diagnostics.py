@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoupledProblem, MinimaxProblem, Vector, as_vector
+from .core import CoupledProblem, MinimaxProblem, Vector, as_vector, row_dot
 from .envelope import (
     NORM_FLOOR,
     EnvelopeConfig,
@@ -155,12 +155,9 @@ def check_polar_convexity(coupled: CoupledProblem, sample_points) -> bool:
         lam = as_vector(lam, coupled.dim_c, "lam")
         y1 = as_vector(y1, coupled.dim_y, "y1")
         y2 = as_vector(y2, coupled.dim_y, "y2")
-        mid = 0.5 * (y1 + y2)
-        val_mid = float(lam @ np.asarray(coupled.c.eval_c(x, mid), dtype=np.float64))
-        val_avg = 0.5 * (
-            float(lam @ np.asarray(coupled.c.eval_c(x, y1), dtype=np.float64))
-            + float(lam @ np.asarray(coupled.c.eval_c(x, y2), dtype=np.float64))
-        )
-        if val_mid > val_avg + POLAR_CONVEXITY_TOL:
+        ys = np.stack([0.5 * (y1 + y2), y1, y2])  # one call of c at the midpoint and both ends
+        c = np.asarray(coupled.c.eval_c(np.tile(x, (3, 1)), ys), dtype=np.float64)
+        mid, left, right = row_dot(lam, c)
+        if mid > 0.5 * (left + right) + POLAR_CONVEXITY_TOL:
             return False
     return True

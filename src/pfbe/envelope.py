@@ -37,11 +37,13 @@ lifting splits into its x, multiplier and y blocks.
 
 Every function here also takes a stack of points, ``x`` and ``y`` with
 one point per row, and gives each row the bits it would get alone; the
-scalar fields of :class:`EnvelopeEval` then hold one value per row. An
-oracle that does not declare ``stacks`` is called row by row. A nan or
-inf in ``f``, ``grad_y f``, ``grad_x f`` or a Hessian-vector product
-always reaches ``gamma`` or the gradient of ``Xi``, so finiteness is
-checked once per value evaluation and once per gradient completion. At
+scalar fields of :class:`EnvelopeEval` then hold one value per row. It
+passes a stack to the oracle as it is (:mod:`pfbe.core` states the
+contract) and checks that each value, gradient and product has one row
+per point (:func:`~pfbe.core.check_rows`). A nan or inf in ``f``,
+``grad_y f``, ``grad_x f`` or a Hessian-vector product always reaches
+``gamma`` or the gradient of ``Xi``, so finiteness is checked once per
+value evaluation and once per gradient completion. At
 one point it raises :class:`NonFiniteValue`, naming the first non-finite
 quantity; in a stack it only clears that row in ``EnvelopeEval.finite``,
 so that one diverging row cannot stop the others.
@@ -62,6 +64,7 @@ from .core import (
     Vector,
     check_finite,
     check_real,
+    check_rows,
     row_dot,
 )
 from .sets import composite_prox
@@ -148,25 +151,24 @@ class EnvelopeEval:
     finite: Optional[np.ndarray] = None
 
 
-def oracle_call(f: FunctionOracle, fn, *args):
-    """``fn(*args)`` as float64 at one point or at each row of a stack; an
-    oracle that does not take stacks is called row by row."""
-    if args[0].ndim == 1 or f.stacks:
-        return np.asarray(fn(*args), dtype=np.float64)
-    return np.array([fn(*row) for row in zip(*args)], dtype=np.float64)
+def oracle_call(f: FunctionOracle, name: str, shape, *args) -> Vector:
+    """``f.<name>(*args)`` as float64, checked to have ``shape``."""
+    return check_rows(f"FunctionOracle.{name}", getattr(f, name)(*args), shape)
 
 
 def _first_order(f: FunctionOracle, x, y):
     """``(f, grad_x f, grad_y f)`` at a point (``f`` a float) or a stack: one
-    call of the oracle's bundle when it has one that takes these points,
-    else the three separate calls, which give the same bits."""
-    if f.first_order is not None and (x.ndim == 1 or f.stacks):
-        fv, gx, gy = f.first_order(x, y)
+    call of the oracle's bundle when it has one, else the three separate
+    calls, which give the same bits."""
+    if f.first_order is None:
+        what = ("FunctionOracle.eval", "FunctionOracle.grad_x", "FunctionOracle.grad_y")
+        fv, gx, gy = f.eval(x, y), f.grad_x(x, y), f.grad_y(x, y)
     else:
-        fv = f.eval(x, y) if x.ndim == 1 else oracle_call(f, f.eval, x, y)
-        gx, gy = oracle_call(f, f.grad_x, x, y), oracle_call(f, f.grad_y, x, y)
-    fv = float(fv) if x.ndim == 1 else np.asarray(fv, dtype=np.float64)
-    return fv, np.asarray(gx, dtype=np.float64), np.asarray(gy, dtype=np.float64)
+        what = ("FunctionOracle.first_order",) * 3
+        fv, gx, gy = f.first_order(x, y)
+    # float() takes one value only, so one point needs no check of its own
+    fv = float(fv) if x.ndim == 1 else check_rows(what[0], fv, x.shape[:-1])
+    return fv, check_rows(what[1], gx, x.shape), check_rows(what[2], gy, y.shape)
 
 
 def _finite_rows(finite: Optional[np.ndarray], checked, *named) -> Optional[np.ndarray]:
@@ -189,18 +191,12 @@ def _finite_rows(finite: Optional[np.ndarray], checked, *named) -> Optional[np.n
     return finite
 
 
-def _along_residual(f: FunctionOracle, hvp, x, y, R, moving, dim: int):
-    """The exact Hessian-vector product ``hvp`` of ``f`` along ``R``, zero
-    where ``R`` is (``moving`` is False); an oracle that does not take
-    stacks is called on each moving row of a stack in turn."""
+def _along_residual(f: FunctionOracle, name: str, x, y, R, moving, shape):
+    """The exact Hessian-vector product ``f.<name>`` along ``R``, zero where
+    ``R`` is (``moving`` is False)."""
     if R.ndim == 1:
-        return np.asarray(hvp(x, y, R), dtype=np.float64) if moving else np.zeros(dim)
-    if f.stacks:
-        return np.where(moving[:, None], np.asarray(hvp(x, y, R), dtype=np.float64), 0.0)
-    out = np.zeros((len(R), dim))
-    for i in np.flatnonzero(moving):
-        out[i] = hvp(x[i], y[i], R[i])
-    return out
+        return oracle_call(f, name, shape, x, y, R) if moving else np.zeros(shape)
+    return np.where(moving[:, None], oracle_call(f, name, shape, x, y, R), 0.0)
 
 
 def evaluate(
@@ -254,8 +250,8 @@ def with_gradients(
     f, x, y, R, gx = problem.f, ev.x, ev.y, ev.R, ev.grad_x_f
     eta, alpha = cfg.eta, cfg.alpha
     moving = ev.R_sq != 0.0
-    hxy_r = _along_residual(f, f.hvp_xy, x, y, R, moving, problem.dim_x)
-    hyy_r = _along_residual(f, f.hvp_yy, x, y, R, moving, problem.dim_y)
+    hxy_r = _along_residual(f, "hvp_xy", x, y, R, moving, x.shape)
+    hyy_r = _along_residual(f, "hvp_yy", x, y, R, moving, y.shape)
     grad_x = gx + alpha * eta * hxy_r
     grad_y = alpha * (R + eta * hyy_r) - (alpha - 1.0) * ev.grad_y_f
     finite = _finite_rows(
@@ -321,9 +317,10 @@ def minimax_residual(problem: MinimaxProblem, x, y) -> tuple[Vector, Vector]:
     ``x`` and ``y`` are points, or stacks, as ``problem.check_point``
     returns them.
     """
-    f = problem.f
-    rx = composite_prox(problem.r1, problem.X, x - oracle_call(f, f.grad_x, x, y), 1.0) - x
-    ry = composite_prox(problem.r2, problem.Y, y + oracle_call(f, f.grad_y, x, y), 1.0) - y
+    gx = oracle_call(problem.f, "grad_x", x.shape, x, y)
+    gy = oracle_call(problem.f, "grad_y", y.shape, x, y)
+    rx = composite_prox(problem.r1, problem.X, x - gx, 1.0) - x
+    ry = composite_prox(problem.r2, problem.Y, y + gy, 1.0) - y
     return rx, ry
 
 
@@ -334,7 +331,7 @@ def prox_step(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> tuple[Vecto
     in a stack it makes ``T`` and ``R`` nan in its row only, which a box
     ``Y`` would otherwise clip back to finite values."""
     x, y = problem.check_point(x, y)
-    gy = oracle_call(problem.f, problem.f.grad_y, x, y)
+    gy = oracle_call(problem.f, "grad_y", y.shape, x, y)
     if x.ndim == 1:
         check_finite(gy, "grad_y f")
     T = composite_prox(problem.r2, problem.Y, y + cfg.eta * gy, cfg.eta)

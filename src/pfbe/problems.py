@@ -158,7 +158,6 @@ def _synthetic_oracles(
         strong_concavity=1.0,
         hvp_yy=g_hvp_yy,
         hvp_xy=g_hvp_xy,
-        stacks=True,
         first_order=g_first_order,
     )
     con = ConstraintOracle(
@@ -169,7 +168,6 @@ def _synthetic_oracles(
         dc_y=c_dc_y,
         hvp_xy_lam=_zero_hvp_xy_lam,
         hvp_yy_lam=_zero_hvp_yy_lam,
-        stacks=True,
     )
     return g, con
 
@@ -257,14 +255,16 @@ class Example1Instance:
 def make_example1() -> Example1Instance:
     """Build ``min_{x in [1,10]} max_{y <= x, y <= x^4} -(y - 2x)^2 / 2``."""
 
+    # [..., :1] keeps the last axis: a point and a stack's row run the same kernels
     def g_eval(x, y):
-        return float(-0.5 * (y[0] - 2.0 * x[0]) ** 2)
+        d = y[..., :1] - 2.0 * x[..., :1]
+        return -0.5 * row_dot(d, d)
 
     def g_grad_x(x, y):
-        return np.array([2.0 * (y[0] - 2.0 * x[0])])
+        return 2.0 * (y[..., :1] - 2.0 * x[..., :1])
 
     def g_grad_y(x, y):
-        return np.array([-(y[0] - 2.0 * x[0])])
+        return -(y[..., :1] - 2.0 * x[..., :1])
 
     def g_hvp_yy(x, y, v):
         return -np.asarray(v, dtype=np.float64)
@@ -273,16 +273,16 @@ def make_example1() -> Example1Instance:
         return 2.0 * np.asarray(v, dtype=np.float64)
 
     def c_eval(x, y):
-        return np.array([y[0] - x[0], y[0] - x[0] ** 4])
+        return np.concatenate([y[..., :1] - x[..., :1], y[..., :1] - x[..., :1] ** 4], axis=-1)
 
     def c_jvp_x(x, y, lam):
-        return np.array([-lam[0] - 4.0 * x[0] ** 3 * lam[1]])
+        return -lam[..., :1] - 4.0 * x[..., :1] ** 3 * lam[..., 1:]
 
     def c_jvp_y(x, y, lam):
-        return np.array([lam[0] + lam[1]])
+        return lam[..., :1] + lam[..., 1:]
 
     def c_dc_y(x, y, v):
-        return np.array([v[0], v[0]])
+        return np.concatenate([v[..., :1], v[..., :1]], axis=-1)
 
     g = FunctionOracle(
         eval=g_eval,

@@ -7,7 +7,8 @@ each projection is the componentwise clip, Moreau identities
 and a product of two of these sets is again one box.
 Projections and :func:`composite_prox` take a point or a stack of points
 (one per row) and act along the last axis, each row with the bits of the
-1-D call; ``near_boundary`` takes one point.
+1-D call; ``near_boundary`` takes one point. A box whose bounds are all
+infinite is the whole space, whichever class built it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     as_points,
     as_vector,
     check_int,
+    check_rows,
 )
 
 
@@ -42,11 +44,14 @@ class BoxSet(ProjectableSet):
         self.lo = lo
         self.hi = hi
         self.dim = lo.shape[0]
+        self.whole = bool(np.isneginf(lo).all() and np.isposinf(hi).all())
 
     def project(self, z: Vector) -> Vector:
         # the clip ufunc np.clip calls, without its dispatch; np.minimum and
         # np.maximum can pick the other zero of a signed-zero tie
         z = as_points(z, self.dim, "point")
+        if self.whole:  # the clip to infinite bounds gives the same bits
+            return z
         if self.dim == 1 and z.ndim > 1:
             # bounds broadcast down a (k, 1) stack keep -0.0 where the 1-D
             # call does not; filled out to the stack, they give its bits
@@ -69,11 +74,6 @@ class WholeSpace(BoxSet, ProjectableCone):
     def __init__(self, dim: int):
         dim = check_int("dim", dim, 0)
         super().__init__(np.full(dim, -np.inf), np.full(dim, np.inf))
-
-    def project(self, z: Vector) -> Vector:
-        # the clip to infinite bounds gives the same bits; this skips it on
-        # every prox in Y
-        return as_points(z, self.dim, "point")
 
     def polar(self) -> "ZeroCone":
         return ZeroCone(self.dim)
@@ -127,24 +127,19 @@ def composite_prox(reg: ProxRegularizer, set_: ProjectableSet, z, step: float) -
     A zero ``step`` drops the regularizer and projects.
 
     ``z`` may be a stack of points; ``step`` is then a float or a column
-    with one step per row. A nonzero regularizer's prox is taken row by
-    row, since its callable need not take stacks.
+    with one step per row, which ``reg.prox`` takes as it is, and a row
+    whose step is zero is projected.
     """
     # a nan or negative step fails; np.minimum keeps a nan, and a step >= 0 gives 0.0
     if (not step >= 0.0) if isinstance(step, float) else np.count_nonzero(np.minimum(step, 0.0)):
         raise ValueError("prox step must be nonnegative")
     if reg.is_zero or np.all(step == 0.0):
         return set_.project(z)  # which checks z
-    if not (reg.attached_set is set_ or isinstance(set_, WholeSpace)):
+    if not (reg.attached_set is set_ or set_.whole):
         raise IncompleteOracle(
             "no fused prox available for this regularizer/set pair; supply a "
             "ProxRegularizer with attached_set or use a whole-space set"
         )
     z = as_points(z, set_.dim, "point")
-    if z.ndim > 1:
-        steps = np.broadcast_to(step, z.shape[:-1] + (1,))[..., 0]
-        return np.array(
-            [composite_prox(reg, set_, row, float(s)) for row, s in zip(z, steps)]
-        ).reshape(z.shape)
-    return np.asarray(reg.prox(z, step), dtype=np.float64)
-
+    out = check_rows("ProxRegularizer.prox", reg.prox(z, step), z.shape)
+    return out if np.ndim(step) == 0 else np.where(step == 0.0, set_.project(z), out)

@@ -356,12 +356,12 @@ def _iterate_first_order(
 
 def _grad_x_f(f: FunctionOracle, it: Iterate):
     """``grad_x f`` at the iterate, from its evaluation when it has one."""
-    return oracle_call(f, f.grad_x, it.x, it.y) if it.grad_x_f is None else it.grad_x_f
+    return oracle_call(f, "grad_x", it.x.shape, it.x, it.y) if it.grad_x_f is None else it.grad_x_f
 
 
 def _grad_y_f(f: FunctionOracle, it: Iterate):
     """``grad_y f`` at the iterate, from its evaluation when it has one."""
-    return oracle_call(f, f.grad_y, it.x, it.y) if it.grad_y_f is None else it.grad_y_f
+    return oracle_call(f, "grad_y", it.y.shape, it.x, it.y) if it.grad_y_f is None else it.grad_y_f
 
 
 def solve_spg(

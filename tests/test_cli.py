@@ -103,6 +103,9 @@ def test_config_rejects_bad_values():
         {"gda_step_grid": [[0, 1]]},
         {"gda_step_grid": [[1, 400]]},
         {"gda_step_grid": []},
+        # an output that is not a path string
+        {"output": 5},
+        {"output": ["x.csv"]},
     ],
     ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()),
 )
@@ -234,6 +237,46 @@ def test_cmd_run_output_field_fallback(tmp_path):
     rc = main(["run", "--config", str(cfg_path)])
     assert rc == 0
     assert out_path.exists()
+
+
+@pytest.mark.parametrize("how", ["run --out", "run output", "sweep --out"])
+def test_output_in_a_missing_directory_exits_before_any_solve(tmp_path, monkeypatch, capsys, how):
+    import pfbe.cli as cli_mod
+
+    solves = []
+    monkeypatch.setattr(cli_mod, "run_single", lambda cfg, solver: solves.append(solver))
+    monkeypatch.delenv("PFBE_THREADS", raising=False)
+    out = tmp_path / "absent" / "x.csv"
+    d = tmp_path / "configs"
+    d.mkdir()
+    if how == "run output":
+        argv = ["run", "--config", str(_write_config(d / "a.json", output=str(out)))]
+    elif how == "run --out":
+        argv = ["run", "--config", str(_write_config(d / "a.json")), "--out", str(out)]
+    else:
+        _write_config(d / "a.json")
+        argv = ["sweep", "--config-dir", str(d), "--out", str(out)]
+    assert main(argv) == 1
+    assert solves == []
+    assert capsys.readouterr().err == f"cannot write output: no directory {out.parent}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_that_cannot_be_written_is_one_line(tmp_path, capsys, command):
+    # the path is a directory: the write fails after the solves, with no traceback
+    d = tmp_path / "configs"
+    d.mkdir()
+    cfg = _write_config(d / "a.json", max_iter=3)
+    out = tmp_path / "taken"
+    out.mkdir()
+    if command == "run":
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+    else:
+        rc = main(["sweep", "--config-dir", str(d), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+    assert str(out) in err
 
 
 def test_cmd_run_malformed_json(tmp_path, capsys):

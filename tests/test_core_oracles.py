@@ -18,6 +18,7 @@ from pfbe.core import (
     as_points,
     as_vector,
     check_finite,
+    check_rows,
     fd_gradient,
     fd_hvp_xy,
     fd_hvp_yy,
@@ -59,6 +60,23 @@ def test_as_vector_scalars_and_lists():
         as_vector([1.0, 2.0], dim=3)
     with pytest.raises(DimensionError):
         as_vector(np.zeros((2, 2)))
+
+
+def test_check_rows_sees_shapes_only():
+    # a grad_y that reads one point only, on a stack of two points in two
+    # dimensions: its (2, 2) result mixes the rows yet has the stack's shape,
+    # so the check passes it; on three points it has two rows, and fails
+    def grad_y(x, y):
+        return np.array([x[0] - y[0], 2.0 * x[1] - y[1]])
+
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    y = np.array([[0.5, -1.0], [2.0, 0.25]])
+    rowwise = np.array([grad_y(xr, yr) for xr, yr in zip(x, y)])
+    passed = check_rows("grad_y", grad_y(x, y), y.shape)
+    assert not np.array_equal(passed, rowwise)
+    x3, y3 = np.vstack([x, x[:1]]), np.vstack([y, y[:1]])
+    with pytest.raises(DimensionError, match=r"grad_y returned shape \(2, 2\), expected \(3, 2\)"):
+        check_rows("grad_y", grad_y(x3, y3), y3.shape)
 
 
 def _coerced_points(z, dim=None, what="point"):

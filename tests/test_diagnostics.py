@@ -258,14 +258,14 @@ def test_polar_convexity_detects_concave_constraint():
         hvp_yy=lambda x, y, v: -2.0 * np.asarray(v, float),
         hvp_xy=lambda x, y, v: np.zeros(1),
     )
-    con = ConstraintOracle(
+    con = ConstraintOracle(  # each callable takes a point or a stack
         dim=1,
-        eval_c=lambda x, y: np.array([-(y[0] ** 2)]),  # concave in y
-        jvp_x=lambda x, y, lam: np.zeros(1),
-        jvp_y=lambda x, y, lam: np.array([-2.0 * y[0] * lam[0]]),
-        dc_y=lambda x, y, v: np.array([-2.0 * y[0] * v[0]]),
-        hvp_xy_lam=lambda x, y, lam, v: np.zeros(1),
-        hvp_yy_lam=lambda x, y, lam, v: np.array([-2.0 * lam[0] * v[0]]),
+        eval_c=lambda x, y: -(y ** 2),  # concave in y
+        jvp_x=lambda x, y, lam: np.zeros(np.shape(x)),
+        jvp_y=lambda x, y, lam: -2.0 * y * lam,
+        dc_y=lambda x, y, v: -2.0 * y * v,
+        hvp_xy_lam=lambda x, y, lam, v: np.zeros(np.shape(x)),
+        hvp_yy_lam=lambda x, y, lam, v: -2.0 * lam * v,
     )
     coupled = CoupledProblem(
         g=g, c=con, X=BoxSet([0.0], [1.0]), Y=WholeSpace(1), K=OrthantCone(1, sign=-1)

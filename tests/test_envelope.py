@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from pfbe import envelope
-from pfbe.core import FunctionOracle, MinimaxProblem, NonFiniteValue, ProxRegularizer
+from pfbe.core import (
+    DimensionError,
+    FunctionOracle,
+    MinimaxProblem,
+    NonFiniteValue,
+    ProxRegularizer,
+    row_dot,
+)
 from pfbe.envelope import (
     EnvelopeConfig,
     evaluate,
@@ -130,26 +137,31 @@ def test_wrappers_match_evaluate():
 # independent reimplementation with nonzero regularizers
 
 
-def _reg_problem(kappa=0.5, n=3):
-    # f = <x, y> - |y|^2/2 on box x, free y, with r1 = |x|_1 (value only)
-    # and r2 = kappa/2 |y|^2 (quadratic prox on the whole space)
-    f = FunctionOracle(
-        eval=lambda x, y: float(x @ y - 0.5 * y @ y),
+def _bilinear_oracle(lipschitz=2.0) -> FunctionOracle:
+    # f = <x, y> - |y|^2/2; each callable takes a point or a stack
+    return FunctionOracle(
+        eval=lambda x, y: row_dot(x, y) - 0.5 * row_dot(y, y),
         grad_x=lambda x, y: np.asarray(y, float).copy(),
         grad_y=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
-        lipschitz_grad=0.5 * (1.0 + np.sqrt(5.0)),
+        lipschitz_grad=lipschitz,
         strong_concavity=1.0,
         hvp_yy=lambda x, y, v: -np.asarray(v, float),
         hvp_xy=lambda x, y, v: np.asarray(v, float).copy(),
     )
+
+
+def _reg_problem(kappa=0.5, n=3):
+    # f = <x, y> - |y|^2/2 on box x, free y, with r1 = |x|_1 (value only)
+    # and r2 = kappa/2 |y|^2 (quadratic prox on the whole space)
+    f = _bilinear_oracle(0.5 * (1.0 + np.sqrt(5.0)))
     X = BoxSet(-np.ones(n), np.ones(n))
     r1 = ProxRegularizer(
-        eval=lambda v: float(np.abs(v).sum()),
+        eval=lambda v: np.abs(v).sum(axis=-1),
         prox=lambda zv, t: np.clip(np.sign(zv) * np.maximum(np.abs(zv) - t, 0.0), -1.0, 1.0),
         attached_set=X,
     )
     r2 = ProxRegularizer(
-        eval=lambda v: float(0.5 * kappa * (v @ v)),
+        eval=lambda v: 0.5 * kappa * row_dot(v, v),
         prox=lambda zv, t: np.asarray(zv, float) / (1.0 + t * kappa),
     )
     return MinimaxProblem(f=f, X=X, Y=WholeSpace(n), r1=r1, r2=r2), kappa
@@ -248,16 +260,7 @@ def test_sandwich_inequalities():
 
 
 def test_near_kink_flag_on_box_y():
-    f = FunctionOracle(
-        eval=lambda x, y: float(x @ y - 0.5 * y @ y),
-        grad_x=lambda x, y: np.asarray(y, float).copy(),
-        grad_y=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
-        lipschitz_grad=2.0,
-        strong_concavity=1.0,
-        hvp_yy=lambda x, y, v: -np.asarray(v, float),
-        hvp_xy=lambda x, y, v: np.asarray(v, float).copy(),
-    )
-    prob = MinimaxProblem(f=f, X=WholeSpace(1), Y=BoxSet([-1.0], [1.0]))
+    prob = MinimaxProblem(f=_bilinear_oracle(), X=WholeSpace(1), Y=BoxSet([-1.0], [1.0]))
     cfg = EnvelopeConfig(eta=0.5, alpha=4.0)
     # large x drives T onto the box boundary
     ev = evaluate(prob, cfg, np.array([50.0]), np.array([0.5]))
@@ -287,24 +290,11 @@ def test_nonfinite_oracle_raises():
 # stacks of points
 
 
-def _bilinear_oracle() -> FunctionOracle:
-    return FunctionOracle(
-        eval=lambda x, y: float(x @ y - 0.5 * y @ y),
-        grad_x=lambda x, y: np.asarray(y, float).copy(),
-        grad_y=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
-        lipschitz_grad=2.0,
-        strong_concavity=1.0,
-        hvp_yy=lambda x, y, v: -np.asarray(v, float),
-        hvp_xy=lambda x, y, v: np.asarray(v, float).copy(),
-    )
-
-
 def _stack_case(name):
-    if name == "lifted":  # oracle takes stacks
+    if name == "lifted":
         return make_synthetic(4, 3, 1.0, 2).lifted.problem
     if name == "regularized":  # fused r1 prox on a box, r2 prox on the whole space
         return _reg_problem()[0]
-    # an oracle without stacks: its products are taken row by row
     return MinimaxProblem(f=_bilinear_oracle(), X=WholeSpace(3), Y=BoxSet(-np.ones(3), np.ones(3)))
 
 
@@ -337,6 +327,19 @@ def test_stacked_evaluation_matches_each_row(name):
         assert residuals[i] == prox_grad_residual(prob, cfg, ev, grad_norm(ev))
 
 
+def test_a_bundle_without_one_row_per_point_is_named():
+    # a first_order bundle that reads one point only: its value is one float
+    f = _bilinear_oracle()
+    f = replace(f, first_order=lambda x, y: (float(np.sum(x * y)), f.grad_x(x, y), f.grad_y(x, y)))
+    prob = MinimaxProblem(f=f, X=WholeSpace(3), Y=WholeSpace(3))
+    cfg = EnvelopeConfig.for_problem(prob)
+    xs = np.random.default_rng(8).standard_normal((4, 3))
+    evaluate(prob, cfg, xs[0], xs[1])
+    with pytest.raises(DimensionError, match=r"FunctionOracle.first_order returned shape \(\), "
+                                             r"expected \(4,\)"):
+        evaluate(prob, cfg, xs, xs)
+
+
 # ---------------------------------------------------------------------------
 # non-finite oracle values
 
@@ -358,13 +361,11 @@ def _poisoned_problem(oracle: str, bad: float, box_y: bool) -> MinimaxProblem:
     clean = getattr(f, oracle)
 
     def poisoned(x, y, *rest):
-        out = clean(x, y, *rest)
-        if x[0] != _POISON_X:
-            return out
+        out = np.array(clean(x, y, *rest), dtype=np.float64)
+        hit = x[..., 0] == _POISON_X
         if oracle == "eval":
-            return bad
-        out = np.array(out, dtype=np.float64)
-        out[0] = bad
+            return np.where(hit, bad, out)
+        out[..., 0] = np.where(hit, bad, out[..., 0])
         return out
 
     Y = BoxSet(-np.ones(3), np.ones(3)) if box_y else WholeSpace(3)

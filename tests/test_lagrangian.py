@@ -161,28 +161,33 @@ def test_lifted_bundle_computes_inf_minus_inf_without_a_warning():
 
 def _list_problem(wrap):
     """A coupled problem in two dimensions whose value is a Python float and
-    whose other oracles return ``wrap`` of a list of floats."""
+    whose other oracles return ``wrap`` of a list of floats, at one point,
+    or a list of such values and lists, one per row of a stack."""
+
+    def pair(a, b):
+        return wrap(np.stack([a, b], axis=-1).tolist())
 
     def g_eval(x, y):
-        return float(x[0] * y[0] + 2.0 * x[1] * y[1] - 0.5 * (y[0] ** 2 + y[1] ** 2))
+        x0, x1, y0, y1 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+        return (x0 * y0 + 2.0 * x1 * y1 - 0.5 * (y0 ** 2 + y1 ** 2)).tolist()
 
     g = FunctionOracle(
         eval=g_eval,
-        grad_x=lambda x, y: wrap([float(y[0]), 2.0 * y[1]]),
-        grad_y=lambda x, y: wrap([x[0] - y[0], 2.0 * x[1] - y[1]]),
+        grad_x=lambda x, y: pair(y[..., 0], 2.0 * y[..., 1]),
+        grad_y=lambda x, y: pair(x[..., 0] - y[..., 0], 2.0 * x[..., 1] - y[..., 1]),
         lipschitz_grad=4.0,
         strong_concavity=1.0,
-        hvp_yy=lambda x, y, v: wrap([-v[0], -v[1]]),
-        hvp_xy=lambda x, y, v: wrap([float(v[0]), 2.0 * v[1]]),
+        hvp_yy=lambda x, y, v: pair(-v[..., 0], -v[..., 1]),
+        hvp_xy=lambda x, y, v: pair(v[..., 0], 2.0 * v[..., 1]),
     )
     con = ConstraintOracle(
         dim=2,
-        eval_c=lambda x, y: wrap([y[0] + x[0] - 1.0, y[1] - x[1]]),
-        jvp_x=lambda x, y, lam: wrap([float(lam[0]), -lam[1]]),
-        jvp_y=lambda x, y, lam: wrap([float(lam[0]), float(lam[1])]),
-        dc_y=lambda x, y, v: wrap([float(v[0]), float(v[1])]),
-        hvp_xy_lam=lambda x, y, lam, v: wrap([0.0, 0.0]),
-        hvp_yy_lam=lambda x, y, lam, v: wrap([0.0, 0.0]),
+        eval_c=lambda x, y: pair(y[..., 0] + x[..., 0] - 1.0, y[..., 1] - x[..., 1]),
+        jvp_x=lambda x, y, lam: pair(lam[..., 0], -lam[..., 1]),
+        jvp_y=lambda x, y, lam: pair(lam[..., 0], lam[..., 1]),
+        dc_y=lambda x, y, v: pair(v[..., 0], v[..., 1]),
+        hvp_xy_lam=lambda x, y, lam, v: wrap(np.zeros(np.shape(x)).tolist()),
+        hvp_yy_lam=lambda x, y, lam, v: wrap(np.zeros(np.shape(v)).tolist()),
     )
     return CoupledProblem(
         g=g, c=con, X=BoxSet([0.0, 0.0], [1.0, 1.0]), Y=WholeSpace(2), K=OrthantCone(2, sign=-1)

@@ -165,18 +165,16 @@ def _along(fn, x, y, v, *rest, h=1e-3):
 
 
 def _builtin_constraint_points(case, rng):
-    """``(constraint, x, y, lam, v)`` at a point, and for the synthetic
-    family also at a 3-row stack."""
-    if case == "example1":
-        con = make_example1().lifted.base.c
-        yield (con, rng.uniform(1, 10, 1), rng.normal(size=1), rng.uniform(0, 3, 2),
-               rng.normal(size=1))
-        return
-    n, p = case
-    inst = make_synthetic(n, p, 1.0, n + p)
-    con = inst.lifted.base.c
+    """``(constraint, x, y, lam, v)`` at a point and at a 3-row stack."""
     for rows in ((), (3,)):
-        yield (con, rng.uniform(0, 1, rows + (n,)), rng.normal(size=rows + (p,)),
+        if case == "example1":
+            yield (make_example1().lifted.base.c, rng.uniform(1, 10, rows + (1,)),
+                   rng.normal(size=rows + (1,)), rng.uniform(0, 3, rows + (2,)),
+                   rng.normal(size=rows + (1,)))
+            continue
+        n, p = case
+        inst = make_synthetic(n, p, 1.0, n + p)
+        yield (inst.lifted.base.c, rng.uniform(0, 1, rows + (n,)), rng.normal(size=rows + (p,)),
                rng.uniform(0, 2, rows + (inst.lifted.m,)), rng.normal(size=rows + (p,)))
 
 
@@ -279,6 +277,29 @@ def test_example1_oracles_hand_values():
     assert con.jvp_x(x, y, lam).tolist() == [-0.5 - 4.0 * 8.0 * 0.25]
     assert con.jvp_y(x, y, lam).tolist() == [0.75]
     assert con.dc_y(x, y, np.array([2.0])).tolist() == [2.0, 2.0]
+
+
+def test_example1_callables_give_each_row_of_a_stack_its_1d_bits():
+    base = make_example1().lifted.base
+    g, con = base.g, base.c
+    rng = np.random.default_rng(40)
+    k = 200
+    x, y, v = (rng.uniform(1, 10, (k, 1)) for _ in range(3))
+    lam = rng.uniform(1, 10, (k, 2))
+    calls = {
+        "eval": (g.eval, (x, y)), "grad_x": (g.grad_x, (x, y)), "grad_y": (g.grad_y, (x, y)),
+        "hvp_yy": (g.hvp_yy, (x, y, v)), "hvp_xy": (g.hvp_xy, (x, y, v)),
+        "eval_c": (con.eval_c, (x, y)), "jvp_x": (con.jvp_x, (x, y, lam)),
+        "jvp_y": (con.jvp_y, (x, y, lam)), "dc_y": (con.dc_y, (x, y, v)),
+        "hvp_xy_lam": (con.hvp_xy_lam, (x, y, lam, v)),
+        "hvp_yy_lam": (con.hvp_yy_lam, (x, y, lam, v)),
+    }
+    for name, (fn, args) in calls.items():
+        stack = np.asarray(fn(*args))
+        assert stack.shape[0] == k, name
+        for i in range(k):
+            one = np.asarray(fn(*(a[i] for a in args)))
+            assert stack[i].shape == one.shape and stack[i].tobytes() == one.tobytes(), name
 
 
 def test_example1_gradient_lipschitz_is_hessian_norm():

@@ -41,8 +41,8 @@ ITEM11 = "a solver failure path: ROADMAP item 11"
 # many of its statements stay unreached, and why
 ALLOWED = {
     "envelope.prox_step": (1, ITEM2),
-    "core.ProxRegularizer.value": (3, ITEM8),
-    "sets.composite_prox": (6, ITEM8),
+    "core.ProxRegularizer.value": (2, ITEM8),
+    "sets.composite_prox": (4, ITEM8),
     "lagrangian._lifted_r1": (3, ITEM9),
     "lagrangian._lifted_r1.reg_eval": (1, ITEM9),
     "lagrangian._lifted_r1.reg_prox": (4, ITEM9),

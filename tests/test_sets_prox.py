@@ -123,14 +123,29 @@ def test_whole_space_identity_and_polar():
 
 @pytest.mark.parametrize("dim", [1, 2, 5])
 def test_whole_space_fast_path_has_the_clip_bits(dim):
-    # WholeSpace.project skips the clip to infinite bounds: it must give the
+    # a box with all-infinite bounds skips the clip to them: it must give the
     # bytes of that clip, at one point and for a stack
     rng = np.random.default_rng(dim)
     values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0])
     whole = BoxSet(np.full(dim, -np.inf), np.full(dim, np.inf))
     for shape in ((dim,), (9, dim)):
         z = rng.choice(values, shape)
-        assert WholeSpace(dim).project(z).tobytes() == whole.project(z).tobytes()
+        clip = z.clip(np.full(shape, -np.inf), np.full(shape, np.inf)).tobytes()
+        assert WholeSpace(dim).project(z).tobytes() == whole.project(z).tobytes() == clip
+
+
+def test_the_whole_space_is_known_by_its_bounds():
+    # a box of infinite bounds is the whole space, whichever class built it:
+    # composite_prox takes the regularizer's own prox on it
+    reg = _soft_threshold_reg()
+    boxes = (BoxSet([-np.inf] * 2, [np.inf] * 2), WholeSpace(2))
+    for s in boxes:
+        assert composite_prox(reg, s, [1.0, -2.0], 0.5).tolist() == [0.5, -1.5]
+        assert s.whole
+    for s in (BoxSet([-np.inf, 0.0], [np.inf, np.inf]), OrthantCone(2), ZeroCone(2)):
+        with pytest.raises(IncompleteOracle):
+            composite_prox(reg, s, [1.0, -2.0], 0.5)
+        assert not s.whole
 
 
 @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, np.float64(1.0), 0, 2, -2, "1", None])
@@ -284,7 +299,7 @@ def _soft_threshold_reg():
     def soft(z, t):
         return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
-    return ProxRegularizer(eval=lambda v: float(np.abs(v).sum()), prox=soft)
+    return ProxRegularizer(eval=lambda v: np.abs(v).sum(axis=-1), prox=soft)
 
 
 @pytest.mark.parametrize(
@@ -381,3 +396,46 @@ def test_stacked_composite_prox_matches_each_row():
     assert np.array_equal(composite_prox(reg, space, stack, 0.5)[1], out[1])
     with pytest.raises(ValueError):
         composite_prox(zero_regularizer(), space, stack, -steps)
+
+
+def test_stacked_fused_prox_and_value_match_each_row():
+    # an l1 term fused with a box: a column of steps, one of them zero,
+    # gives each row the bits of its 1-D prox, and value each row's 1-D value
+    box = BoxSet([-1.0, 0.0, -np.inf], [1.0, 2.0, 0.5])
+
+    def fused(z, t):
+        return np.clip(np.sign(z) * np.maximum(np.abs(z) - t, 0.0), box.lo, box.hi)
+
+    reg = ProxRegularizer(eval=lambda v: np.abs(v).sum(axis=-1), prox=fused, attached_set=box)
+    stack = 3.0 * np.random.default_rng(6).standard_normal((5, 3))
+    stack[2, 0] = -0.0
+    steps = np.array([[0.5], [0.0], [1.0], [0.0], [2.0]])
+    out = composite_prox(reg, box, stack, steps)
+    values = reg.value(stack)
+    assert out.shape == stack.shape and values.shape == (5,)
+    for row, t, o, val in zip(stack, steps[:, 0], out, values):
+        assert o.tobytes() == composite_prox(reg, box, row, float(t)).tobytes()
+        assert val == reg.value(row) and type(reg.value(row)) is float
+    assert out[1].tobytes() == box.project(stack[1]).tobytes()  # a zero step projects
+
+
+def test_regularizer_value_that_takes_one_point_only_is_rejected():
+    reg = ProxRegularizer(eval=lambda v: float(np.abs(v).sum()), prox=lambda z, t: z)
+    assert reg.value(np.array([1.0, -2.0])) == 3.0
+    with pytest.raises(DimensionError, match="ProxRegularizer.eval returned shape"):
+        reg.value(np.ones((4, 2)))
+
+
+def test_regularizer_prox_that_takes_one_point_only_is_rejected():
+    # a prox that reads the first row of a stack gives one row where the
+    # stack has four; composite_prox names it instead of broadcasting it
+    def first_row(z, t):
+        z = np.atleast_2d(z)[0]
+        return np.sign(z) * np.maximum(np.abs(z) - np.ravel(t)[0], 0.0)
+
+    reg = ProxRegularizer(eval=lambda v: np.abs(v).sum(axis=-1), prox=first_row)
+    z = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0], [0.0, 2.0]])
+    assert composite_prox(reg, WholeSpace(2), z[0], 0.5).tolist() == [0.5, -1.5]
+    for step in (0.5, np.array([[0.5], [0.0], [1.0], [2.0]])):
+        with pytest.raises(DimensionError, match="ProxRegularizer.prox returned shape"):
+            composite_prox(reg, WholeSpace(2), z, step)

@@ -20,6 +20,7 @@ from pfbe.core import (
     MinimaxProblem,
     NonFiniteValue,
     UnsupportedSet,
+    row_dot,
 )
 from pfbe.envelope import (
     EnvelopeConfig,
@@ -571,7 +572,7 @@ def test_subgda_rejects_nonconvex_x():
 
 def test_gda_converges_on_decoupled_saddle():
     f = FunctionOracle(
-        eval=lambda x, y: float(0.5 * x @ x - 0.5 * y @ y),
+        eval=lambda x, y: 0.5 * row_dot(x, x) - 0.5 * row_dot(y, y),
         grad_x=lambda x, y: np.asarray(x, float).copy(),
         grad_y=lambda x, y: -np.asarray(y, float),
         lipschitz_grad=1.0,
@@ -586,6 +587,63 @@ def test_gda_converges_on_decoupled_saddle():
     )
     assert res.converged
     assert abs(res.x[0]) <= 1e-8 and abs(res.y[0]) <= 1e-8
+
+
+def _example1_style_oracle(one_d: str) -> FunctionOracle:
+    """Example 1's ``g``, ``-(y - 2x)^2 / 2``, whose callable ``one_d`` reads
+    ``x[0]`` and ``y[0]``: right at one point, the first row of a stack."""
+    one_point = {
+        "eval": lambda x, y: -0.5 * (y[0] - 2.0 * x[0]) ** 2,
+        "grad_x": lambda x, y: np.array([2.0 * (y[0] - 2.0 * x[0])]),
+        "grad_y": lambda x, y: np.array([-(y[0] - 2.0 * x[0])]),
+        "hvp_yy": lambda x, y, v: np.array([-v[0]]),
+        "hvp_xy": lambda x, y, v: np.array([2.0 * v[0]]),
+    }
+    return replace(make_example1().lifted.base.g, **{one_d: one_point[one_d]})
+
+
+@pytest.mark.parametrize("one_d", ["eval", "grad_x", "grad_y", "hvp_yy", "hvp_xy"])
+def test_gda_names_a_callable_that_takes_one_point_only(one_d):
+    # a run from one point tests its iterates as a stack, which such a
+    # callable would read as one point; the envelope rejects its result
+    prob = MinimaxProblem(f=_example1_style_oracle(one_d), X=BoxSet([1.0], [10.0]),
+                          Y=WholeSpace(1))
+    cfg = EnvelopeConfig.for_problem(prob)
+    x0, y0 = np.array([2.0]), np.array([1.0])
+    evaluate(prob, cfg, x0, y0)  # one point is fine
+    with pytest.raises(DimensionError, match=f"FunctionOracle.{one_d} returned shape"):
+        solve_gda_baseline(prob, cfg, SolverConfig(max_iter=50), x0, y0)
+
+
+_EXAMPLE1_C_ONE_POINT = {
+    "eval_c": lambda x, y: np.array([y[0] - x[0], y[0] - x[0] ** 4]),
+    "jvp_x": lambda x, y, lam: np.array([-lam[0] - 4.0 * x[0] ** 3 * lam[1]]),
+    "jvp_y": lambda x, y, lam: np.array([lam[0] + lam[1]]),
+    "dc_y": lambda x, y, v: np.array([v[0], v[0]]),
+    "hvp_xy_lam": lambda x, y, lam, v: np.zeros(1),
+    "hvp_yy_lam": lambda x, y, lam, v: np.zeros(1),
+}
+
+
+@pytest.mark.parametrize(
+    "part, name",
+    [("g", name) for name in ("eval", "grad_x", "grad_y", "hvp_yy", "hvp_xy")]
+    + [("c", name) for name in _EXAMPLE1_C_ONE_POINT],
+)
+def test_gda_on_a_lift_names_a_callable_that_takes_one_point_only(part, name):
+    # the lift subtracts c's terms from g's, which would broadcast the one
+    # row of such a callable over the stack; it names the callable instead
+    base = make_example1().lifted.base
+    if part == "g":
+        coupled = replace(base, g=_example1_style_oracle(name))
+    else:
+        coupled = replace(base, c=replace(base.c, **{name: _EXAMPLE1_C_ONE_POINT[name]}))
+    lifted = lift(coupled, lipschitz_grad=5000.0)
+    prob, (z0, y0) = lifted.problem, lifted.default_start()
+    cfg = EnvelopeConfig.for_problem(prob)
+    evaluate(prob, cfg, z0, y0)  # one point is fine
+    with pytest.raises(DimensionError, match=f"CoupledProblem.{part}.{name} returned shape"):
+        solve_gda_baseline(prob, cfg, SolverConfig(max_iter=50), z0, y0)
 
 
 def test_gda_respects_custom_steps():
@@ -727,16 +785,12 @@ def _serial_pilots(prob, cfg, scfg, z0, y0, grid, pilot_iters):
 
 
 @pytest.mark.parametrize(
-    "make, stacks",
-    [(lambda: make_synthetic(10, 10, 0.5, 1), True), (make_example1, False)],
-    ids=["synthetic", "example1"],
+    "make", [lambda: make_synthetic(10, 10, 0.5, 1), make_example1], ids=["synthetic", "example1"]
 )
-def test_stacked_pilots_match_serial_pilots(make, stacks):
-    # the grid's three large steps make some pilots diverge; example 1's
-    # oracle takes no stacks, so its rows go through the oracle one by one
+def test_stacked_pilots_match_serial_pilots(make):
+    # the grid's three large steps make some pilots diverge
     inst = make()
     prob = inst.lifted.problem
-    assert prob.f.stacks is stacks
     cfg = EnvelopeConfig.for_problem(prob)
     z0, y0 = inst.lifted.default_start()
     scfg = SolverConfig(max_iter=1500)
@@ -1022,7 +1076,7 @@ def test_stacked_rows_leaving_mid_block_match_reference_loop(name):
 
 @pytest.mark.parametrize("name", [(3, 3, 1.0, 2), "example1"], ids=str)
 def test_stacked_subgda_rows_match_reference_loop(name):
-    # example 1's oracle takes no stacks: prox_step calls it row by row
+    # example 1's callables take a stack in one call, as the synthetic ones do
     prob, cfg, z0, y0 = _instance(name)
     k = 5
     shift = np.linspace(0.0, 0.4, k)[:, None]
@@ -1096,7 +1150,7 @@ def _halving_rules(prob, cfg, change):
 
 def _halving_problem():
     f = FunctionOracle(
-        eval=lambda x, y: float(0.5 * x @ x - 0.5 * y @ y),
+        eval=lambda x, y: 0.5 * row_dot(x, x) - 0.5 * row_dot(y, y),
         grad_x=lambda x, y: np.asarray(x, float).copy(),
         grad_y=lambda x, y: -np.asarray(y, float),
         lipschitz_grad=1.0,
@@ -1136,7 +1190,7 @@ def test_stacked_row_non_finite_where_the_residual_passes():
     prob, cfg = _halving_problem()
     value = prob.f.eval
     prob = replace(prob, f=replace(
-        prob.f, eval=lambda x, y: np.inf if x[0] == 0.0 else value(x, y)))
+        prob.f, eval=lambda x, y: np.where(x[..., 0] == 0.0, np.inf, value(x, y))))
 
     def change(k, x):
         x = x.copy()
