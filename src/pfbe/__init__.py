@@ -4,6 +4,7 @@ envelope with penalization, solvers, diagnostics, and a benchmark CLI.
 """
 
 from .core import (
+    BoxSet,
     ConstraintOracle,
     CoupledProblem,
     DegenerateNormalization,
@@ -14,8 +15,6 @@ from .core import (
     NonFiniteValue,
     PfbeError,
     PreconditionViolation,
-    ProjectableCone,
-    ProjectableSet,
     ProxRegularizer,
     UnsupportedSet,
     ZeroDirection,
@@ -56,7 +55,6 @@ from .problems import (
 )
 from .rng import NormalStream, Xoshiro256pp, splitmix64_next
 from .sets import (
-    BoxSet,
     OrthantCone,
     WholeSpace,
     ZeroCone,

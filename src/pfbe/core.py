@@ -1,7 +1,11 @@
-"""Problem containers, oracles, and the finite-difference probes of ``pfbe check``.
+"""The one set type, problem containers, oracles, and the finite-difference
+probes of ``pfbe check``.
 
 Conventions used across the package:
 
+* every set is a :class:`BoxSet`: ``X``, ``Y``, a cone ``K``, its polar
+  (read from the bounds by :meth:`BoxSet.polar`) and the lifted
+  ``X x polar(K)``; the problem containers reject any other set;
 * a decision vector is a 1-D ``float64`` array; ``x`` is the minimization
   block (dimension ``n``), ``y`` the concave maximization block
   (dimension ``p``);
@@ -96,16 +100,6 @@ def check_real(name: str, value, low: Optional[float] = None, strict: bool = Fal
     return float(value)
 
 
-def as_vector(z, dim: Optional[int] = None, what: str = "vector") -> Vector:
-    """Coerce ``z`` to a 1-D float64 array, checking the dimension if given."""
-    arr = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    if arr.ndim != 1:
-        raise DimensionError(f"{what} must be 1-D, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise DimensionError(f"{what} has dimension {arr.shape[0]}, expected {dim}")
-    return arr
-
-
 def as_points(z, dim: Optional[int] = None, what: str = "point") -> Vector:
     """Coerce ``z`` to a 1-D float64 point or a 2-D stack of points (one per
     row), checking the point dimension if given. A float64 array that
@@ -118,6 +112,14 @@ def as_points(z, dim: Optional[int] = None, what: str = "point") -> Vector:
         raise DimensionError(f"{what} must be 1-D or a 2-D stack, got shape {arr.shape}")
     if dim is not None and arr.shape[-1] != dim:
         raise DimensionError(f"{what} has dimension {arr.shape[-1]}, expected {dim}")
+    return arr
+
+
+def as_vector(z, dim: Optional[int] = None, what: str = "vector") -> Vector:
+    """:func:`as_points` of ``z`` that must be one point: a 1-D float64 array."""
+    arr = as_points(z, dim, what)
+    if arr.ndim != 1:
+        raise DimensionError(f"{what} must be 1-D, got shape {arr.shape}")
     return arr
 
 
@@ -153,19 +155,40 @@ def check_finite(value, what: str = "value"):
     return value
 
 
-class ProjectableSet:
-    """Closed set with a euclidean projection oracle.
+class BoxSet:
+    """Axis-aligned box ``{z : lo <= z <= hi}``; bounds may be +-inf.
 
-    Subclasses set ``dim`` and ``convex`` and implement :meth:`project`;
-    ``whole`` is True when the set is all of ``R^dim``.
+    The one set type: ``X``, ``Y``, a cone ``K`` and its polar are boxes.
+    ``whole`` is True when every bound is infinite, so the box is all of
+    ``R^dim``. A box is a cone when each coordinate is ``R``, ``{0}``,
+    ``[0, inf)`` or ``(-inf, 0]``.
     """
 
-    dim: int
-    convex: bool = True
-    whole: bool = False
+    def __init__(self, lo, hi):
+        lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
+        hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
+        if lo.shape != hi.shape or lo.ndim != 1:
+            raise DimensionError(f"box bounds disagree: {lo.shape} vs {hi.shape}")
+        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            raise ValueError("box bounds must not be nan")
+        if np.any(lo > hi):
+            raise ValueError("box requires lo <= hi componentwise")
+        self.lo = lo
+        self.hi = hi
+        self.dim = lo.shape[0]
+        self.whole = bool(np.isneginf(lo).all() and np.isposinf(hi).all())
 
     def project(self, z: Vector) -> Vector:
-        raise NotImplementedError
+        # the clip ufunc np.clip calls, without its dispatch; np.minimum and
+        # np.maximum can pick the other zero of a signed-zero tie
+        z = as_points(z, self.dim, "point")
+        if self.whole:  # the clip to infinite bounds gives the same bits
+            return z
+        if self.dim == 1 and z.ndim > 1:
+            # bounds broadcast down a (k, 1) stack keep -0.0 where the 1-D
+            # call does not; filled out to the stack, they give its bits
+            return z.clip(np.full(z.shape, self.lo[0]), np.full(z.shape, self.hi[0]))
+        return z.clip(self.lo, self.hi)
 
     def contains(self, z: Vector, tol: float = 1e-12) -> bool:
         """True when ``z`` lies within ``tol`` of its projection; a point
@@ -173,12 +196,33 @@ class ProjectableSet:
         z = as_vector(z, self.dim, "point")
         return bool(np.isfinite(z).all()) and float(np.linalg.norm(self.project(z) - z)) <= tol
 
+    def near_boundary(self, z: Vector, tol: float) -> bool:
+        """Whether one point lies within ``tol`` of a finite bound."""
+        z = as_vector(z, self.dim, "point")
+        lo, hi = np.isfinite(self.lo), np.isfinite(self.hi)  # inf - inf would warn
+        return bool((np.abs(z[lo] - self.lo[lo]) <= tol).any()
+                    or (np.abs(z[hi] - self.hi[hi]) <= tol).any())
 
-class ProjectableCone(ProjectableSet):
-    """Closed convex cone; adds the polar cone."""
+    def polar(self) -> "BoxSet":
+        """The polar cone ``{v : <v, z> <= 0 for every z in the box}``, read
+        from the bounds: per coordinate ``[0, inf)`` and ``(-inf, 0]`` swap,
+        and so do ``R`` and ``{0}``. A box that is not a cone raises
+        :class:`UnsupportedSet`."""
+        lo0, hi0 = self.lo == 0.0, self.hi == 0.0
+        if not ((lo0 | np.isneginf(self.lo)).all() and (hi0 | np.isposinf(self.hi)).all()):
+            raise UnsupportedSet(f"{self!r} is not a cone, so it has no polar cone")
+        return BoxSet(np.where(lo0, -np.inf, 0.0), np.where(hi0, np.inf, 0.0))
 
-    def polar(self) -> "ProjectableCone":
-        raise NotImplementedError
+    def __repr__(self):
+        return f"BoxSet(lo={self.lo!r}, hi={self.hi!r})"
+
+
+def _check_boxes(owner: str, **sets) -> None:
+    """Raise :class:`UnsupportedSet` naming ``owner.<name>`` for a set that
+    is not a :class:`BoxSet`."""
+    for name, set_ in sets.items():
+        if not isinstance(set_, BoxSet):
+            raise UnsupportedSet(f"{owner}.{name} must be a BoxSet, got {type(set_).__name__}")
 
 
 @dataclass(frozen=True)
@@ -235,14 +279,18 @@ class ProxRegularizer:
     eval: Callable[[Vector], float]
     prox: Callable[[Vector, float], Vector]
     is_zero: bool = False
-    attached_set: Optional[ProjectableSet] = None
+    attached_set: Optional[BoxSet] = None
 
     def value(self, z: Vector) -> float:
         """``eval(z)``: a float at one point, one value per row of a stack."""
         if self.is_zero:
             return 0.0
         value, rows = self.eval(z), np.shape(z)[:-1]  # rows is () at one point
-        return check_rows("ProxRegularizer.eval", value, rows) if rows else float(value)
+        try:
+            return check_rows("ProxRegularizer.eval", value, rows) if rows else float(value)
+        except TypeError:  # float() takes one value only: name the callable
+            check_rows("ProxRegularizer.eval", value, ())
+            raise
 
 
 def zero_regularizer() -> ProxRegularizer:
@@ -259,14 +307,18 @@ class MinimaxProblem:
     """min over X of max over Y of ``f(x, y) + r1(x) - r2(y)``.
 
     ``f`` must be strongly concave in ``y`` with the declared modulus, and
-    ``r1`` and ``r2`` convex; neither is verified.
+    ``r1`` and ``r2`` convex; neither is verified. ``X`` and ``Y`` must be
+    :class:`BoxSet` instances, which is checked.
     """
 
     f: FunctionOracle
-    X: ProjectableSet
-    Y: ProjectableSet
+    X: BoxSet
+    Y: BoxSet
     r1: ProxRegularizer = field(default_factory=zero_regularizer)
     r2: ProxRegularizer = field(default_factory=zero_regularizer)
+
+    def __post_init__(self):
+        _check_boxes("MinimaxProblem", X=self.X, Y=self.Y)
 
     @property
     def dim_x(self) -> int:
@@ -323,17 +375,26 @@ class ConstraintOracle:
 class CoupledProblem:
     """min over X of max over {y in Y : c(x, y) in K} of ``g(x, y) + r1(x)``.
 
-    ``K`` is a closed convex cone; ``y -> <lam, c(x, y)>`` must be convex
+    ``K`` is a cone box of dimension ``c.dim``, and a set that is not a
+    :class:`BoxSet`, a ``K`` that is not a cone or one of another dimension
+    raises when the problem is built. ``y -> <lam, c(x, y)>`` must be convex
     for every ``lam`` in the polar cone (checked stochastically by the
     diagnostics, declared here).
     """
 
     g: FunctionOracle
     c: ConstraintOracle
-    X: ProjectableSet
-    Y: ProjectableSet
-    K: ProjectableCone
+    X: BoxSet
+    Y: BoxSet
+    K: BoxSet
     r1: ProxRegularizer = field(default_factory=zero_regularizer)
+
+    def __post_init__(self):
+        _check_boxes("CoupledProblem", X=self.X, Y=self.Y, K=self.K)
+        self.K.polar()  # which raises UnsupportedSet unless K is a cone
+        if self.K.dim != self.c.dim:
+            raise DimensionError(f"CoupledProblem.K has dimension {self.K.dim}, "
+                                 f"but c maps to dimension {self.c.dim}")
 
     @property
     def dim_x(self) -> int:

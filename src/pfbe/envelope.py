@@ -166,8 +166,14 @@ def _first_order(f: FunctionOracle, x, y):
     else:
         what = ("FunctionOracle.first_order",) * 3
         fv, gx, gy = f.first_order(x, y)
-    # float() takes one value only, so one point needs no check of its own
-    fv = float(fv) if x.ndim == 1 else check_rows(what[0], fv, x.shape[:-1])
+    if x.ndim == 1:
+        try:
+            fv = float(fv)
+        except TypeError:  # float() takes one value only: name the callable
+            check_rows(what[0], fv, ())
+            raise
+    else:
+        fv = check_rows(what[0], fv, x.shape[:-1])
     return fv, check_rows(what[1], gx, x.shape), check_rows(what[2], gy, y.shape)
 
 
@@ -268,9 +274,9 @@ def with_gradients(
 def near_kink(problem: MinimaxProblem, ev: EnvelopeEval) -> bool:
     """Whether the maximizer ``T`` of a one-point evaluation sits within
     ``KINK_TOL`` of the boundary of ``Y``, where the prox, and so the
-    gradient of ``Xi``, may not be differentiable. ``Y`` needs a
-    ``near_boundary`` method, as every set of :mod:`pfbe.sets` has (a
-    box's); the whole space has no finite bound, so nothing is near it."""
+    gradient of ``Xi``, may not be differentiable, by the box's
+    :meth:`BoxSet.near_boundary`; the whole space has no finite bound, so
+    nothing is near it."""
     return problem.Y.near_boundary(ev.T, KINK_TOL)
 
 

@@ -20,12 +20,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    BoxSet,
     CoupledProblem,
     FunctionOracle,
     MinimaxProblem,
     PreconditionViolation,
     ProxRegularizer,
-    UnsupportedSet,
     Vector,
     as_points,
     as_vector,
@@ -34,7 +34,7 @@ from .core import (
     zero_regularizer,
 )
 from .envelope import minimax_residual
-from .sets import BoxSet, composite_prox
+from .sets import composite_prox
 
 KKT_TOL = 1e-9
 
@@ -111,8 +111,8 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
         generators compute or document one).
 
     The lifted feasible set ``X x polar(K)`` is one :class:`BoxSet` of the
-    concatenated bounds; every set of :mod:`pfbe.sets` is a box, and an
-    ``X`` or polar cone that is not one raises :class:`UnsupportedSet`.
+    concatenated bounds of ``X`` and of ``K.polar()``, which
+    :class:`CoupledProblem` checked to be boxes when it was built.
 
     The lifted oracle, like ``coupled.g`` and ``coupled.c``, takes a point
     or a stack; on a stack it checks that each of their results has one row
@@ -125,10 +125,7 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     """
     g, con = coupled.g, coupled.c
     n, m = coupled.dim_x, con.dim
-    polar = coupled.K.polar()
-    X = coupled.X
-    if not (isinstance(X, BoxSet) and isinstance(polar, BoxSet)):
-        raise UnsupportedSet("the lift needs a box X and a box polar cone")
+    X, polar = coupled.X, coupled.K.polar()
     X_lift = BoxSet(np.concatenate([X.lo, polar.lo]), np.concatenate([X.hi, polar.hi]))
 
     # each partial result enters a float64 ufunc (or asarray), so an oracle
@@ -230,7 +227,7 @@ def kkt_residual_mol(lifted: LiftedProblem, x, lam, y) -> KktResidual:
     * ``lam``: ``0 in -c(x, y) + N_polar(lam)``
 
     Preconditions: ``lam`` in the polar cone and ``y in Y`` within ``KKT_TOL``
-    (:meth:`ProjectableSet.contains`, which a nan or inf fails); violations raise
+    (:meth:`BoxSet.contains`, which a nan or inf fails); violations raise
     :class:`PreconditionViolation`.
     """
     base = lifted.base

@@ -1,14 +1,14 @@
-"""Projectable boxes and cones, plus the fused prox combination rule.
+"""The named cones, and the fused prox combination rule.
 
-Every set here is an axis-aligned box: the whole space is ``(-inf, inf)^d``,
-the origin ``[0, 0]^d`` and an orthant ``[0, inf)^d`` or ``(-inf, 0]^d``. So
-each projection is the componentwise clip, Moreau identities
-(``z = proj_K(z) + proj_polar(z)`` with orthogonal parts) hold to rounding,
-and a product of two of these sets is again one box.
-Projections and :func:`composite_prox` take a point or a stack of points
-(one per row) and act along the last axis, each row with the bits of the
-1-D call; ``near_boundary`` takes one point. A box whose bounds are all
-infinite is the whole space, whichever class built it.
+Every set is a :class:`~pfbe.core.BoxSet`, imported here so that
+``pfbe.sets.BoxSet`` resolves. The cones below are boxes built by checked
+constructors: the whole space ``(-inf, inf)^d``, the origin ``[0, 0]^d``
+and an orthant ``[0, inf)^d`` or ``(-inf, 0]^d``. Projections are the
+componentwise clip, and a polar cone is read from the bounds, so Moreau
+identities (``z = proj_K(z) + proj_polar(z)`` with orthogonal parts) hold
+to the bit. Projections and :func:`composite_prox` take a point or a stack
+of points (one per row) and act along the last axis, each row with the
+bits of the 1-D call.
 """
 
 from __future__ import annotations
@@ -16,108 +16,46 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    DimensionError,
+    BoxSet,
     IncompleteOracle,
-    ProjectableCone,
-    ProjectableSet,
     ProxRegularizer,
     Vector,
     as_points,
-    as_vector,
     check_int,
     check_rows,
 )
 
 
-class BoxSet(ProjectableSet):
-    """Axis-aligned box ``{z : lo <= z <= hi}``; bounds may be +-inf."""
-
-    def __init__(self, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise DimensionError(f"box bounds disagree: {lo.shape} vs {hi.shape}")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValueError("box bounds must not be nan")
-        if np.any(lo > hi):
-            raise ValueError("box requires lo <= hi componentwise")
-        self.lo = lo
-        self.hi = hi
-        self.dim = lo.shape[0]
-        self.whole = bool(np.isneginf(lo).all() and np.isposinf(hi).all())
-
-    def project(self, z: Vector) -> Vector:
-        # the clip ufunc np.clip calls, without its dispatch; np.minimum and
-        # np.maximum can pick the other zero of a signed-zero tie
-        z = as_points(z, self.dim, "point")
-        if self.whole:  # the clip to infinite bounds gives the same bits
-            return z
-        if self.dim == 1 and z.ndim > 1:
-            # bounds broadcast down a (k, 1) stack keep -0.0 where the 1-D
-            # call does not; filled out to the stack, they give its bits
-            return z.clip(np.full(z.shape, self.lo[0]), np.full(z.shape, self.hi[0]))
-        return z.clip(self.lo, self.hi)
-
-    def near_boundary(self, z: Vector, tol: float) -> bool:
-        z = as_vector(z, self.dim, "point")
-        lo, hi = np.isfinite(self.lo), np.isfinite(self.hi)  # inf - inf would warn
-        return bool((np.abs(z[lo] - self.lo[lo]) <= tol).any()
-                    or (np.abs(z[hi] - self.hi[hi]) <= tol).any())
-
-    def __repr__(self):
-        return f"BoxSet(lo={self.lo!r}, hi={self.hi!r})"
-
-
-class WholeSpace(BoxSet, ProjectableCone):
-    """All of R^d: the box ``(-inf, inf)^d``. Polar cone is the origin."""
+class WholeSpace(BoxSet):
+    """All of R^d: the box ``(-inf, inf)^d``."""
 
     def __init__(self, dim: int):
         dim = check_int("dim", dim, 0)
         super().__init__(np.full(dim, -np.inf), np.full(dim, np.inf))
 
-    def polar(self) -> "ZeroCone":
-        return ZeroCone(self.dim)
 
-    def __repr__(self):
-        return f"WholeSpace({self.dim})"
-
-
-class ZeroCone(BoxSet, ProjectableCone):
-    """The origin ``{0}``: the box ``[0, 0]^d``. Polar cone is the whole space."""
+class ZeroCone(BoxSet):
+    """The origin ``{0}``: the box ``[0, 0]^d``."""
 
     def __init__(self, dim: int):
         dim = check_int("dim", dim, 0)
         super().__init__(np.zeros(dim), np.zeros(dim))
 
-    def polar(self) -> WholeSpace:
-        return WholeSpace(self.dim)
 
-    def __repr__(self):
-        return f"ZeroCone({self.dim})"
-
-
-class OrthantCone(BoxSet, ProjectableCone):
+class OrthantCone(BoxSet):
     """Nonnegative (``sign=+1``) or nonpositive (``sign=-1``) orthant: the
-    box with bounds ``[0, inf)`` or ``(-inf, 0]``, so it projects by the box
-    clip and flags the same boundary as that box."""
+    box with bounds ``[0, inf)`` or ``(-inf, 0]``."""
 
     def __init__(self, dim: int, sign: int = 1):
-        self.sign = check_int("sign", sign, -1)  # not a bool or a float
-        if self.sign not in (1, -1):
+        sign = check_int("sign", sign, -1)  # not a bool or a float
+        if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         dim = check_int("dim", dim, 0)
-        bounds = (0.0, np.inf) if self.sign > 0 else (-np.inf, 0.0)
+        bounds = (0.0, np.inf) if sign > 0 else (-np.inf, 0.0)
         super().__init__(*(np.full(dim, bound) for bound in bounds))
 
-    def polar(self) -> "OrthantCone":
-        return OrthantCone(self.dim, -self.sign)
 
-    def __repr__(self):
-        kind = "nonneg" if self.sign > 0 else "nonpos"
-        return f"OrthantCone({self.dim}, {kind})"
-
-
-def composite_prox(reg: ProxRegularizer, set_: ProjectableSet, z, step: float) -> Vector:
+def composite_prox(reg: ProxRegularizer, set_: BoxSet, z, step: float) -> Vector:
     """Prox of ``step * reg + indicator(set_)`` at ``z``.
 
     Supported exactly when the regularizer is zero, the set is the whole

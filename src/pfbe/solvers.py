@@ -44,7 +44,6 @@ from .core import (
     FunctionOracle,
     MinimaxProblem,
     NonFiniteValue,
-    UnsupportedSet,
     Vector,
     check_int,
     check_real,
@@ -455,11 +454,9 @@ def solve_subgda(
     checked finite and ``>= 0`` when ``SolverConfig`` was built; ``eta_y``
     must also satisfy ``eta_y <= eta``, the envelope step, so y-iterates
     remain in ``Y`` by convex combination. One that does not raises
-    ``ValueError`` before the start is evaluated. Nonconvex ``X`` is
-    rejected (the projected step needs convexity).
+    ``ValueError`` before the start is evaluated. The projected x-step
+    needs a convex ``X``, which every :class:`BoxSet` is.
     """
-    if not problem.X.convex:
-        raise UnsupportedSet("the two-timescale scheme requires a convex X")
     L, mu = problem.lipschitz, problem.mu
     theta = cfg.alpha * cfg.eta * L * L / mu
     ey = cfg.eta / 2.0 if scfg.eta_y is None else float(scfg.eta_y)

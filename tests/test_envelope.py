@@ -340,6 +340,22 @@ def test_a_bundle_without_one_row_per_point_is_named():
         evaluate(prob, cfg, xs, xs)
 
 
+@pytest.mark.parametrize("oracle", ["eval", "first_order"])
+def test_a_value_of_one_entry_at_one_point_is_named(oracle):
+    # float() of a size-1 array raises a TypeError that named no callable
+    f = _bilinear_oracle()
+    if oracle == "eval":
+        f = replace(f, eval=lambda x, y: np.sum(x * y, keepdims=True))
+    else:
+        f = replace(f, first_order=lambda x, y: (
+            np.sum(x * y, keepdims=True), f.grad_x(x, y), f.grad_y(x, y)))
+    prob = MinimaxProblem(f=f, X=WholeSpace(3), Y=WholeSpace(3))
+    cfg = EnvelopeConfig.for_problem(prob)
+    with pytest.raises(DimensionError, match=rf"FunctionOracle.{oracle} returned shape \(1,\), "
+                                             r"expected \(\)"):
+        evaluate(prob, cfg, np.ones(3), np.ones(3))
+
+
 # ---------------------------------------------------------------------------
 # non-finite oracle values
 

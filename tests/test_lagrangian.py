@@ -17,8 +17,8 @@ from pfbe.core import (
     CoupledProblem,
     FunctionOracle,
     IncompleteOracle,
+    DimensionError,
     PreconditionViolation,
-    ProjectableSet,
     ProxRegularizer,
     UnsupportedSet,
     fd_hvp_xy,
@@ -238,8 +238,9 @@ def test_lift_structure():
     assert lifted.n == 2 and lifted.m == 2
     assert lifted.problem.dim_x == 4
     assert lifted.problem.dim_y == 5
-    assert isinstance(lifted.polar_cone, OrthantCone)
-    assert lifted.polar_cone.sign == 1  # polar of the nonpositive orthant
+    # polar of the nonpositive orthant: the nonnegative one
+    assert lifted.polar_cone.lo.tolist() == [0.0, 0.0]
+    assert lifted.polar_cone.hi.tolist() == [np.inf, np.inf]
     assert lifted.problem.f.strong_concavity == 1.0
 
 
@@ -265,19 +266,36 @@ def test_lift_of_a_box_problem_is_one_box():
                 assert X.project(z).tobytes() == blockwise.tobytes()
 
 
-def test_lift_rejects_an_x_that_is_not_a_box():
-    class Interval(ProjectableSet):
-        """[0, 1] with its own projection, not a BoxSet."""
+class Interval:
+    """[0, 1] with its own projection, not a BoxSet."""
 
-        dim = 1
+    dim = 1
 
-        def project(self, z):
-            return np.clip(np.asarray(z, dtype=np.float64), 0.0, 1.0)
+    def project(self, z):
+        return np.clip(np.asarray(z, dtype=np.float64), 0.0, 1.0)
 
+
+@pytest.mark.parametrize("name", ["X", "Y", "K"])
+def test_coupled_problem_rejects_a_set_that_is_not_a_box(name):
     base = make_example1().lifted.base
-    custom = CoupledProblem(g=base.g, c=base.c, X=Interval(), Y=base.Y, K=base.K)
-    with pytest.raises(UnsupportedSet, match="box"):
-        lift(custom, lipschitz_grad=5000.0)
+    sets = {"X": base.X, "Y": base.Y, "K": base.K, name: Interval()}
+    with pytest.raises(UnsupportedSet, match=f"CoupledProblem.{name} must be a BoxSet"):
+        CoupledProblem(g=base.g, c=base.c, **sets)
+
+
+def test_coupled_problem_rejects_a_k_that_is_not_a_cone():
+    base = make_synthetic(3, 3, 1.0, 1).lifted.base
+    for K in (BoxSet(-np.ones(3), np.ones(3)), BoxSet([0.0, 0.0, 0.0], [np.inf, np.inf, 1.0])):
+        with pytest.raises(UnsupportedSet, match="not a cone"):
+            CoupledProblem(g=base.g, c=base.c, X=base.X, Y=base.Y, K=K)
+
+
+def test_coupled_problem_rejects_a_k_of_another_dimension():
+    # the lift took m from c but X x polar(K) from K, so the start had one
+    # entry more than the lifted box and the first solve failed
+    base = make_synthetic(3, 3, 1.0, 1).lifted.base
+    with pytest.raises(DimensionError, match="K has dimension 2, but c maps to dimension 3"):
+        CoupledProblem(g=base.g, c=base.c, X=base.X, Y=base.Y, K=OrthantCone(2, sign=-1))
 
 
 def test_lifted_r1_prox_blockwise():

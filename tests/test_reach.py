@@ -51,7 +51,7 @@ ALLOWED = {
     "solvers._Runs.test": (6, ITEM11 + " (a non-finite iterate)"),
     "solvers._Runs.fail": (3, ITEM11),
     "solvers.solve_spg.step": (3, ITEM11 + " (StepFailure and Stalled)"),
-    "sets.BoxSet.project": (1, "a stack of points in a one-dimensional box; both built-in "
+    "core.BoxSet.project": (1, "a stack of points in a one-dimensional box; both built-in "
                                "lifted boxes have two or more dimensions"),
     "core.as_points": (4, "coercion of outside input; the program passes float64 arrays"),
     "problems.spectral_norm_power": (1, "a zero operator, as from a draw with p = 0"),

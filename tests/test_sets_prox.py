@@ -5,6 +5,8 @@ Hand-checked projection values come first; then metric properties
 cone decomposition) are exercised on seeded random batches.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pfbe.core import (
     DimensionError,
     IncompleteOracle,
     ProxRegularizer,
+    UnsupportedSet,
     zero_regularizer,
 )
 from pfbe.sets import (
@@ -111,14 +114,14 @@ def test_whole_space_identity_and_polar():
     ws = WholeSpace(3)
     z = np.array([1.0, -2.0, 3.0])
     assert np.array_equal(ws.project(z), z)
-    assert isinstance(ws.polar(), ZeroCone)
-    assert ws.polar().dim == 3
-    assert np.array_equal(ws.polar().project(z), np.zeros(3))
-    # the origin is the box [0, 0]^d, whose clip keeps a nan
+    # the polar cone is the origin, the box [0, 0]^d, whose clip keeps a nan
     origin = ws.polar()
-    assert isinstance(origin, BoxSet) and origin.lo.tolist() == origin.hi.tolist() == [0.0] * 3
+    assert type(origin) is BoxSet and origin.lo.tolist() == origin.hi.tolist() == [0.0] * 3
+    assert origin.lo.tobytes() == ZeroCone(3).lo.tobytes()
+    assert np.array_equal(origin.project(z), np.zeros(3))
     assert np.isnan(origin.project([np.nan, 1.0, -1.0])).tolist() == [True, False, False]
-    assert isinstance(ws.polar().polar(), WholeSpace)
+    whole = origin.polar()
+    assert whole.whole and whole.lo.tolist() == [-np.inf] * 3 and whole.hi.tolist() == [np.inf] * 3
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])
@@ -157,8 +160,8 @@ def test_orthant_sign_is_the_integer_one_or_minus_one(sign):
 
 def test_orthant_takes_a_numpy_integer_sign():
     cone = OrthantCone(2, np.int64(-1))
-    assert type(cone.sign) is int and cone.sign == -1
-    assert cone.hi.tolist() == [0.0, 0.0] and cone.polar().sign == 1
+    assert cone.lo.tolist() == [-np.inf] * 2 and cone.hi.tolist() == [0.0, 0.0]
+    assert cone.polar().lo.tolist() == [0.0, 0.0] and cone.polar().hi.tolist() == [np.inf] * 2
 
 
 def test_orthant_projection_and_polar():
@@ -167,11 +170,51 @@ def test_orthant_projection_and_polar():
     z = np.array([1.5, -2.0, 0.0])
     assert nonneg.project(z).tolist() == [1.5, 0.0, 0.0]
     assert nonpos.project(z).tolist() == [0.0, -2.0, 0.0]
-    # polar of the nonnegative orthant is the nonpositive orthant
-    assert nonneg.polar().sign == -1
-    assert nonpos.polar().sign == 1
+    # the polar of one orthant has the bounds of the other
+    for cone, other in ((nonneg, nonpos), (nonpos, nonneg)):
+        polar = cone.polar()
+        assert (polar.lo.tobytes(), polar.hi.tobytes()) == (other.lo.tobytes(), other.hi.tobytes())
     assert nonneg.contains([0.0, 0.0, 2.0])
     assert not nonneg.contains([-1e-6, 0.0, 0.0])
+
+
+# each coordinate of a cone box: R, {0}, [0, inf) or (-inf, 0]
+CONE_COORDINATES = ((-np.inf, np.inf), (0.0, 0.0), (0.0, np.inf), (-np.inf, 0.0))
+
+
+def _cone_boxes(dim):
+    for coords in itertools.product(CONE_COORDINATES, repeat=dim):
+        lo, hi = zip(*coords) if coords else ((), ())
+        yield BoxSet(np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64))
+
+
+@pytest.mark.parametrize("dim", range(6))
+def test_polar_of_the_polar_has_the_cone_bounds(dim):
+    for K in _cone_boxes(dim):
+        twice = K.polar().polar()
+        assert twice.lo.tobytes() == K.lo.tobytes() and twice.hi.tobytes() == K.hi.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(6))
+def test_moreau_decomposition_is_exact_on_every_cone_box(dim):
+    # z = proj_K(z) + proj_polar(z) with orthogonal parts, to the bit: in
+    # each coordinate one part is z_i and the other zero
+    rng = np.random.default_rng(dim)
+    z = 3.0 * rng.standard_normal((6, dim))
+    z[0] = 0.0
+    for K in _cone_boxes(dim):
+        polar = K.polar()
+        for points in (z, z[1]):
+            pk, pp = K.project(points), polar.project(points)
+            assert np.array_equal(pk + pp, points)
+            assert np.all(pk * pp == 0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [([-1.0], [1.0]), ([0.0], [1.0]), ([1.0], [np.inf]),
+                                    ([-np.inf], [-1.0]), ([0.0, -1.0], [np.inf, 0.0])])
+def test_a_box_that_is_not_a_cone_has_no_polar(lo, hi):
+    with pytest.raises(UnsupportedSet, match="not a cone"):
+        BoxSet(lo, hi).polar()
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +467,14 @@ def test_regularizer_value_that_takes_one_point_only_is_rejected():
     assert reg.value(np.array([1.0, -2.0])) == 3.0
     with pytest.raises(DimensionError, match="ProxRegularizer.eval returned shape"):
         reg.value(np.ones((4, 2)))
+
+
+def test_regularizer_value_of_one_entry_at_one_point_is_named():
+    # float() of a size-1 array raises a TypeError that named no callable
+    reg = ProxRegularizer(eval=lambda v: np.abs(v).sum(keepdims=True), prox=lambda z, t: z)
+    with pytest.raises(DimensionError, match=r"ProxRegularizer.eval returned shape \(1,\), "
+                                             r"expected \(\)"):
+        reg.value(np.array([1.0, -2.0]))
 
 
 def test_regularizer_prox_that_takes_one_point_only_is_rejected():

@@ -35,7 +35,6 @@ from pfbe.rng import NormalStream, Xoshiro256pp
 from pfbe.sets import (
     BoxSet,
     OrthantCone,
-    ProjectableSet,
     WholeSpace,
     ZeroCone,
     composite_prox,
@@ -542,10 +541,11 @@ def test_subgda_accepts_eta_y_at_the_ends():
         assert solve_subgda(prob, cfg, scfg, np.array([0.5, 0.25]), np.array([0.1])).iter == 5
 
 
-def test_subgda_rejects_nonconvex_x():
-    class TwoPoints(ProjectableSet):
+def test_minimax_problem_rejects_a_set_that_is_not_a_box():
+    class TwoPoints:
+        """{-1, 1} with its own projection, not a BoxSet."""
+
         dim = 1
-        convex = False
 
         def project(self, z):
             z = np.asarray(z, dtype=np.float64)
@@ -560,10 +560,10 @@ def test_subgda_rejects_nonconvex_x():
         hvp_yy=lambda x, y, v: -np.asarray(v, float),
         hvp_xy=lambda x, y, v: np.asarray(v, float).copy(),
     )
-    prob = MinimaxProblem(f=f, X=TwoPoints(), Y=WholeSpace(1))
-    cfg = EnvelopeConfig(eta=0.25, alpha=8.0)
-    with pytest.raises(UnsupportedSet):
-        solve_subgda(prob, cfg, SolverConfig(), np.array([1.0]), np.array([0.0]))
+    with pytest.raises(UnsupportedSet, match="MinimaxProblem.X must be a BoxSet, got TwoPoints"):
+        MinimaxProblem(f=f, X=TwoPoints(), Y=WholeSpace(1))
+    with pytest.raises(UnsupportedSet, match="MinimaxProblem.Y must be a BoxSet"):
+        MinimaxProblem(f=f, X=WholeSpace(1), Y=TwoPoints())
 
 
 # ---------------------------------------------------------------------------
