@@ -19,9 +19,9 @@ Conventions used across the package:
   point per row) and returns one value, gradient or product per row with
   the bits of that row's own call (:func:`row_dot` keeps them for dot
   products); a ``prox`` takes a float step or a column of per-row steps.
-  :func:`check_rows` guards the results by shape only: a callable that
-  reads one point can still return the expected shape, with wrong values,
-  for instance on a stack with as many rows as a point has coordinates.
+  This is probed once, not per call: a :class:`CoupledProblem` probes ``g``,
+  ``c`` and ``r1`` when it is built, and every solve probes ``f``, ``r1``
+  and ``r2`` at its start (:meth:`MinimaxProblem.probe`).
 """
 
 from __future__ import annotations
@@ -136,14 +136,58 @@ def row_dot(u, v):
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def check_rows(what: str, value, shape) -> Vector:
-    """``value`` as float64; raises :class:`DimensionError` naming ``what``,
-    the callable that returned it, unless it has one row per point: ``shape``.
-    A wrong value of the right shape passes."""
-    value = np.asarray(value, dtype=np.float64)
-    if value.shape != shape:
-        raise DimensionError(f"{what} returned shape {value.shape}, expected {shape}")
-    return value
+def as_values(what: str, value, one: bool):
+    """A value callable's result: a float at one point (``one``), else one
+    float64 value per row. :class:`DimensionError` names ``what``, the
+    callable, when a one-point result is not one number."""
+    try:
+        return float(value) if one else np.asarray(value, dtype=np.float64)
+    except TypeError:  # float() takes one value only
+        raise DimensionError(f"{what} returned shape {np.shape(value)}, expected ()") from None
+
+
+# the probe stacks each callable takes and its results, by letter: x, y, a
+# multiplier l, a y-direction v, a column of steps t, one step u; s one value
+_FUNCTION_CALLS = (("eval", "xy", "s"), ("grad_x", "xy", "x"), ("grad_y", "xy", "y"),
+                   ("hvp_yy", "xyv", "y"), ("hvp_xy", "xyv", "x"), ("first_order", "xy", "sxy"))
+_CONSTRAINT_CALLS = (("eval_c", "xy", "l"), ("jvp_x", "xyl", "x"), ("jvp_y", "xyl", "y"),
+                     ("dc_y", "xyv", "l"), ("hvp_xy_lam", "xylv", "x"),
+                     ("hvp_yy_lam", "xylv", "y"))
+_REGULARIZER_CALLS = {z: (("eval", z, "s"), ("prox", z + "t", z), ("prox", z + "u", z))
+                      for z in "xy"}
+
+
+def _probe(points: dict, *owners) -> None:
+    """Probe the calling convention: call each callable that an ``(owner,
+    obj, calls)`` of ``owners`` names, unless it is None, on 2-row stacks and
+    on each of their rows alone, and raise :class:`DimensionError` naming it
+    unless each part of the result has one row per point with that row's
+    bytes. For each ``(box, z)`` of ``points``, a stack holds ``z`` and a
+    point of the box that differs from it in each coordinate the box leaves
+    free."""
+    v = 1.0 / (2.0 + np.arange(points["y"][0].dim))  # two y-directions, and steps
+    stacks = {"v": (np.stack([v, -v[::-1]]), v, -v[::-1]),
+              "t": (np.array([[0.5], [0.25]]), 0.5, 0.25), "u": (0.5, 0.5, 0.5)}
+    for name, (box, z) in points.items():
+        step = (1.0 + np.abs(z)) / (2.0 + np.arange(box.dim))  # distinct fractions of 1 + |z|
+        up = box.project(z + step)
+        pair = np.stack([z, np.where(up != z, up, box.project(z - step))])
+        stacks[name] = (pair, *pair)
+    cases = [(f"{owner}.{name}", getattr(obj, name), args, out) for owner, obj, calls in owners
+             for name, args, out in calls if getattr(obj, name) is not None]
+    with np.errstate(all="ignore"):  # a probe point may overflow; its bytes still compare
+        for what, fn, args, out in cases:
+            got = [fn(*[stacks[a][i] for a in args]) for i in range(3)]
+            for part, results in zip(out, zip(*got) if len(out) > 1 else [got]):
+                stacked, row0, row1 = [np.asarray(r, dtype=np.float64) for r in results]
+                shape = () if part == "s" else stacks[part][1].shape
+                if (stacked.shape, row0.shape, row1.shape) != ((2,) + shape, shape, shape):
+                    raise DimensionError(f"{what} returned shapes {stacked.shape}, {row0.shape} "
+                                         f"and {row1.shape} for a 2-row stack and its rows, "
+                                         f"expected {(2,) + shape}, {shape} and {shape}")
+                if stacked.tobytes() != row0.tobytes() + row1.tobytes():
+                    raise DimensionError(f"{what} returned rows on a 2-row stack whose bytes "
+                                         f"differ from those of each row's own call")
 
 
 def check_finite(value, what: str = "value"):
@@ -283,20 +327,14 @@ class ProxRegularizer:
 
     def value(self, z: Vector) -> float:
         """``eval(z)``: a float at one point, one value per row of a stack."""
-        if self.is_zero:
-            return 0.0
-        value, rows = self.eval(z), np.shape(z)[:-1]  # rows is () at one point
-        try:
-            return check_rows("ProxRegularizer.eval", value, rows) if rows else float(value)
-        except TypeError:  # float() takes one value only: name the callable
-            check_rows("ProxRegularizer.eval", value, ())
-            raise
+        return 0.0 if self.is_zero else as_values("ProxRegularizer.eval", self.eval(z),
+                                                   np.ndim(z) == 1)
 
 
 def zero_regularizer() -> ProxRegularizer:
     """The identically-zero regularizer (prox = identity)."""
     return ProxRegularizer(
-        eval=lambda z: 0.0,
+        eval=lambda z: np.zeros(np.shape(z)[:-1]),
         prox=lambda z, step: np.asarray(z, dtype=np.float64),
         is_zero=True,
     )
@@ -344,6 +382,15 @@ class MinimaxProblem:
             raise DimensionError(f"x and y stacks differ: {x.shape} vs {y.shape}")
         return x, y
 
+    def probe(self, x, y) -> None:
+        """Probe the calling convention of ``f``, ``r1`` and ``r2`` from the
+        point ``(x, y)``, or the first row of a stack: a callable that fails
+        raises :class:`DimensionError` naming it. Every solve probes its start."""
+        x, y = (np.atleast_2d(z)[0] for z in self.check_point(x, y))
+        _probe({"x": (self.X, x), "y": (self.Y, y)}, ("FunctionOracle", self.f, _FUNCTION_CALLS),
+               ("MinimaxProblem.r1", self.r1, _REGULARIZER_CALLS["x"]),
+               ("MinimaxProblem.r2", self.r2, _REGULARIZER_CALLS["y"]))
+
 
 @dataclass(frozen=True)
 class ConstraintOracle:
@@ -377,9 +424,10 @@ class CoupledProblem:
 
     ``K`` is a cone box of dimension ``c.dim``, and a set that is not a
     :class:`BoxSet`, a ``K`` that is not a cone or one of another dimension
-    raises when the problem is built. ``y -> <lam, c(x, y)>`` must be convex
-    for every ``lam`` in the polar cone (checked stochastically by the
-    diagnostics, declared here).
+    raises when the problem is built, as does a callable of ``g``, ``c`` or
+    ``r1`` that fails the probe of the calling convention. ``y -> <lam,
+    c(x, y)>`` must be convex for every ``lam`` in the polar cone (checked
+    stochastically by the diagnostics, declared here).
     """
 
     g: FunctionOracle
@@ -391,10 +439,16 @@ class CoupledProblem:
 
     def __post_init__(self):
         _check_boxes("CoupledProblem", X=self.X, Y=self.Y, K=self.K)
-        self.K.polar()  # which raises UnsupportedSet unless K is a cone
+        polar = self.K.polar()  # which raises UnsupportedSet unless K is a cone
         if self.K.dim != self.c.dim:
             raise DimensionError(f"CoupledProblem.K has dimension {self.K.dim}, "
                                  f"but c maps to dimension {self.c.dim}")
+        # the probe of the calling convention, from the projected origin of each box
+        _probe({name: (box, box.project(np.zeros(box.dim)))
+                for name, box in (("x", self.X), ("y", self.Y), ("l", polar))},
+               ("CoupledProblem.g", self.g, _FUNCTION_CALLS),
+               ("CoupledProblem.c", self.c, _CONSTRAINT_CALLS),
+               ("CoupledProblem.r1", self.r1, _REGULARIZER_CALLS["x"]))
 
     @property
     def dim_x(self) -> int:

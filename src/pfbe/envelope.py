@@ -12,9 +12,11 @@ penalized objective minimized by the solvers is
 
     Gamma(x, y) = alpha * psi - (alpha - 1) * f + r1(x) + (alpha - 1) * r2(y)
 
-whose smooth part ``Xi = alpha * psi - (alpha - 1) * f`` is differentiable
-wherever the prox is; its gradient needs two Hessian-vector products
-along ``R``, which every :class:`~pfbe.core.FunctionOracle` supplies exactly:
+whose smooth part ``Xi = alpha * psi - (alpha - 1) * f``, computed as
+``f + alpha * (psi - f)`` without the cancellation of two terms of size
+``alpha |f|`` near a solution, is differentiable wherever the prox is; its
+gradient needs two Hessian-vector products along ``R``, which every
+:class:`~pfbe.core.FunctionOracle` supplies exactly:
 
     grad_x Xi = grad_x f + alpha * eta * hvp_xy(R)
     grad_y Xi = alpha * (R + eta * hvp_yy(R)) - (alpha - 1) * grad_y f
@@ -38,9 +40,8 @@ lifting splits into its x, multiplier and y blocks.
 Every function here also takes a stack of points, ``x`` and ``y`` with
 one point per row, and gives each row the bits it would get alone; the
 scalar fields of :class:`EnvelopeEval` then hold one value per row. It
-passes a stack to the oracle as it is (:mod:`pfbe.core` states the
-contract) and checks that each value, gradient and product has one row
-per point (:func:`~pfbe.core.check_rows`). A nan or inf in ``f``,
+passes a stack to the oracle unchecked: every solve probes the contract of
+:mod:`pfbe.core` once, at its start. A nan or inf in ``f``,
 ``grad_y f``, ``grad_x f`` or a Hessian-vector product always reaches
 ``gamma`` or the gradient of ``Xi``, so finiteness is checked once per
 value evaluation and once per gradient completion. At
@@ -62,9 +63,9 @@ from .core import (
     MinimaxProblem,
     NonFiniteValue,
     Vector,
+    as_values,
     check_finite,
     check_real,
-    check_rows,
     row_dot,
 )
 from .sets import composite_prox
@@ -151,30 +152,16 @@ class EnvelopeEval:
     finite: Optional[np.ndarray] = None
 
 
-def oracle_call(f: FunctionOracle, name: str, shape, *args) -> Vector:
-    """``f.<name>(*args)`` as float64, checked to have ``shape``."""
-    return check_rows(f"FunctionOracle.{name}", getattr(f, name)(*args), shape)
-
-
 def _first_order(f: FunctionOracle, x, y):
     """``(f, grad_x f, grad_y f)`` at a point (``f`` a float) or a stack: one
     call of the oracle's bundle when it has one, else the three separate
     calls, which give the same bits."""
     if f.first_order is None:
-        what = ("FunctionOracle.eval", "FunctionOracle.grad_x", "FunctionOracle.grad_y")
-        fv, gx, gy = f.eval(x, y), f.grad_x(x, y), f.grad_y(x, y)
+        what, (fv, gx, gy) = "FunctionOracle.eval", (f.eval(x, y), f.grad_x(x, y), f.grad_y(x, y))
     else:
-        what = ("FunctionOracle.first_order",) * 3
-        fv, gx, gy = f.first_order(x, y)
-    if x.ndim == 1:
-        try:
-            fv = float(fv)
-        except TypeError:  # float() takes one value only: name the callable
-            check_rows(what[0], fv, ())
-            raise
-    else:
-        fv = check_rows(what[0], fv, x.shape[:-1])
-    return fv, check_rows(what[1], gx, x.shape), check_rows(what[2], gy, y.shape)
+        what, (fv, gx, gy) = "FunctionOracle.first_order", f.first_order(x, y)
+    return (as_values(what, fv, x.ndim == 1), np.asarray(gx, dtype=np.float64),
+            np.asarray(gy, dtype=np.float64))
 
 
 def _finite_rows(finite: Optional[np.ndarray], checked, *named) -> Optional[np.ndarray]:
@@ -197,12 +184,12 @@ def _finite_rows(finite: Optional[np.ndarray], checked, *named) -> Optional[np.n
     return finite
 
 
-def _along_residual(f: FunctionOracle, name: str, x, y, R, moving, shape):
-    """The exact Hessian-vector product ``f.<name>`` along ``R``, zero where
-    ``R`` is (``moving`` is False)."""
+def _along_residual(product, x, y, R, moving, shape):
+    """The exact Hessian-vector product ``product`` along ``R`` as float64,
+    zero where ``R`` is (``moving`` is False)."""
     if R.ndim == 1:
-        return oracle_call(f, name, shape, x, y, R) if moving else np.zeros(shape)
-    return np.where(moving[:, None], oracle_call(f, name, shape, x, y, R), 0.0)
+        return np.asarray(product(x, y, R), dtype=np.float64) if moving else np.zeros(shape)
+    return np.where(moving[:, None], np.asarray(product(x, y, R), dtype=np.float64), 0.0)
 
 
 def evaluate(
@@ -224,8 +211,9 @@ def evaluate(
     R = (T - y) / eta
     r2_T = problem.r2.value(T)
     R_sq = row_dot(R, R)
-    psi = f_val + eta * row_dot(gy, R) - r2_T - 0.5 * eta * R_sq
-    xi = alpha * psi - (alpha - 1.0) * f_val
+    gap = eta * row_dot(gy, R) - r2_T - 0.5 * eta * R_sq
+    psi = f_val + gap
+    xi = f_val + alpha * gap
     gamma = xi + problem.r1.value(x) + (alpha - 1.0) * problem.r2.value(y)
     # a nan or inf f reaches xi (inf - inf, or 0 * inf at alpha = 1); one in
     # grad_y f reaches psi through <grad_y f, R>, even where the prox clips T
@@ -256,8 +244,8 @@ def with_gradients(
     f, x, y, R, gx = problem.f, ev.x, ev.y, ev.R, ev.grad_x_f
     eta, alpha = cfg.eta, cfg.alpha
     moving = ev.R_sq != 0.0
-    hxy_r = _along_residual(f, "hvp_xy", x, y, R, moving, x.shape)
-    hyy_r = _along_residual(f, "hvp_yy", x, y, R, moving, y.shape)
+    hxy_r = _along_residual(f.hvp_xy, x, y, R, moving, x.shape)
+    hyy_r = _along_residual(f.hvp_yy, x, y, R, moving, y.shape)
     grad_x = gx + alpha * eta * hxy_r
     grad_y = alpha * (R + eta * hyy_r) - (alpha - 1.0) * ev.grad_y_f
     finite = _finite_rows(
@@ -323,8 +311,8 @@ def minimax_residual(problem: MinimaxProblem, x, y) -> tuple[Vector, Vector]:
     ``x`` and ``y`` are points, or stacks, as ``problem.check_point``
     returns them.
     """
-    gx = oracle_call(problem.f, "grad_x", x.shape, x, y)
-    gy = oracle_call(problem.f, "grad_y", y.shape, x, y)
+    gx = np.asarray(problem.f.grad_x(x, y), dtype=np.float64)
+    gy = np.asarray(problem.f.grad_y(x, y), dtype=np.float64)
     rx = composite_prox(problem.r1, problem.X, x - gx, 1.0) - x
     ry = composite_prox(problem.r2, problem.Y, y + gy, 1.0) - y
     return rx, ry
@@ -337,7 +325,7 @@ def prox_step(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> tuple[Vecto
     in a stack it makes ``T`` and ``R`` nan in its row only, which a box
     ``Y`` would otherwise clip back to finite values."""
     x, y = problem.check_point(x, y)
-    gy = oracle_call(problem.f, "grad_y", y.shape, x, y)
+    gy = np.asarray(problem.f.grad_y(x, y), dtype=np.float64)
     if x.ndim == 1:
         check_finite(gy, "grad_y f")
     T = composite_prox(problem.r2, problem.Y, y + cfg.eta * gy, cfg.eta)

@@ -27,9 +27,7 @@ from .core import (
     PreconditionViolation,
     ProxRegularizer,
     Vector,
-    as_points,
     as_vector,
-    check_rows,
     row_dot,
     zero_regularizer,
 )
@@ -69,20 +67,11 @@ class LiftedProblem:
         return self.join(x0, lam0), y0
 
 
-def _check_stack(*results) -> None:
-    """Raise :class:`DimensionError` unless each ``(name, value, shape)`` has
-    ``shape``: on a stack, a ``g`` or ``c`` callable that reads one point only
-    would otherwise be broadcast over the rows by the lift's arithmetic."""
-    for name, value, shape in results:
-        check_rows(f"CoupledProblem.{name}", value, shape)
-
-
-def _lifted_r1(base_r1: ProxRegularizer, X, polar, n: int, m: int, X_lift) -> ProxRegularizer:
+def _lifted_r1(base_r1: ProxRegularizer, X, polar, n: int, X_lift) -> ProxRegularizer:
     def reg_eval(z):
         return base_r1.value(z[..., :n])
 
     def reg_prox(z, step):
-        z = as_points(z, n + m, "lifted decision")
         # separable prox: base prox in x, polar projection in lam
         xz = composite_prox(base_r1, X, z[..., :n], step)
         lz = polar.project(z[..., n:])
@@ -114,10 +103,10 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     concatenated bounds of ``X`` and of ``K.polar()``, which
     :class:`CoupledProblem` checked to be boxes when it was built.
 
-    The lifted oracle, like ``coupled.g`` and ``coupled.c``, takes a point
-    or a stack; on a stack it checks that each of their results has one row
-    per point. It has a ``first_order`` bundle when ``coupled.g`` has one,
-    which splits ``z`` and calls ``c.eval_c`` once for all three.
+    The lifted oracle takes a point or a stack, as :class:`CoupledProblem`
+    probed ``coupled.g`` and ``coupled.c`` to, and checks nothing per call.
+    It has a ``first_order`` bundle when ``coupled.g`` has one, which splits
+    ``z`` and calls ``c.eval_c`` once for all three.
     Its Hessian-vector products are exact: ``hvp_yy`` is ``g.hvp_yy -
     c.hvp_yy_lam`` and ``hvp_xy`` stacks ``g.hvp_xy - c.hvp_xy_lam`` over
     the multiplier block ``-c.dc_y``, each from the oracles' own products,
@@ -132,36 +121,23 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     # may return lists; the lift adds no view of z or y to what g and c give
     def lp_eval(z, y):
         x, lam = z[..., :n], z[..., n:]
-        gv, c = g.eval(x, y), con.eval_c(x, y)
-        if z.ndim > 1:
-            _check_stack(("g.eval", gv, z.shape[:-1]), ("c.eval_c", c, lam.shape))
-        return np.subtract(gv, row_dot(lam, np.asarray(c, dtype=np.float64)), dtype=np.float64)
+        c = np.asarray(con.eval_c(x, y), dtype=np.float64)
+        return np.subtract(g.eval(x, y), row_dot(lam, c), dtype=np.float64)
 
     def lp_grad_x(z, y):
         x, lam = z[..., :n], z[..., n:]
-        gx, jx, c = g.grad_x(x, y), con.jvp_x(x, y, lam), con.eval_c(x, y)
-        if z.ndim > 1:
-            _check_stack(("g.grad_x", gx, x.shape), ("c.jvp_x", jx, x.shape),
-                         ("c.eval_c", c, lam.shape))
-        gx = np.subtract(gx, jx, dtype=np.float64)
-        return np.concatenate([gx, np.negative(c, dtype=np.float64)], axis=-1)
+        gx = np.subtract(g.grad_x(x, y), con.jvp_x(x, y, lam), dtype=np.float64)
+        return np.concatenate([gx, np.negative(con.eval_c(x, y), dtype=np.float64)], axis=-1)
 
     def lp_grad_y(z, y):
         x, lam = z[..., :n], z[..., n:]
-        gy, jy = g.grad_y(x, y), con.jvp_y(x, y, lam)
-        if z.ndim > 1:
-            _check_stack(("g.grad_y", gy, y.shape), ("c.jvp_y", jy, y.shape))
-        return np.subtract(gy, jy, dtype=np.float64)
+        return np.subtract(g.grad_y(x, y), con.jvp_y(x, y, lam), dtype=np.float64)
 
     def lp_first_order(z, y):  # one split of z and one c for all three
         x, lam = z[..., :n], z[..., n:]
         gv, gx, gy = g.first_order(x, y)
-        c, jx, jy = con.eval_c(x, y), con.jvp_x(x, y, lam), con.jvp_y(x, y, lam)
-        if z.ndim > 1:
-            _check_stack(("g.first_order", gv, z.shape[:-1]), ("g.first_order", gx, x.shape),
-                         ("g.first_order", gy, y.shape), ("c.eval_c", c, lam.shape),
-                         ("c.jvp_x", jx, x.shape), ("c.jvp_y", jy, y.shape))
-        c = np.asarray(c, dtype=np.float64)
+        c = np.asarray(con.eval_c(x, y), dtype=np.float64)
+        jx, jy = con.jvp_x(x, y, lam), con.jvp_y(x, y, lam)
         with np.errstate(invalid="ignore"):  # inf - inf at a point the envelope rejects
             gx = np.subtract(gx, jx, dtype=np.float64)
         gx = np.concatenate([gx, np.negative(c, dtype=np.float64)], axis=-1)
@@ -170,19 +146,12 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
 
     def hvp_yy(z, y, v):
         x, lam = z[..., :n], z[..., n:]
-        hg, hc = g.hvp_yy(x, y, v), con.hvp_yy_lam(x, y, lam, v)
-        if z.ndim > 1:
-            _check_stack(("g.hvp_yy", hg, y.shape), ("c.hvp_yy_lam", hc, y.shape))
-        return np.subtract(hg, hc, dtype=np.float64)
+        return np.subtract(g.hvp_yy(x, y, v), con.hvp_yy_lam(x, y, lam, v), dtype=np.float64)
 
     def hvp_xy(z, y, v):
         x, lam = z[..., :n], z[..., n:]
-        hg, hc, dc = g.hvp_xy(x, y, v), con.hvp_xy_lam(x, y, lam, v), con.dc_y(x, y, v)
-        if z.ndim > 1:
-            _check_stack(("g.hvp_xy", hg, x.shape), ("c.hvp_xy_lam", hc, x.shape),
-                         ("c.dc_y", dc, lam.shape))
-        top = np.subtract(hg, hc, dtype=np.float64)
-        return np.concatenate([top, np.negative(dc, dtype=np.float64)], axis=-1)
+        top = np.subtract(g.hvp_xy(x, y, v), con.hvp_xy_lam(x, y, lam, v), dtype=np.float64)
+        return np.concatenate([top, np.negative(con.dc_y(x, y, v), dtype=np.float64)], axis=-1)
 
     oracle = FunctionOracle(
         eval=lp_eval,
@@ -198,7 +167,7 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     if coupled.r1.is_zero:
         r1_lift = zero_regularizer()
     else:
-        r1_lift = _lifted_r1(coupled.r1, coupled.X, polar, n, m, X_lift)
+        r1_lift = _lifted_r1(coupled.r1, coupled.X, polar, n, X_lift)
     problem = MinimaxProblem(f=oracle, X=X_lift, Y=coupled.Y, r1=r1_lift)
     return LiftedProblem(base=coupled, problem=problem, n=n, m=m)
 

@@ -22,7 +22,6 @@ from .core import (
     Vector,
     as_points,
     check_int,
-    check_rows,
 )
 
 
@@ -78,6 +77,5 @@ def composite_prox(reg: ProxRegularizer, set_: BoxSet, z, step: float) -> Vector
             "no fused prox available for this regularizer/set pair; supply a "
             "ProxRegularizer with attached_set or use a whole-space set"
         )
-    z = as_points(z, set_.dim, "point")
-    out = check_rows("ProxRegularizer.prox", reg.prox(z, step), z.shape)
+    out = np.asarray(reg.prox(z := as_points(z, set_.dim, "point"), step), dtype=np.float64)
     return out if np.ndim(step) == 0 else np.where(step == 0.0, set_.project(z), out)

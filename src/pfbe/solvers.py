@@ -53,7 +53,6 @@ from .envelope import (
     EnvelopeEval,
     evaluate,
     grad_norm,
-    oracle_call,
     prox_grad_residual,
     prox_step,
     with_gradients,
@@ -316,9 +315,12 @@ def _iterate_first_order(
     and ``scfg`` were checked when they were built; the one rule that
     needs the problem, ``alpha`` at or above the threshold of
     ``problem.mu``, raises ``ValueError`` before the start is evaluated.
+    The loop passes stacks to ``f``, ``r1`` and ``r2``, so it first probes
+    their calling convention at the start (:meth:`MinimaxProblem.probe`).
     """
     started = time.perf_counter()
     cfg.check_threshold(problem.mu)
+    problem.probe(x0, y0)
     ev = evaluate(problem, cfg, x0, y0, need_grad=True)
     runs = _Runs(problem, cfg, scfg, ev)
     it = runs.test(ev, 0)
@@ -353,14 +355,11 @@ def _iterate_first_order(
     return runs.result(time.perf_counter() - started)
 
 
-def _grad_x_f(f: FunctionOracle, it: Iterate):
-    """``grad_x f`` at the iterate, from its evaluation when it has one."""
-    return oracle_call(f, "grad_x", it.x.shape, it.x, it.y) if it.grad_x_f is None else it.grad_x_f
-
-
-def _grad_y_f(f: FunctionOracle, it: Iterate):
-    """``grad_y f`` at the iterate, from its evaluation when it has one."""
-    return oracle_call(f, "grad_y", it.y.shape, it.x, it.y) if it.grad_y_f is None else it.grad_y_f
+def _grad_f(f: FunctionOracle, name: str, it: Iterate):
+    """``grad_x f`` or ``grad_y f`` (``name``) at the iterate, as float64,
+    from its evaluation when it has one."""
+    known = getattr(it, name + "_f")
+    return np.asarray(getattr(f, name)(it.x, it.y), dtype=np.float64) if known is None else known
 
 
 def solve_spg(
@@ -465,7 +464,8 @@ def solve_subgda(
         raise ValueError(f"eta_y={ey} is outside [0, eta] for the envelope step eta={cfg.eta}")
 
     def step(k: int, it: Iterate, rows) -> Points:
-        x_new = composite_prox(problem.r1, problem.X, it.x - ex * _grad_x_f(problem.f, it), ex)
+        gx = _grad_f(problem.f, "grad_x", it)
+        x_new = composite_prox(problem.r1, problem.X, it.x - ex * gx, ex)
         _, R = prox_step(problem, cfg, x_new, it.y)
         return Points(x_new, it.y + ey * R)
 
@@ -485,8 +485,8 @@ def _gda_step(problem: MinimaxProblem, eta_x, eta_y) -> StepRule:
         nonlocal seen, tx, ty
         if per_row and rows is not seen:
             seen, tx, ty = rows, eta_x[rows], eta_y[rows]
-        x_new = composite_prox(problem.r1, problem.X, it.x - tx * _grad_x_f(f, it), tx)
-        y_new = composite_prox(problem.r2, problem.Y, it.y + ty * _grad_y_f(f, it), ty)
+        x_new = composite_prox(problem.r1, problem.X, it.x - tx * _grad_f(f, "grad_x", it), tx)
+        y_new = composite_prox(problem.r2, problem.Y, it.y + ty * _grad_f(f, "grad_y", it), ty)
         return Points(x_new, y_new)
 
     return step

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from pfbe.cli import main as cli_main
-from pfbe.core import FunctionOracle, MinimaxProblem
+from pfbe.core import FunctionOracle, MinimaxProblem, row_dot
 from pfbe.diagnostics import (
     eps_minimax_mm,
     feasibility_mcc,
@@ -87,11 +87,15 @@ _A_CORNER = np.array([-1.0, -2.0]) - _Q @ _X_CORNER
 
 
 def _decoupled_quadratic(a: np.ndarray) -> MinimaxProblem:
+    # each callable takes a point or a stack
+    def q(x):  # _Q x, row by row for a stack
+        return (_Q @ x[..., None])[..., 0]
+
     f = FunctionOracle(
-        eval=lambda x, y: float(a @ x + 0.5 * x @ _Q @ x - 0.5 * np.dot(y - _G0, y - _G0)),
-        grad_x=lambda x, y: a + _Q @ x,
+        eval=lambda x, y: row_dot(a, x) + 0.5 * row_dot(x, q(x)) - 0.5 * row_dot(y - _G0, y - _G0),
+        grad_x=lambda x, y: a + q(x),
         grad_y=lambda x, y: _G0 - np.asarray(y, float),
-        hvp_xy=lambda x, y, v: np.zeros(2),
+        hvp_xy=lambda x, y, v: np.zeros(np.shape(x)),
         hvp_yy=lambda x, y, v: -np.asarray(v, float),
         lipschitz_grad=float(max(np.linalg.norm(_Q, 2), 1.0)),
         strong_concavity=1.0,
@@ -138,6 +142,7 @@ def test_criterion_2_exact_stationarity_equivalence():
     rng = np.random.default_rng(2024)
     for a, x_star in ((_A_INTERIOR, _X_INTERIOR), (_A_CORNER, _X_CORNER)):
         prob = _decoupled_quadratic(a)
+        prob.probe(x_star, _G0)  # it takes a point or a stack
         cfg = EnvelopeConfig.for_problem(prob)
         pts = [(x_star.copy(), _G0.copy())]
         for _ in range(5):  # inward nudges exercise the small-residual regime

@@ -4,6 +4,8 @@ The finite-difference helpers are tested against closed-form gradients
 and Hessian-vector products of small polynomial test functions.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,32 +20,40 @@ from pfbe.core import (
     as_points,
     as_vector,
     check_finite,
-    check_rows,
     fd_gradient,
     fd_hvp_xy,
     fd_hvp_yy,
     zero_regularizer,
 )
+from pfbe.envelope import EnvelopeConfig, evaluate
+from pfbe.problems import make_synthetic
 from pfbe.sets import BoxSet, WholeSpace
+from pfbe.solvers import SolverConfig, solve_gda_baseline, solve_spg
 
 
 def _cubic_oracle():
-    # f(x, y) = x1^2 y1 + x2 y2^3 - y1^2 - y2^2, strongly concave for |y2| small
+    # f(x, y) = x1^2 y1 + x2 y2^3 - y1^2 - y2^2, strongly concave for |y2| small;
+    # each callable takes a point or a stack
+    def pair(a, b):
+        return np.stack([a, b], axis=-1)
+
     def ev(x, y):
-        return x[0] ** 2 * y[0] + x[1] * y[1] ** 3 - y[0] ** 2 - y[1] ** 2
+        x1, x2, y1, y2 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+        return x1 ** 2 * y1 + x2 * y2 ** 3 - y1 ** 2 - y2 ** 2
 
     def gx(x, y):
-        return np.array([2.0 * x[0] * y[0], y[1] ** 3])
+        return pair(2.0 * x[..., 0] * y[..., 0], y[..., 1] ** 3)
 
     def gy(x, y):
-        return np.array([x[0] ** 2 - 2.0 * y[0], 3.0 * x[1] * y[1] ** 2 - 2.0 * y[1]])
+        return pair(x[..., 0] ** 2 - 2.0 * y[..., 0],
+                    3.0 * x[..., 1] * y[..., 1] ** 2 - 2.0 * y[..., 1])
 
     def hyy(x, y, v):
-        return np.array([-2.0 * v[0], (6.0 * x[1] * y[1] - 2.0) * v[1]])
+        return pair(-2.0 * v[..., 0], (6.0 * x[..., 1] * y[..., 1] - 2.0) * v[..., 1])
 
     def hxy(x, y, v):
         # d/dx of grad_y f, applied to a y-direction v, valued in x-space
-        return np.array([2.0 * x[0] * v[0], 3.0 * y[1] ** 2 * v[1]])
+        return pair(2.0 * x[..., 0] * v[..., 0], 3.0 * y[..., 1] ** 2 * v[..., 1])
 
     return FunctionOracle(
         eval=ev, grad_x=gx, grad_y=gy,
@@ -62,21 +72,31 @@ def test_as_vector_scalars_and_lists():
         as_vector(np.zeros((2, 2)))
 
 
-def test_check_rows_sees_shapes_only():
-    # a grad_y that reads one point only, on a stack of two points in two
-    # dimensions: its (2, 2) result mixes the rows yet has the stack's shape,
-    # so the check passes it; on three points it has two rows, and fails
-    def grad_y(x, y):
-        return np.array([x[0] - y[0], 2.0 * x[1] - y[1]])
+def _mixed_rows_grad_y(x, y):
+    """A grad_y of the synthetic g at n = p = 2 that reads one point only."""
+    return np.array([x[0] - y[0], 2.0 * x[1] - y[1]])
 
+
+def test_probe_names_a_callable_that_mixes_rows():
+    # on a stack of two points in two dimensions the one-point grad_y returns
+    # the stack's shape with its rows mixed, which a shape check passed; the
+    # probe compares values, when the coupled problem is built and when a
+    # solve starts
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     y = np.array([[0.5, -1.0], [2.0, 0.25]])
-    rowwise = np.array([grad_y(xr, yr) for xr, yr in zip(x, y)])
-    passed = check_rows("grad_y", grad_y(x, y), y.shape)
-    assert not np.array_equal(passed, rowwise)
-    x3, y3 = np.vstack([x, x[:1]]), np.vstack([y, y[:1]])
-    with pytest.raises(DimensionError, match=r"grad_y returned shape \(2, 2\), expected \(3, 2\)"):
-        check_rows("grad_y", grad_y(x3, y3), y3.shape)
+    rowwise = np.array([_mixed_rows_grad_y(xr, yr) for xr, yr in zip(x, y)])
+    stacked = _mixed_rows_grad_y(x, y)
+    assert stacked.shape == y.shape and not np.array_equal(stacked, rowwise)
+    base = make_synthetic(2, 2, 1.0, 1).lifted.base
+    g = replace(base.g, grad_y=_mixed_rows_grad_y)
+    with pytest.raises(DimensionError, match="CoupledProblem.g.grad_y returned rows"):
+        replace(base, g=g)
+    prob = MinimaxProblem(f=g, X=base.X, Y=base.Y)
+    cfg = EnvelopeConfig.for_problem(prob)
+    evaluate(prob, cfg, x[0] / 4.0, y[0])  # one point is fine
+    for solve in (solve_gda_baseline, solve_spg):
+        with pytest.raises(DimensionError, match="FunctionOracle.grad_y returned rows"):
+            solve(prob, cfg, SolverConfig(max_iter=5), x[0] / 4.0, y[0])
 
 
 def _coerced_points(z, dim=None, what="point"):
@@ -278,7 +298,7 @@ def test_fd_hvp_zero_direction():
 def test_strong_concavity_witness_quadratic():
     # f(x, y) = <x, y> - ||y||^2 must satisfy the mu = 2 concavity bound
     oracle = FunctionOracle(
-        eval=lambda x, y: float(np.dot(x, y) - np.dot(y, y)),
+        eval=lambda x, y: (x * y).sum(axis=-1) - (y * y).sum(axis=-1),
         grad_x=lambda x, y: np.asarray(y, float),
         grad_y=lambda x, y: np.asarray(x, float) - 2.0 * np.asarray(y, float),
         lipschitz_grad=3.0,
@@ -309,6 +329,7 @@ def test_minimax_problem_defaults_and_checks():
     assert prob.r1.is_zero and prob.r2.is_zero
     x, y = prob.check_point([0.5, 0.5], [0.0, 0.0])
     assert x.shape == (2,)
+    prob.probe(x, y)  # the cubic oracle takes a point or a stack
     with pytest.raises(DimensionError):
         prob.check_point([0.5], [0.0, 0.0])
 
@@ -317,5 +338,6 @@ def test_zero_regularizer_prox_identity():
     reg = zero_regularizer()
     z = np.array([1.0, -2.0])
     assert reg.value(z) == 0.0
+    assert reg.eval(np.ones((3, 2))).tolist() == [0.0, 0.0, 0.0]  # one zero per row
     assert np.array_equal(reg.prox(z, 5.0), z)
     assert reg.is_zero

@@ -15,7 +15,7 @@ grad_z Xi = (1.15, 0.1) and grad_y Xi = -0.15 by hand:
 import numpy as np
 import pytest
 
-from pfbe.core import ConstraintOracle, CoupledProblem
+from pfbe.core import ConstraintOracle, CoupledProblem, FunctionOracle
 from pfbe.diagnostics import (
     certify,
     check_polar_convexity,
@@ -195,30 +195,32 @@ def test_brute_force_example1_exact_on_aligned_grids():
     assert grid[np.argmin(phi)] == 10.0
 
 
-def test_brute_force_infeasible_slices():
-    # equality constraint y = x with a y-grid that misses most x values
-    from pfbe.core import FunctionOracle
-
-    g = FunctionOracle(
-        eval=lambda x, y: float(-(y[0] ** 2)),
-        grad_x=lambda x, y: np.zeros(1),
-        grad_y=lambda x, y: np.array([-2.0 * y[0]]),
+def _minus_y_squared():
+    """``g = -y^2`` in one dimension; each callable takes a point or a stack."""
+    return FunctionOracle(
+        eval=lambda x, y: -(y[..., 0] ** 2),
+        grad_x=lambda x, y: np.zeros(np.shape(x)),
+        grad_y=lambda x, y: -2.0 * y,
         lipschitz_grad=2.0,
         strong_concavity=2.0,
         hvp_yy=lambda x, y, v: -2.0 * np.asarray(v, float),
-        hvp_xy=lambda x, y, v: np.zeros(1),
+        hvp_xy=lambda x, y, v: np.zeros(np.shape(x)),
     )
-    con = ConstraintOracle(
+
+
+def test_brute_force_infeasible_slices():
+    # equality constraint y = x with a y-grid that misses most x values
+    con = ConstraintOracle(  # each callable takes a point or a stack
         dim=1,
-        eval_c=lambda x, y: np.array([y[0] - x[0]]),
-        jvp_x=lambda x, y, lam: np.array([-lam[0]]),
-        jvp_y=lambda x, y, lam: np.array([lam[0]]),
-        dc_y=lambda x, y, v: np.array([v[0]]),
-        hvp_xy_lam=lambda x, y, lam, v: np.zeros(1),
-        hvp_yy_lam=lambda x, y, lam, v: np.zeros(1),
+        eval_c=lambda x, y: y - x,
+        jvp_x=lambda x, y, lam: -lam,
+        jvp_y=lambda x, y, lam: 1.0 * lam,
+        dc_y=lambda x, y, v: 1.0 * v,
+        hvp_xy_lam=lambda x, y, lam, v: np.zeros(np.shape(x)),
+        hvp_yy_lam=lambda x, y, lam, v: np.zeros(np.shape(v)),
     )
     coupled = CoupledProblem(
-        g=g, c=con, X=BoxSet([0.0], [1.0]), Y=BoxSet([0.0], [1.0]), K=ZeroCone(1)
+        g=_minus_y_squared(), c=con, X=BoxSet([0.0], [1.0]), Y=BoxSet([0.0], [1.0]), K=ZeroCone(1)
     )
     phi, y_star = grid_value_function(
         coupled, np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.75])
@@ -247,17 +249,6 @@ def test_polar_convexity_linear_constraint():
 
 
 def test_polar_convexity_detects_concave_constraint():
-    from pfbe.core import FunctionOracle
-
-    g = FunctionOracle(
-        eval=lambda x, y: float(-(y[0] ** 2)),
-        grad_x=lambda x, y: np.zeros(1),
-        grad_y=lambda x, y: np.array([-2.0 * y[0]]),
-        lipschitz_grad=2.0,
-        strong_concavity=2.0,
-        hvp_yy=lambda x, y, v: -2.0 * np.asarray(v, float),
-        hvp_xy=lambda x, y, v: np.zeros(1),
-    )
     con = ConstraintOracle(  # each callable takes a point or a stack
         dim=1,
         eval_c=lambda x, y: -(y ** 2),  # concave in y
@@ -268,7 +259,8 @@ def test_polar_convexity_detects_concave_constraint():
         hvp_yy_lam=lambda x, y, lam, v: -2.0 * lam * v,
     )
     coupled = CoupledProblem(
-        g=g, c=con, X=BoxSet([0.0], [1.0]), Y=WholeSpace(1), K=OrthantCone(1, sign=-1)
+        g=_minus_y_squared(), c=con, X=BoxSet([0.0], [1.0]), Y=WholeSpace(1),
+        K=OrthantCone(1, sign=-1),
     )
     samples = [([0.5], [1.0], [-1.0], [1.0])]
     assert not check_polar_convexity(coupled, samples)

@@ -305,13 +305,13 @@ def test_lifted_r1_prox_blockwise():
     def fused(zv, t):
         return np.clip(np.sign(zv) * np.maximum(np.abs(zv) - t, 0.0), 0.0, 1.0)
 
-    reg = ProxRegularizer(eval=lambda v: float(np.abs(v).sum()), prox=fused, attached_set=box)
+    reg = ProxRegularizer(eval=lambda v: np.abs(v).sum(axis=-1), prox=fused, attached_set=box)
     base = make_example1().lifted.base
-    custom = CoupledProblem(
+    custom = CoupledProblem(  # each callable takes a point or a stack
         g=FunctionOracle(
-            eval=lambda x, y: float(-0.5 * (y[0] - x[0]) ** 2),
-            grad_x=lambda x, y: np.array([y[0] - x[0]]),
-            grad_y=lambda x, y: np.array([-(y[0] - x[0])]),
+            eval=lambda x, y: -0.5 * (y[..., 0] - x[..., 0]) ** 2,
+            grad_x=lambda x, y: y - x,
+            grad_y=lambda x, y: -(y - x),
             lipschitz_grad=2.0,
             strong_concavity=1.0,
             hvp_yy=lambda x, y, v: -np.asarray(v, dtype=float),
@@ -334,15 +334,11 @@ def test_lifted_r1_prox_blockwise():
 
 
 def test_lift_zero_constraint_reduces_to_plain_lagrangian():
-    # with c identically zero, the multiplier block of the gradient vanishes
+    # with c identically zero, the multiplier block of the gradient vanishes;
+    # n = p = m = 1, so every result has the shape of x
+    zero = lambda x, y, *rest: np.zeros(np.shape(x))
     con = ConstraintOracle(
-        dim=1,
-        eval_c=lambda x, y: np.zeros(1),
-        jvp_x=lambda x, y, lam: np.zeros(1),
-        jvp_y=lambda x, y, lam: np.zeros(1),
-        dc_y=lambda x, y, v: np.zeros(1),
-        hvp_xy_lam=lambda x, y, lam, v: np.zeros(1),
-        hvp_yy_lam=lambda x, y, lam, v: np.zeros(1),
+        dim=1, eval_c=zero, jvp_x=zero, jvp_y=zero, dc_y=zero, hvp_xy_lam=zero, hvp_yy_lam=zero,
     )
     base = make_example1().lifted.base
     custom = CoupledProblem(
@@ -359,11 +355,11 @@ def test_lift_zero_constraint_reduces_to_plain_lagrangian():
 
 
 def _bilinear_g():
-    # g = x y - y^2/2
+    # g = x y - y^2/2; each callable takes a point or a stack
     return FunctionOracle(
-        eval=lambda x, y: float(x[0] * y[0] - 0.5 * y[0] ** 2),
-        grad_x=lambda x, y: np.array([y[0]]),
-        grad_y=lambda x, y: np.array([x[0] - y[0]]),
+        eval=lambda x, y: x[..., 0] * y[..., 0] - 0.5 * y[..., 0] ** 2,
+        grad_x=lambda x, y: np.array(y, dtype=float),
+        grad_y=lambda x, y: x - y,
         lipschitz_grad=2.0,
         strong_concavity=1.0,
         hvp_yy=lambda x, y, v: -np.asarray(v, dtype=float),
@@ -379,30 +375,31 @@ def test_lift_rejects_a_nonlinear_constraint_without_its_products(missing):
     # lifted products; without one the constraint is not built, so no
     # lift can take it
     products = dict(
-        hvp_xy_lam=lambda x, y, lam, v: np.zeros(1),
-        hvp_yy_lam=lambda x, y, lam, v: np.array([2.0 * lam[0] * y[0] * v[0]]),
+        hvp_xy_lam=lambda x, y, lam, v: np.zeros(np.shape(x)),
+        hvp_yy_lam=lambda x, y, lam, v: 2.0 * lam * y * v,
     )
     for name in missing:
         products[name] = None
     with pytest.raises(IncompleteOracle, match=missing[0]):
         ConstraintOracle(
             dim=1,
-            eval_c=lambda x, y: np.array([y[0] ** 3 / 3.0 - x[0]]),
-            jvp_x=lambda x, y, lam: np.array([-lam[0]]),
-            jvp_y=lambda x, y, lam: np.array([lam[0] * y[0] ** 2]),
-            dc_y=lambda x, y, v: np.array([y[0] ** 2 * v[0]]),
+            eval_c=lambda x, y: y ** 3 / 3.0 - x,
+            jvp_x=lambda x, y, lam: -lam,
+            jvp_y=lambda x, y, lam: lam * y ** 2,
+            dc_y=lambda x, y, v: y ** 2 * v,
             **products,
         )
 
 
 def _x_coefficient_constraint(**products):
-    """``c = (1 + x0) y0 - 1``: affine in y, with a coefficient that depends on x."""
+    """``c = (1 + x0) y0 - 1``: affine in y, with a coefficient that depends on
+    x (n = p = m = 1, so each callable takes a point or a stack)."""
     return ConstraintOracle(
         dim=1,
-        eval_c=lambda x, y: np.array([(1.0 + x[0]) * y[0] - 1.0]),
-        jvp_x=lambda x, y, lam: np.array([lam[0] * y[0]]),
-        jvp_y=lambda x, y, lam: np.array([lam[0] * (1.0 + x[0])]),
-        dc_y=lambda x, y, v: np.array([(1.0 + x[0]) * v[0]]),
+        eval_c=lambda x, y: (1.0 + x) * y - 1.0,
+        jvp_x=lambda x, y, lam: lam * y,
+        jvp_y=lambda x, y, lam: lam * (1.0 + x),
+        dc_y=lambda x, y, v: (1.0 + x) * v,
         **products,
     )
 
@@ -411,12 +408,10 @@ def test_an_affine_constraint_with_an_x_dependent_coefficient_needs_its_mixed_pr
     # taking the missing mixed product as zero gave a lifted hvp_xy of
     # (1.0, -1.5) at z = (0.5, 0.7), y = 0.3, v = 1, where central
     # differences of the lifted grad_x give (0.3, -1.5)
-    zero = lambda x, y, lam, v: np.zeros(1)
+    zero = lambda x, y, lam, v: np.zeros(np.shape(v))
     with pytest.raises(IncompleteOracle, match="hvp_xy_lam"):
         _x_coefficient_constraint(hvp_xy_lam=None, hvp_yy_lam=zero)
-    con = _x_coefficient_constraint(
-        hvp_xy_lam=lambda x, y, lam, v: np.array([lam[0] * v[0]]), hvp_yy_lam=zero
-    )
+    con = _x_coefficient_constraint(hvp_xy_lam=lambda x, y, lam, v: lam * v, hvp_yy_lam=zero)
     coupled = CoupledProblem(
         g=_bilinear_g(), c=con, X=WholeSpace(1), Y=WholeSpace(1), K=OrthantCone(1, sign=-1)
     )
@@ -428,26 +423,27 @@ def test_an_affine_constraint_with_an_x_dependent_coefficient_needs_its_mixed_pr
 
 
 def _mixed_constraint(case):
-    """A constraint on n = p = 1 for each way ``lift`` builds its ``hvp_xy``."""
+    """A constraint on n = p = 1 for each way ``lift`` builds its ``hvp_xy``;
+    each callable takes a point or a stack."""
     if case == "x-dependent-coefficient":  # c = x y - 1: affine in y, A depends on x
         return ConstraintOracle(
             dim=1,
-            eval_c=lambda x, y: np.array([x[0] * y[0] - 1.0]),
-            jvp_x=lambda x, y, lam: np.array([lam[0] * y[0]]),
-            jvp_y=lambda x, y, lam: np.array([lam[0] * x[0]]),
-            dc_y=lambda x, y, v: np.array([x[0] * v[0]]),
-            hvp_xy_lam=lambda x, y, lam, v: np.array([lam[0] * v[0]]),
-            hvp_yy_lam=lambda x, y, lam, v: np.zeros(1),
+            eval_c=lambda x, y: x * y - 1.0,
+            jvp_x=lambda x, y, lam: lam * y,
+            jvp_y=lambda x, y, lam: lam * x,
+            dc_y=lambda x, y, v: x * v,
+            hvp_xy_lam=lambda x, y, lam, v: lam * v,
+            hvp_yy_lam=lambda x, y, lam, v: np.zeros(np.shape(v)),
         )
     # "nonlinear": c = x y^2 / 2 - 1, with every product given
     return ConstraintOracle(
         dim=1,
-        eval_c=lambda x, y: np.array([0.5 * x[0] * y[0] ** 2 - 1.0]),
-        jvp_x=lambda x, y, lam: np.array([0.5 * lam[0] * y[0] ** 2]),
-        jvp_y=lambda x, y, lam: np.array([lam[0] * x[0] * y[0]]),
-        dc_y=lambda x, y, v: np.array([x[0] * y[0] * v[0]]),
-        hvp_xy_lam=lambda x, y, lam, v: np.array([lam[0] * y[0] * v[0]]),
-        hvp_yy_lam=lambda x, y, lam, v: np.array([lam[0] * x[0] * v[0]]),
+        eval_c=lambda x, y: 0.5 * x * y ** 2 - 1.0,
+        jvp_x=lambda x, y, lam: 0.5 * lam * y ** 2,
+        jvp_y=lambda x, y, lam: lam * x * y,
+        dc_y=lambda x, y, v: x * y * v,
+        hvp_xy_lam=lambda x, y, lam, v: lam * y * v,
+        hvp_yy_lam=lambda x, y, lam, v: lam * x * v,
     )
 
 

@@ -41,11 +41,10 @@ ITEM11 = "a solver failure path: ROADMAP item 11"
 # many of its statements stay unreached, and why
 ALLOWED = {
     "envelope.prox_step": (1, ITEM2),
-    "core.ProxRegularizer.value": (2, ITEM8),
-    "sets.composite_prox": (4, ITEM8),
+    "sets.composite_prox": (3, ITEM8),
     "lagrangian._lifted_r1": (3, ITEM9),
     "lagrangian._lifted_r1.reg_eval": (1, ITEM9),
-    "lagrangian._lifted_r1.reg_prox": (4, ITEM9),
+    "lagrangian._lifted_r1.reg_prox": (3, ITEM9),
     "lagrangian.lift": (1, ITEM9 + " (a nonzero r1)"),
     "solvers._iterate_first_order": (3, ITEM11 + " (a step rule returns a failure name)"),
     "solvers._Runs.test": (6, ITEM11 + " (a non-finite iterate)"),

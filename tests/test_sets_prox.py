@@ -13,6 +13,7 @@ import pytest
 from pfbe.core import (
     DimensionError,
     IncompleteOracle,
+    MinimaxProblem,
     ProxRegularizer,
     UnsupportedSet,
     zero_regularizer,
@@ -24,6 +25,7 @@ from pfbe.sets import (
     ZeroCone,
     composite_prox,
 )
+from pfbe.problems import make_synthetic
 
 
 def _random_points(rng, dim, num, scale=5.0):
@@ -290,7 +292,7 @@ def test_composite_prox_zero_reg_projects():
 
 
 def test_composite_prox_zero_step_projects():
-    reg = ProxRegularizer(eval=lambda v: float(np.abs(v).sum()), prox=lambda z, t: z * 0)
+    reg = ProxRegularizer(eval=lambda v: np.abs(v).sum(axis=-1), prox=lambda z, t: z * 0)
     box = BoxSet([0.0], [2.0])
     assert composite_prox(reg, box, [1.5], 0.0).tolist() == [1.5]
 
@@ -300,7 +302,7 @@ def test_composite_prox_whole_space_uses_reg():
     def soft(z, t):
         return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
-    reg = ProxRegularizer(eval=lambda v: float(np.abs(v).sum()), prox=soft)
+    reg = ProxRegularizer(eval=lambda v: np.abs(v).sum(axis=-1), prox=soft)
     ws = WholeSpace(2)
     out = composite_prox(reg, ws, [2.0, -0.3], 0.5)
     assert np.allclose(out, [1.5, 0.0])
@@ -314,7 +316,7 @@ def test_composite_prox_fused_pair_uses_reg():
         return np.clip(np.sign(z) * np.maximum(np.abs(z) - t, 0.0), 0.0, 1.0)
 
     reg = ProxRegularizer(
-        eval=lambda v: float(np.abs(v).sum()), prox=fused, attached_set=box
+        eval=lambda v: np.abs(v).sum(axis=-1), prox=fused, attached_set=box
     )
     out = composite_prox(reg, box, [2.0, 0.2], 0.5)
     assert np.allclose(out, [1.0, 0.0])
@@ -427,7 +429,7 @@ def test_near_boundary_flags_one_point():
 
 def test_stacked_composite_prox_matches_each_row():
     reg = ProxRegularizer(
-        eval=lambda v: float(0.5 * (v @ v)),
+        eval=lambda v: 0.5 * (v * v).sum(axis=-1),
         prox=lambda v, t: np.asarray(v, float) / (1.0 + t),
     )
     space = WholeSpace(2)
@@ -462,11 +464,22 @@ def test_stacked_fused_prox_and_value_match_each_row():
     assert out[1].tobytes() == box.project(stack[1]).tobytes()  # a zero step projects
 
 
+def _probed_as(name: str, reg: ProxRegularizer):
+    """The probe of a problem whose ``name`` (``r1`` or ``r2``) is ``reg``, at
+    the first row of a stack of four points in two dimensions."""
+    f = make_synthetic(2, 2, 1.0, 1).lifted.base.g
+    prob = MinimaxProblem(f=f, X=WholeSpace(2), Y=WholeSpace(2), **{name: reg})
+    z = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0], [0.0, 2.0]])
+    return lambda: prob.probe(z, z)
+
+
 def test_regularizer_value_that_takes_one_point_only_is_rejected():
     reg = ProxRegularizer(eval=lambda v: float(np.abs(v).sum()), prox=lambda z, t: z)
     assert reg.value(np.array([1.0, -2.0])) == 3.0
-    with pytest.raises(DimensionError, match="ProxRegularizer.eval returned shape"):
-        reg.value(np.ones((4, 2)))
+    for name in ("r1", "r2"):
+        with pytest.raises(DimensionError, match=rf"MinimaxProblem.{name}.eval returned shapes "
+                                                 r"\(\), \(\) and \(\) for a 2-row stack"):
+            _probed_as(name, reg)()
 
 
 def test_regularizer_value_of_one_entry_at_one_point_is_named():
@@ -479,14 +492,17 @@ def test_regularizer_value_of_one_entry_at_one_point_is_named():
 
 def test_regularizer_prox_that_takes_one_point_only_is_rejected():
     # a prox that reads the first row of a stack gives one row where the
-    # stack has four; composite_prox names it instead of broadcasting it
-    def first_row(z, t):
-        z = np.atleast_2d(z)[0]
-        return np.sign(z) * np.maximum(np.abs(z) - np.ravel(t)[0], 0.0)
+    # stack has two; the probe names it, with a column of steps or one float
+    for steps in ("column", "float"):
+        def first_row(z, t):
+            if np.ndim(z) > 1 and (steps == "float") == (np.ndim(t) == 0):
+                z, t = z[0], np.ravel(t)[0]
+            return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
-    reg = ProxRegularizer(eval=lambda v: np.abs(v).sum(axis=-1), prox=first_row)
-    z = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0], [0.0, 2.0]])
-    assert composite_prox(reg, WholeSpace(2), z[0], 0.5).tolist() == [0.5, -1.5]
-    for step in (0.5, np.array([[0.5], [0.0], [1.0], [2.0]])):
-        with pytest.raises(DimensionError, match="ProxRegularizer.prox returned shape"):
-            composite_prox(reg, WholeSpace(2), z, step)
+        reg = ProxRegularizer(eval=lambda v: np.abs(v).sum(axis=-1), prox=first_row)
+        point = np.array([1.0, -2.0])
+        assert composite_prox(reg, WholeSpace(2), point, 0.5).tolist() == [0.5, -1.5]
+        for name in ("r1", "r2"):
+            with pytest.raises(DimensionError, match=rf"MinimaxProblem.{name}.prox returned "
+                                                     r"shapes \(2,\), \(2,\) and \(2,\) for"):
+                _probed_as(name, reg)()

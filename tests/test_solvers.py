@@ -218,9 +218,10 @@ def test_spg_unnormalized_stat_mode():
 
 def test_spg_step_failure_on_inconsistent_oracle():
     # gradient oracle points uphill: every line-search candidate
-    # increases the objective, so the search must exhaust and stop
+    # increases the objective, so the search must exhaust and stop; n = p = 1,
+    # and each callable takes a point or a stack
     f = FunctionOracle(
-        eval=lambda x, y: float(x @ x - 0.5 * y @ y),
+        eval=lambda x, y: x[..., 0] ** 2 - 0.5 * y[..., 0] ** 2,
         grad_x=lambda x, y: -2.0 * np.asarray(x, float),  # wrong sign
         grad_y=lambda x, y: -np.asarray(y, float),
         lipschitz_grad=2.0,
@@ -236,14 +237,16 @@ def test_spg_step_failure_on_inconsistent_oracle():
 
 
 def _exp_saddle():
-    # f = exp(x) + x y - y^2/2: a long first step overflows exp
+    # f = exp(x) + x y - y^2/2: a long first step overflows exp; each
+    # callable takes a point or a stack
     def f_val(x, y):
+        x, y = x[..., 0], y[..., 0]
         with np.errstate(over="ignore"):
-            return float(np.exp(x[0]) + x[0] * y[0] - 0.5 * y[0] ** 2)
+            return np.exp(x) + x * y - 0.5 * y ** 2
 
     def g_x(x, y):
         with np.errstate(over="ignore"):
-            return np.array([np.exp(x[0]) + y[0]])
+            return np.exp(x) + y
 
     f = FunctionOracle(
         eval=f_val,
@@ -273,10 +276,11 @@ def test_spg_non_finite_trial_is_a_rejected_step(monkeypatch):
 
 def test_spg_stalled_when_prox_step_leaves_iterate_unchanged(monkeypatch):
     # grad_x Xi = 1e-8 at y = 0: a step of 1e-10 moves x = 1 by 1e-18,
-    # below the rounding of 1.0, while the unit-step residual is 1e-8
+    # below the rounding of 1.0, while the unit-step residual is 1e-8; each
+    # callable takes a point or a stack
     f = FunctionOracle(
-        eval=lambda x, y: float(1e-8 * x[0] - 0.5 * y @ y),
-        grad_x=lambda x, y: np.array([1e-8]),
+        eval=lambda x, y: 1e-8 * x[..., 0] - 0.5 * y[..., 0] ** 2,
+        grad_x=lambda x, y: np.full(np.shape(x), 1e-8),
         grad_y=lambda x, y: -np.asarray(y, float),
         lipschitz_grad=1.0,
         strong_concavity=1.0,
@@ -349,6 +353,10 @@ def _count_as_points(monkeypatch):
 # at the start and at each block of iterates: the stacked evaluation checks
 # x and y and projects T onto Y, and the residual test projects onto X and Y
 AS_POINTS_PER_TEST = 5
+# the probe at the start of a solve calls each callable of f on a 2-row stack
+# and on each row alone; it checks x and y and projects twice onto X and Y
+PROBE_CALLS = 3
+PROBE_AS_POINTS = 6
 # k = 7 and half a block (and 5 more) leave the block unfilled, TEST_POINTS
 # fills it exactly, and 5 more iterates need a second one
 BUDGETS = [7, solvers.TEST_POINTS // 2, solvers.TEST_POINTS // 2 + 5,
@@ -369,10 +377,10 @@ def test_gda_oracle_calls_per_block(monkeypatch, k):
     # tested evaluation
     blocks = -(-k // solvers.TEST_POINTS)
     assert calls == [True] * (blocks + 1)
-    assert counts == {"eval": 0, "grad_x": k - blocks, "grad_y": k - blocks,
-                      "first_order": blocks + 1}
+    assert counts == {"eval": PROBE_CALLS, "grad_x": k - blocks + PROBE_CALLS,
+                      "grad_y": k - blocks + PROBE_CALLS, "first_order": blocks + 1 + PROBE_CALLS}
     # a step checks each of its two prox points once, in its projection
-    assert len(checks) == 2 * k + AS_POINTS_PER_TEST * (blocks + 1)
+    assert len(checks) == 2 * k + AS_POINTS_PER_TEST * (blocks + 1) + PROBE_AS_POINTS
 
 
 @pytest.mark.parametrize("k", BUDGETS)
@@ -388,10 +396,11 @@ def test_subgda_oracle_calls_per_block(monkeypatch, k):
     # prox_step, a point never evaluated
     blocks = -(-k // solvers.TEST_POINTS)
     assert calls == [True] * (blocks + 1)
-    assert counts == {"eval": 0, "grad_x": k - blocks, "grad_y": k, "first_order": blocks + 1}
+    assert counts == {"eval": PROBE_CALLS, "grad_x": k - blocks + PROBE_CALLS,
+                      "grad_y": k + PROBE_CALLS, "first_order": blocks + 1 + PROBE_CALLS}
     # a step checks x+ in its projection, (x+, y) in prox_step and the
     # point it projects onto Y
-    assert len(checks) == 4 * k + AS_POINTS_PER_TEST * (blocks + 1)
+    assert len(checks) == 4 * k + AS_POINTS_PER_TEST * (blocks + 1) + PROBE_AS_POINTS
 
 
 @pytest.mark.parametrize("k", [7, solvers.TEST_POINTS])
@@ -404,12 +413,13 @@ def test_stacked_gda_pilot_checks_points_once_per_prox(monkeypatch, k):
         grid=grid, pilot_iters=k,
     )
     assert all(np.isfinite(list(scores.values())))
-    # the start point once at entry; then each stacked step as one GDA step,
-    # whatever the number of pilots, and each block as one test
+    # the start point once at entry; then the probe at the first pilot's
+    # start, each stacked step as one GDA step, whatever the number of
+    # pilots, and each block as one test
     blocks = -(-k // (solvers.TEST_POINTS // len(grid)))
-    assert counts == {"eval": 0, "grad_x": k - blocks, "grad_y": k - blocks,
-                      "first_order": blocks + 1}
-    assert len(checks) == 2 + 2 * k + AS_POINTS_PER_TEST * (blocks + 1)
+    assert counts == {"eval": PROBE_CALLS, "grad_x": k - blocks + PROBE_CALLS,
+                      "grad_y": k - blocks + PROBE_CALLS, "first_order": blocks + 1 + PROBE_CALLS}
+    assert len(checks) == 2 + 2 * k + AS_POINTS_PER_TEST * (blocks + 1) + PROBE_AS_POINTS
 
 
 def test_spg_evaluates_each_point_once(monkeypatch):
@@ -430,10 +440,11 @@ def test_spg_evaluates_each_point_once(monkeypatch):
     assert len(trials) > res.iter  # at least one rejected trial
     # one value evaluation per trial plus the start, each one bundle call
     # that gives f, grad_x f and grad_y f; no separate call on SPG's path
-    assert counts["first_order"] == len(trials) + 1
-    assert counts["eval"] == 0
-    assert counts["grad_y"] == 0
-    assert counts["grad_x"] == 0
+    # but the probe's at the start
+    assert counts["first_order"] == len(trials) + 1 + PROBE_CALLS
+    assert counts["eval"] == PROBE_CALLS
+    assert counts["grad_y"] == PROBE_CALLS
+    assert counts["grad_x"] == PROBE_CALLS
 
 
 def test_spg_products_with_B(monkeypatch):
@@ -468,7 +479,9 @@ def test_spg_products_with_B(monkeypatch):
     assert all(products)  # every product is one with B or B^T
     assert len(moving) == res.iter + 1  # the start and each accepted trial
     assert len(evaluations) > res.iter + 1  # at least one rejected trial
-    assert len(products) == 2 * len(evaluations) + sum(moving)
+    # and the probe at the start: one product in each call of eval, grad_x,
+    # grad_y and hvp_xy, two in each of first_order, three calls of each
+    assert len(products) == 2 * len(evaluations) + sum(moving) + 6 * PROBE_CALLS
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +565,7 @@ def test_minimax_problem_rejects_a_set_that_is_not_a_box():
             return np.where(np.abs(z - 1.0) < np.abs(z + 1.0), 1.0, -1.0)
 
     f = FunctionOracle(
-        eval=lambda x, y: float(x @ y - 0.5 * y @ y),
+        eval=lambda x, y: x[..., 0] * y[..., 0] - 0.5 * y[..., 0] ** 2,
         grad_x=lambda x, y: np.asarray(y, float).copy(),
         grad_y=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
         lipschitz_grad=2.0,
@@ -632,18 +645,14 @@ _EXAMPLE1_C_ONE_POINT = {
 )
 def test_gda_on_a_lift_names_a_callable_that_takes_one_point_only(part, name):
     # the lift subtracts c's terms from g's, which would broadcast the one
-    # row of such a callable over the stack; it names the callable instead
+    # row of such a callable over a GDA block; the coupled problem's probe
+    # names the callable when it is built, before any lift or solve
     base = make_example1().lifted.base
-    if part == "g":
-        coupled = replace(base, g=_example1_style_oracle(name))
-    else:
-        coupled = replace(base, c=replace(base.c, **{name: _EXAMPLE1_C_ONE_POINT[name]}))
-    lifted = lift(coupled, lipschitz_grad=5000.0)
-    prob, (z0, y0) = lifted.problem, lifted.default_start()
-    cfg = EnvelopeConfig.for_problem(prob)
-    evaluate(prob, cfg, z0, y0)  # one point is fine
     with pytest.raises(DimensionError, match=f"CoupledProblem.{part}.{name} returned shape"):
-        solve_gda_baseline(prob, cfg, SolverConfig(max_iter=50), z0, y0)
+        if part == "g":
+            replace(base, g=_example1_style_oracle(name))
+        else:
+            replace(base, c=replace(base.c, **{name: _EXAMPLE1_C_ONE_POINT[name]}))
 
 
 def test_gda_respects_custom_steps():
