@@ -127,13 +127,13 @@ def row_dot(u, v):
     """``u @ v`` along the last axis: a float for two 1-D arrays, one value
     per row otherwise (a 1-D operand pairs with every row of the other).
 
-    Each row gets the bits of the 1-D ``u @ v``: the stacked ``@`` of
-    ``(1, d)`` by ``(d, 1)`` blocks runs the same dot kernel, where
-    ``einsum`` or ``np.sum(u * v, axis=-1)`` round differently.
+    Each row gets the bits of the 1-D ``u @ v`` through ``np.vecdot``
+    (``tests/test_problems.py`` pins this), where ``einsum`` or
+    ``np.sum(u * v, axis=-1)`` round differently.
     """
     if u.ndim == 1 and v.ndim == 1:
         return float(u @ v)
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+    return np.vecdot(u, v)
 
 
 def as_values(what: str, value, one: bool):

@@ -84,10 +84,10 @@ def _pad(v: Vector, dim: int) -> Vector:
 
 
 def _matvec(A: np.ndarray, v: Vector) -> Vector:
-    """``A @ v`` for a vector, and for each row of a stack (the stacked
-    matrix-vector products keep the bits of the 1-D one; ``v @ A.T`` would
+    """``A @ v`` for a vector, and for each row of a stack (``np.matvec``
+    keeps the bits of the 1-D product in every row; ``v @ A.T`` would
     not)."""
-    return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
+    return np.matvec(A, v)
 
 
 def _zero_hvp_xy_lam(x, y, lam, v) -> Vector:

@@ -6,8 +6,7 @@ kinds:
 
 * a fixed-step rule (two-timescale, GDA) maps the points of the iterate
   to the :class:`Points` of the next iterate, from its own oracle calls
-  or from the gradients of ``f`` that the loop hands over with a tested
-  iterate;
+  at those points;
 * a rule that needs the envelope gradient to step (SPG) maps the
   gradient-bearing :class:`EnvelopeEval` at the iterate to the one at
   the next iterate.
@@ -41,7 +40,6 @@ import numpy as np
 
 from .core import (
     DimensionError,
-    FunctionOracle,
     MinimaxProblem,
     NonFiniteValue,
     Vector,
@@ -62,14 +60,10 @@ from .sets import composite_prox
 
 class Points(NamedTuple):
     """An iterate as a fixed-step rule sees it: one point, or a stack with
-    one point per run left. ``grad_x_f`` and ``grad_y_f`` hold the
-    gradients of ``f`` there when the loop has evaluated the iterate, and
-    are None for the iterates a rule produces."""
+    one point per run left."""
 
     x: Vector
     y: Vector
-    grad_x_f: Optional[Vector] = None
-    grad_y_f: Optional[Vector] = None
 
 
 Iterate = Union[EnvelopeEval, Points]
@@ -200,9 +194,9 @@ class _Runs:
         """Test the iterates ``k0 .. k0 + m - 1`` held by ``ev``, iterate by
         iterate and one row per run left within each, and end each run at
         its first iterate that passes ``gtol``, goes non-finite or reaches
-        the budget. Return the last iterate of the runs left, with its
-        gradients of ``f``, or None when no run is left. A run from one
-        point raises at a non-finite iterate."""
+        the budget. Return the points of the last iterate of the runs left,
+        or None when no run is left. A run from one point raises at a
+        non-finite iterate."""
         if ev.finite is None:  # one iterate of a run from one point, evaluated alone
             stat = prox_grad_residual(self.problem, self.cfg, ev, self.ref)
             if self.scfg.record_trace:
@@ -246,14 +240,13 @@ class _Runs:
         self.iter[runs] = iters
         self.stat[self.left] = np.where(ok, stat[at], np.inf)
         self.converged[self.left] = passed[at] & ok
-        if hit.any():  # else left stays the same array, as _iterate_first_order promises
-            at = at[~hit]
-            self.left = self.left[~hit]
+        at = at[~hit]
+        self.left = self.left[~hit]
         if not self.left.size:
             return None
         if self.one:
             at = at[0]
-        return Points(ev.x[at], ev.y[at], ev.grad_x_f[at], ev.grad_y_f[at])
+        return Points(ev.x[at], ev.y[at])
 
     def fail(self, failure: str) -> None:
         """End every run left with ``failure``, at its last tested iterate."""
@@ -299,17 +292,16 @@ def _iterate_first_order(
     last finite iterate and ``stat = inf``, with failure
     ``"NonFiniteValue"``); the loop ends when no row is left. ``step``
     gets the start-stack indices of the rows of its iterate (None for one
-    point), the same array until a run leaves, and returns, for a stack,
-    one row per run left.
+    point) and returns, for a stack, one row per run left.
 
     :class:`Points` returned by ``step`` are collected into a block of up
     to :meth:`_Runs.block` iterates and tested as one stacked evaluation;
     the runs a block ends keep the bits, iterate counts and trace that
     testing each iterate in turn gives, while ``step`` may have advanced
-    the block past their stop. The first step of a block gets the last
-    tested iterate with its gradients of ``f``. When ``step`` raises
-    :class:`NonFiniteValue`, the iterates collected so far are tested
-    first, and the error propagates only if a run is left. An oracle that
+    the block past their stop. The first step of a block gets the points
+    of the last tested iterate. When ``step`` raises :class:`NonFiniteValue`,
+    the iterates collected so far are tested first, and the error
+    propagates only if a run is left. An oracle that
     raises anything else (rather than returning a nan or inf) at a point a
     block reaches past a run's stop ends the call with that error. ``cfg``
     and ``scfg`` were checked when they were built; the one rule that
@@ -353,13 +345,6 @@ def _iterate_first_order(
         if error is not None and it is not None:
             raise error
     return runs.result(time.perf_counter() - started)
-
-
-def _grad_f(f: FunctionOracle, name: str, it: Iterate):
-    """``grad_x f`` or ``grad_y f`` (``name``) at the iterate, as float64,
-    from its evaluation when it has one."""
-    known = getattr(it, name + "_f")
-    return np.asarray(getattr(f, name)(it.x, it.y), dtype=np.float64) if known is None else known
 
 
 def solve_spg(
@@ -464,7 +449,7 @@ def solve_subgda(
         raise ValueError(f"eta_y={ey} is outside [0, eta] for the envelope step eta={cfg.eta}")
 
     def step(k: int, it: Iterate, rows) -> Points:
-        gx = _grad_f(problem.f, "grad_x", it)
+        gx = np.asarray(problem.f.grad_x(it.x, it.y), dtype=np.float64)
         x_new = composite_prox(problem.r1, problem.X, it.x - ex * gx, ex)
         _, R = prox_step(problem, cfg, x_new, it.y)
         return Points(x_new, it.y + ey * R)
@@ -475,18 +460,16 @@ def solve_subgda(
 def _gda_step(problem: MinimaxProblem, eta_x, eta_y) -> StepRule:
     """Simultaneous prox-gradient descent in x and ascent in y on ``f``
     with constant steps: floats, or for a stack columns with one step per
-    start row, of which each step takes the rows of the runs left (taken
-    anew only when ``rows`` is another array, that is, when a run left)."""
+    start row, of which each step takes the rows of the runs left."""
     f = problem.f
     per_row = isinstance(eta_x, np.ndarray)
-    seen, tx, ty = None, eta_x, eta_y
 
     def step(k: int, it: Iterate, rows) -> Points:
-        nonlocal seen, tx, ty
-        if per_row and rows is not seen:
-            seen, tx, ty = rows, eta_x[rows], eta_y[rows]
-        x_new = composite_prox(problem.r1, problem.X, it.x - tx * _grad_f(f, "grad_x", it), tx)
-        y_new = composite_prox(problem.r2, problem.Y, it.y + ty * _grad_f(f, "grad_y", it), ty)
+        tx, ty = (eta_x[rows], eta_y[rows]) if per_row else (eta_x, eta_y)
+        gx = np.asarray(f.grad_x(it.x, it.y), dtype=np.float64)
+        gy = np.asarray(f.grad_y(it.x, it.y), dtype=np.float64)
+        x_new = composite_prox(problem.r1, problem.X, it.x - tx * gx, tx)
+        y_new = composite_prox(problem.r2, problem.Y, it.y + ty * gy, ty)
         return Points(x_new, y_new)
 
     return step
@@ -534,7 +517,8 @@ def select_gda_step(
     which a pilot whose evaluation went non-finite scores ``inf``. An
     empty grid, an entry that is not a finite positive real number (a
     bool is not), or a ``pilot_iters`` that is not an integer ``>= 0``
-    raises ``ValueError``.
+    raises ``ValueError``; a stack of starts raises
+    :class:`DimensionError`, since the pilots all run from one point.
 
     The pilots run together as the rows of one stacked iterate, each with
     its own step, and each row leaves when its pilot ends; every row
@@ -547,6 +531,8 @@ def select_gda_step(
     budget = scfg.max_iter if pilot_iters is None else check_int("pilot_iters", pilot_iters, 0)
     pilot_cfg = replace(scfg, max_iter=budget, record_trace=False)
     x0, y0 = problem.check_point(x0, y0)
+    if x0.ndim > 1:
+        raise DimensionError(f"select_gda_step runs from one point, got a stack of {len(x0)}")
     column = np.array(steps)[:, None]
     step = _gda_step(problem, column, column)
     with np.errstate(over="ignore", invalid="ignore"):  # diverging rows score inf

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pfbe import problems
+from pfbe.core import row_dot
 from pfbe.problems import (
     Example1Instance,
     SyntheticInstance,
@@ -155,6 +156,27 @@ def test_synthetic_oracle_formulas():
         # the constraint is affine in y with a constant coefficient
         assert np.array_equal(con.hvp_xy_lam(x, y, lam, v), np.zeros(5))
         assert np.array_equal(con.hvp_yy_lam(x, y, lam, v), np.zeros(3))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 20])
+@pytest.mark.parametrize("n, p", [(1, 1), (2, 5), (33, 20), (50, 50)])
+def test_stacked_products_give_each_row_its_1d_bits(n, p, rows):
+    # every stacked oracle call rests on these two products keeping, row by
+    # row, the bits of the one-point call
+    rng = np.random.default_rng(n * p + rows)
+    B = rng.standard_normal((n, p))
+    for A in (B, B.T):
+        V = rng.standard_normal((rows, A.shape[1]))
+        out = problems._matvec(A, V)
+        assert out.shape == (rows, A.shape[0])
+        for r in range(rows):
+            assert out[r].tobytes() == problems._matvec(A, V[r]).tobytes()
+    U, W = rng.standard_normal((2, rows, n + p))
+    for u, w in ((U, W), (U[0], W), (U, W[0])):  # a 1-D operand pairs with every row
+        out = row_dot(u, w)
+        assert out.shape == (rows,) and out.dtype == np.float64
+        for r, (ur, wr) in enumerate(zip(*np.broadcast_arrays(u, w))):
+            assert out[r] == row_dot(ur, wr)
 
 
 def _along(fn, x, y, v, *rest, h=1e-3):

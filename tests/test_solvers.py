@@ -372,13 +372,12 @@ def test_gda_oracle_calls_per_block(monkeypatch, k):
     res = solve_gda_baseline(prob, cfg, scfg, np.array([0.5, 0.25]), np.array([0.1]))
     assert res.iter == k
     # one evaluation of the start, then one stacked evaluation per block of
-    # iterates, each one bundle call; a step calls grad_x f and grad_y f
-    # itself, except the first of a block, which takes them from the last
-    # tested evaluation
+    # iterates, each one bundle call; every step calls grad_x f and grad_y f
+    # at its iterate's points
     blocks = -(-k // solvers.TEST_POINTS)
     assert calls == [True] * (blocks + 1)
-    assert counts == {"eval": PROBE_CALLS, "grad_x": k - blocks + PROBE_CALLS,
-                      "grad_y": k - blocks + PROBE_CALLS, "first_order": blocks + 1 + PROBE_CALLS}
+    assert counts == {"eval": PROBE_CALLS, "grad_x": k + PROBE_CALLS,
+                      "grad_y": k + PROBE_CALLS, "first_order": blocks + 1 + PROBE_CALLS}
     # a step checks each of its two prox points once, in its projection
     assert len(checks) == 2 * k + AS_POINTS_PER_TEST * (blocks + 1) + PROBE_AS_POINTS
 
@@ -396,7 +395,7 @@ def test_subgda_oracle_calls_per_block(monkeypatch, k):
     # prox_step, a point never evaluated
     blocks = -(-k // solvers.TEST_POINTS)
     assert calls == [True] * (blocks + 1)
-    assert counts == {"eval": PROBE_CALLS, "grad_x": k - blocks + PROBE_CALLS,
+    assert counts == {"eval": PROBE_CALLS, "grad_x": k + PROBE_CALLS,
                       "grad_y": k + PROBE_CALLS, "first_order": blocks + 1 + PROBE_CALLS}
     # a step checks x+ in its projection, (x+, y) in prox_step and the
     # point it projects onto Y
@@ -417,8 +416,8 @@ def test_stacked_gda_pilot_checks_points_once_per_prox(monkeypatch, k):
     # start, each stacked step as one GDA step, whatever the number of
     # pilots, and each block as one test
     blocks = -(-k // (solvers.TEST_POINTS // len(grid)))
-    assert counts == {"eval": PROBE_CALLS, "grad_x": k - blocks + PROBE_CALLS,
-                      "grad_y": k - blocks + PROBE_CALLS, "first_order": blocks + 1 + PROBE_CALLS}
+    assert counts == {"eval": PROBE_CALLS, "grad_x": k + PROBE_CALLS,
+                      "grad_y": k + PROBE_CALLS, "first_order": blocks + 1 + PROBE_CALLS}
     assert len(checks) == 2 + 2 * k + AS_POINTS_PER_TEST * (blocks + 1) + PROBE_AS_POINTS
 
 
@@ -741,6 +740,16 @@ def test_select_gda_step_tie_breaks_to_smaller():
     best, scores = select_gda_step(prob, cfg, scfg, z0, y0, pilot_iters=10)
     assert best == DEFAULT_GDA_GRID[0]
     assert len(set(scores.values())) == 1
+
+
+def test_select_gda_step_rejects_a_stack_of_starts():
+    inst = make_synthetic(3, 3, 1.0, 1)
+    prob = inst.lifted.problem
+    cfg = EnvelopeConfig.for_problem(prob)
+    z0, y0 = inst.lifted.default_start()
+    with pytest.raises(DimensionError, match="one point, got a stack of 2"):
+        select_gda_step(prob, cfg, SolverConfig(max_iter=5), np.tile(z0, (2, 1)),
+                        np.tile(y0, (2, 1)), grid=[0.1, 0.2])
 
 
 def test_select_gda_step_empty_grid():
