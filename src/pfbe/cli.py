@@ -234,15 +234,13 @@ def rows_to_csv(rows) -> str:
     return "\n".join([CSV_HEADER] + [r.csv() for r in rows]) + "\n"
 
 
-def print_table(rows) -> None:
-    cols = CSV_HEADER.split(",")
+def print_table(rows, out_path: Optional[str]) -> None:
+    """The rows as a table, on stderr when their CSV goes to stdout (no ``out_path``)."""
     widths = [8, 5, 5, 6, 5, 11, 7, 10, 10, 8]
-    head = "  ".join(c.rjust(w) for c, w in zip(cols, widths))
-    print(head)
-    print("-" * len(head))
-    for r in rows:
-        cells = r.csv().split(",")
-        print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
+    lines = ["  ".join(c.rjust(w) for c, w in zip(line.split(","), widths))
+             for line in rows_to_csv(rows).splitlines()]
+    lines.insert(1, "-" * len(lines[0]))
+    print("\n".join(lines), file=sys.stdout if out_path else sys.stderr)
 
 
 def _exit_code(rows) -> int:
@@ -280,7 +278,7 @@ def cmd_run(args) -> int:
     if _no_output_dir(out):
         return 1
     rows = [run_single(cfg, s) for s in cfg.solvers for _ in range(cfg.repeats)]
-    print_table(rows)
+    print_table(rows, out)
     return _write_output(rows, out) or _exit_code(rows)
 
 
@@ -322,8 +320,10 @@ def cmd_sweep(args) -> int:
 
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawned, not forked: the parent already runs threads (BLAS's)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             rows = list(pool.map(_sweep_job, jobs))
     else:
         rows = [_sweep_job(j) for j in jobs]
@@ -333,7 +333,7 @@ def cmd_sweep(args) -> int:
         key=lambda i: (rows[i].n, rows[i].p, rows[i].c, rows[i].solver, rows[i].seed, i),
     )
     rows = [rows[i] for i in order]
-    print_table(rows)
+    print_table(rows, args.out)
     return _write_output(rows, args.out) or _exit_code(rows)
 
 
@@ -353,7 +353,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run the solvers from one JSON config")
     p_run.add_argument("--config", required=True, help="path to a run config JSON")
-    p_run.add_argument("--out", default=None, help="CSV output path (default: stdout)")
+    p_run.add_argument("--out", help="CSV output path (default: stdout; the table then to stderr)")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run every config in a directory")

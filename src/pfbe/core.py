@@ -19,9 +19,9 @@ Conventions used across the package:
   point per row) and returns one value, gradient or product per row with
   the bits of that row's own call (:func:`row_dot` keeps them for dot
   products); a ``prox`` takes a float step or a column of per-row steps.
-  This is probed once, not per call: a :class:`CoupledProblem` probes ``g``,
-  ``c`` and ``r1`` when it is built, and every solve probes ``f``, ``r1``
-  and ``r2`` at its start (:meth:`MinimaxProblem.probe`).
+  This is probed once, not per call: a :class:`MinimaxProblem` probes
+  ``f``, ``r1`` and ``r2``, and a :class:`CoupledProblem` ``g``, ``c`` and
+  ``r1``, when it is built.
 """
 
 from __future__ import annotations
@@ -157,23 +157,24 @@ _REGULARIZER_CALLS = {z: (("eval", z, "s"), ("prox", z + "t", z), ("prox", z + "
                       for z in "xy"}
 
 
-def _probe(points: dict, *owners) -> None:
+def _probe(boxes: dict, *owners) -> None:
     """Probe the calling convention: call each callable that an ``(owner,
-    obj, calls)`` of ``owners`` names, unless it is None, on 2-row stacks and
-    on each of their rows alone, and raise :class:`DimensionError` naming it
-    unless each part of the result has one row per point with that row's
-    bytes. For each ``(box, z)`` of ``points``, a stack holds ``z`` and a
-    point of the box that differs from it in each coordinate the box leaves
-    free."""
-    v = 1.0 / (2.0 + np.arange(points["y"][0].dim))  # two y-directions, and steps
+    obj, calls)`` of ``owners`` names, unless it is None or ``obj`` is a zero
+    regularizer, on 2-row stacks and on each of their rows alone, and raise
+    :class:`DimensionError` naming it unless each part of the result has one
+    row per point with that row's bytes. The stack of each of ``boxes`` holds
+    its projected origin and a point of it that differs in each free coordinate."""
+    v = 1.0 / (2.0 + np.arange(boxes["y"].dim))  # two y-directions, and steps
     stacks = {"v": (np.stack([v, -v[::-1]]), v, -v[::-1]),
               "t": (np.array([[0.5], [0.25]]), 0.5, 0.25), "u": (0.5, 0.5, 0.5)}
-    for name, (box, z) in points.items():
+    for name, box in boxes.items():
+        z = box.project(np.zeros(box.dim))
         step = (1.0 + np.abs(z)) / (2.0 + np.arange(box.dim))  # distinct fractions of 1 + |z|
         up = box.project(z + step)
         pair = np.stack([z, np.where(up != z, up, box.project(z - step))])
         stacks[name] = (pair, *pair)
     cases = [(f"{owner}.{name}", getattr(obj, name), args, out) for owner, obj, calls in owners
+             if not getattr(obj, "is_zero", False)  # no solve calls a zero regularizer
              for name, args, out in calls if getattr(obj, name) is not None]
     with np.errstate(all="ignore"):  # a probe point may overflow; its bytes still compare
         for what, fn, args, out in cases:
@@ -345,8 +346,9 @@ class MinimaxProblem:
     """min over X of max over Y of ``f(x, y) + r1(x) - r2(y)``.
 
     ``f`` must be strongly concave in ``y`` with the declared modulus, and
-    ``r1`` and ``r2`` convex; neither is verified. ``X`` and ``Y`` must be
-    :class:`BoxSet` instances, which is checked.
+    ``r1`` and ``r2`` convex; neither is verified. A set that is not a
+    :class:`BoxSet`, or a callable of ``f``, ``r1`` or ``r2`` that fails the
+    probe of the calling convention, raises when the problem is built.
     """
 
     f: FunctionOracle
@@ -357,6 +359,9 @@ class MinimaxProblem:
 
     def __post_init__(self):
         _check_boxes("MinimaxProblem", X=self.X, Y=self.Y)
+        _probe({"x": self.X, "y": self.Y}, ("FunctionOracle", self.f, _FUNCTION_CALLS),
+               ("MinimaxProblem.r1", self.r1, _REGULARIZER_CALLS["x"]),
+               ("MinimaxProblem.r2", self.r2, _REGULARIZER_CALLS["y"]))
 
     @property
     def dim_x(self) -> int:
@@ -381,15 +386,6 @@ class MinimaxProblem:
         if x.shape[:-1] != y.shape[:-1]:
             raise DimensionError(f"x and y stacks differ: {x.shape} vs {y.shape}")
         return x, y
-
-    def probe(self, x, y) -> None:
-        """Probe the calling convention of ``f``, ``r1`` and ``r2`` from the
-        point ``(x, y)``, or the first row of a stack: a callable that fails
-        raises :class:`DimensionError` naming it. Every solve probes its start."""
-        x, y = (np.atleast_2d(z)[0] for z in self.check_point(x, y))
-        _probe({"x": (self.X, x), "y": (self.Y, y)}, ("FunctionOracle", self.f, _FUNCTION_CALLS),
-               ("MinimaxProblem.r1", self.r1, _REGULARIZER_CALLS["x"]),
-               ("MinimaxProblem.r2", self.r2, _REGULARIZER_CALLS["y"]))
 
 
 @dataclass(frozen=True)
@@ -443,9 +439,7 @@ class CoupledProblem:
         if self.K.dim != self.c.dim:
             raise DimensionError(f"CoupledProblem.K has dimension {self.K.dim}, "
                                  f"but c maps to dimension {self.c.dim}")
-        # the probe of the calling convention, from the projected origin of each box
-        _probe({name: (box, box.project(np.zeros(box.dim)))
-                for name, box in (("x", self.X), ("y", self.Y), ("l", polar))},
+        _probe({"x": self.X, "y": self.Y, "l": polar},
                ("CoupledProblem.g", self.g, _FUNCTION_CALLS),
                ("CoupledProblem.c", self.c, _CONSTRAINT_CALLS),
                ("CoupledProblem.r1", self.r1, _REGULARIZER_CALLS["x"]))

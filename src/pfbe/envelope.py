@@ -40,8 +40,8 @@ lifting splits into its x, multiplier and y blocks.
 Every function here also takes a stack of points, ``x`` and ``y`` with
 one point per row, and gives each row the bits it would get alone; the
 scalar fields of :class:`EnvelopeEval` then hold one value per row. It
-passes a stack to the oracle unchecked: every solve probes the contract of
-:mod:`pfbe.core` once, at its start. A nan or inf in ``f``,
+passes a stack to the oracle unchecked: a :class:`MinimaxProblem` probes
+the contract of :mod:`pfbe.core` once, when it is built. A nan or inf in ``f``,
 ``grad_y f``, ``grad_x f`` or a Hessian-vector product always reaches
 ``gamma`` or the gradient of ``Xi``, so finiteness is checked once per
 value evaluation and once per gradient completion. At

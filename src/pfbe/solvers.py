@@ -307,12 +307,11 @@ def _iterate_first_order(
     and ``scfg`` were checked when they were built; the one rule that
     needs the problem, ``alpha`` at or above the threshold of
     ``problem.mu``, raises ``ValueError`` before the start is evaluated.
-    The loop passes stacks to ``f``, ``r1`` and ``r2``, so it first probes
-    their calling convention at the start (:meth:`MinimaxProblem.probe`).
+    The loop passes stacks to ``f``, ``r1`` and ``r2`` unchecked: the
+    problem probed their calling convention when it was built.
     """
     started = time.perf_counter()
     cfg.check_threshold(problem.mu)
-    problem.probe(x0, y0)
     ev = evaluate(problem, cfg, x0, y0, need_grad=True)
     runs = _Runs(problem, cfg, scfg, ev)
     it = runs.test(ev, 0)

@@ -141,8 +141,7 @@ def test_criterion_2_exact_stationarity_equivalence():
     # fixture A: decoupled quadratic over a box, interior and corner solutions
     rng = np.random.default_rng(2024)
     for a, x_star in ((_A_INTERIOR, _X_INTERIOR), (_A_CORNER, _X_CORNER)):
-        prob = _decoupled_quadratic(a)
-        prob.probe(x_star, _G0)  # it takes a point or a stack
+        prob = _decoupled_quadratic(a)  # which probes that it takes a point or a stack
         cfg = EnvelopeConfig.for_problem(prob)
         pts = [(x_star.copy(), _G0.copy())]
         for _ in range(5):  # inward nudges exercise the small-residual regime

@@ -4,6 +4,7 @@ Runs use tiny instances so the whole module stays fast; determinism is
 asserted by comparing emitted CSV bytes with the timing column removed.
 """
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -231,6 +232,18 @@ def test_cmd_run_writes_csv(tmp_path, capsys):
     assert "solver" in table and "spg" in table
 
 
+def test_cmd_run_without_out_writes_only_the_csv_to_stdout(tmp_path, capsys):
+    # `pfbe run --config c.json > rows.csv` gives the CSV alone; the table
+    # goes to stderr
+    cfg_path = _write_config(tmp_path / "cfg.json", repeats=2)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 3
+    assert all(len(line.split(",")) == len(CSV_HEADER.split(",")) for line in lines)
+    assert captured.err.split()[0] == "solver" and "spg" in captured.err
+
+
 def test_cmd_run_output_field_fallback(tmp_path):
     out_path = tmp_path / "fromcfg.csv"
     cfg_path = _write_config(tmp_path / "cfg.json", output=str(out_path))
@@ -376,6 +389,32 @@ def test_cmd_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("PFBE_THREADS", "3")
     assert main(["sweep", "--config-dir", str(d), "--out", str(out_parallel)]) == 0
     assert _strip_time(out_serial.read_text()) == _strip_time(out_parallel.read_text())
+
+
+def test_cmd_sweep_spawns_its_workers(tmp_path, monkeypatch):
+    # a forked worker would inherit the threads the parent already runs
+    # (BLAS's among them); the pool gets a spawn context
+    contexts = []
+
+    class Recording:
+        def __init__(self, max_workers, mp_context=None):
+            contexts.append(mp_context)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setenv("PFBE_THREADS", "2")
+    out = tmp_path / "agg.csv"
+    assert main(["sweep", "--config-dir", str(_sweep_dir(tmp_path)), "--out", str(out)]) == 0
+    assert [c.get_start_method() for c in contexts] == ["spawn"]
+    assert len(out.read_text().splitlines()) == 5
 
 
 def test_cmd_sweep_not_a_directory(tmp_path):

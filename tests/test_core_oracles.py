@@ -16,6 +16,7 @@ from pfbe.core import (
     IncompleteOracle,
     MinimaxProblem,
     NonFiniteValue,
+    ProxRegularizer,
     ZeroDirection,
     as_points,
     as_vector,
@@ -25,10 +26,8 @@ from pfbe.core import (
     fd_hvp_yy,
     zero_regularizer,
 )
-from pfbe.envelope import EnvelopeConfig, evaluate
 from pfbe.problems import make_synthetic
 from pfbe.sets import BoxSet, WholeSpace
-from pfbe.solvers import SolverConfig, solve_gda_baseline, solve_spg
 
 
 def _cubic_oracle():
@@ -80,8 +79,7 @@ def _mixed_rows_grad_y(x, y):
 def test_probe_names_a_callable_that_mixes_rows():
     # on a stack of two points in two dimensions the one-point grad_y returns
     # the stack's shape with its rows mixed, which a shape check passed; the
-    # probe compares values, when the coupled problem is built and when a
-    # solve starts
+    # probe compares values when the coupled or the minimax problem is built
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     y = np.array([[0.5, -1.0], [2.0, 0.25]])
     rowwise = np.array([_mixed_rows_grad_y(xr, yr) for xr, yr in zip(x, y)])
@@ -91,12 +89,32 @@ def test_probe_names_a_callable_that_mixes_rows():
     g = replace(base.g, grad_y=_mixed_rows_grad_y)
     with pytest.raises(DimensionError, match="CoupledProblem.g.grad_y returned rows"):
         replace(base, g=g)
-    prob = MinimaxProblem(f=g, X=base.X, Y=base.Y)
-    cfg = EnvelopeConfig.for_problem(prob)
-    evaluate(prob, cfg, x[0] / 4.0, y[0])  # one point is fine
-    for solve in (solve_gda_baseline, solve_spg):
-        with pytest.raises(DimensionError, match="FunctionOracle.grad_y returned rows"):
-            solve(prob, cfg, SolverConfig(max_iter=5), x[0] / 4.0, y[0])
+    with pytest.raises(DimensionError, match="FunctionOracle.grad_y returned rows"):
+        MinimaxProblem(f=g, X=base.X, Y=base.Y)
+
+
+def _first_row(fn):
+    """``fn`` reading the first row of each stacked argument: right at one
+    point, one row of results for a stack."""
+    return lambda *args: fn(*[a[0] if np.ndim(a) == 2 else a for a in args])
+
+
+_SOFT = ProxRegularizer(eval=lambda v: np.abs(v).sum(axis=-1),
+                        prox=lambda z, t: np.sign(z) * np.maximum(np.abs(z) - t, 0.0))
+
+
+@pytest.mark.parametrize("owner, name", [("f", name) for name in (
+    "eval", "grad_x", "grad_y", "hvp_yy", "hvp_xy", "first_order")]
+    + [(reg, name) for reg in ("r1", "r2") for name in ("eval", "prox")])
+def test_building_a_problem_names_a_callable_that_takes_one_point_only(owner, name):
+    base = make_synthetic(2, 2, 1.0, 1).lifted.base
+    parts = {"f": base.g, "r1": _SOFT, "r2": _SOFT}
+    fn = getattr(parts[owner], name)
+    parts[owner] = replace(parts[owner], **{name: _first_row(fn)})
+    what = "FunctionOracle" if owner == "f" else f"MinimaxProblem.{owner}"
+    with pytest.raises(DimensionError, match=rf"{what}.{name} returned shapes"):
+        MinimaxProblem(X=base.X, Y=base.Y, **parts)
+    MinimaxProblem(f=base.g, X=base.X, Y=base.Y, r1=_SOFT, r2=_SOFT)  # the callables as given
 
 
 def _coerced_points(z, dim=None, what="point"):
@@ -323,13 +341,13 @@ def test_strong_concavity_witness_quadratic():
 
 def test_minimax_problem_defaults_and_checks():
     oracle = _cubic_oracle()
+    # building it probes that the cubic oracle takes a point or a stack
     prob = MinimaxProblem(f=oracle, X=BoxSet([0.0, 0.0], [1.0, 1.0]), Y=WholeSpace(2))
     assert prob.dim_x == 2 and prob.dim_y == 2
     assert prob.mu == 1.0 and prob.lipschitz == 10.0
     assert prob.r1.is_zero and prob.r2.is_zero
     x, y = prob.check_point([0.5, 0.5], [0.0, 0.0])
     assert x.shape == (2,)
-    prob.probe(x, y)  # the cubic oracle takes a point or a stack
     with pytest.raises(DimensionError):
         prob.check_point([0.5], [0.0, 0.0])
 

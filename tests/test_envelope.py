@@ -298,14 +298,15 @@ def test_near_kink_flag_on_box_y():
 
 
 def test_nonfinite_oracle_raises():
+    # each callable takes a point or a stack, with one inf value per row
     f = FunctionOracle(
-        eval=lambda x, y: float("inf"),
-        grad_x=lambda x, y: np.zeros(1),
-        grad_y=lambda x, y: np.zeros(1),
+        eval=lambda x, y: np.full(np.shape(x)[:-1], np.inf),
+        grad_x=lambda x, y: np.zeros_like(x),
+        grad_y=lambda x, y: np.zeros_like(y),
         lipschitz_grad=1.0,
         strong_concavity=1.0,
-        hvp_yy=lambda x, y, v: np.zeros(1),
-        hvp_xy=lambda x, y, v: np.zeros(1),
+        hvp_yy=lambda x, y, v: np.zeros_like(v),
+        hvp_xy=lambda x, y, v: np.zeros_like(x),
     )
     prob = MinimaxProblem(f=f, X=WholeSpace(1), Y=WholeSpace(1))
     cfg = EnvelopeConfig(eta=1.0, alpha=2.0)
@@ -356,34 +357,28 @@ def test_stacked_evaluation_matches_each_row(name):
 
 def test_a_bundle_without_one_row_per_point_is_named():
     # a first_order bundle that reads one point only: its value is one float.
-    # The envelope passes a stack to it unchecked; the probe, which a solve
-    # makes at its start and a caller may make, names it
+    # The envelope passes a stack to it unchecked; the probe, which building
+    # the problem makes, names it
     f = _bilinear_oracle()
     f = replace(f, first_order=lambda x, y: (float(np.sum(x * y)), f.grad_x(x, y), f.grad_y(x, y)))
-    prob = MinimaxProblem(f=f, X=WholeSpace(3), Y=WholeSpace(3))
-    cfg = EnvelopeConfig.for_problem(prob)
-    xs = np.random.default_rng(8).standard_normal((4, 3))
-    evaluate(prob, cfg, xs[0], xs[1])
-    for point in ((xs[0], xs[1]), (xs, xs)):  # a stack is probed at its first row
-        with pytest.raises(DimensionError, match=r"FunctionOracle.first_order returned shapes "
-                                                 r"\(\), \(\) and \(\) for a 2-row stack"):
-            prob.probe(*point)
+    with pytest.raises(DimensionError, match=r"FunctionOracle.first_order returned shapes "
+                                             r"\(\), \(\) and \(\) for a 2-row stack"):
+        MinimaxProblem(f=f, X=WholeSpace(3), Y=WholeSpace(3))
 
 
 @pytest.mark.parametrize("oracle", ["eval", "first_order"])
 def test_a_value_of_one_entry_at_one_point_is_named(oracle):
-    # float() of a size-1 array raises a TypeError that named no callable
+    # float() of a size-1 array would raise a TypeError that names no
+    # callable; the probe, which building the problem makes, names it
     f = _bilinear_oracle()
     if oracle == "eval":
         f = replace(f, eval=lambda x, y: np.sum(x * y, keepdims=True))
     else:
         f = replace(f, first_order=lambda x, y: (
             np.sum(x * y, keepdims=True), f.grad_x(x, y), f.grad_y(x, y)))
-    prob = MinimaxProblem(f=f, X=WholeSpace(3), Y=WholeSpace(3))
-    cfg = EnvelopeConfig.for_problem(prob)
-    with pytest.raises(DimensionError, match=rf"FunctionOracle.{oracle} returned shape \(1,\), "
-                                             r"expected \(\)"):
-        evaluate(prob, cfg, np.ones(3), np.ones(3))
+    with pytest.raises(DimensionError, match=rf"FunctionOracle.{oracle} returned shapes "
+                                             r"\(1, 1\), \(1,\) and \(1,\) for a 2-row stack"):
+        MinimaxProblem(f=f, X=WholeSpace(3), Y=WholeSpace(3))
 
 
 # ---------------------------------------------------------------------------

@@ -464,13 +464,11 @@ def test_stacked_fused_prox_and_value_match_each_row():
     assert out[1].tobytes() == box.project(stack[1]).tobytes()  # a zero step projects
 
 
-def _probed_as(name: str, reg: ProxRegularizer):
-    """The probe of a problem whose ``name`` (``r1`` or ``r2``) is ``reg``, at
-    the first row of a stack of four points in two dimensions."""
+def _built_as(name: str, reg: ProxRegularizer):
+    """The build, which probes ``reg``, of a problem in two dimensions whose
+    ``name`` (``r1`` or ``r2``) is ``reg``."""
     f = make_synthetic(2, 2, 1.0, 1).lifted.base.g
-    prob = MinimaxProblem(f=f, X=WholeSpace(2), Y=WholeSpace(2), **{name: reg})
-    z = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0], [0.0, 2.0]])
-    return lambda: prob.probe(z, z)
+    return lambda: MinimaxProblem(f=f, X=WholeSpace(2), Y=WholeSpace(2), **{name: reg})
 
 
 def test_regularizer_value_that_takes_one_point_only_is_rejected():
@@ -479,7 +477,7 @@ def test_regularizer_value_that_takes_one_point_only_is_rejected():
     for name in ("r1", "r2"):
         with pytest.raises(DimensionError, match=rf"MinimaxProblem.{name}.eval returned shapes "
                                                  r"\(\), \(\) and \(\) for a 2-row stack"):
-            _probed_as(name, reg)()
+            _built_as(name, reg)()
 
 
 def test_regularizer_value_of_one_entry_at_one_point_is_named():
@@ -505,4 +503,4 @@ def test_regularizer_prox_that_takes_one_point_only_is_rejected():
         for name in ("r1", "r2"):
             with pytest.raises(DimensionError, match=rf"MinimaxProblem.{name}.prox returned "
                                                      r"shapes \(2,\), \(2,\) and \(2,\) for"):
-                _probed_as(name, reg)()
+                _built_as(name, reg)()

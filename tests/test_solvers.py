@@ -21,6 +21,7 @@ from pfbe.core import (
     NonFiniteValue,
     UnsupportedSet,
     row_dot,
+    zero_regularizer,
 )
 from pfbe.envelope import (
     EnvelopeConfig,
@@ -302,11 +303,15 @@ def test_spg_stalled_when_prox_step_leaves_iterate_unchanged(monkeypatch):
 # ---------------------------------------------------------------------------
 # oracle budget: one envelope evaluation per point
 
+# building a problem probes each callable of f on a 2-row stack and on each
+# row alone; a solve probes nothing
+PROBE_CALLS = 3
+
 
 def _counted_one_d():
-    """The 1-D problem with its oracle calls counted; the bundle
-    ``first_order`` counts as its own kind, apart from the three calls it
-    replaces."""
+    """The 1-D problem with its oracle calls counted from after the probe of
+    its build; the bundle ``first_order`` counts as its own kind, apart from
+    the three calls it replaces."""
     inst, prob, cfg = _one_d()
     counts = {"eval": 0, "grad_x": 0, "grad_y": 0, "first_order": 0}
 
@@ -320,7 +325,10 @@ def _counted_one_d():
         return call
 
     f = replace(prob.f, **{name: counted(name) for name in counts})
-    return replace(prob, f=f), cfg, counts
+    prob = replace(prob, f=f)
+    assert counts == dict.fromkeys(counts, PROBE_CALLS)
+    counts.update(dict.fromkeys(counts, 0))
+    return prob, cfg, counts
 
 
 def _count_grad_evaluations(monkeypatch):
@@ -353,10 +361,6 @@ def _count_as_points(monkeypatch):
 # at the start and at each block of iterates: the stacked evaluation checks
 # x and y and projects T onto Y, and the residual test projects onto X and Y
 AS_POINTS_PER_TEST = 5
-# the probe at the start of a solve calls each callable of f on a 2-row stack
-# and on each row alone; it checks x and y and projects twice onto X and Y
-PROBE_CALLS = 3
-PROBE_AS_POINTS = 6
 # k = 7 and half a block (and 5 more) leave the block unfilled, TEST_POINTS
 # fills it exactly, and 5 more iterates need a second one
 BUDGETS = [7, solvers.TEST_POINTS // 2, solvers.TEST_POINTS // 2 + 5,
@@ -376,10 +380,9 @@ def test_gda_oracle_calls_per_block(monkeypatch, k):
     # at its iterate's points
     blocks = -(-k // solvers.TEST_POINTS)
     assert calls == [True] * (blocks + 1)
-    assert counts == {"eval": PROBE_CALLS, "grad_x": k + PROBE_CALLS,
-                      "grad_y": k + PROBE_CALLS, "first_order": blocks + 1 + PROBE_CALLS}
+    assert counts == {"eval": 0, "grad_x": k, "grad_y": k, "first_order": blocks + 1}
     # a step checks each of its two prox points once, in its projection
-    assert len(checks) == 2 * k + AS_POINTS_PER_TEST * (blocks + 1) + PROBE_AS_POINTS
+    assert len(checks) == 2 * k + AS_POINTS_PER_TEST * (blocks + 1)
 
 
 @pytest.mark.parametrize("k", BUDGETS)
@@ -395,11 +398,10 @@ def test_subgda_oracle_calls_per_block(monkeypatch, k):
     # prox_step, a point never evaluated
     blocks = -(-k // solvers.TEST_POINTS)
     assert calls == [True] * (blocks + 1)
-    assert counts == {"eval": PROBE_CALLS, "grad_x": k + PROBE_CALLS,
-                      "grad_y": k + PROBE_CALLS, "first_order": blocks + 1 + PROBE_CALLS}
+    assert counts == {"eval": 0, "grad_x": k, "grad_y": k, "first_order": blocks + 1}
     # a step checks x+ in its projection, (x+, y) in prox_step and the
     # point it projects onto Y
-    assert len(checks) == 4 * k + AS_POINTS_PER_TEST * (blocks + 1) + PROBE_AS_POINTS
+    assert len(checks) == 4 * k + AS_POINTS_PER_TEST * (blocks + 1)
 
 
 @pytest.mark.parametrize("k", [7, solvers.TEST_POINTS])
@@ -412,13 +414,11 @@ def test_stacked_gda_pilot_checks_points_once_per_prox(monkeypatch, k):
         grid=grid, pilot_iters=k,
     )
     assert all(np.isfinite(list(scores.values())))
-    # the start point once at entry; then the probe at the first pilot's
-    # start, each stacked step as one GDA step, whatever the number of
-    # pilots, and each block as one test
+    # the start point once at entry; then each stacked step as one GDA
+    # step, whatever the number of pilots, and each block as one test
     blocks = -(-k // (solvers.TEST_POINTS // len(grid)))
-    assert counts == {"eval": PROBE_CALLS, "grad_x": k + PROBE_CALLS,
-                      "grad_y": k + PROBE_CALLS, "first_order": blocks + 1 + PROBE_CALLS}
-    assert len(checks) == 2 + 2 * k + AS_POINTS_PER_TEST * (blocks + 1) + PROBE_AS_POINTS
+    assert counts == {"eval": 0, "grad_x": k, "grad_y": k, "first_order": blocks + 1}
+    assert len(checks) == 2 + 2 * k + AS_POINTS_PER_TEST * (blocks + 1)
 
 
 def test_spg_evaluates_each_point_once(monkeypatch):
@@ -439,11 +439,7 @@ def test_spg_evaluates_each_point_once(monkeypatch):
     assert len(trials) > res.iter  # at least one rejected trial
     # one value evaluation per trial plus the start, each one bundle call
     # that gives f, grad_x f and grad_y f; no separate call on SPG's path
-    # but the probe's at the start
-    assert counts["first_order"] == len(trials) + 1 + PROBE_CALLS
-    assert counts["eval"] == PROBE_CALLS
-    assert counts["grad_y"] == PROBE_CALLS
-    assert counts["grad_x"] == PROBE_CALLS
+    assert counts == {"eval": 0, "grad_x": 0, "grad_y": 0, "first_order": len(trials) + 1}
 
 
 def test_spg_products_with_B(monkeypatch):
@@ -478,9 +474,49 @@ def test_spg_products_with_B(monkeypatch):
     assert all(products)  # every product is one with B or B^T
     assert len(moving) == res.iter + 1  # the start and each accepted trial
     assert len(evaluations) > res.iter + 1  # at least one rejected trial
-    # and the probe at the start: one product in each call of eval, grad_x,
-    # grad_y and hvp_xy, two in each of first_order, three calls of each
-    assert len(products) == 2 * len(evaluations) + sum(moving) + 6 * PROBE_CALLS
+    assert len(products) == 2 * len(evaluations) + sum(moving)
+
+
+def test_a_problem_is_probed_when_built_and_not_per_solve():
+    inst, prob, cfg = _one_d()
+    shapes = []
+    grad_x = prob.f.grad_x
+
+    def counted(x, y):
+        shapes.append(np.shape(x))
+        return grad_x(x, y)
+
+    prob = replace(prob, f=replace(prob.f, grad_x=counted))
+    assert len(shapes) == PROBE_CALLS and shapes[0] == (2, prob.dim_x)
+    # the bundle gives each evaluation its grad_x f, so only the steps call
+    # grad_x: once per iterate, at its one point, and never for a probe
+    scfg = SolverConfig(max_iter=7, eta_x=0.05, eta_y=0.05, gtol=1e-12)
+    for _ in range(2):
+        shapes.clear()
+        res = solve_gda_baseline(prob, cfg, scfg, np.array([0.5, 0.25]), np.array([0.1]))
+        assert res.iter == 7 and shapes == [(prob.dim_x,)] * 7
+
+
+def test_no_probe_or_solve_calls_a_zero_regularizer():
+    calls, zero = [], zero_regularizer()
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn)
+            return fn(*args)
+
+        return call
+
+    zero = replace(zero, eval=counted(zero.eval), prox=counted(zero.prox))
+    inst = make_synthetic(3, 3, 1.0, 1)
+    lifted = lift(replace(inst.lifted.base, r1=zero), inst.lifted.problem.lipschitz)
+    prob = replace(lifted.problem, r1=zero, r2=zero)
+    cfg = EnvelopeConfig.for_problem(prob)
+    z0, y0 = lifted.default_start()
+    scfg = SolverConfig(max_iter=20)
+    step, _ = select_gda_step(prob, cfg, scfg, z0, y0, grid=(0.01, 0.02), pilot_iters=10)
+    solve_gda_baseline(prob, cfg, replace(scfg, eta_x=step, eta_y=step), z0, y0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +653,11 @@ def _example1_style_oracle(one_d: str) -> FunctionOracle:
 @pytest.mark.parametrize("one_d", ["eval", "grad_x", "grad_y", "hvp_yy", "hvp_xy"])
 def test_gda_names_a_callable_that_takes_one_point_only(one_d):
     # a run from one point tests its iterates as a stack, which such a
-    # callable would read as one point; the envelope rejects its result
-    prob = MinimaxProblem(f=_example1_style_oracle(one_d), X=BoxSet([1.0], [10.0]),
-                          Y=WholeSpace(1))
-    cfg = EnvelopeConfig.for_problem(prob)
-    x0, y0 = np.array([2.0]), np.array([1.0])
-    evaluate(prob, cfg, x0, y0)  # one point is fine
+    # callable would read as one point; the problem's probe names it when
+    # the problem is built, before any solve
     with pytest.raises(DimensionError, match=f"FunctionOracle.{one_d} returned shape"):
-        solve_gda_baseline(prob, cfg, SolverConfig(max_iter=50), x0, y0)
+        MinimaxProblem(f=_example1_style_oracle(one_d), X=BoxSet([1.0], [10.0]),
+                       Y=WholeSpace(1))
 
 
 _EXAMPLE1_C_ONE_POINT = {
