@@ -22,8 +22,10 @@ final penalized objective, ``stat`` the normalized residual, and
 instance itself has no level parameter). Numeric fields use ``%.2e``
 so repeated runs are byte-identical apart from ``time_s``.
 
-Exit codes: 0 success, 1 invalid config or usage (also an output that
-cannot be written), 2 solver failure.
+Exit codes: 0 success; 1 invalid config or usage, or an output that
+cannot be written (a path in a missing directory, or one that is a
+directory, fails before any solve); 2: a solve failed; the CSV still
+holds every row.
 ``PFBE_THREADS`` caps sweep parallelism: unset means serial, and a value
 that is not a positive integer is an invalid config. Row order is
 ``(n, p, c, solver, seed)`` regardless of scheduling.
@@ -248,9 +250,13 @@ def _exit_code(rows) -> int:
 
 
 def _no_output_dir(out_path: Optional[str]) -> bool:
-    """Report, as one line before any solve, an ``out_path`` in a missing directory."""
+    """Report, as one line before any solve, an ``out_path`` in a missing
+    directory or that is a directory."""
     if out_path and not Path(out_path).parent.is_dir():
         print(f"cannot write output: no directory {Path(out_path).parent}", file=sys.stderr)
+        return True
+    if out_path and Path(out_path).is_dir():
+        print(f"cannot write output: {out_path} is a directory", file=sys.stderr)
         return True
     return False
 

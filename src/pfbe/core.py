@@ -162,8 +162,10 @@ def _probe(boxes: dict, *owners) -> None:
     obj, calls)`` of ``owners`` names, unless it is None or ``obj`` is a zero
     regularizer, on 2-row stacks and on each of their rows alone, and raise
     :class:`DimensionError` naming it unless each part of the result has one
-    row per point with that row's bytes. The stack of each of ``boxes`` holds
-    its projected origin and a point of it that differs in each free coordinate."""
+    row per point with that row's bytes, and each part of a bundle the bytes
+    of its separate call, called before it on the same stacks. The stack of
+    each of ``boxes`` holds its projected origin and a point of it that
+    differs in each free coordinate."""
     v = 1.0 / (2.0 + np.arange(boxes["y"].dim))  # two y-directions, and steps
     stacks = {"v": (np.stack([v, -v[::-1]]), v, -v[::-1]),
               "t": (np.array([[0.5], [0.25]]), 0.5, 0.25), "u": (0.5, 0.5, 0.5)}
@@ -173,13 +175,16 @@ def _probe(boxes: dict, *owners) -> None:
         up = box.project(z + step)
         pair = np.stack([z, np.where(up != z, up, box.project(z - step))])
         stacks[name] = (pair, *pair)
-    cases = [(f"{owner}.{name}", getattr(obj, name), args, out) for owner, obj, calls in owners
+    cases = [(owner, name, getattr(obj, name), args, out) for owner, obj, calls in owners
              if not getattr(obj, "is_zero", False)  # no solve calls a zero regularizer
              for name, args, out in calls if getattr(obj, name) is not None]
+    seen = {}  # the bytes of each call on the stacks, by owner, callable and stacks
     with np.errstate(all="ignore"):  # a probe point may overflow; its bytes still compare
-        for what, fn, args, out in cases:
+        for owner, name, fn, args, out in cases:
+            what = f"{owner}.{name}"
             got = [fn(*[stacks[a][i] for a in args]) for i in range(3)]
-            for part, results in zip(out, zip(*got) if len(out) > 1 else [got]):
+            parts = ("eval", "grad_x", "grad_y") if name == "first_order" else (name,)
+            for part, call, results in zip(out, parts, zip(*got) if len(out) > 1 else [got]):
                 stacked, row0, row1 = [np.asarray(r, dtype=np.float64) for r in results]
                 shape = () if part == "s" else stacks[part][1].shape
                 if (stacked.shape, row0.shape, row1.shape) != ((2,) + shape, shape, shape):
@@ -189,6 +194,9 @@ def _probe(boxes: dict, *owners) -> None:
                 if stacked.tobytes() != row0.tobytes() + row1.tobytes():
                     raise DimensionError(f"{what} returned rows on a 2-row stack whose bytes "
                                          f"differ from those of each row's own call")
+                if seen.setdefault((owner, call, args), stacked.tobytes()) != stacked.tobytes():
+                    raise DimensionError(f"{what} returned a part whose bytes differ from "
+                                         f"those of {owner}.{call}")
 
 
 def check_finite(value, what: str = "value"):

@@ -64,7 +64,9 @@ def eps_minimax_mm(
     * ``eps_y = ||prox_{r2 + ind_Y}(yT + grad_y f(x, yT)) - yT||``
 
     both at unit step: the norms of :func:`pfbe.envelope.minimax_residual`
-    at ``(x, yT)``. A first-order minimax point returns ``(0, 0)``.
+    at ``(x, yT)``. A first-order minimax point returns ``(0, 0)``, and a
+    point where ``grad_y f`` is not finite ``(nan, nan)``: :func:`prox_step`
+    gives it a nan ``T``.
     """
     x, y = problem.check_point(x, y)
     yT, _ = prox_step(problem, cfg, x, y)

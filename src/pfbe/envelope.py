@@ -321,15 +321,14 @@ def minimax_residual(problem: MinimaxProblem, x, y) -> tuple[Vector, Vector]:
 def prox_step(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> tuple[Vector, Vector]:
     """The envelope maximizer ``T(x, y)`` and residual ``R = (T - y)/eta``.
 
-    A non-finite ``grad_y f`` raises :class:`NonFiniteValue` at one point;
-    in a stack it makes ``T`` and ``R`` nan in its row only, which a box
-    ``Y`` would otherwise clip back to finite values."""
+    A non-finite ``grad_y f`` makes ``T`` and ``R`` nan, at one point or in
+    its row of a stack only, where a box ``Y`` would clip an infinite
+    ascent step back to finite values."""
     x, y = problem.check_point(x, y)
     gy = np.asarray(problem.f.grad_y(x, y), dtype=np.float64)
-    if x.ndim == 1:
-        check_finite(gy, "grad_y f")
     T = composite_prox(problem.r2, problem.Y, y + cfg.eta * gy, cfg.eta)
-    if x.ndim > 1:
-        T = np.where(np.isfinite(gy).all(axis=-1, keepdims=True), T, np.nan)
+    finite = np.isfinite(gy)
+    if np.count_nonzero(finite) != finite.size:  # a count is cheaper than .all()
+        T = np.where(finite.all(axis=-1, keepdims=True), T, np.nan)
     R = (T - y) / cfg.eta
     return T, R

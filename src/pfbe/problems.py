@@ -83,13 +83,6 @@ def _pad(v: Vector, dim: int) -> Vector:
     return out
 
 
-def _matvec(A: np.ndarray, v: Vector) -> Vector:
-    """``A @ v`` for a vector, and for each row of a stack (``np.matvec``
-    keeps the bits of the 1-D product in every row; ``v @ A.T`` would
-    not)."""
-    return np.matvec(A, v)
-
-
 def _zero_hvp_xy_lam(x, y, lam, v) -> Vector:
     """``hvp_xy_lam`` of ``c = A y + a(x)``, ``A`` constant: zeros like ``x``."""
     return np.zeros(np.shape(x))
@@ -118,25 +111,26 @@ def _synthetic_oracles(
     point or a stack, and ``c``'s products may return a view of theirs."""
     n, p = B.shape
     m = min(n, p)
+    # np.matvec gives each row of a stack the bits of the 1-D product; v @ B.T does not
 
     def g_eval(x, y):
-        return row_dot(b, x) + row_dot(x, _matvec(B, y)) - 0.5 * row_dot(y, y)
+        return row_dot(b, x) + row_dot(x, np.matvec(B, y)) - 0.5 * row_dot(y, y)
 
     def g_grad_x(x, y):
-        return b + _matvec(B, y)
+        return b + np.matvec(B, y)
 
     def g_grad_y(x, y):
-        return _matvec(B.T, x) - y
+        return np.matvec(B.T, x) - y
 
     def g_first_order(x, y):  # one B y for the value and grad_x
-        By = _matvec(B, y)
+        By = np.matvec(B, y)
         return row_dot(b, x) + row_dot(x, By) - 0.5 * row_dot(y, y), b + By, g_grad_y(x, y)
 
     def g_hvp_yy(x, y, v):
         return -v
 
     def g_hvp_xy(x, y, v):
-        return _matvec(B, v)
+        return np.matvec(B, v)
 
     def c_eval(x, y):
         return x[..., :m] + y[..., :m] - c_value

@@ -130,24 +130,26 @@ class SolveResult:
     smooth-part gradient norm at the start point (left as it is when that
     norm is below ``NORM_FLOOR``); ``trace`` holds per-iterate ``gamma``
     and ``stat`` arrays when recorded. A run ends at the first iterate
-    that passes ``gtol`` or reaches the budget, within the block of
-    iterates the loop tested together, and every field but ``wall_time``
-    is what testing each iterate in turn gives; ``wall_time`` is the time
-    of the whole call, including any steps a fixed-step rule took past
-    that iterate.
+    that passes ``gtol``, goes non-finite or reaches the budget, within
+    the block of iterates the loop tested together, and every field but
+    ``wall_time`` is what testing each iterate in turn gives;
+    ``wall_time`` is the time of the whole call, including any steps a
+    fixed-step rule took past that iterate.
 
-    ``failure`` is None unless a step rule ended the run early, always
-    with ``converged=False``:
+    ``failure`` is None unless the run ended early, always with
+    ``converged=False``:
 
+    * ``"NonFiniteValue"``: the evaluation of an iterate went non-finite;
+      the run keeps the iterate before it, with its index as ``iter``, and
+      ``stat = inf``, and its trace ends there;
     * ``"StepFailure"``: the SPG line search found no acceptable step;
     * ``"Stalled"``: an SPG prox step of the current size leaves the
       iterate bit-unchanged although ``stat`` is above ``gtol``.
 
     A stacked run holds one entry per row in ``x``, ``y``, ``fval``,
-    ``iter``, ``stat``, ``converged`` and the tuple ``failure``, where
-    ``"NonFiniteValue"`` marks a row whose evaluation went non-finite (its
-    ``stat`` is ``inf``; a run from one point raises
-    :class:`NonFiniteValue` instead); ``trace`` is empty.
+    ``iter``, ``stat``, ``converged`` and the tuple ``failure``; ``trace``
+    is empty. A non-finite start point raises :class:`NonFiniteValue` at
+    one point, and ends its row with ``"NonFiniteValue"`` in a stack.
     """
 
     x: Vector
@@ -195,8 +197,7 @@ class _Runs:
         iterate and one row per run left within each, and end each run at
         its first iterate that passes ``gtol``, goes non-finite or reaches
         the budget. Return the points of the last iterate of the runs left,
-        or None when no run is left. A run from one point raises at a
-        non-finite iterate."""
+        or None when no run is left."""
         if ev.finite is None:  # one iterate of a run from one point, evaluated alone
             stat = prox_grad_residual(self.problem, self.cfg, ev, self.ref)
             if self.scfg.record_trace:
@@ -218,15 +219,11 @@ class _Runs:
             ended[-1] = True
         hit = ended.any(axis=0)
         first = np.where(hit, ended.argmax(axis=0), m - 1)
-        if self.one and hit[0] and not ev.finite[first[0]]:
-            # evaluated alone, the iterate raises naming its first non-finite quantity
-            evaluate(self.problem, self.cfg, ev.x[first[0]], ev.y[first[0]], need_grad=True)
-            raise NonFiniteValue(f"non-finite evaluation at iterate {k0 + first[0]}")
-        if self.one and self.scfg.record_trace:
-            self.trace_gamma += ev.gamma[: first[0] + 1].tolist()
-            self.trace_stat += stat[: first[0] + 1].tolist()
         at = first * w + np.arange(w)
         ok = ev.finite[at]
+        if self.one and self.scfg.record_trace:  # up to the iterate the run keeps
+            self.trace_gamma += ev.gamma[: first[0] + ok[0]].tolist()
+            self.trace_stat += stat[: first[0] + ok[0]].tolist()
         runs, kept, iters = self.left, at, k0 + first
         if not ok.all():
             # a non-finite iterate leaves the one before: the block's previous
@@ -286,11 +283,12 @@ def _iterate_first_order(
     """The solver loop: apply ``step`` until the residual test, the
     budget, or a failure name returned by ``step`` ends the run.
 
-    ``x0`` and ``y0`` may be stacks of start points, one run per row. A
-    row leaves the stack when its residual passes the test, when the
+    ``x0`` and ``y0`` may be a point, or stacks of start points, one run
+    per row. A run ends when its residual passes the test, when the
     budget ends, or when its evaluation goes non-finite (it then keeps its
     last finite iterate and ``stat = inf``, with failure
-    ``"NonFiniteValue"``); the loop ends when no row is left. ``step``
+    ``"NonFiniteValue"``), at one point as in a stack; the loop ends when
+    no run is left. ``step``
     gets the start-stack indices of the rows of its iterate (None for one
     point) and returns, for a stack, one row per run left.
 
@@ -298,11 +296,9 @@ def _iterate_first_order(
     to :meth:`_Runs.block` iterates and tested as one stacked evaluation;
     the runs a block ends keep the bits, iterate counts and trace that
     testing each iterate in turn gives, while ``step`` may have advanced
-    the block past their stop. The first step of a block gets the points
-    of the last tested iterate. When ``step`` raises :class:`NonFiniteValue`,
-    the iterates collected so far are tested first, and the error
-    propagates only if a run is left. An oracle that
-    raises anything else (rather than returning a nan or inf) at a point a
+    the block past their stop, with floating-point warnings off. The
+    first step of a block gets the points of the last tested iterate. An
+    oracle that raises (rather than returning a nan or inf) at a point a
     block reaches past a run's stop ends the call with that error. ``cfg``
     and ``scfg`` were checked when they were built; the one rule that
     needs the problem, ``alpha`` at or above the threshold of
@@ -317,32 +313,28 @@ def _iterate_first_order(
     it = runs.test(ev, 0)
     k = 0  # the index of the last iterate tested
     while it is not None:
-        block, error, nxt = [], None, None
+        block, nxt = [], None
         size = min(runs.block(), scfg.max_iter - k)
-        try:
+        # past a diverging iterate, steps and evaluations overflow
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while len(block) < size:
                 nxt = step(k + len(block), it, None if runs.one else runs.left)
                 if not isinstance(nxt, Points):
                     break
                 block.append(nxt)
                 it = nxt
-        except NonFiniteValue as exc:
-            error = exc
-        if block:  # one stack of the block's points, iterate by iterate
-            xs = np.array([p.x for p in block]).reshape(-1, problem.dim_x)
-            ys = np.array([p.y for p in block]).reshape(-1, problem.dim_y)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if block:  # one stack of the block's points, iterate by iterate
+                xs = np.array([p.x for p in block]).reshape(-1, problem.dim_x)
+                ys = np.array([p.y for p in block]).reshape(-1, problem.dim_y)
                 ev = evaluate(problem, cfg, xs, ys, need_grad=True)
                 it = runs.test(ev, k + 1, len(block))
-            k += len(block)
-        elif isinstance(nxt, EnvelopeEval):
-            k += 1
-            it = runs.test(nxt, k)
-        elif isinstance(nxt, str):
-            runs.fail(nxt)
-            it = None
-        if error is not None and it is not None:
-            raise error
+                k += len(block)
+            elif isinstance(nxt, EnvelopeEval):
+                k += 1
+                it = runs.test(nxt, k)
+            elif isinstance(nxt, str):
+                runs.fail(nxt)
+                it = None
     return runs.result(time.perf_counter() - started)
 
 
@@ -534,11 +526,9 @@ def select_gda_step(
         raise DimensionError(f"select_gda_step runs from one point, got a stack of {len(x0)}")
     column = np.array(steps)[:, None]
     step = _gda_step(problem, column, column)
-    with np.errstate(over="ignore", invalid="ignore"):  # diverging rows score inf
-        res = _iterate_first_order(
-            problem, cfg, pilot_cfg,
-            np.tile(x0, (len(steps), 1)), np.tile(y0, (len(steps), 1)), step,
-        )
+    res = _iterate_first_order(
+        problem, cfg, pilot_cfg, np.tile(x0, (len(steps), 1)), np.tile(y0, (len(steps), 1)), step
+    )
     results = {s: float(final) for s, final in zip(steps, res.stat)}
     return min(results, key=lambda s: (results[s], s)), results
 

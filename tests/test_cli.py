@@ -275,13 +275,35 @@ def test_output_in_a_missing_directory_exits_before_any_solve(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_that_is_a_directory_exits_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                          command):
+    import pfbe.cli as cli_mod
+
+    solves = []
+    monkeypatch.setattr(cli_mod, "run_single", lambda cfg, solver: solves.append(solver))
+    monkeypatch.delenv("PFBE_THREADS", raising=False)
+    d = tmp_path / "configs"
+    d.mkdir()
+    cfg = _write_config(d / "a.json")
+    out = tmp_path / "taken"
+    out.mkdir()
+    if command == "run":
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+    else:
+        rc = main(["sweep", "--config-dir", str(d), "--out", str(out)])
+    assert rc == 1 and solves == []
+    assert capsys.readouterr().err == f"cannot write output: {out} is a directory\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
 def test_output_that_cannot_be_written_is_one_line(tmp_path, capsys, command):
-    # the path is a directory: the write fails after the solves, with no traceback
+    # the path is a link into a missing directory: the write fails after
+    # the solves, with no traceback
     d = tmp_path / "configs"
     d.mkdir()
     cfg = _write_config(d / "a.json", max_iter=3)
-    out = tmp_path / "taken"
-    out.mkdir()
+    out = tmp_path / "dangling"
+    out.symlink_to(tmp_path / "absent" / "x.csv")
     if command == "run":
         rc = main(["run", "--config", str(cfg), "--out", str(out)])
     else:
@@ -329,6 +351,29 @@ def test_cmd_run_step_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "run_single", lambda cfg, s: failed)
     rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
+
+
+def test_a_diverging_solve_keeps_every_row(tmp_path, monkeypatch, capsys):
+    # the GDA step 9 * 10^1 diverges; its row keeps the last finite iterate
+    monkeypatch.delenv("PFBE_THREADS", raising=False)
+    d = tmp_path / "configs"
+    d.mkdir()
+    _write_config(d / "diverges.json", n=4, p=4, solver=["spg", "gda"], max_iter=200,
+                  gda_pilot_iters=50, gda_step_grid=[[9, -1]])
+    _write_config(d / "normal.json", n=2, p=2, max_iter=200)
+    run_out, sweep_out = tmp_path / "run.csv", tmp_path / "sweep.csv"
+    assert main(["run", "--config", str(d / "diverges.json"), "--out", str(run_out)]) == 2
+    assert main(["sweep", "--config-dir", str(d), "--out", str(sweep_out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count(" gda ") == 2  # both tables
+
+    def rows(path):  # without time_s
+        return [line.rsplit(",", 1)[0] for line in path.read_text(encoding="utf-8").splitlines()]
+
+    run_rows, sweep_rows = rows(run_out), rows(sweep_out)
+    assert [r.split(",")[0] for r in run_rows[1:]] == ["spg", "gda"]
+    assert run_rows[2].split(",")[7] == "inf"
+    assert sweep_rows[1].startswith("spg,2,2,") and sweep_rows[2:] == run_rows[:0:-1]
 
 
 # ---------------------------------------------------------------------------

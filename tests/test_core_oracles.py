@@ -117,6 +117,30 @@ def test_building_a_problem_names_a_callable_that_takes_one_point_only(owner, na
     MinimaxProblem(f=base.g, X=base.X, Y=base.Y, r1=_SOFT, r2=_SOFT)  # the callables as given
 
 
+@pytest.mark.parametrize("part, name", enumerate(["eval", "grad_x", "grad_y"]))
+def test_building_a_problem_names_a_bundle_that_differs_from_the_separate_calls(part, name):
+    # the envelope reads f, grad_x f and grad_y f from the bundle, the
+    # fixed-step rules and minimax_residual from the separate calls: a
+    # bundle one ulp off would give them different numbers
+    base = make_synthetic(2, 2, 1.0, 1).lifted.base
+    bundle = base.g.first_order
+
+    def off(x, y):
+        got = list(bundle(x, y))
+        got[part] = np.nextafter(got[part], np.inf)
+        return tuple(got)
+
+    g = replace(base.g, first_order=off)
+    with pytest.raises(DimensionError, match=rf"^CoupledProblem\.g\.first_order returned a part "
+                                             rf"whose bytes differ from those of "
+                                             rf"CoupledProblem\.g\.{name}$"):
+        replace(base, g=g)
+    with pytest.raises(DimensionError, match=rf"^FunctionOracle\.first_order returned a part "
+                                             rf"whose bytes differ from those of "
+                                             rf"FunctionOracle\.{name}$"):
+        MinimaxProblem(f=g, X=base.X, Y=base.Y)
+
+
 def _coerced_points(z, dim=None, what="point"):
     # the full coercion, as as_points applies it to every input that is not
     # already a conforming float64 array

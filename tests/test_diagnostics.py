@@ -91,6 +91,15 @@ def test_eps_minimax_zero_at_saddle():
     assert ex <= 1e-14 and ey <= 1e-14
 
 
+def test_eps_minimax_is_nan_where_grad_y_f_is_not_finite():
+    # at y = inf, grad_y f is -inf: prox_step gives a nan T, where a clip
+    # of the ascent step by a box Y could have given a finite one
+    _, prob, cfg, z, _ = _pinned()
+    with np.errstate(invalid="ignore"):  # y + eta * grad_y f is inf - inf
+        ex, ey = eps_minimax_mm(prob, cfg, z, np.array([np.inf]))
+    assert np.isnan(ex) and np.isnan(ey)
+
+
 def test_transfer_constant_formula():
     inst, prob, cfg, _, _ = _pinned()
     L = prob.lipschitz

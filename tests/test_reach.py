@@ -33,21 +33,18 @@ ROOT = Path(__file__).resolve().parents[1]
 ENTRY_POINTS = ("cli.py", "checks.py")
 MODULES = sorted(p for p in (ROOT / "src" / "pfbe").glob("*.py") if p.name not in ENTRY_POINTS)
 
-ITEM2 = "a stacked prox step: stacked subgda, ROADMAP item 2"
 ITEM8 = "a nonzero regularizer or a box Y: the built-in (MM) family of ROADMAP item 8"
 ITEM9 = "the paper's model beyond both built-in lifts: ROADMAP item 9"
 ITEM11 = "a solver failure path: ROADMAP item 11"
 # "module.qualified_name" of a function (nested ones joined by dots): how
 # many of its statements stay unreached, and why
 ALLOWED = {
-    "envelope.prox_step": (1, ITEM2),
     "sets.composite_prox": (3, ITEM8),
     "lagrangian._lifted_r1": (3, ITEM9),
     "lagrangian._lifted_r1.reg_eval": (1, ITEM9),
     "lagrangian._lifted_r1.reg_prox": (3, ITEM9),
     "lagrangian.lift": (1, ITEM9 + " (a nonzero r1)"),
     "solvers._iterate_first_order": (3, ITEM11 + " (a step rule returns a failure name)"),
-    "solvers._Runs.test": (6, ITEM11 + " (a non-finite iterate)"),
     "solvers._Runs.fail": (3, ITEM11),
     "solvers.solve_spg.step": (3, ITEM11 + " (StepFailure and Stalled)"),
     "core.BoxSet.project": (1, "a stack of points in a one-dimensional box; both built-in "
@@ -158,7 +155,8 @@ def unreached(modules, reached: set, allowed=ALLOWED) -> list:
 
 
 def _workload(tmp_path: Path) -> None:
-    """``pfbe run`` on one config, ``pfbe sweep`` over three and ``pfbe check``."""
+    """``pfbe run`` on three configs, two of them diverging, ``pfbe sweep``
+    over three and ``pfbe check``."""
     budget = {"max_iter": 200, "gda_pilot_iters": 50}
     solvers = list(cli.SOLVER_NAMES)
     sweep = tmp_path / "sweep"
@@ -169,11 +167,23 @@ def _workload(tmp_path: Path) -> None:
         sweep / "c0.json": dict(n=4, p=4, c=0.0, solver=["spg", "gda"], **budget),
         sweep / "example1.json": dict(problem="example1", solver=solvers, **budget),
         tmp_path / "run.json": dict(n=3, p=5, c=0.5, solver="subgda", **budget),
+        tmp_path / "diverges.json": dict(n=4, p=4, solver=["spg", "gda"],
+                                         gda_step_grid=[[9, -1]], **budget),
+        # an envelope step so large that subgda diverges; grad_y f goes
+        # non-finite in the steps its last block takes past the stop
+        tmp_path / "subgda_diverges.json": dict(n=4, p=4, solver="subgda", eta=1000.0, **budget),
     }
     for path, config in configs.items():
         path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "out.csv"
     assert cli.main(["run", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 0
+    # the GDA step 90 diverges: exit 2, and the CSV holds both rows
+    assert cli.main(["run", "--config", str(tmp_path / "diverges.json"), "--out", str(out)]) == 2
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [(r[0], r[7]) for r in rows] == [("spg", rows[0][7]), ("gda", "inf")]
+    assert cli.main(["run", "--config", str(tmp_path / "subgda_diverges.json"),
+                     "--out", str(out)]) == 2
+    assert out.read_text(encoding="utf-8").splitlines()[1].split(",")[7] == "inf"
     assert cli.main(["sweep", "--config-dir", str(sweep), "--out", str(out)]) == 0
     assert cli.main(["check"]) == 0
 

@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from pfbe import core, envelope, problems, solvers
+from pfbe import core, envelope, solvers
 from pfbe.core import (
     DimensionError,
     FunctionOracle,
@@ -451,7 +451,7 @@ def test_spg_products_with_B(monkeypatch):
     prob = inst.lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
     products, evaluations, moving = [], [], []
-    matvec, evaluate, complete = problems._matvec, solvers.evaluate, envelope.with_gradients
+    matvec, evaluate, complete = np.matvec, solvers.evaluate, envelope.with_gradients
 
     def counted_matvec(A, v):
         products.append(np.shares_memory(A, inst.B))
@@ -465,7 +465,7 @@ def test_spg_products_with_B(monkeypatch):
         moving.append(bool(np.any(ev.R != 0.0)))
         return complete(problem, cfg, ev)
 
-    monkeypatch.setattr(problems, "_matvec", counted_matvec)
+    monkeypatch.setattr(np, "matvec", counted_matvec)  # the synthetic oracles call np.matvec
     monkeypatch.setattr(solvers, "evaluate", counted_evaluate)
     for module in (envelope, solvers):
         monkeypatch.setattr(module, "with_gradients", counted_completion)
@@ -881,13 +881,11 @@ def test_stacked_run_rows_match_single_runs():
     assert res.converged.tolist() == [False, True, False]
     assert res.failure == (None, None, "NonFiniteValue")
     assert res.stat[2] == np.inf
-    for i in (0, 1):
+    for i in (0, 1, 2):
         s = float(column[i, 0])
         one = solve_gda_baseline(prob, cfg, replace(scfg, eta_x=s, eta_y=s), z0, y0)
-        assert np.array_equal(res.x[i], one.x) and np.array_equal(res.y[i], one.y)
-        assert (res.fval[i], res.iter[i], res.stat[i]) == (one.fval, one.iter, one.stat)
-    with pytest.raises(NonFiniteValue), np.errstate(over="ignore", invalid="ignore"):
-        solve_gda_baseline(prob, cfg, replace(scfg, eta_x=5.0, eta_y=5.0), z0, y0)
+        _assert_same_outcome(one, _row(res, i))
+    assert one.failure == "NonFiniteValue"
 
 
 # ---------------------------------------------------------------------------
@@ -924,56 +922,52 @@ class _RefRows:
 
 def _reference_loop(problem, cfg, scfg, x0, y0, step):
     """The solver loop that evaluates and tests every iterate in turn; the
-    step rules below map the evaluation at the iterate to the next one."""
+    step rules below map the evaluation at the iterate to the next one. A
+    run from one point is row 0 of a one-row stack, its trace the row's
+    gamma and stat at each iterate up to the one it keeps; its start point,
+    evaluated alone, raises when it is not finite."""
+    one = np.ndim(x0) == 1
+    if one:
+        evaluate(problem, cfg, x0, y0)
+        x0, y0 = np.atleast_2d(x0), np.atleast_2d(y0)
     ev = evaluate(problem, cfg, x0, y0, need_grad=True)
+    rows = _RefRows(ev)
     ref = grad_norm(ev)
-    trace_gamma = [ev.gamma]
-    rows = None
-    if ev.finite is not None:
-        rows = _RefRows(ev)
-        ref = np.broadcast_to(ref, rows.left.shape)
-        ev = rows.leave(ev, ~ev.finite, 0, failure="NonFiniteValue")
-    trace_stat = []
-    iters = 0
-    converged = False
-    failure = None
-    stat = np.inf
+    trace_gamma, trace_stat = [ev.gamma], []
+    ev = rows.leave(ev, ~ev.finite, 0, failure="NonFiniteValue")
     for k in range(scfg.max_iter + 1 if ev is not None else 0):
-        stat = prox_grad_residual(problem, cfg, ev, ref if rows is None else ref[rows.left])
+        stat = prox_grad_residual(problem, cfg, ev, ref[rows.left])
         trace_stat.append(stat)
-        if rows is not None:
-            passed = stat <= scfg.gtol
-            ev = rows.leave(ev, passed | (k == scfg.max_iter), k, stat, passed)
-            if ev is None:
-                break
-        elif stat <= scfg.gtol:
-            converged = True
+        passed = stat <= scfg.gtol
+        ending = passed | (k == scfg.max_iter)
+        ev = rows.leave(ev, ending, k, stat, passed)
+        if ev is None:
             break
-        if k == scfg.max_iter:
+        nxt = step(k, ev, rows.left)
+        if isinstance(nxt, str):  # every run left ends at iterate k
+            rows.leave(ev, np.ones(rows.left.size, dtype=bool), k, stat[~ending], failure=nxt)
             break
-        nxt = step(k, ev, None if rows is None else rows.left)
-        if isinstance(nxt, str):
-            failure = nxt
+        ev = rows.leave(ev, ~nxt.finite, k, failure="NonFiniteValue", then=nxt)
+        if ev is None:
             break
-        if rows is not None:
-            nxt = rows.leave(ev, ~nxt.finite, k, failure="NonFiniteValue", then=nxt)
-            if nxt is None:
-                break
-        ev = nxt
-        iters += 1
         trace_gamma.append(ev.gamma)
-    if rows is not None:
+    if not one:
         return solvers.SolveResult(
             x=rows.x, y=rows.y, fval=rows.fval, iter=rows.iter, stat=rows.stat,
             wall_time=0.0, converged=rows.converged, trace={}, failure=tuple(rows.failure),
         )
     trace = {}
     if scfg.record_trace:
-        trace = {"gamma": np.asarray(trace_gamma, dtype=np.float64),
-                 "stat": np.asarray(trace_stat, dtype=np.float64)}
+        trace = {"gamma": np.concatenate(trace_gamma), "stat": np.concatenate(trace_stat)}
+    return replace(_row(rows, 0), trace=trace)
+
+
+def _row(res, i):
+    """Row ``i`` of a stacked run, as a run from one point reports it."""
     return solvers.SolveResult(
-        x=ev.x, y=ev.y, fval=float(ev.gamma), iter=iters, stat=float(stat),
-        wall_time=0.0, converged=converged, trace=trace, failure=failure,
+        x=res.x[i], y=res.y[i], fval=float(res.fval[i]), iter=int(res.iter[i]),
+        stat=float(res.stat[i]), wall_time=0.0, converged=bool(res.converged[i]), trace={},
+        failure=res.failure[i],
     )
 
 
@@ -1091,19 +1085,39 @@ def test_reference_cases_stop_inside_blocks():
 
 
 @pytest.mark.parametrize("name", [(3, 3, 1.0, 2), "example1"], ids=str)
-def test_non_finite_mid_block_raises_as_reference_loop(name):
+def test_non_finite_mid_block_ends_as_reference_loop(name):
+    # a diverging run keeps the iterate before its first non-finite one,
+    # and its trace ends there
     prob, cfg, z0, y0 = _instance(name)
     inside = []
     for s in (5.0, 20.0, 1e3):
-        scfg = SolverConfig(max_iter=10000, eta_x=s, eta_y=s, record_trace=False)
+        scfg = SolverConfig(max_iter=10000, eta_x=s, eta_y=s)
         got = _outcome(solve_gda_baseline, prob, cfg, scfg, z0, y0)
-        steps = []
-        step = _reference_gda_step(prob, cfg, lambda k, rows: steps.append(k) or (s, s))
-        want = _outcome(_reference_loop, prob, cfg, scfg, z0, y0, step)
-        _assert_same_outcome(got, want)
-        if isinstance(want, tuple) and want[0] is NonFiniteValue:
-            inside.append(len(steps) % P not in (0, 1))  # the raising iterate's place
+        step = _reference_gda_step(prob, cfg, lambda k, rows: (s, s))
+        _assert_same_outcome(got, _outcome(_reference_loop, prob, cfg, scfg, z0, y0, step))
+        if got.failure == "NonFiniteValue":
+            assert got.stat == np.inf and not got.converged
+            assert len(got.trace["gamma"]) == len(got.trace["stat"]) == got.iter + 1
+            inside.append((got.iter + 1) % P not in (0, 1))  # the non-finite iterate's place
     assert any(inside)
+
+
+# the constant step of GDA, the envelope step of subgda (whose steps follow it)
+@pytest.mark.parametrize("solver, eta, diverges",
+                         [("gda", 0.05, False), ("gda", 5.0, True),
+                          ("subgda", None, False), ("subgda", 10.0, True)])
+@pytest.mark.parametrize("name", [(3, 3, 1.0, 2), "example1"], ids=str)
+def test_a_run_from_one_point_is_row_0_of_the_same_run_stacked(solver, eta, diverges, name):
+    prob, cfg, z0, y0 = _instance(name)
+    scfg = SolverConfig(max_iter=3 * P, gtol=1e-6, record_trace=False)
+    if solver == "gda":
+        scfg = replace(scfg, eta_x=eta, eta_y=eta)
+    else:
+        cfg = EnvelopeConfig.for_problem(prob, eta=eta)
+    run = _SOLVERS[solver][0]
+    one = run(prob, cfg, scfg, z0, y0)
+    _assert_same_outcome(one, _row(run(prob, cfg, scfg, z0[None], y0[None]), 0))
+    assert (one.failure == "NonFiniteValue") == diverges
 
 
 @pytest.mark.parametrize("name", [(3, 3, 1.0, 2), "example1"], ids=str)
@@ -1176,12 +1190,9 @@ def test_stacked_subgda_row_with_non_finite_grad_y_leaves_alone(box_y):
     assert got.failure == ("NonFiniteValue", None)
     assert got.stat[0] == np.inf and 0 < got.iter[0] < got.iter[1]
     assert got.x[0][0] <= _GRAD_Y_POISON[0]  # the iterate before the band
-    with pytest.raises(NonFiniteValue, match="grad_y f"):
-        solve_subgda(prob, cfg, scfg, starts[0][0], starts[1][0])
-    one = solve_subgda(prob, cfg, scfg, starts[0][1], starts[1][1])
-    assert np.array_equal(got.x[1], one.x) and np.array_equal(got.y[1], one.y)
-    assert (got.fval[1], got.iter[1], got.stat[1], got.converged[1]) == (
-        one.fval, one.iter, one.stat, one.converged)
+    for i in (0, 1):  # each row is the run from its start point alone
+        _assert_same_outcome(solve_subgda(prob, cfg, scfg, starts[0][i], starts[1][i]),
+                             _row(got, i))
 
 
 def _halving_rules(prob, cfg, change):
