@@ -17,11 +17,15 @@ Conventions used across the package:
 * every callable of a :class:`FunctionOracle`, :class:`ConstraintOracle`
   or :class:`ProxRegularizer` takes a point or a stack (a 2-D array, one
   point per row) and returns one value, gradient or product per row with
-  the bits of that row's own call (:func:`row_dot` keeps them for dot
-  products); a ``prox`` takes a float step or a column of per-row steps.
-  This is probed once, not per call: a :class:`MinimaxProblem` probes
-  ``f``, ``r1`` and ``r2``, and a :class:`CoupledProblem` ``g``, ``c`` and
-  ``r1``, when it is built.
+  the bits of that row's own call (``np.vecdot`` keeps them for dot
+  products, and gives two 1-D vectors the bits of ``float(u @ v)`` as an
+  ``np.float64``); a ``prox`` takes a float step or a column of per-row
+  steps. This is probed once, not per call: a :class:`MinimaxProblem`
+  probes ``f``, ``r1`` and ``r2``, and a :class:`CoupledProblem` ``g``,
+  ``c`` and ``r1``, when it is built;
+* numpy's floating-point warnings are off only under :data:`quiet_floats`,
+  the one rule, where a nan or inf is a documented outcome: in the probe,
+  the solver loop and the diagnostics.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ Vector: TypeAlias = NDArray[np.float64]
 _FLOAT64 = np.dtype(np.float64)
 _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 _CBRT_EPS = float(np.cbrt(np.finfo(np.float64).eps))
+
+
+# a decorator only: numpy enters one errstate once, but each decorated call anew
+quiet_floats = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class PfbeError(Exception):
@@ -123,19 +131,6 @@ def as_vector(z, dim: Optional[int] = None, what: str = "vector") -> Vector:
     return arr
 
 
-def row_dot(u, v):
-    """``u @ v`` along the last axis: a float for two 1-D arrays, one value
-    per row otherwise (a 1-D operand pairs with every row of the other).
-
-    Each row gets the bits of the 1-D ``u @ v`` through ``np.vecdot``
-    (``tests/test_problems.py`` pins this), where ``einsum`` or
-    ``np.sum(u * v, axis=-1)`` round differently.
-    """
-    if u.ndim == 1 and v.ndim == 1:
-        return float(u @ v)
-    return np.vecdot(u, v)
-
-
 def as_values(what: str, value, one: bool):
     """A value callable's result: a float at one point (``one``), else one
     float64 value per row. :class:`DimensionError` names ``what``, the
@@ -157,6 +152,7 @@ _REGULARIZER_CALLS = {z: (("eval", z, "s"), ("prox", z + "t", z), ("prox", z + "
                       for z in "xy"}
 
 
+@quiet_floats  # a probe point may overflow; its bytes still compare
 def _probe(boxes: dict, *owners) -> None:
     """Probe the calling convention: call each callable that an ``(owner,
     obj, calls)`` of ``owners`` names, unless it is None or ``obj`` is a zero
@@ -179,32 +175,32 @@ def _probe(boxes: dict, *owners) -> None:
              if not getattr(obj, "is_zero", False)  # no solve calls a zero regularizer
              for name, args, out in calls if getattr(obj, name) is not None]
     seen = {}  # the bytes of each call on the stacks, by owner, callable and stacks
-    with np.errstate(all="ignore"):  # a probe point may overflow; its bytes still compare
-        for owner, name, fn, args, out in cases:
-            what = f"{owner}.{name}"
-            got = [fn(*[stacks[a][i] for a in args]) for i in range(3)]
-            parts = ("eval", "grad_x", "grad_y") if name == "first_order" else (name,)
-            for part, call, results in zip(out, parts, zip(*got) if len(out) > 1 else [got]):
-                stacked, row0, row1 = [np.asarray(r, dtype=np.float64) for r in results]
-                shape = () if part == "s" else stacks[part][1].shape
-                if (stacked.shape, row0.shape, row1.shape) != ((2,) + shape, shape, shape):
-                    raise DimensionError(f"{what} returned shapes {stacked.shape}, {row0.shape} "
-                                         f"and {row1.shape} for a 2-row stack and its rows, "
-                                         f"expected {(2,) + shape}, {shape} and {shape}")
-                if stacked.tobytes() != row0.tobytes() + row1.tobytes():
-                    raise DimensionError(f"{what} returned rows on a 2-row stack whose bytes "
-                                         f"differ from those of each row's own call")
-                if seen.setdefault((owner, call, args), stacked.tobytes()) != stacked.tobytes():
-                    raise DimensionError(f"{what} returned a part whose bytes differ from "
-                                         f"those of {owner}.{call}")
+    for owner, name, fn, args, out in cases:
+        what = f"{owner}.{name}"
+        got = [fn(*[stacks[a][i] for a in args]) for i in range(3)]
+        parts = ("eval", "grad_x", "grad_y") if name == "first_order" else (name,)
+        for part, call, results in zip(out, parts, zip(*got) if len(out) > 1 else [got]):
+            stacked, row0, row1 = [np.asarray(r, dtype=np.float64) for r in results]
+            shape = () if part == "s" else stacks[part][1].shape
+            if (stacked.shape, row0.shape, row1.shape) != ((2,) + shape, shape, shape):
+                raise DimensionError(f"{what} returned shapes {stacked.shape}, {row0.shape} "
+                                     f"and {row1.shape} for a 2-row stack and its rows, "
+                                     f"expected {(2,) + shape}, {shape} and {shape}")
+            if stacked.tobytes() != row0.tobytes() + row1.tobytes():
+                raise DimensionError(f"{what} returned rows on a 2-row stack whose bytes "
+                                     f"differ from those of each row's own call")
+            if seen.setdefault((owner, call, args), stacked.tobytes()) != stacked.tobytes():
+                raise DimensionError(f"{what} returned a part whose bytes differ from "
+                                     f"those of {owner}.{call}")
 
 
 def check_finite(value, what: str = "value"):
-    """Raise :class:`NonFiniteValue` if ``value`` contains a nan or inf."""
+    """Raise :class:`NonFiniteValue` if ``value`` has a nan or inf, naming a number as a float."""
     # a count is cheaper than ndarray.all at the sizes of an iterate
     if not (math.isfinite(value) if isinstance(value, float)
             else np.count_nonzero(finite := np.isfinite(value)) == finite.size):
-        raise NonFiniteValue(f"non-finite {what}: {value!r}")
+        raise NonFiniteValue(f"non-finite {what}: "
+                             f"{float(value) if isinstance(value, float) else value!r}")
     return value
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoupledProblem, MinimaxProblem, Vector, as_vector, row_dot
+from .core import CoupledProblem, MinimaxProblem, Vector, as_vector, quiet_floats
 from .envelope import (
     NORM_FLOOR,
     EnvelopeConfig,
@@ -43,16 +43,19 @@ CERTIFY_TOL = 1e-6
 POLAR_CONVEXITY_TOL = 1e-10
 
 
+@quiet_floats
 def stationarity_gamma(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> float:
     """Unnormalized prox-gradient residual of the penalized objective at
     ``(x, y)``: :func:`pfbe.envelope.prox_grad_residual` of its
     evaluation. The solvers' normalized ``stat`` divides it by
     :func:`pfbe.envelope.grad_norm` at the start point, which
-    ``prox_grad_residual`` takes as ``ref_norm``.
+    ``prox_grad_residual`` takes as ``ref_norm``. A point whose evaluation
+    is not finite raises :class:`~pfbe.core.NonFiniteValue`, without a warning.
     """
     return prox_grad_residual(problem, cfg, evaluate(problem, cfg, x, y, need_grad=True))
 
 
+@quiet_floats
 def eps_minimax_mm(
     problem: MinimaxProblem, cfg: EnvelopeConfig, x, y
 ) -> tuple[float, float]:
@@ -65,8 +68,8 @@ def eps_minimax_mm(
 
     both at unit step: the norms of :func:`pfbe.envelope.minimax_residual`
     at ``(x, yT)``. A first-order minimax point returns ``(0, 0)``, and a
-    point where ``grad_y f`` is not finite ``(nan, nan)``: :func:`prox_step`
-    gives it a nan ``T``.
+    point where ``grad_y f`` is not finite ``(nan, nan)``, without a
+    warning: :func:`prox_step` gives it a nan ``T``.
     """
     x, y = problem.check_point(x, y)
     yT, _ = prox_step(problem, cfg, x, y)
@@ -107,6 +110,7 @@ class Certificate:
     passed: bool
 
 
+@quiet_floats
 def certify(lifted: LiftedProblem, cfg: EnvelopeConfig, x, lam, y) -> Certificate:
     """Build a :class:`Certificate` at a candidate lifted solution.
 
@@ -116,7 +120,7 @@ def certify(lifted: LiftedProblem, cfg: EnvelopeConfig, x, lam, y) -> Certificat
     against ``transfer_factor * stat`` with a 10% surrogate margin. Both
     come from one envelope evaluation: ``stat`` is
     :func:`stationarity_gamma` and the pair :func:`eps_minimax_mm`, taken
-    at its maximizer ``T``.
+    at its maximizer ``T``. It raises as :func:`stationarity_gamma` does.
     """
     prob = lifted.problem
     ev = evaluate(prob, cfg, lifted.join(x, lam), y)
@@ -124,7 +128,7 @@ def certify(lifted: LiftedProblem, cfg: EnvelopeConfig, x, lam, y) -> Certificat
     eps_x, eps_y = _norm_pair(prob, ev.x, ev.T)
     feas = feasibility_mcc(lifted.base, x, y)
     cval = np.asarray(lifted.base.c.eval_c(as_vector(x), as_vector(y)), dtype=np.float64)
-    comp = abs(float(as_vector(lam) @ cval))
+    comp = abs(float(np.vecdot(as_vector(lam), cval)))
     ratio = multiplier_bound_monitor(lifted, x, lam, y)
     factor = transfer_constant(prob, cfg)
     margin = 1.1
@@ -159,7 +163,7 @@ def check_polar_convexity(coupled: CoupledProblem, sample_points) -> bool:
         y2 = as_vector(y2, coupled.dim_y, "y2")
         ys = np.stack([0.5 * (y1 + y2), y1, y2])  # one call of c at the midpoint and both ends
         c = np.asarray(coupled.c.eval_c(np.tile(x, (3, 1)), ys), dtype=np.float64)
-        mid, left, right = row_dot(lam, c)
+        mid, left, right = np.vecdot(lam, c)
         if mid > 0.5 * (left + right) + POLAR_CONVEXITY_TOL:
             return False
     return True

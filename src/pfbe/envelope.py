@@ -48,6 +48,10 @@ value evaluation and once per gradient completion. At
 one point it raises :class:`NonFiniteValue`, naming the first non-finite
 quantity; in a stack it only clears that row in ``EnvelopeEval.finite``,
 so that one diverging row cannot stop the others.
+
+These functions run at every iteration and leave numpy's warnings alone:
+a direct call at a point that is not finite may warn, where a solve or a
+diagnostic, run under :data:`pfbe.core.quiet_floats`, does not.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ from .core import (
     as_values,
     check_finite,
     check_real,
-    row_dot,
 )
 from .sets import composite_prox
 
@@ -210,8 +213,8 @@ def evaluate(
     T = composite_prox(problem.r2, problem.Y, y + eta * gy, eta)
     R = (T - y) / eta
     r2_T = problem.r2.value(T)
-    R_sq = row_dot(R, R)
-    gap = eta * row_dot(gy, R) - r2_T - 0.5 * eta * R_sq
+    R_sq = np.vecdot(R, R)
+    gap = eta * np.vecdot(gy, R) - r2_T - 0.5 * eta * R_sq
     psi = f_val + gap
     xi = f_val + alpha * gap
     gamma = xi + problem.r1.value(x) + (alpha - 1.0) * problem.r2.value(y)
@@ -271,8 +274,7 @@ def near_kink(problem: MinimaxProblem, ev: EnvelopeEval) -> bool:
 def grad_norm(ev: EnvelopeEval) -> float:
     """Norm of the smooth-part gradient ``(grad_x Xi, grad_y Xi)`` of an
     evaluation completed with gradients; one norm per row of a stack."""
-    sq = row_dot(ev.grad_x, ev.grad_x) + row_dot(ev.grad_y, ev.grad_y)
-    return np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
+    return np.sqrt(np.vecdot(ev.grad_x, ev.grad_x) + np.vecdot(ev.grad_y, ev.grad_y))
 
 
 def prox_grad_residual(

@@ -28,7 +28,6 @@ from .core import (
     ProxRegularizer,
     Vector,
     as_vector,
-    row_dot,
     zero_regularizer,
 )
 from .envelope import minimax_residual
@@ -122,7 +121,7 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     def lp_eval(z, y):
         x, lam = z[..., :n], z[..., n:]
         c = np.asarray(con.eval_c(x, y), dtype=np.float64)
-        return np.subtract(g.eval(x, y), row_dot(lam, c), dtype=np.float64)
+        return np.subtract(g.eval(x, y), np.vecdot(lam, c), dtype=np.float64)
 
     def lp_grad_x(z, y):
         x, lam = z[..., :n], z[..., n:]
@@ -138,11 +137,10 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
         gv, gx, gy = g.first_order(x, y)
         c = np.asarray(con.eval_c(x, y), dtype=np.float64)
         jx, jy = con.jvp_x(x, y, lam), con.jvp_y(x, y, lam)
-        with np.errstate(invalid="ignore"):  # inf - inf at a point the envelope rejects
-            gx = np.subtract(gx, jx, dtype=np.float64)
+        gx = np.subtract(gx, jx, dtype=np.float64)  # inf - inf where a solve rejects the point
         gx = np.concatenate([gx, np.negative(c, dtype=np.float64)], axis=-1)
         gy = np.subtract(gy, jy, dtype=np.float64)
-        return np.subtract(gv, row_dot(lam, c), dtype=np.float64), gx, gy
+        return np.subtract(gv, np.vecdot(lam, c), dtype=np.float64), gx, gy
 
     def hvp_yy(z, y, v):
         x, lam = z[..., :n], z[..., n:]

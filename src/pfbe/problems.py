@@ -40,7 +40,6 @@ from .core import (
     as_vector,
     check_int,
     check_real,
-    row_dot,
 )
 from .lagrangian import LiftedProblem, lift
 from .rng import NormalStream
@@ -114,7 +113,7 @@ def _synthetic_oracles(
     # np.matvec gives each row of a stack the bits of the 1-D product; v @ B.T does not
 
     def g_eval(x, y):
-        return row_dot(b, x) + row_dot(x, np.matvec(B, y)) - 0.5 * row_dot(y, y)
+        return np.vecdot(b, x) + np.vecdot(x, np.matvec(B, y)) - 0.5 * np.vecdot(y, y)
 
     def g_grad_x(x, y):
         return b + np.matvec(B, y)
@@ -124,7 +123,7 @@ def _synthetic_oracles(
 
     def g_first_order(x, y):  # one B y for the value and grad_x
         By = np.matvec(B, y)
-        return row_dot(b, x) + row_dot(x, By) - 0.5 * row_dot(y, y), b + By, g_grad_y(x, y)
+        return np.vecdot(b, x) + np.vecdot(x, By) - 0.5 * np.vecdot(y, y), b + By, g_grad_y(x, y)
 
     def g_hvp_yy(x, y, v):
         return -v
@@ -252,7 +251,7 @@ def make_example1() -> Example1Instance:
     # [..., :1] keeps the last axis: a point and a stack's row run the same kernels
     def g_eval(x, y):
         d = y[..., :1] - 2.0 * x[..., :1]
-        return -0.5 * row_dot(d, d)
+        return -0.5 * np.vecdot(d, d)
 
     def g_grad_x(x, y):
         return 2.0 * (y[..., :1] - 2.0 * x[..., :1])

@@ -45,6 +45,7 @@ from .core import (
     Vector,
     check_int,
     check_real,
+    quiet_floats,
 )
 from .envelope import (
     EnvelopeConfig,
@@ -148,8 +149,9 @@ class SolveResult:
 
     A stacked run holds one entry per row in ``x``, ``y``, ``fval``,
     ``iter``, ``stat``, ``converged`` and the tuple ``failure``; ``trace``
-    is empty. A non-finite start point raises :class:`NonFiniteValue` at
-    one point, and ends its row with ``"NonFiniteValue"`` in a stack.
+    is empty. Under any warnings filter, a non-finite start point raises
+    :class:`NonFiniteValue` at one point, and ends its row at ``iter`` 0
+    with ``"NonFiniteValue"`` in a stack.
     """
 
     x: Vector
@@ -272,6 +274,7 @@ class _Runs:
         )
 
 
+@quiet_floats  # past a diverging iterate, steps and evaluations overflow
 def _iterate_first_order(
     problem: MinimaxProblem,
     cfg: EnvelopeConfig,
@@ -296,8 +299,9 @@ def _iterate_first_order(
     to :meth:`_Runs.block` iterates and tested as one stacked evaluation;
     the runs a block ends keep the bits, iterate counts and trace that
     testing each iterate in turn gives, while ``step`` may have advanced
-    the block past their stop, with floating-point warnings off. The
-    first step of a block gets the points of the last tested iterate. An
+    the block past their stop. The first step of a block gets the points
+    of the last tested iterate. The whole call, the start's evaluation
+    included, runs without floating-point warnings. An
     oracle that raises (rather than returning a nan or inf) at a point a
     block reaches past a run's stop ends the call with that error. ``cfg``
     and ``scfg`` were checked when they were built; the one rule that
@@ -315,26 +319,24 @@ def _iterate_first_order(
     while it is not None:
         block, nxt = [], None
         size = min(runs.block(), scfg.max_iter - k)
-        # past a diverging iterate, steps and evaluations overflow
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            while len(block) < size:
-                nxt = step(k + len(block), it, None if runs.one else runs.left)
-                if not isinstance(nxt, Points):
-                    break
-                block.append(nxt)
-                it = nxt
-            if block:  # one stack of the block's points, iterate by iterate
-                xs = np.array([p.x for p in block]).reshape(-1, problem.dim_x)
-                ys = np.array([p.y for p in block]).reshape(-1, problem.dim_y)
-                ev = evaluate(problem, cfg, xs, ys, need_grad=True)
-                it = runs.test(ev, k + 1, len(block))
-                k += len(block)
-            elif isinstance(nxt, EnvelopeEval):
-                k += 1
-                it = runs.test(nxt, k)
-            elif isinstance(nxt, str):
-                runs.fail(nxt)
-                it = None
+        while len(block) < size:
+            nxt = step(k + len(block), it, None if runs.one else runs.left)
+            if not isinstance(nxt, Points):
+                break
+            block.append(nxt)
+            it = nxt
+        if block:  # one stack of the block's points, iterate by iterate
+            xs = np.array([p.x for p in block]).reshape(-1, problem.dim_x)
+            ys = np.array([p.y for p in block]).reshape(-1, problem.dim_y)
+            ev = evaluate(problem, cfg, xs, ys, need_grad=True)
+            it = runs.test(ev, k + 1, len(block))
+            k += len(block)
+        elif isinstance(nxt, EnvelopeEval):
+            k += 1
+            it = runs.test(nxt, k)
+        elif isinstance(nxt, str):
+            runs.fail(nxt)
+            it = None
     return runs.result(time.perf_counter() - started)
 
 
@@ -396,13 +398,11 @@ def solve_spg(
 
         s = np.concatenate([dx, dy])
         d = np.concatenate([new.grad_x - ev.grad_x, new.grad_y - ev.grad_y])
-        sd = float(s @ d)
-        if sd > 1e-30:
-            use_first = k % 2 == 0
-            dd = float(d @ d)
-            bb1 = float(s @ s) / sd
-            bb2 = sd / dd if dd > 0 else bb1
-            t = float(min(max(bb1 if use_first else bb2, STEP_MIN), STEP_MAX))
+        sd = np.vecdot(s, d)
+        if sd > 1e-30:  # the first BB step at even k, the second at odd k unless d = 0
+            dd = np.vecdot(d, d)
+            bb = sd / dd if k % 2 and dd > 0 else np.vecdot(s, s) / sd
+            t = float(min(max(bb, STEP_MIN), STEP_MAX))
         else:
             t = min(STEP_MAX, tk * 2.0)  # nonconvex pair: grow cautiously
         return new

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from pfbe.cli import main as cli_main
-from pfbe.core import FunctionOracle, MinimaxProblem, row_dot
+from pfbe.core import FunctionOracle, MinimaxProblem
 from pfbe.diagnostics import (
     eps_minimax_mm,
     feasibility_mcc,
@@ -92,7 +92,8 @@ def _decoupled_quadratic(a: np.ndarray) -> MinimaxProblem:
         return (_Q @ x[..., None])[..., 0]
 
     f = FunctionOracle(
-        eval=lambda x, y: row_dot(a, x) + 0.5 * row_dot(x, q(x)) - 0.5 * row_dot(y - _G0, y - _G0),
+        eval=lambda x, y: (np.vecdot(a, x) + 0.5 * np.vecdot(x, q(x))
+                           - 0.5 * np.vecdot(y - _G0, y - _G0)),
         grad_x=lambda x, y: a + q(x),
         grad_y=lambda x, y: _G0 - np.asarray(y, float),
         hvp_xy=lambda x, y, v: np.zeros(np.shape(x)),

@@ -228,6 +228,15 @@ def test_check_finite_finds_a_nonfinite_entry_at_any_position(bad, at):
             check_finite(value, "probe")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_finite_names_a_number_as_a_python_float(bad):
+    # a one-point gamma is an np.float64, which numpy 2 prints as np.float64(nan)
+    for value in (float(bad), np.float64(bad)):
+        with pytest.raises(NonFiniteValue) as raised:
+            check_finite(value, "gamma")
+        assert str(raised.value) == f"non-finite gamma: {float(bad)!r}"
+
+
 def _zero_hvp(x, y, v):
     return np.zeros(1)
 

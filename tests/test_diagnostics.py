@@ -15,7 +15,7 @@ grad_z Xi = (1.15, 0.1) and grad_y Xi = -0.15 by hand:
 import numpy as np
 import pytest
 
-from pfbe.core import ConstraintOracle, CoupledProblem, FunctionOracle
+from pfbe.core import ConstraintOracle, CoupledProblem, FunctionOracle, NonFiniteValue
 from pfbe.diagnostics import (
     certify,
     check_polar_convexity,
@@ -93,10 +93,28 @@ def test_eps_minimax_zero_at_saddle():
 
 def test_eps_minimax_is_nan_where_grad_y_f_is_not_finite():
     # at y = inf, grad_y f is -inf: prox_step gives a nan T, where a clip
-    # of the ascent step by a box Y could have given a finite one
+    # of the ascent step by a box Y could have given a finite one; the
+    # inf - inf of y + eta * grad_y f does not warn, which the suite would
+    # turn into an error
     _, prob, cfg, z, _ = _pinned()
-    with np.errstate(invalid="ignore"):  # y + eta * grad_y f is inf - inf
-        ex, ey = eps_minimax_mm(prob, cfg, z, np.array([np.inf]))
+    ex, ey = eps_minimax_mm(prob, cfg, z, np.array([np.inf]))
+    assert np.isnan(ex) and np.isnan(ey)
+
+
+def test_diagnostics_at_a_non_finite_point_end_as_documented_without_a_warning():
+    # the default start of make_synthetic(3, 3, 1.0, 1) with y = (inf, 0, 0)
+    inst = make_synthetic(3, 3, 1.0, 1)
+    lifted = inst.lifted
+    prob = lifted.problem
+    cfg = EnvelopeConfig.for_problem(prob)
+    z, _ = lifted.default_start()
+    x, lam = lifted.split(z)
+    y = np.array([np.inf, 0.0, 0.0])
+    with pytest.raises(NonFiniteValue, match="non-finite f value: nan"):
+        stationarity_gamma(prob, cfg, z, y)
+    with pytest.raises(NonFiniteValue, match="non-finite f value: nan"):
+        certify(lifted, cfg, x, lam, y)
+    ex, ey = eps_minimax_mm(prob, cfg, z, y)
     assert np.isnan(ex) and np.isnan(ey)
 
 

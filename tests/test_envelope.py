@@ -19,7 +19,6 @@ from pfbe.core import (
     MinimaxProblem,
     NonFiniteValue,
     ProxRegularizer,
-    row_dot,
 )
 from pfbe.envelope import (
     EnvelopeConfig,
@@ -167,7 +166,7 @@ def test_xi_near_a_solution_is_within_one_ulp_of_its_exact_value(n, c, seed):
 def _bilinear_oracle(lipschitz=2.0) -> FunctionOracle:
     # f = <x, y> - |y|^2/2; each callable takes a point or a stack
     return FunctionOracle(
-        eval=lambda x, y: row_dot(x, y) - 0.5 * row_dot(y, y),
+        eval=lambda x, y: np.vecdot(x, y) - 0.5 * np.vecdot(y, y),
         grad_x=lambda x, y: np.asarray(y, float).copy(),
         grad_y=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
         lipschitz_grad=lipschitz,
@@ -188,7 +187,7 @@ def _reg_problem(kappa=0.5, n=3):
         attached_set=X,
     )
     r2 = ProxRegularizer(
-        eval=lambda v: 0.5 * kappa * row_dot(v, v),
+        eval=lambda v: 0.5 * kappa * np.vecdot(v, v),
         prox=lambda zv, t: np.asarray(zv, float) / (1.0 + t * kappa),
     )
     return MinimaxProblem(f=f, X=X, Y=WholeSpace(n), r1=r1, r2=r2), kappa

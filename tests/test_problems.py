@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from pfbe import problems
-from pfbe.core import row_dot
 from pfbe.problems import (
     Example1Instance,
     SyntheticInstance,
@@ -173,10 +172,21 @@ def test_stacked_products_give_each_row_its_1d_bits(n, p, rows):
             assert out[r].tobytes() == np.matvec(A, V[r]).tobytes()
     U, W = rng.standard_normal((2, rows, n + p))
     for u, w in ((U, W), (U[0], W), (U, W[0])):  # a 1-D operand pairs with every row
-        out = row_dot(u, w)
+        out = np.vecdot(u, w)
         assert out.shape == (rows,) and out.dtype == np.float64
         for r, (ur, wr) in enumerate(zip(*np.broadcast_arrays(u, w))):
-            assert out[r] == row_dot(ur, wr)
+            one = np.vecdot(ur, wr)  # two 1-D vectors: a 0-d float64
+            assert type(one) is np.float64
+            assert one.tobytes() == out[r].tobytes() == np.float64(float(ur @ wr)).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 64, 129, 600, 1200])
+def test_dot_of_two_vectors_has_the_bits_of_their_matmul(d):
+    # SPG's Barzilai-Borwein products at n = p = 200 and 400 take vectors of
+    # n + m + p = 600 and 1200 entries
+    rng = np.random.default_rng(d)
+    for u, v in rng.standard_normal((10, 2, d)):
+        assert np.vecdot(u, v).tobytes() == np.float64(float(u @ v)).tobytes()
 
 
 def _along(fn, x, y, v, *rest, h=1e-3):

@@ -20,7 +20,6 @@ from pfbe.core import (
     MinimaxProblem,
     NonFiniteValue,
     UnsupportedSet,
-    row_dot,
     zero_regularizer,
 )
 from pfbe.envelope import (
@@ -242,12 +241,10 @@ def _exp_saddle():
     # callable takes a point or a stack
     def f_val(x, y):
         x, y = x[..., 0], y[..., 0]
-        with np.errstate(over="ignore"):
-            return np.exp(x) + x * y - 0.5 * y ** 2
+        return np.exp(x) + x * y - 0.5 * y ** 2
 
     def g_x(x, y):
-        with np.errstate(over="ignore"):
-            return np.exp(x) + y
+        return np.exp(x) + y
 
     f = FunctionOracle(
         eval=f_val,
@@ -273,6 +270,29 @@ def test_spg_non_finite_trial_is_a_rejected_step(monkeypatch):
     assert long.converged
     assert abs(long.x[0] - short.x[0]) <= 1e-6
     assert long.x[0] != short.x[0]  # the patched first step took effect
+
+
+def test_spg_trial_where_the_lift_takes_inf_minus_inf_warns_nothing(monkeypatch):
+    # a first step of 1e308 from y = -5 lands at x = 0, lam = y = inf, where
+    # the lifted grad_x is g's 1 + inf minus the multiplier's inf; the suite
+    # turns any warning into an error, and the solve must not raise one
+    prob = synthetic_from_data([[1.0]], [1.0], 1.0).lifted.problem
+    cfg = EnvelopeConfig.for_problem(prob)
+    trials, evaluate = [], solvers.evaluate
+
+    def spy(problem, cfg, x, y, need_grad=True):
+        if not need_grad:
+            trials.append((x, y))
+        return evaluate(problem, cfg, x, y, need_grad)
+
+    monkeypatch.setattr(solvers, "evaluate", spy)
+    monkeypatch.setattr(solvers, "STEP_INIT", 1e308)
+    res = solve_spg(prob, cfg, SolverConfig(max_iter=5), np.array([0.5, 0.0]), np.array([-5.0]))
+    z, y = trials[0]
+    assert z.tolist() == [0.0, np.inf] and y.tolist() == [np.inf]
+    with pytest.warns(RuntimeWarning, match="invalid value"):  # outside a solve it warns
+        prob.f.first_order(z, y)
+    assert res.failure == "StepFailure" and res.iter == 0
 
 
 def test_spg_stalled_when_prox_step_leaves_iterate_unchanged(monkeypatch):
@@ -620,7 +640,7 @@ def test_minimax_problem_rejects_a_set_that_is_not_a_box():
 
 def test_gda_converges_on_decoupled_saddle():
     f = FunctionOracle(
-        eval=lambda x, y: 0.5 * row_dot(x, x) - 0.5 * row_dot(y, y),
+        eval=lambda x, y: 0.5 * np.vecdot(x, x) - 0.5 * np.vecdot(y, y),
         grad_x=lambda x, y: np.asarray(x, float).copy(),
         grad_y=lambda x, y: -np.asarray(y, float),
         lipschitz_grad=1.0,
@@ -858,11 +878,40 @@ def test_select_gda_step_non_finite_start():
     # every pilot fails at its start point: all score inf, the smallest step wins
     inst, prob, cfg = _one_d()
     z0, y0 = np.array([1e300, 0.0]), np.array([1e300])
-    with np.errstate(over="ignore", invalid="ignore"):
-        best, scores = select_gda_step(prob, cfg, SolverConfig(), z0, y0, grid=[0.1, 0.01])
-        reference = _serial_pilots(prob, cfg, SolverConfig(), z0, y0, [0.1, 0.01], 10000)
+    best, scores = select_gda_step(prob, cfg, SolverConfig(), z0, y0, grid=[0.1, 0.01])
+    reference = _serial_pilots(prob, cfg, SolverConfig(), z0, y0, [0.1, 0.01], 10000)
     assert scores == reference == {0.01: np.inf, 0.1: np.inf}
     assert best == 0.01
+
+
+def _infinite_start():
+    """The default start of ``make_synthetic(3, 3, 1.0, 1)``, and it with an
+    infinite first coordinate of ``y``."""
+    inst = make_synthetic(3, 3, 1.0, 1)
+    prob = inst.lifted.problem
+    z0, y0 = inst.lifted.default_start()
+    return prob, EnvelopeConfig.for_problem(prob), z0, y0, np.array([np.inf, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("solve", [solve_spg, solve_subgda, solve_gda_baseline],
+                         ids=lambda s: s.__name__)
+def test_non_finite_start_raises_without_a_warning(solve):
+    # the suite turns any warning into an error: the start's evaluation runs
+    # under the loop's floating-point rule too
+    prob, cfg, z0, _, y_inf = _infinite_start()
+    with pytest.raises(NonFiniteValue, match="non-finite f value: nan"):
+        solve(prob, cfg, SolverConfig(max_iter=50), z0, y_inf)
+
+
+def test_non_finite_start_row_ends_at_its_start_without_a_warning():
+    prob, cfg, z0, y0, y_inf = _infinite_start()
+    scfg = SolverConfig(max_iter=50, record_trace=False)
+    res = solve_gda_baseline(prob, cfg, scfg, np.stack([z0, z0]), np.stack([y0, y_inf]))
+    assert res.failure == (None, "NonFiniteValue")
+    assert res.iter.tolist() == [50, 0] and res.stat[1] == np.inf
+    _assert_same_outcome(_row(res, 0), solve_gda_baseline(prob, cfg, scfg, z0, y0))
+    best, scores = select_gda_step(prob, cfg, scfg, z0, y_inf, grid=[0.1, 0.01])
+    assert scores == {0.01: np.inf, 0.1: np.inf} and best == 0.01
 
 
 def test_stacked_run_rows_match_single_runs():
@@ -874,10 +923,9 @@ def test_stacked_run_rows_match_single_runs():
     scfg = SolverConfig(max_iter=300, gtol=1e-4, record_trace=False)
     column = np.array([[1e-2], [0.1], [5.0]])
     step = solvers._gda_step(prob, column, column)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = solvers._iterate_first_order(
-            prob, cfg, scfg, np.tile(z0, (3, 1)), np.tile(y0, (3, 1)), step
-        )
+    res = solvers._iterate_first_order(
+        prob, cfg, scfg, np.tile(z0, (3, 1)), np.tile(y0, (3, 1)), step
+    )
     assert res.converged.tolist() == [False, True, False]
     assert res.failure == (None, None, "NonFiniteValue")
     assert res.stat[2] == np.inf
@@ -920,12 +968,14 @@ class _RefRows:
         return eval_rows(then, ~going) if self.left.size else None
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _reference_loop(problem, cfg, scfg, x0, y0, step):
     """The solver loop that evaluates and tests every iterate in turn; the
     step rules below map the evaluation at the iterate to the next one. A
     run from one point is row 0 of a one-row stack, its trace the row's
     gamma and stat at each iterate up to the one it keeps; its start point,
-    evaluated alone, raises when it is not finite."""
+    evaluated alone, raises when it is not finite. Its steps and
+    evaluations run without floating-point warnings, as the loop's do."""
     one = np.ndim(x0) == 1
     if one:
         evaluate(problem, cfg, x0, y0)
@@ -1007,8 +1057,7 @@ def _reference_gda(problem, cfg, scfg, x0, y0):
 def _outcome(run, *args):
     """The result of ``run(*args)``, or the class and message it raised."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return run(*args)
+        return run(*args)
     except (NonFiniteValue, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -1212,7 +1261,7 @@ def _halving_rules(prob, cfg, change):
 
 def _halving_problem():
     f = FunctionOracle(
-        eval=lambda x, y: 0.5 * row_dot(x, x) - 0.5 * row_dot(y, y),
+        eval=lambda x, y: 0.5 * np.vecdot(x, x) - 0.5 * np.vecdot(y, y),
         grad_x=lambda x, y: np.asarray(x, float).copy(),
         grad_y=lambda x, y: -np.asarray(y, float),
         lipschitz_grad=1.0,
@@ -1239,9 +1288,8 @@ def test_stacked_row_going_non_finite_at_a_block_start():
     points, evaluated = _halving_rules(prob, cfg, change)
     scfg = SolverConfig(max_iter=3 * P, gtol=1e-300, record_trace=False)
     x0, y0 = np.array([[1.0], [2.0]]), np.zeros((2, 1))
-    with np.errstate(invalid="ignore"):
-        got = solvers._iterate_first_order(prob, cfg, scfg, x0, y0, points)
-        want = _reference_loop(prob, cfg, scfg, x0, y0, evaluated)
+    got = solvers._iterate_first_order(prob, cfg, scfg, x0, y0, points)
+    want = _reference_loop(prob, cfg, scfg, x0, y0, evaluated)
     _assert_same_outcome(got, want)
     assert got.failure == (None, "NonFiniteValue") and got.iter.tolist() == [3 * P, jump]
 
@@ -1263,9 +1311,8 @@ def test_stacked_row_non_finite_where_the_residual_passes():
     points, evaluated = _halving_rules(prob, cfg, change)
     scfg = SolverConfig(max_iter=3 * P, gtol=1e-300, record_trace=False)
     x0, y0 = np.array([[1.0], [2.0]]), np.zeros((2, 1))
-    with np.errstate(invalid="ignore"):
-        got = solvers._iterate_first_order(prob, cfg, scfg, x0, y0, points)
-        want = _reference_loop(prob, cfg, scfg, x0, y0, evaluated)
+    got = solvers._iterate_first_order(prob, cfg, scfg, x0, y0, points)
+    want = _reference_loop(prob, cfg, scfg, x0, y0, evaluated)
     _assert_same_outcome(got, want)
     assert got.failure == (None, "NonFiniteValue") and got.iter.tolist() == [3 * P, 3]
     assert got.converged.tolist() == [False, False] and got.stat[1] == np.inf
@@ -1292,11 +1339,10 @@ def test_pilot_residual_maps_match_reference_loop(make):
     scfg = SolverConfig(max_iter=300, record_trace=False)
     _, scores = select_gda_step(prob, cfg, scfg, z0, y0, grid=grid)
     column = np.array(sorted(grid))[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref = _reference_loop(
-            prob, cfg, scfg, np.tile(z0, (len(grid), 1)), np.tile(y0, (len(grid), 1)),
-            _reference_gda_step(prob, cfg, lambda k, rows: (column[rows], column[rows])),
-        )
+    ref = _reference_loop(
+        prob, cfg, scfg, np.tile(z0, (len(grid), 1)), np.tile(y0, (len(grid), 1)),
+        _reference_gda_step(prob, cfg, lambda k, rows: (column[rows], column[rows])),
+    )
     assert list(scores.values()) == ref.stat.tolist()
 
 
