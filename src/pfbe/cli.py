@@ -211,7 +211,7 @@ def run_single(cfg: RunConfig, solver: str) -> BenchRow:
         res = solve_spg(prob, ecfg, scfg, z0, y0)
     elif solver == "subgda":
         res = solve_subgda(prob, ecfg, scfg, z0, y0)
-    elif solver == "gda":
+    else:  # "gda", the one other name RunConfig admits
         step, _ = select_gda_step(
             prob, ecfg, scfg, z0, y0,
             grid=_expand_grid(cfg.gda_step_grid),
@@ -220,8 +220,6 @@ def run_single(cfg: RunConfig, solver: str) -> BenchRow:
         res = solve_gda_baseline(
             prob, ecfg, replace(scfg, eta_x=step, eta_y=step), z0, y0
         )
-    else:  # pragma: no cover - guarded by RunConfig validation
-        raise ValueError(f"unknown solver {solver!r}")
 
     x_part, _lam = lifted.split(res.x)
     feas = feasibility_mcc(lifted.base, x_part, res.y)

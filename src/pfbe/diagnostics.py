@@ -87,8 +87,10 @@ def transfer_constant(problem: MinimaxProblem, cfg: EnvelopeConfig) -> float:
     return 1.0 + 2.0 * L / problem.mu + cfg.eta * L
 
 
+@quiet_floats
 def feasibility_mcc(coupled: CoupledProblem, x, y) -> float:
-    """Constraint violation ``||c(x, y) - proj_K(c(x, y))||``."""
+    """Constraint violation ``||c(x, y) - proj_K(c(x, y))||``. A point where
+    ``c`` is not finite returns nan, without a warning."""
     x = as_vector(x, coupled.dim_x, "x")
     y = as_vector(y, coupled.dim_y, "y")
     cval = np.asarray(coupled.c.eval_c(x, y), dtype=np.float64)
@@ -149,12 +151,14 @@ def certify(lifted: LiftedProblem, cfg: EnvelopeConfig, x, lam, y) -> Certificat
     )
 
 
+@quiet_floats
 def check_polar_convexity(coupled: CoupledProblem, sample_points) -> bool:
     """Midpoint-convexity check of ``y -> <lam, c(x, y)>`` for sampled data.
 
     ``sample_points`` yields ``(x, lam, y1, y2)`` tuples with ``lam`` in
     the polar cone. Returns True when every midpoint inequality holds
-    within ``POLAR_CONVEXITY_TOL``.
+    within ``POLAR_CONVEXITY_TOL``. A sample whose inequality has a nan
+    side does not fail it, and makes no warning.
     """
     for x, lam, y1, y2 in sample_points:
         x = as_vector(x, coupled.dim_x, "x")

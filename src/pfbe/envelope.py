@@ -28,9 +28,9 @@ the problem's ``mu``.
 :func:`evaluate` is a value evaluation (one call of ``f``, ``grad_x f``
 and ``grad_y f``, bundled when the oracle has ``first_order``, and one
 prox) followed, when gradients are asked for, by :func:`with_gradients`,
-which completes an existing evaluation with the two Hessian-vector
-products. A line search can thus evaluate trial points without the
-products and complete only the one it accepts.
+which extends that evaluation in place with the two Hessian-vector
+products, so one record serves both. A line search can thus evaluate
+trial points without the products and complete only the one it accepts.
 :func:`prox_grad_residual` is the unit-step prox-gradient residual of
 ``Gamma`` that the solvers monitor and the diagnostics report;
 :func:`minimax_residual` is the unit-step residual of the minimax problem
@@ -127,14 +127,15 @@ class EnvelopeConfig:
         return cfg
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EnvelopeEval:
     """All envelope quantities at one point, computed from one evaluation of
     ``f``, ``grad_x f`` (kept in ``grad_x_f``) and ``grad_y f`` and a single
     prox call (whether ``T`` touches a kink of the projection is
     :func:`near_kink`); ``R_sq`` is ``||R||^2``. The gradient of ``Xi``
-    (``grad_x``, ``grad_y``) is None until :func:`with_gradients` fills it,
-    which adds two Hessian-vector products along ``R``.
+    (``grad_x``, ``grad_y``) is None until :func:`with_gradients` extends
+    the record in place with two Hessian-vector products along ``R``: the
+    completed evaluation is the record that :func:`evaluate` built.
 
     For a stack of points, ``finite`` marks the rows whose quantities are
     all finite; it is None for one point, which raises instead."""
@@ -150,9 +151,9 @@ class EnvelopeEval:
     gamma: float
     grad_x_f: Vector
     R_sq: float
-    grad_x: Optional[Vector] = None
-    grad_y: Optional[Vector] = None
-    finite: Optional[np.ndarray] = None
+    grad_x: Optional[Vector]
+    grad_y: Optional[Vector]
+    finite: Optional[np.ndarray]
 
 
 def _first_order(f: FunctionOracle, x, y):
@@ -202,8 +203,9 @@ def evaluate(
     y,
     need_grad: bool = True,
 ) -> EnvelopeEval:
-    """Evaluate the envelope at a point or a stack of points, completed
-    with the smooth-part gradient unless ``need_grad`` is False."""
+    """Evaluate the envelope at a point or a stack of points into one
+    record, which :func:`with_gradients` extends with the smooth-part
+    gradient unless ``need_grad`` is False."""
     x, y = problem.check_point(x, y)
     f = problem.f
     eta, alpha = cfg.eta, cfg.alpha
@@ -224,18 +226,8 @@ def evaluate(
         finite, (gamma,), ("f value", f_val), ("grad_y f", gy), ("gamma", gamma)
     )
     ev = EnvelopeEval(
-        x=x,
-        y=y,
-        f_val=f_val,
-        grad_y_f=gy,
-        T=T,
-        R=R,
-        psi=psi,
-        xi=xi,
-        gamma=gamma,
-        grad_x_f=gx,
-        R_sq=R_sq,
-        finite=finite,
+        x=x, y=y, f_val=f_val, grad_y_f=gy, T=T, R=R, psi=psi, xi=xi, gamma=gamma,
+        grad_x_f=gx, R_sq=R_sq, grad_x=None, grad_y=None, finite=finite,
     )
     return with_gradients(problem, cfg, ev) if need_grad else ev
 
@@ -243,7 +235,12 @@ def evaluate(
 def with_gradients(
     problem: MinimaxProblem, cfg: EnvelopeConfig, ev: EnvelopeEval
 ) -> EnvelopeEval:
-    """``ev`` completed with the gradient of ``Xi``."""
+    """Extend ``ev`` in place with the gradient of ``Xi`` and return ``ev``.
+
+    The two products, the gradient and its finiteness come first, then
+    ``grad_x``, ``grad_y`` and, for a stack, the narrowed ``finite`` are
+    written into ``ev``. At one point a non-finite quantity raises
+    :class:`NonFiniteValue` before anything is written."""
     f, x, y, R, gx = problem.f, ev.x, ev.y, ev.R, ev.grad_x_f
     eta, alpha = cfg.eta, cfg.alpha
     moving = ev.R_sq != 0.0
@@ -251,15 +248,12 @@ def with_gradients(
     hyy_r = _along_residual(f.hvp_yy, x, y, R, moving, y.shape)
     grad_x = gx + alpha * eta * hxy_r
     grad_y = alpha * (R + eta * hyy_r) - (alpha - 1.0) * ev.grad_y_f
-    finite = _finite_rows(
+    ev.finite = _finite_rows(
         ev.finite, (grad_x, grad_y),
         ("grad_x f", gx), ("grad_x Xi", grad_x), ("grad_y Xi", grad_y),
     )
-    return EnvelopeEval(
-        x=x, y=y, f_val=ev.f_val, grad_y_f=ev.grad_y_f, T=ev.T, R=R,
-        psi=ev.psi, xi=ev.xi, gamma=ev.gamma, grad_x_f=gx, R_sq=ev.R_sq,
-        grad_x=grad_x, grad_y=grad_y, finite=finite,
-    )
+    ev.grad_x, ev.grad_y = grad_x, grad_y
+    return ev
 
 
 def near_kink(problem: MinimaxProblem, ev: EnvelopeEval) -> bool:

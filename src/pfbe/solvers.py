@@ -190,10 +190,6 @@ class _Runs:
         self.trace_gamma: list = []
         self.trace_stat: list = []
 
-    def block(self) -> int:
-        """How many iterates of each run left one deferred test takes."""
-        return max(1, TEST_POINTS // self.left.size)
-
     def test(self, ev: EnvelopeEval, k0: int, m: int = 1) -> Optional[Iterate]:
         """Test the iterates ``k0 .. k0 + m - 1`` held by ``ev``, iterate by
         iterate and one row per run left within each, and end each run at
@@ -296,7 +292,8 @@ def _iterate_first_order(
     point) and returns, for a stack, one row per run left.
 
     :class:`Points` returned by ``step`` are collected into a block of up
-    to :meth:`_Runs.block` iterates and tested as one stacked evaluation;
+    to ``max(1, TEST_POINTS // r)`` iterates of each of the ``r`` runs
+    left and tested as one stacked evaluation;
     the runs a block ends keep the bits, iterate counts and trace that
     testing each iterate in turn gives, while ``step`` may have advanced
     the block past their stop. The first step of a block gets the points
@@ -318,7 +315,7 @@ def _iterate_first_order(
     k = 0  # the index of the last iterate tested
     while it is not None:
         block, nxt = [], None
-        size = min(runs.block(), scfg.max_iter - k)
+        size = min(max(1, TEST_POINTS // runs.left.size), scfg.max_iter - k)
         while len(block) < size:
             nxt = step(k + len(block), it, None if runs.one else runs.left)
             if not isinstance(nxt, Points):
@@ -384,9 +381,9 @@ def solve_spg(
             if dz2 == 0.0:
                 return "Stalled"  # prox fixed point at this step size
             try:
-                trial = evaluate(problem, cfg, xt, yt, need_grad=False)
-                if trial.gamma <= gamma_ref - LS_DECREASE * dz2 / tk:
-                    new = with_gradients(problem, cfg, trial)
+                new = evaluate(problem, cfg, xt, yt, need_grad=False)
+                if new.gamma <= gamma_ref - LS_DECREASE * dz2 / tk:
+                    with_gradients(problem, cfg, new)  # in place: the trial is the next iterate
                     break
             except NonFiniteValue:
                 pass  # rejected: halve the step as for insufficient decrease

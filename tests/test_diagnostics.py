@@ -118,6 +118,14 @@ def test_diagnostics_at_a_non_finite_point_end_as_documented_without_a_warning()
     assert np.isnan(ex) and np.isnan(ey)
 
 
+def test_feasibility_is_nan_where_c_is_not_finite_without_a_warning():
+    # c - proj_K(c) is -inf - -inf in the first entry; the suite turns a
+    # warning into an error
+    inst = make_synthetic(3, 3, 1.0, 1)
+    x, _ = inst.lifted.split(inst.lifted.default_start()[0])
+    assert np.isnan(feasibility_mcc(inst.lifted.base, x, np.array([-np.inf, 0.0, 0.0])))
+
+
 def test_transfer_constant_formula():
     inst, prob, cfg, _, _ = _pinned()
     L = prob.lipschitz
@@ -291,3 +299,10 @@ def test_polar_convexity_detects_concave_constraint():
     )
     samples = [([0.5], [1.0], [-1.0], [1.0])]
     assert not check_polar_convexity(coupled, samples)
+
+
+def test_polar_convexity_passes_a_nan_sample_without_a_warning():
+    # the midpoint of y1 = -inf and y2 = inf is inf - inf; the inequality
+    # against a nan side does not fail
+    inst = make_example1()
+    assert check_polar_convexity(inst.lifted.base, [([1.0], [1.0, 1.0], [-np.inf], [np.inf])])

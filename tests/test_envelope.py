@@ -435,11 +435,13 @@ def test_non_finite_oracle_value_is_caught(oracle, box_y, bad):
             value = evaluate(prob, cfg, xs[2], ys[2], need_grad=False)
             with pytest.raises(NonFiniteValue, match=f"non-finite {what}:"):
                 with_gradients(prob, cfg, value)
-        # in a stack: only that row clears
+            assert value.grad_x is None and value.grad_y is None  # nothing written
+        # in a stack: only that row clears, in the record given
         stack = evaluate(prob, cfg, xs, ys, need_grad=where == "evaluate")
         assert stack.finite.tolist() == [True, True, where != "evaluate", True]
         if where != "evaluate":
-            assert with_gradients(prob, cfg, stack).finite.tolist() == [True, True, False, True]
+            assert with_gradients(prob, cfg, stack) is stack
+            assert stack.finite.tolist() == [True, True, False, True]
     if box_y and bad == np.inf:
         assert np.isfinite(stack.T[2]).all()  # the prox clipped the infinite ascent step
 
@@ -463,6 +465,30 @@ def test_stacked_prox_step_clears_only_the_poisoned_row(box_y, bad):
             assert np.array_equal(R[i], one[1], equal_nan=True)
     assert np.isnan(T[2]).all() and np.isnan(R[2]).all()
     assert np.isfinite(np.delete(T, 2, axis=0)).all()
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["point", "stack"])
+def test_gradients_extend_the_evaluation_they_are_given(monkeypatch, stacked):
+    prob = _stack_case("lifted")
+    cfg = EnvelopeConfig.for_problem(prob)
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((3, prob.dim_x)), rng.standard_normal((3, prob.dim_y))
+    if not stacked:
+        x, y = x[0], y[0]
+    value = evaluate(prob, cfg, x, y, need_grad=False)
+    fields = {name: getattr(value, name) for name in ("x", "T", "R", "gamma", "grad_x_f")}
+    done = with_gradients(prob, cfg, value)
+    assert done is value
+    assert all(getattr(done, name) is obj for name, obj in fields.items())
+    full = evaluate(prob, cfg, x, y)
+    for name in ("grad_x", "grad_y"):
+        assert getattr(done, name).tobytes() == getattr(full, name).tobytes()
+    # an evaluation with gradients builds one record
+    built = []
+    record = envelope.EnvelopeEval
+    monkeypatch.setattr(envelope, "EnvelopeEval", lambda **kw: built.append(1) or record(**kw))
+    evaluate(prob, cfg, x, y, need_grad=True)
+    assert len(built) == 1
 
 
 def test_one_finiteness_check_per_evaluation(monkeypatch):

@@ -4,7 +4,9 @@
 floating-point rule: the solver loop, the diagnostics and the probe take it
 as a decorator. This scans the syntax tree of each ``src/pfbe/*.py`` module
 for any other ``errstate`` or ``seterr`` call, and for a ``with`` of the
-rule, which numpy refuses to enter twice.
+rule, which numpy refuses to enter twice; and that of ``diagnostics.py``
+for a public function that the rule does not decorate, but those
+``OUTSIDE_THE_RULE`` names.
 """
 
 import ast
@@ -18,6 +20,8 @@ from pfbe import core
 SRC = Path(__file__).resolve().parents[1] / "src" / "pfbe"
 MODULES = sorted(SRC.glob("*.py"))
 RULE_MODULE, RULE = "core.py", "quiet_floats"
+# public functions of diagnostics.py that need no rule, and why
+OUTSIDE_THE_RULE = {"transfer_constant": "arithmetic on two floats; calls no callable"}
 
 
 def _name(node) -> str:
@@ -42,6 +46,39 @@ def float_rules(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_floating_point_rule_but_the_one(path):
     assert float_rules(path) == []
+
+
+def outside_the_rule(path: Path) -> list:
+    """The public module-level functions of ``path`` that the rule does not
+    decorate."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and RULE not in map(_name, node.decorator_list)]
+
+
+def test_every_public_diagnostic_runs_under_the_rule():
+    assert sorted(outside_the_rule(SRC / "diagnostics.py")) == sorted(OUTSIDE_THE_RULE)
+
+
+def test_scan_flags_an_undecorated_public_function(tmp_path):
+    mod = tmp_path / "diagnostics.py"
+    mod.write_text(
+        "from .core import quiet_floats\n"
+        "import numpy as np\n"
+        "@quiet_floats\n"
+        "def ruled(x):\n"
+        "    return x\n"
+        "@np.errstate(all='ignore')\n"
+        "def other_rule(x):\n"
+        "    return x\n"
+        "def bare(x):\n"
+        "    return x\n"
+        "def _private(x):\n"
+        "    return x\n",
+        encoding="utf-8",
+    )
+    assert outside_the_rule(mod) == ["other_rule", "bare"]
 
 
 def test_the_rule_silences_overflow_invalid_and_divide():

@@ -180,6 +180,21 @@ def test_stacked_products_give_each_row_its_1d_bits(n, p, rows):
             assert one.tobytes() == out[r].tobytes() == np.float64(float(ur @ wr)).tobytes()
 
 
+@pytest.mark.parametrize("n", [10, 50, 200, 400])
+def test_a_stack_of_matrices_gives_each_row_its_1d_bits(n):
+    # batched seeds would stack one B per row: np.matvec of a stack of
+    # matrices, and of their transposes, keeps each row's one-matrix bits
+    rows = 3
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((rows, n, n))
+    V = rng.standard_normal((rows, n))
+    out, out_t = np.matvec(A, V), np.matvec(A.mT, V)
+    assert out.shape == out_t.shape == (rows, n)
+    for i in range(rows):
+        assert out[i].tobytes() == (A[i] @ V[i]).tobytes()
+        assert out_t[i].tobytes() == (A[i].T @ V[i]).tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 64, 129, 600, 1200])
 def test_dot_of_two_vectors_has_the_bits_of_their_matmul(d):
     # SPG's Barzilai-Borwein products at n = p = 200 and 400 take vectors of
