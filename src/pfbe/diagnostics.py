@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoupledProblem, MinimaxProblem, Vector, as_vector, quiet_floats
+from .core import CoupledProblem, MinimaxProblem, Vector, as_vector, check_finite, quiet_floats
 from .envelope import (
     NORM_FLOOR,
     EnvelopeConfig,
@@ -157,17 +157,20 @@ def check_polar_convexity(coupled: CoupledProblem, sample_points) -> bool:
 
     ``sample_points`` yields ``(x, lam, y1, y2)`` tuples with ``lam`` in
     the polar cone. Returns True when every midpoint inequality holds
-    within ``POLAR_CONVEXITY_TOL``. A sample whose inequality has a nan
-    side does not fail it, and makes no warning.
+    within ``POLAR_CONVEXITY_TOL``. A sample whose ``<lam, c>`` at the
+    midpoint or at either end is not finite raises
+    :class:`~pfbe.core.NonFiniteValue` naming the sample, without a warning.
     """
-    for x, lam, y1, y2 in sample_points:
+    for i, (x, lam, y1, y2) in enumerate(sample_points):
         x = as_vector(x, coupled.dim_x, "x")
         lam = as_vector(lam, coupled.dim_c, "lam")
         y1 = as_vector(y1, coupled.dim_y, "y1")
         y2 = as_vector(y2, coupled.dim_y, "y2")
         ys = np.stack([0.5 * (y1 + y2), y1, y2])  # one call of c at the midpoint and both ends
         c = np.asarray(coupled.c.eval_c(np.tile(x, (3, 1)), ys), dtype=np.float64)
-        mid, left, right = np.vecdot(lam, c)
+        mid, left, right = check_finite(
+            np.vecdot(lam, c), f"<lam, c> of sample {i} at (midpoint, y1, y2)"
+        )
         if mid > 0.5 * (left + right) + POLAR_CONVEXITY_TOL:
             return False
     return True

@@ -19,14 +19,21 @@ reference. :meth:`NormalStream.array` returns the same bits. From
   lane jumps to its start state through the 256x256 bit matrices
   ``T^(2^k)`` (Blackman and Vigna, "Scrambled linear pseudorandom number
   generators", 2018). They are built from the scalar generator on first
-  use and cached as ``np.packbits`` rows, 8 KB per power, each unpacked to
-  float64 for its product, which is exact: no sum exceeds 256;
+  use and cached as ``np.packbits`` rows, 8 KB per power. Every product
+  with them, squaring one power into the next or jumping lane starts,
+  runs in float32 through :func:`_gf2_product` and is exact: each entry
+  counts at most 256 ones, and float32 holds every integer below
+  ``2**24`` in any order of summation. The lane starts fill one
+  ``(lanes, 256)`` array of bit rows in place, doubling at each power;
 * all lanes then step together with wrapping ``uint64`` array operations,
   and every ``BLOCK`` steps Box-Muller writes the block's normals in place
   into the one result, viewed as ``(lanes, LANE_STEPS)`` after any spare.
+  The result starts on a 64-byte boundary, so products with a matrix
+  drawn here run at full speed whatever address ``malloc`` picks.
   With the matrices built, the traced peak of ``array(400, 400)`` is 1.5x
   its 1.28 MB result on a 2-CPU Xeon, against 3.0x when every raw output
-  is kept until one Box-Muller pass at the end;
+  is kept until one Box-Muller pass at the end. The first such call,
+  which builds them, peaks at 1.65x (2.06x with float64 products);
 * Box-Muller keeps the scalar reference's ``math.log``, ``math.cos`` and
   ``math.sin``: numpy's own implementations can differ in the last bit
   (``np.log`` differs from ``math.log`` on about 0.3% of inputs in
@@ -35,8 +42,9 @@ reference. :meth:`NormalStream.array` returns the same bits. From
 
 Below ``LANE_MIN_DRAWS`` the scalar loop is kept: the lanes cost about
 ``15 * LANE_STEPS`` numpy calls whatever the count, and the first call in
-a process also builds the jump matrices (about 15 ms). On a 2-CPU Xeon
-with numpy 2.4 the lanes break even per call near 2000 draws and are
+a process also builds the jump matrices: on a 2-CPU Xeon with numpy 2.4
+the first ``array(400, 400)`` takes 51-61 ms, against 39-44 ms once they
+are cached. There the lanes break even per call near 2000 draws and are
 about 25% faster at 3072.
 """
 
@@ -115,9 +123,21 @@ def _from_bits(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
 
 
-def _parity(sums: np.ndarray) -> np.ndarray:
-    """GF(2) reduction of a 0/1 matrix product; its sums are exact integers <= 256."""
-    return (sums.astype(np.uint16) & 1).astype(np.uint8)
+def _gf2_product(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> None:
+    """``rows @ matrix % 2`` for 0/1 float32 arrays, written into ``out``.
+
+    The one GF(2) product of the lane path. It is exact in float32: each
+    entry counts at most 256 ones, and float32 holds every integer below
+    ``2**24`` whatever the order of summation. ``out`` must not overlap
+    ``rows`` or ``matrix``.
+    """
+    np.matmul(rows, matrix, out=out)
+    np.bitwise_and(out.astype(np.uint16), 1, out=out)  # far faster than np.remainder
+
+
+def _unpacked(k: int) -> np.ndarray:
+    """``T^(2^k)`` as a 0/1 float32 ``(256, 256)`` matrix."""
+    return np.unpackbits(_jump_matrix(k), axis=1).astype(np.float32)
 
 
 @functools.cache
@@ -125,7 +145,11 @@ def _jump_matrix(k: int) -> np.ndarray:
     """``T^(2^k)``, rows packed by ``np.packbits``: ``bits @ M % 2`` steps a state row.
 
     Row ``i`` of ``T`` is the scalar generator's step applied to the unit
-    state with bit ``i`` set; each further power squares the one before.
+    state with bit ``i`` set; each further power squares the one before
+    through :func:`_gf2_product`, exactly in float32. The first call for
+    ``k`` builds every power up to it: the 18 that ``array(400, 400)``
+    needs take about 14 ms on a 2-CPU Xeon, against 20-29 ms when the
+    products ran in float64.
     """
     if k == 0:
         gen = Xoshiro256pp(0)
@@ -137,8 +161,10 @@ def _jump_matrix(k: int) -> np.ndarray:
             rows.append(gen._s)
         m = _to_bits(rows)
     else:
-        half = np.unpackbits(_jump_matrix(k - 1), axis=1).astype(np.float64)
-        m = _parity(half @ half)
+        half = _unpacked(k - 1)
+        m = np.empty_like(half)
+        _gf2_product(half, half, m)
+        m = m.astype(np.uint8)
     m = np.packbits(m, axis=1)
     m.setflags(write=False)
     return m
@@ -146,24 +172,34 @@ def _jump_matrix(k: int) -> np.ndarray:
 
 def _lane_starts(state, lanes: int) -> np.ndarray:
     """``(lanes, 4)`` states ``LANE_STEPS * i`` steps after ``state``, ``i < lanes``."""
-    bits = _to_bits(state)
+    bits = np.empty((lanes, 256), dtype=np.float32)  # one 0/1 row per lane start
+    bits[0] = _to_bits(state)[0]
     k = LANE_STEPS.bit_length() - 1  # T^LANE_STEPS = T^(2^k)
-    while len(bits) < lanes:  # rows 0..m-1 jumped by m lanes give rows m..2m-1
-        jump = np.unpackbits(_jump_matrix(k), axis=1).astype(np.float64)
-        ahead = bits[: lanes - len(bits)].astype(np.float64) @ jump
-        bits = np.concatenate((bits, _parity(ahead)))
+    done = 1
+    while done < lanes:  # rows 0..m-1 jumped by m lanes give rows m..2m-1
+        more = min(done, lanes - done)
+        _gf2_product(bits[:more], _unpacked(k), bits[done : done + more])
+        done += more
         k += 1
-    return _from_bits(bits)
+    return _from_bits(bits.astype(np.uint8))
 
 
 def _lane_normals(state, total: int, head: list) -> tuple[np.ndarray, list]:
     """``head``, then the normals of the next ``total`` (even) outputs after
     ``state``, written a block at a time into one array that may run on past
-    them; and the state after those outputs."""
+    them; and the state after those outputs.
+
+    The array starts on a 64-byte boundary, where ``malloc`` promises 16
+    bytes: on a 2-CPU Xeon with OpenBLAS a 400x400 matrix-vector product
+    takes 17 us from a 32-byte boundary against 25 us from any other, with
+    the same bits.
+    """
     lanes = -(-total // LANE_STEPS)
     last = total - (lanes - 1) * LANE_STEPS  # outputs the last lane contributes
     s0, s1, s2, s3 = (np.ascontiguousarray(w) for w in _lane_starts(state, lanes).T)
-    flat = np.empty(len(head) + lanes * LANE_STEPS)
+    size = len(head) + lanes * LANE_STEPS
+    buf = np.empty(size + 7)
+    flat = buf[-buf.ctypes.data % 64 // 8 :][:size]
     flat[: len(head)] = head
     z = flat[len(head) :].reshape(lanes, LANE_STEPS)
     out = np.empty((BLOCK, lanes), dtype=np.uint64)

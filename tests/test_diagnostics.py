@@ -301,8 +301,10 @@ def test_polar_convexity_detects_concave_constraint():
     assert not check_polar_convexity(coupled, samples)
 
 
-def test_polar_convexity_passes_a_nan_sample_without_a_warning():
-    # the midpoint of y1 = -inf and y2 = inf is inf - inf; the inequality
-    # against a nan side does not fail
+def test_polar_convexity_raises_on_a_non_finite_sample_without_a_warning():
+    # the midpoint of y1 = -inf and y2 = inf is inf - inf: a nan side the
+    # inequality cannot test, so the probe names the sample instead of passing it
     inst = make_example1()
-    assert check_polar_convexity(inst.lifted.base, [([1.0], [1.0, 1.0], [-np.inf], [np.inf])])
+    samples = [([1.0], [1.0, 1.0], [0.0], [1.0]), ([1.0], [1.0, 1.0], [-np.inf], [np.inf])]
+    with pytest.raises(NonFiniteValue, match=r"<lam, c> of sample 1 at \(midpoint, y1, y2\)"):
+        check_polar_convexity(inst.lifted.base, samples)

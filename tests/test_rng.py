@@ -287,6 +287,49 @@ def test_jump_matrix_is_lane_steps_scalar_steps(seed):
             g.next_u64()
 
 
+def test_every_cached_jump_matrix_squares_the_one_before():
+    """Each power against an int64 product: the float32 one must match it bit for bit."""
+    rng._jump_matrix(17)  # at least the powers that array(400, 400) uses
+    powers = rng._jump_matrix.cache_info().currsize
+    for k in range(1, powers):
+        half = np.unpackbits(rng._jump_matrix(k - 1), axis=1).astype(np.int64)
+        assert np.array_equal(np.unpackbits(rng._jump_matrix(k), axis=1), half @ half % 2)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, 17])
+def test_lane_starts_are_scalar_states_lane_steps_apart(lanes):
+    g = Xoshiro256pp(2**63)
+    starts = rng._lane_starts(list(g._s), lanes)
+    assert starts.shape == (lanes, 4) and starts.dtype == np.uint64
+    for i in range(lanes):
+        assert starts[i].tolist() == g._s
+        for _ in range(C):
+            g.next_u64()
+
+
+def test_first_lane_draw_memory_is_bounded():
+    """On first use a draw also builds the jump matrices; their products
+    hold less than the Box-Muller blocks that follow."""
+    rng._jump_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        out = NormalStream(5).array(400, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.7 * out.nbytes  # 2.06x when the products ran in float64
+
+
+@pytest.mark.parametrize("spare", [0, 1])
+def test_lane_draw_starts_on_a_cache_line(spare):
+    s = NormalStream(9)
+    for _ in range(spare):
+        s.next()
+    for shape in [(rng.LANE_MIN_DRAWS,), (400, 400), (201, 199)]:
+        draw = s.array(*shape)
+        assert draw.ctypes.data % 64 == 0 and draw.flags.c_contiguous
+
+
 @pytest.mark.parametrize("spare", [0, 1])
 def test_lane_path_memory_is_bounded(spare):
     """With the jump matrices built, a lane draw holds little beyond its
