@@ -7,8 +7,9 @@ strongly concave in ``y`` (modulus ``mu``), the envelope with step ``eta`` is
 
 with ``v`` ranging over ``Y``. The maximizer ``T(x, y)`` is a single prox
 of ``eta * r2 + indicator(Y)`` at ``y + eta * grad_y f`` and
-``R(x, y) = (T - y) / eta`` is the forward-backward residual. The
-penalized objective minimized by the solvers is
+``R(x, y) = (T - y) / eta`` is the forward-backward residual, both nan
+wherever ``grad_y f`` is not finite. The penalized objective minimized by
+the solvers is
 
     Gamma(x, y) = alpha * psi - (alpha - 1) * f + r1(x) + (alpha - 1) * r2(y)
 
@@ -132,7 +133,9 @@ class EnvelopeEval:
     """All envelope quantities at one point, computed from one evaluation of
     ``f``, ``grad_x f`` (kept in ``grad_x_f``) and ``grad_y f`` and a single
     prox call (whether ``T`` touches a kink of the projection is
-    :func:`near_kink`); ``R_sq`` is ``||R||^2``. The gradient of ``Xi``
+    :func:`near_kink`); ``R_sq`` is ``||R||^2``. ``T`` and ``R`` have the
+    bits of :func:`prox_step` at the same point, so they are nan in every
+    row whose ``grad_y f`` is not finite. The gradient of ``Xi``
     (``grad_x``, ``grad_y``) is None until :func:`with_gradients` extends
     the record in place with two Hessian-vector products along ``R``: the
     completed evaluation is the record that :func:`evaluate` built.
@@ -188,6 +191,17 @@ def _finite_rows(finite: Optional[np.ndarray], checked, *named) -> Optional[np.n
     return finite
 
 
+def _maximizer(problem: MinimaxProblem, eta: float, y, gy) -> tuple[Vector, Vector]:
+    """``T`` and ``R`` from ``gy = grad_y f(x, y)``, both nan in every row
+    where ``gy`` has a nan or inf, even where a box ``Y`` would clip an
+    infinite ascent step back to finite values."""
+    T = composite_prox(problem.r2, problem.Y, y + eta * gy, eta)
+    finite = np.isfinite(gy)
+    if np.count_nonzero(finite) != finite.size:  # a count is cheaper than .all()
+        T = np.where(finite.all(axis=-1, keepdims=True), T, np.nan)
+    return T, (T - y) / eta
+
+
 def _along_residual(product, x, y, R, moving, shape):
     """The exact Hessian-vector product ``product`` along ``R`` as float64,
     zero where ``R`` is (``moving`` is False)."""
@@ -205,15 +219,18 @@ def evaluate(
 ) -> EnvelopeEval:
     """Evaluate the envelope at a point or a stack of points into one
     record, which :func:`with_gradients` extends with the smooth-part
-    gradient unless ``need_grad`` is False."""
+    gradient unless ``need_grad`` is False.
+
+    ``T`` and ``R`` come from the rule of :func:`prox_step`: nan in every
+    row whose ``grad_y f`` is not finite, a row that ``finite`` then
+    clears (at one point, the call raises :class:`NonFiniteValue`)."""
     x, y = problem.check_point(x, y)
     f = problem.f
     eta, alpha = cfg.eta, cfg.alpha
     finite = None if x.ndim == 1 else np.ones(len(x), dtype=bool)
 
     f_val, gx, gy = _first_order(f, x, y)
-    T = composite_prox(problem.r2, problem.Y, y + eta * gy, eta)
-    R = (T - y) / eta
+    T, R = _maximizer(problem, eta, y, gy)
     r2_T = problem.r2.value(T)
     R_sq = np.vecdot(R, R)
     gap = eta * np.vecdot(gy, R) - r2_T - 0.5 * eta * R_sq
@@ -221,7 +238,7 @@ def evaluate(
     xi = f_val + alpha * gap
     gamma = xi + problem.r1.value(x) + (alpha - 1.0) * problem.r2.value(y)
     # a nan or inf f reaches xi (inf - inf, or 0 * inf at alpha = 1); one in
-    # grad_y f reaches psi through <grad_y f, R>, even where the prox clips T
+    # grad_y f makes R nan, and so psi
     finite = _finite_rows(
         finite, (gamma,), ("f value", f_val), ("grad_y f", gy), ("gamma", gamma)
     )
@@ -315,16 +332,9 @@ def minimax_residual(problem: MinimaxProblem, x, y) -> tuple[Vector, Vector]:
 
 
 def prox_step(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> tuple[Vector, Vector]:
-    """The envelope maximizer ``T(x, y)`` and residual ``R = (T - y)/eta``.
-
-    A non-finite ``grad_y f`` makes ``T`` and ``R`` nan, at one point or in
-    its row of a stack only, where a box ``Y`` would clip an infinite
-    ascent step back to finite values."""
+    """The envelope maximizer ``T(x, y)`` and residual ``R = (T - y)/eta``
+    from one ``grad_y f`` call, with the bits of :func:`evaluate`'s ``T``
+    and ``R``: nan at one point, or in its row of a stack, where ``grad_y
+    f`` is not finite."""
     x, y = problem.check_point(x, y)
-    gy = np.asarray(problem.f.grad_y(x, y), dtype=np.float64)
-    T = composite_prox(problem.r2, problem.Y, y + cfg.eta * gy, cfg.eta)
-    finite = np.isfinite(gy)
-    if np.count_nonzero(finite) != finite.size:  # a count is cheaper than .all()
-        T = np.where(finite.all(axis=-1, keepdims=True), T, np.nan)
-    R = (T - y) / cfg.eta
-    return T, R
+    return _maximizer(problem, cfg.eta, y, np.asarray(problem.f.grad_y(x, y), dtype=np.float64))

@@ -442,8 +442,9 @@ def test_non_finite_oracle_value_is_caught(oracle, box_y, bad):
         if where != "evaluate":
             assert with_gradients(prob, cfg, stack) is stack
             assert stack.finite.tolist() == [True, True, False, True]
-    if box_y and bad == np.inf:
-        assert np.isfinite(stack.T[2]).all()  # the prox clipped the infinite ascent step
+    if oracle == "grad_y":
+        # nan even where a box Y would clip an infinite ascent step
+        assert np.isnan(stack.T[2]).all() and np.isnan(stack.R[2]).all()
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -465,6 +466,27 @@ def test_stacked_prox_step_clears_only_the_poisoned_row(box_y, bad):
             assert np.array_equal(R[i], one[1], equal_nan=True)
     assert np.isnan(T[2]).all() and np.isnan(R[2]).all()
     assert np.isfinite(np.delete(T, 2, axis=0)).all()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("box_y", [False, True], ids=["free_y", "box_y"])
+def test_evaluate_and_prox_step_give_the_same_maximizer_bytes(box_y, bad):
+    prob = _poisoned_problem("grad_y", bad, box_y)
+    cfg = EnvelopeConfig(eta=0.5, alpha=4.0)
+    rng = np.random.default_rng(9)
+    xs = rng.uniform(-0.5, 0.5, (4, 3))
+    ys = rng.uniform(-0.5, 0.5, (4, 3))
+    xs[2, 0] = _POISON_X
+    with np.errstate(invalid="ignore"):
+        T, R = prox_step(prob, cfg, xs, ys)
+        for grad in (False, True):
+            ev = evaluate(prob, cfg, xs, ys, need_grad=grad)
+            assert ev.T.tobytes() == T.tobytes() and ev.R.tobytes() == R.tobytes()
+    assert np.isnan(T[2]).all() and np.isnan(R[2]).all()
+    # each finite row alone (the poisoned one raises at one point)
+    for i in (0, 1, 3):
+        ev, (T1, R1) = evaluate(prob, cfg, xs[i], ys[i]), prox_step(prob, cfg, xs[i], ys[i])
+        assert ev.T.tobytes() == T1.tobytes() and ev.R.tobytes() == R1.tobytes()
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["point", "stack"])

@@ -109,6 +109,10 @@ def test_synthetic_from_data_no_normalization():
     assert inst.b.tolist() == [2.0]
     with pytest.raises(ValueError):
         synthetic_from_data([1.0, 2.0], [1.0], 1.0)
+    for shape in ((2, 0), (0, 2), (0, 0)):
+        with pytest.raises(ValueError, match=rf"^B must have no empty dimension, got shape "
+                                             rf"\({shape[0]}, {shape[1]}\)$"):
+            synthetic_from_data(np.zeros(shape), np.ones(shape[0]), 1.0)
 
 
 @pytest.mark.parametrize("bad", ["B", "b"])
