@@ -19,8 +19,7 @@ from .core import (
     UnsupportedSet,
     ZeroDirection,
     fd_gradient,
-    fd_hvp_xy,
-    fd_hvp_yy,
+    fd_hvp,
     zero_regularizer,
 )
 from .diagnostics import (

@@ -290,7 +290,9 @@ class FunctionOracle:
         Strong concavity modulus of ``y -> eval(x, y)``; positive and finite.
     hvp_yy, hvp_xy : callable
         Exact Hessian-vector products along y-directions, ``(x, y, v) ->
-        array``, which the envelope gradient needs. A value that is not
+        array``, which the envelope gradient needs. A product must be linear
+        in ``v``, so it gives zeros along ``v = 0``: the envelope takes it
+        along every residual, zero ones included. A value that is not
         callable raises :class:`IncompleteOracle` at construction.
     first_order : callable, optional
         ``(x, y) -> (eval, grad_x, grad_y)`` in one call, with the bits of
@@ -461,11 +463,12 @@ class CoupledProblem:
         return self.c.dim
 
 
-def fd_gradient(oracle: FunctionOracle, x, y) -> tuple[Vector, Vector]:
-    """Central-difference gradient of ``oracle.eval`` in both blocks.
+def fd_gradient(fn: Callable[[Vector, Vector], float], x, y) -> tuple[Vector, Vector]:
+    """Central-difference gradient of a scalar function ``fn(x, y)`` in both
+    blocks, such as an oracle's ``eval`` or the envelope's ``Xi``.
 
     The step is ``sqrt(eps) * (1 + ||block||)`` per block. Raises
-    :class:`NonFiniteValue` if any probe evaluation is non-finite.
+    :class:`NonFiniteValue` if any probe value is non-finite.
     """
     x = as_vector(x, what="x")
     y = as_vector(y, what="y")
@@ -473,7 +476,7 @@ def fd_gradient(oracle: FunctionOracle, x, y) -> tuple[Vector, Vector]:
     hy = _SQRT_EPS * (1.0 + float(np.linalg.norm(y)))
 
     def probe(xp, yp) -> float:
-        return float(check_finite(oracle.eval(xp, yp), "oracle value"))
+        return float(check_finite(fn(xp, yp), "function value"))
 
     gx = np.zeros_like(x)
     for i in range(x.shape[0]):
@@ -488,30 +491,23 @@ def fd_gradient(oracle: FunctionOracle, x, y) -> tuple[Vector, Vector]:
     return gx, gy
 
 
-def _fd_directional(grad_fn, x: Vector, y: Vector, v: Vector) -> Vector:
+def fd_hvp(grad: Callable[[Vector, Vector], Vector], x, y, v) -> Vector:
+    """Central-difference derivative of the gradient map ``grad(x, y)`` along
+    the y-direction ``v``: ``hvp_yy`` for ``grad_y`` and ``hvp_xy`` for
+    ``grad_x``. The step is ``cbrt(eps) * (1 + ||y||)`` along ``v / ||v||``;
+    a zero ``v`` raises :class:`ZeroDirection`, and a non-finite probe
+    :class:`NonFiniteValue`.
+    """
+    x = as_vector(x, what="x")
+    y = as_vector(y, what="y")
+    v = as_vector(v, y.shape[0], "direction")
     norm_v = float(np.linalg.norm(v))
     if norm_v == 0.0:
         raise ZeroDirection("finite-difference HVP needs a nonzero direction")
     unit = v / norm_v
     h = _CBRT_EPS * (1.0 + float(np.linalg.norm(y)))
-    gp = np.asarray(grad_fn(x, y + h * unit), dtype=np.float64)
-    gm = np.asarray(grad_fn(x, y - h * unit), dtype=np.float64)
+    gp = np.asarray(grad(x, y + h * unit), dtype=np.float64)
+    gm = np.asarray(grad(x, y - h * unit), dtype=np.float64)
     check_finite(gp, "gradient probe")
     check_finite(gm, "gradient probe")
     return (gp - gm) / (2.0 * h) * norm_v
-
-
-def fd_hvp_yy(oracle: FunctionOracle, x, y, v) -> Vector:
-    """Central-difference ``hvp_yy`` along ``v`` (step ``~eps^(1/3)`` scaled)."""
-    x = as_vector(x, what="x")
-    y = as_vector(y, what="y")
-    v = as_vector(v, y.shape[0], "direction")
-    return _fd_directional(oracle.grad_y, x, y, v)
-
-
-def fd_hvp_xy(oracle: FunctionOracle, x, y, v) -> Vector:
-    """Central-difference ``hvp_xy`` along the y-direction ``v``."""
-    x = as_vector(x, what="x")
-    y = as_vector(y, what="y")
-    v = as_vector(v, y.shape[0], "direction")
-    return _fd_directional(oracle.grad_x, x, y, v)

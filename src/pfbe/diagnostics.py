@@ -69,9 +69,12 @@ def eps_minimax_mm(
     both at unit step: the norms of :func:`pfbe.envelope.minimax_residual`
     at ``(x, yT)``. A first-order minimax point returns ``(0, 0)``, and a
     point where ``grad_y f`` is not finite ``(nan, nan)``, without a
-    warning: :func:`prox_step` gives it a nan ``T``.
+    warning: :func:`prox_step` gives it a nan ``T``. It takes one point, as
+    :func:`feasibility_mcc` and :func:`certify` do: a stack raises
+    :class:`~pfbe.core.DimensionError`.
     """
-    x, y = problem.check_point(x, y)
+    x = as_vector(x, problem.dim_x, "x")
+    y = as_vector(y, problem.dim_y, "y")
     yT, _ = prox_step(problem, cfg, x, y)
     return _norm_pair(problem, x, yT)
 

@@ -16,8 +16,10 @@ the solvers is
 whose smooth part ``Xi = alpha * psi - (alpha - 1) * f``, computed as
 ``f + alpha * (psi - f)`` without the cancellation of two terms of size
 ``alpha |f|`` near a solution, is differentiable wherever the prox is; its
-gradient needs two Hessian-vector products along ``R``, which every
-:class:`~pfbe.core.FunctionOracle` supplies exactly:
+gradient is linear in ``R`` and needs two Hessian-vector products along
+it, which every :class:`~pfbe.core.FunctionOracle` supplies exactly. Both
+are taken at every point and every row of a stack, ``R = 0`` included,
+where an exact product, being linear in its direction, gives zeros:
 
     grad_x Xi = grad_x f + alpha * eta * hvp_xy(R)
     grad_y Xi = alpha * (R + eta * hvp_yy(R)) - (alpha - 1) * grad_y f
@@ -133,9 +135,9 @@ class EnvelopeEval:
     """All envelope quantities at one point, computed from one evaluation of
     ``f``, ``grad_x f`` (kept in ``grad_x_f``) and ``grad_y f`` and a single
     prox call (whether ``T`` touches a kink of the projection is
-    :func:`near_kink`); ``R_sq`` is ``||R||^2``. ``T`` and ``R`` have the
-    bits of :func:`prox_step` at the same point, so they are nan in every
-    row whose ``grad_y f`` is not finite. The gradient of ``Xi``
+    :func:`near_kink`). ``T`` and ``R`` have the bits of :func:`prox_step`
+    at the same point, so they are nan in every row whose ``grad_y f`` is
+    not finite. The gradient of ``Xi``
     (``grad_x``, ``grad_y``) is None until :func:`with_gradients` extends
     the record in place with two Hessian-vector products along ``R``: the
     completed evaluation is the record that :func:`evaluate` built.
@@ -153,7 +155,6 @@ class EnvelopeEval:
     xi: float
     gamma: float
     grad_x_f: Vector
-    R_sq: float
     grad_x: Optional[Vector]
     grad_y: Optional[Vector]
     finite: Optional[np.ndarray]
@@ -202,14 +203,6 @@ def _maximizer(problem: MinimaxProblem, eta: float, y, gy) -> tuple[Vector, Vect
     return T, (T - y) / eta
 
 
-def _along_residual(product, x, y, R, moving, shape):
-    """The exact Hessian-vector product ``product`` along ``R`` as float64,
-    zero where ``R`` is (``moving`` is False)."""
-    if R.ndim == 1:
-        return np.asarray(product(x, y, R), dtype=np.float64) if moving else np.zeros(shape)
-    return np.where(moving[:, None], np.asarray(product(x, y, R), dtype=np.float64), 0.0)
-
-
 def evaluate(
     problem: MinimaxProblem,
     cfg: EnvelopeConfig,
@@ -244,7 +237,7 @@ def evaluate(
     )
     ev = EnvelopeEval(
         x=x, y=y, f_val=f_val, grad_y_f=gy, T=T, R=R, psi=psi, xi=xi, gamma=gamma,
-        grad_x_f=gx, R_sq=R_sq, grad_x=None, grad_y=None, finite=finite,
+        grad_x_f=gx, grad_x=None, grad_y=None, finite=finite,
     )
     return with_gradients(problem, cfg, ev) if need_grad else ev
 
@@ -254,15 +247,16 @@ def with_gradients(
 ) -> EnvelopeEval:
     """Extend ``ev`` in place with the gradient of ``Xi`` and return ``ev``.
 
-    The two products, the gradient and its finiteness come first, then
+    The two Hessian-vector products along ``R`` are taken once each, at a
+    point or on a whole stack, whatever ``R`` holds. The products, the
+    gradient and its finiteness come first, then
     ``grad_x``, ``grad_y`` and, for a stack, the narrowed ``finite`` are
     written into ``ev``. At one point a non-finite quantity raises
     :class:`NonFiniteValue` before anything is written."""
     f, x, y, R, gx = problem.f, ev.x, ev.y, ev.R, ev.grad_x_f
     eta, alpha = cfg.eta, cfg.alpha
-    moving = ev.R_sq != 0.0
-    hxy_r = _along_residual(f.hvp_xy, x, y, R, moving, x.shape)
-    hyy_r = _along_residual(f.hvp_yy, x, y, R, moving, y.shape)
+    hxy_r = np.asarray(f.hvp_xy(x, y, R), dtype=np.float64)
+    hyy_r = np.asarray(f.hvp_yy(x, y, R), dtype=np.float64)
     grad_x = gx + alpha * eta * hxy_r
     grad_y = alpha * (R + eta * hyy_r) - (alpha - 1.0) * ev.grad_y_f
     ev.finite = _finite_rows(

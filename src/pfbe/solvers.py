@@ -517,7 +517,7 @@ def select_gda_step(
         raise ValueError("empty step grid")
     steps = tuple(sorted(check_real("GDA step grid entry", s, 0, strict=True) for s in steps))
     budget = scfg.max_iter if pilot_iters is None else check_int("pilot_iters", pilot_iters, 0)
-    pilot_cfg = replace(scfg, max_iter=budget, record_trace=False)
+    pilot_cfg = replace(scfg, max_iter=budget)
     x0, y0 = problem.check_point(x0, y0)
     if x0.ndim > 1:
         raise DimensionError(f"select_gda_step runs from one point, got a stack of {len(x0)}")

@@ -22,8 +22,7 @@ from pfbe.core import (
     as_vector,
     check_finite,
     fd_gradient,
-    fd_hvp_xy,
-    fd_hvp_yy,
+    fd_hvp,
     zero_regularizer,
 )
 from pfbe.problems import make_synthetic
@@ -293,7 +292,7 @@ def test_fd_gradient_matches_closed_form():
     for _ in range(100):
         x = rng.uniform(-2, 2, size=2)
         y = rng.uniform(-2, 2, size=2)
-        gx, gy = fd_gradient(oracle, x, y)
+        gx, gy = fd_gradient(oracle.eval, x, y)
         ex, ey = oracle.grad_x(x, y), oracle.grad_y(x, y)
         assert np.linalg.norm(gx - ex) <= 1e-5 * (1.0 + np.linalg.norm(ex))
         assert np.linalg.norm(gy - ey) <= 1e-5 * (1.0 + np.linalg.norm(ey))
@@ -310,7 +309,7 @@ def test_fd_gradient_nonfinite_probe():
         hvp_xy=_zero_hvp,
     )
     with pytest.raises(NonFiniteValue):
-        fd_gradient(bad, [0.0], [0.0])
+        fd_gradient(bad.eval, [0.0], [0.0])
 
 
 def test_fd_hvp_matches_closed_form():
@@ -320,8 +319,8 @@ def test_fd_hvp_matches_closed_form():
         x = rng.uniform(-2, 2, size=2)
         y = rng.uniform(-2, 2, size=2)
         v = rng.standard_normal(2)
-        got_yy = fd_hvp_yy(oracle, x, y, v)
-        got_xy = fd_hvp_xy(oracle, x, y, v)
+        got_yy = fd_hvp(oracle.grad_y, x, y, v)
+        got_xy = fd_hvp(oracle.grad_x, x, y, v)
         exact_yy = oracle.hvp_yy(x, y, v)
         exact_xy = oracle.hvp_xy(x, y, v)
         assert np.linalg.norm(got_yy - exact_yy) <= 1e-4 * (1.0 + np.linalg.norm(exact_yy))
@@ -333,17 +332,17 @@ def test_fd_hvp_scales_with_direction_norm():
     x = np.array([0.7, -0.4])
     y = np.array([0.2, 0.5])
     v = np.array([0.3, -1.1])
-    one = fd_hvp_yy(oracle, x, y, v)
-    ten = fd_hvp_yy(oracle, x, y, 10.0 * v)
+    one = fd_hvp(oracle.grad_y, x, y, v)
+    ten = fd_hvp(oracle.grad_y, x, y, 10.0 * v)
     assert np.allclose(ten, 10.0 * one, rtol=1e-8, atol=1e-10)
 
 
 def test_fd_hvp_zero_direction():
     oracle = _cubic_oracle()
     with pytest.raises(ZeroDirection):
-        fd_hvp_yy(oracle, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        fd_hvp(oracle.grad_y, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ZeroDirection):
-        fd_hvp_xy(oracle, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        fd_hvp(oracle.grad_x, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
 
 
 def test_strong_concavity_witness_quadratic():

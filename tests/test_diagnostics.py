@@ -15,7 +15,13 @@ grad_z Xi = (1.15, 0.1) and grad_y Xi = -0.15 by hand:
 import numpy as np
 import pytest
 
-from pfbe.core import ConstraintOracle, CoupledProblem, FunctionOracle, NonFiniteValue
+from pfbe.core import (
+    ConstraintOracle,
+    CoupledProblem,
+    DimensionError,
+    FunctionOracle,
+    NonFiniteValue,
+)
 from pfbe.diagnostics import (
     certify,
     check_polar_convexity,
@@ -99,6 +105,23 @@ def test_eps_minimax_is_nan_where_grad_y_f_is_not_finite():
     _, prob, cfg, z, _ = _pinned()
     ex, ey = eps_minimax_mm(prob, cfg, z, np.array([np.inf]))
     assert np.isnan(ex) and np.isnan(ey)
+
+
+def test_eps_minimax_takes_one_point():
+    # over a stack, one pair of norms of all rows together matches no row;
+    # like feasibility_mcc and certify, it takes one point
+    prob = make_synthetic(3, 3, 1.0, 1).lifted.problem
+    cfg = EnvelopeConfig.for_problem(prob)
+    rng = np.random.default_rng(0)
+    zs = rng.standard_normal((2, prob.dim_x))
+    ys = rng.standard_normal((2, prob.dim_y))
+    for z, y in zip(zs, ys):
+        ex, ey = eps_minimax_mm(prob, cfg, z, y)
+        assert np.isfinite(ex) and np.isfinite(ey)
+    with pytest.raises(DimensionError, match=r"x must be 1-D, got shape \(2, 6\)"):
+        eps_minimax_mm(prob, cfg, zs, ys)
+    with pytest.raises(DimensionError, match=r"y must be 1-D, got shape \(2, 3\)"):
+        eps_minimax_mm(prob, cfg, zs[0], ys)
 
 
 def test_diagnostics_at_a_non_finite_point_end_as_documented_without_a_warning():

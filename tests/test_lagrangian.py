@@ -21,8 +21,7 @@ from pfbe.core import (
     PreconditionViolation,
     ProxRegularizer,
     UnsupportedSet,
-    fd_hvp_xy,
-    fd_hvp_yy,
+    fd_hvp,
 )
 from pfbe.diagnostics import feasibility_mcc, stationarity_gamma, transfer_constant
 from pfbe.envelope import EnvelopeConfig, evaluate
@@ -226,8 +225,8 @@ def test_lifted_hvp_against_finite_differences():
             v = rng.standard_normal(dim_y)
             exact_yy = f.hvp_yy(z, y, v)
             exact_xy = f.hvp_xy(z, y, v)
-            got_yy = fd_hvp_yy(f, z, y, v)
-            got_xy = fd_hvp_xy(f, z, y, v)
+            got_yy = fd_hvp(f.grad_y, z, y, v)
+            got_xy = fd_hvp(f.grad_x, z, y, v)
             assert np.linalg.norm(got_yy - exact_yy) <= 1e-4 * (1 + np.linalg.norm(exact_yy))
             assert np.linalg.norm(got_xy - exact_xy) <= 1e-4 * (1 + np.linalg.norm(exact_xy))
 

@@ -464,13 +464,13 @@ def test_spg_evaluates_each_point_once(monkeypatch):
 
 def test_spg_products_with_B(monkeypatch):
     # the bundle of each evaluation (the start and every trial) makes B y,
-    # for f and grad_x f, and B^T x, for grad_y f; a completion adds
-    # hvp_xy = B R where R is nonzero. With separate calls, grad_x f made
+    # for f and grad_x f, and B^T x, for grad_y f; every completion adds
+    # hvp_xy = B R, the start's included. With separate calls, grad_x f made
     # one more B y per completion, so an iteration made 4 products, not 3
     inst = make_synthetic(5, 5, 1.0, 1)
     prob = inst.lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
-    products, evaluations, moving = [], [], []
+    products, evaluations, completions = [], [], []
     matvec, evaluate, complete = np.matvec, solvers.evaluate, envelope.with_gradients
 
     def counted_matvec(A, v):
@@ -482,7 +482,7 @@ def test_spg_products_with_B(monkeypatch):
         return evaluate(problem, cfg, x, y, need_grad=need_grad)
 
     def counted_completion(problem, cfg, ev):
-        moving.append(bool(np.any(ev.R != 0.0)))
+        completions.append(ev)
         return complete(problem, cfg, ev)
 
     monkeypatch.setattr(np, "matvec", counted_matvec)  # the synthetic oracles call np.matvec
@@ -492,9 +492,9 @@ def test_spg_products_with_B(monkeypatch):
     res = solve_spg(prob, cfg, SolverConfig(), *inst.lifted.default_start())
     assert res.converged and res.iter > 10
     assert all(products)  # every product is one with B or B^T
-    assert len(moving) == res.iter + 1  # the start and each accepted trial
+    assert len(completions) == res.iter + 1  # the start and each accepted trial
     assert len(evaluations) > res.iter + 1  # at least one rejected trial
-    assert len(products) == 2 * len(evaluations) + sum(moving)
+    assert len(products) == 2 * len(evaluations) + len(completions)
 
 
 def test_a_problem_is_probed_when_built_and_not_per_solve():
