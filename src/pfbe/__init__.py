@@ -60,10 +60,12 @@ from .sets import (
     composite_prox,
 )
 from .solvers import (
+    SOLVER_NAMES,
     SolverConfig,
     SolveResult,
     gamma_descent_check,
     select_gda_step,
+    solve,
     solve_gda_baseline,
     solve_spg,
     solve_subgda,

@@ -38,7 +38,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -47,16 +47,9 @@ from .diagnostics import feasibility_mcc
 from .envelope import EnvelopeConfig
 from .problems import make_example1, make_synthetic
 from .rng import check_seed
-from .solvers import (
-    SolverConfig,
-    select_gda_step,
-    solve_gda_baseline,
-    solve_spg,
-    solve_subgda,
-)
+from .solvers import SOLVER_NAMES, SolverConfig, solve
 
 CSV_HEADER = "solver,n,p,c,seed,fval,iter,stat,feas,time_s"
-SOLVER_NAMES = ("spg", "subgda", "gda")
 PROBLEM_NAMES = ("synthetic", "example1")
 
 
@@ -74,8 +67,8 @@ class RunConfig:
     are finite and positive, and a given ``output`` is a string. A
     violation raises ``ValueError``, which ``pfbe run`` and ``pfbe sweep``
     report as one ``invalid config: ...`` line (exit 1) before any solve
-    starts; they also check a given ``alpha`` against the instance's
-    envelope threshold (:func:`_load_config`).
+    starts; they also check a given ``eta`` or ``alpha`` against the
+    instance's envelope threshold (:func:`_load_config`).
     """
 
     problem: str = "synthetic"
@@ -181,7 +174,8 @@ def _setup(cfg: RunConfig):
     """The configured instance's lifted problem and its envelope config.
 
     Raises ``ValueError`` when ``alpha`` lies below the envelope threshold
-    ``max(1, 2/(eta*mu))``, whose defaulted ``eta`` needs the instance's ``L``.
+    ``max(1, 2/(eta*mu))``, whose defaulted ``eta`` needs the instance's ``L``,
+    or when a given ``eta`` is so small that the threshold overflows.
     """
     inst = (make_example1() if cfg.problem == "example1"
             else make_synthetic(cfg.n, cfg.p, cfg.c, cfg.seed))
@@ -190,37 +184,25 @@ def _setup(cfg: RunConfig):
 
 
 def _load_config(path) -> RunConfig:
-    """The config at ``path``, its ``alpha`` checked against the instance's
-    envelope threshold; any violation raises ``ValueError``."""
+    """The config at ``path``, a given ``eta`` or ``alpha`` checked against
+    the instance's envelope threshold; any violation raises ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = RunConfig.from_dict(json.load(fh))
-    if cfg.alpha is not None:  # a defaulted alpha sits at the threshold
+    if cfg.eta is not None or cfg.alpha is not None:  # both defaulted: alpha sits at the threshold
         _setup(cfg)
     return cfg
 
 
 def run_single(cfg: RunConfig, solver: str) -> BenchRow:
-    """Execute one solver on the configured instance and report a row."""
+    """Run ``solver`` on the configured instance through
+    :func:`~pfbe.solvers.solve`, from the lifted default start and with the
+    config's step grid and pilot budget, and report its row; ``time_s`` is
+    the final solve's ``wall_time``, without a GDA step selection."""
     lifted, ecfg = _setup(cfg)
     n, p = (1, 1) if cfg.problem == "example1" else (cfg.n, cfg.p)
-    prob = lifted.problem
     scfg = SolverConfig(max_iter=cfg.max_iter, gtol=cfg.gtol, record_trace=False)
-    z0, y0 = lifted.default_start()
-
-    if solver == "spg":
-        res = solve_spg(prob, ecfg, scfg, z0, y0)
-    elif solver == "subgda":
-        res = solve_subgda(prob, ecfg, scfg, z0, y0)
-    else:  # "gda", the one other name RunConfig admits
-        step, _ = select_gda_step(
-            prob, ecfg, scfg, z0, y0,
-            grid=_expand_grid(cfg.gda_step_grid),
-            pilot_iters=cfg.gda_pilot_iters,
-        )
-        res = solve_gda_baseline(
-            prob, ecfg, replace(scfg, eta_x=step, eta_y=step), z0, y0
-        )
-
+    res = solve(solver, lifted.problem, ecfg, scfg, *lifted.default_start(),
+                grid=_expand_grid(cfg.gda_step_grid), pilot_iters=cfg.gda_pilot_iters)
     x_part, _lam = lifted.split(res.x)
     feas = feasibility_mcc(lifted.base, x_part, res.y)
     return BenchRow(

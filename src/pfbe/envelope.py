@@ -100,7 +100,7 @@ class EnvelopeConfig:
 
     @staticmethod
     def threshold(eta: float, mu: float) -> float:
-        return max(1.0, 2.0 / (eta * mu))
+        return max(1.0, 2.0 / (eta * mu)) if eta * mu else math.inf  # eta*mu underflowed to 0
 
     def check_threshold(self, mu: float) -> None:
         """Raise ``ValueError`` unless ``alpha >= max(1, 2 / (eta * mu))``."""
@@ -119,12 +119,13 @@ class EnvelopeConfig:
         alpha: Optional[float] = None,
     ) -> "EnvelopeConfig":
         """Defaults: ``eta = min(1, 1/(2 L))`` and ``alpha`` at the threshold,
-        which a given ``alpha`` must meet."""
+        which a given ``alpha`` must meet; an ``eta`` so small that the
+        threshold overflows raises ``ValueError`` naming it."""
         if eta is None:
             eta = min(1.0, 1.0 / (2.0 * problem.lipschitz))
         eta = check_real("eta", eta, 0, strict=True)  # before the threshold divides by it
-        if alpha is None:
-            alpha = cls.threshold(eta, problem.mu)
+        if alpha is None:  # a finite threshold: a tiny eta overflows 2/(eta*mu)
+            alpha = check_real(f"2/(eta*mu) at eta={eta!r}", cls.threshold(eta, problem.mu))
         cfg = cls(eta=eta, alpha=alpha)
         cfg.check_threshold(problem.mu)
         return cfg

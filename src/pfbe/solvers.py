@@ -530,6 +530,31 @@ def select_gda_step(
     return min(results, key=lambda s: (results[s], s)), results
 
 
+SOLVER_NAMES = ("spg", "subgda", "gda")
+
+
+def solve(name: str, problem: MinimaxProblem, cfg: EnvelopeConfig, scfg: SolverConfig, x0, y0,
+          *, grid=None, pilot_iters: Optional[int] = None) -> SolveResult:
+    """Run the solver of one of ``SOLVER_NAMES`` from ``(x0, y0)``.
+
+    ``spg`` is :func:`solve_spg` and ``subgda`` :func:`solve_subgda`;
+    ``gda`` picks its step by :func:`select_gda_step` over ``grid`` with
+    ``pilot_iters`` pilot iterations, which the other two ignore, then
+    runs :func:`solve_gda_baseline` with both steps at the one chosen.
+    The final solve's :class:`SolveResult` is returned as it is, so its
+    ``wall_time`` leaves out the step selection. Any other name raises
+    ``ValueError``.
+    """
+    if name == "spg":
+        return solve_spg(problem, cfg, scfg, x0, y0)
+    if name == "subgda":
+        return solve_subgda(problem, cfg, scfg, x0, y0)
+    if name != "gda":
+        raise ValueError(f"unknown solver {name!r}, not one of {SOLVER_NAMES}")
+    step, _ = select_gda_step(problem, cfg, scfg, x0, y0, grid=grid, pilot_iters=pilot_iters)
+    return solve_gda_baseline(problem, cfg, replace(scfg, eta_x=step, eta_y=step), x0, y0)
+
+
 def gamma_descent_check(gamma_trace) -> bool:
     """True when the objective trace is nonincreasing up to a slack of
     ``1e-8 * (1 + |gamma_0|)``, absorbing rounding in long traces.

@@ -28,8 +28,7 @@ from pfbe.sets import BoxSet, WholeSpace
 from pfbe.solvers import (
     SolverConfig,
     gamma_descent_check,
-    select_gda_step,
-    solve_gda_baseline,
+    solve,
     solve_spg,
     solve_subgda,
 )
@@ -209,15 +208,8 @@ def test_criterion_3_transfer_bound_across_solves():
                 results = [
                     solve_spg(prob, cfg, SolverConfig(), z0, y0),
                     solve_subgda(prob, cfg, SolverConfig(max_iter=1500), z0, y0),
+                    solve("gda", prob, cfg, SolverConfig(max_iter=1500), z0, y0, pilot_iters=300),
                 ]
-                step, _ = select_gda_step(
-                    prob, cfg, SolverConfig(max_iter=1500), z0, y0, pilot_iters=300
-                )
-                results.append(
-                    solve_gda_baseline(
-                        prob, cfg, SolverConfig(max_iter=1500, eta_x=step, eta_y=step), z0, y0
-                    )
-                )
                 for res in results:
                     raw = stationarity_gamma(prob, cfg, res.x, res.y)
                     ex, ey = eps_minimax_mm(prob, cfg, res.x, res.y)
@@ -360,10 +352,7 @@ def test_criterion_6_solver_benchmark_targets():
             assert spg_time < 30.0
 
             scfg = SolverConfig()
-            step, _ = select_gda_step(prob, cfg, scfg, z0, y0, pilot_iters=1000)
-            gda = solve_gda_baseline(
-                prob, cfg, SolverConfig(eta_x=step, eta_y=step), z0, y0
-            )
+            gda = solve("gda", prob, cfg, scfg, z0, y0, pilot_iters=1000)
             needed = gda.iter if gda.converged else scfg.max_iter
             wins += needed >= 2 * spg.iter
             rows.append((n, seed, spg.iter, needed))

@@ -7,6 +7,7 @@ asserted by comparing emitted CSV bytes with the timing column removed.
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -98,6 +99,8 @@ def test_config_rejects_bad_values():
         # below max(1, 2/(eta*mu)), with eta given and with eta = min(1, 1/(2L))
         {"eta": 0.5, "alpha": 1.5},
         {"alpha": 1.5},
+        # with alpha defaulted, a threshold 2/(eta*mu) that overflows
+        {"eta": 1e-320},
         # steps a1 * 10^-a2 that overflow, are negative, zero or underflow, and no steps
         {"gda_step_grid": [[1, -400]]},
         {"gda_step_grid": [[-1, 1]]},
@@ -131,6 +134,7 @@ def test_invalid_config_exits_before_any_solve(tmp_path, monkeypatch, capsys, co
     assert rc == 1
     assert not out.exists()
     assert err.startswith("invalid config: ") and err.count("\n") == 1
+    assert all(re.search(rf"\b{key}\b", err) for key in override), err  # names the key
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5"])

@@ -65,6 +65,14 @@ def test_config_rejects_small_alpha():
             EnvelopeConfig(eta=0.5, alpha=alpha)
         with pytest.raises(ValueError, match="alpha must be a finite"):
             EnvelopeConfig.for_problem(prob, alpha=alpha)
+    # a defaulted alpha needs a finite threshold: 2/(eta*mu) overflows, or
+    # eta*mu underflows to 0 at mu = 0.5
+    small_mu = replace(prob, f=replace(prob.f, strong_concavity=0.5))
+    for problem, eta in ((prob, 1e-320), (small_mu, 5e-324)):
+        with pytest.raises(ValueError, match=f"eta={eta!r} must be a finite real number, got inf"):
+            EnvelopeConfig.for_problem(problem, eta=eta)
+    with pytest.raises(ValueError, match="threshold"):
+        EnvelopeConfig.for_problem(small_mu, eta=5e-324, alpha=2.0)
     cfg = EnvelopeConfig(eta=0.5, alpha=4.0)
     assert cfg.alpha == 4.0
 

@@ -28,7 +28,7 @@ from pfbe.envelope import EnvelopeConfig, evaluate
 from pfbe.lagrangian import kkt_residual_mol, lift, multiplier_bound_monitor
 from pfbe.problems import make_example1, make_synthetic, synthetic_from_data
 from pfbe.sets import BoxSet, OrthantCone, WholeSpace, ZeroCone
-from pfbe.solvers import SolverConfig, select_gda_step, solve_gda_baseline, solve_spg
+from pfbe.solvers import SolverConfig, solve
 from support import synthetic_reference
 
 
@@ -601,15 +601,6 @@ def test_stationary_points_match_value_function_minima():
 # active multipliers: SPG and tuned GDA solutions against the lift-free reference
 
 
-def _solve_active(solver, prob, cfg, z0, y0):
-    """SPG, or GDA at the step ``pfbe run`` tunes with its default grid and
-    pilot budget."""
-    if solver == "spg":
-        return solve_spg(prob, cfg, SolverConfig(), z0, y0)
-    step, _ = select_gda_step(prob, cfg, SolverConfig(), z0, y0, pilot_iters=1000)
-    return solve_gda_baseline(prob, cfg, SolverConfig(eta_x=step, eta_y=step), z0, y0)
-
-
 # stops at max_iter with base feasibility 1.2e-1; its three bounds still hold
 _STALLS = {("gda", 20, 0.0, 3)}
 
@@ -630,7 +621,9 @@ def test_spg_solution_matches_the_lift_free_reference(solver, n, seed, c):
     inst = make_synthetic(n, n, c, seed)
     prob = inst.lifted.problem
     cfg = EnvelopeConfig.for_problem(prob)
-    res = _solve_active(solver, prob, cfg, *inst.lifted.default_start())
+    # GDA at the step `pfbe run` tunes, with its default grid and pilot budget
+    res = solve(solver, prob, cfg, SolverConfig(), *inst.lifted.default_start(),
+                pilot_iters=1000)
     x, lam = inst.lifted.split(res.x)
     raw = stationarity_gamma(prob, cfg, res.x, res.y)
     bound = transfer_constant(prob, cfg) * raw * 1.1

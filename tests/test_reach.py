@@ -27,7 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-from pfbe import cli, rng
+from pfbe import cli, rng, solvers
 
 ROOT = Path(__file__).resolve().parents[1]
 ENTRY_POINTS = ("cli.py", "checks.py")
@@ -158,14 +158,14 @@ def _workload(tmp_path: Path) -> None:
     """``pfbe run`` on three configs, two of them diverging, ``pfbe sweep``
     over three and ``pfbe check``."""
     budget = {"max_iter": 200, "gda_pilot_iters": 50}
-    solvers = list(cli.SOLVER_NAMES)
+    names = list(solvers.SOLVER_NAMES)
     sweep = tmp_path / "sweep"
     sweep.mkdir()
     configs = {
-        sweep / "c1.json": dict(n=4, p=4, c=1.0, solver=solvers,
+        sweep / "c1.json": dict(n=4, p=4, c=1.0, solver=names,
                                 gda_step_grid=[[1, 1], [5, 2], [1, 2]], **budget),
         sweep / "c0.json": dict(n=4, p=4, c=0.0, solver=["spg", "gda"], **budget),
-        sweep / "example1.json": dict(problem="example1", solver=solvers, **budget),
+        sweep / "example1.json": dict(problem="example1", solver=names, **budget),
         tmp_path / "run.json": dict(n=3, p=5, c=0.5, solver="subgda", **budget),
         tmp_path / "diverges.json": dict(n=4, p=4, solver=["spg", "gda"],
                                          gda_step_grid=[[9, -1]], **budget),

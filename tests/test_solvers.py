@@ -41,9 +41,11 @@ from pfbe.sets import (
 )
 from pfbe.solvers import (
     DEFAULT_GDA_GRID,
+    SOLVER_NAMES,
     SolverConfig,
     gamma_descent_check,
     select_gda_step,
+    solve,
     solve_gda_baseline,
     solve_spg,
     solve_subgda,
@@ -534,8 +536,7 @@ def test_no_probe_or_solve_calls_a_zero_regularizer():
     cfg = EnvelopeConfig.for_problem(prob)
     z0, y0 = lifted.default_start()
     scfg = SolverConfig(max_iter=20)
-    step, _ = select_gda_step(prob, cfg, scfg, z0, y0, grid=(0.01, 0.02), pilot_iters=10)
-    solve_gda_baseline(prob, cfg, replace(scfg, eta_x=step, eta_y=step), z0, y0)
+    solve("gda", prob, cfg, scfg, z0, y0, grid=(0.01, 0.02), pilot_iters=10)
     assert calls == []
 
 
@@ -1374,8 +1375,53 @@ def test_spg_beats_gda_on_benchmark_instance():
 
     x_part, _ = inst.lifted.split(spg.x)
     assert feasibility_mcc(inst.lifted.base, x_part, spg.y) <= 1e-6
-    best, _ = select_gda_step(prob, cfg, scfg, z0, y0, pilot_iters=1000)
-    gda = solve_gda_baseline(
-        prob, cfg, SolverConfig(eta_x=best, eta_y=best, record_trace=False), z0, y0
-    )
+    gda = solve("gda", prob, cfg, scfg, z0, y0, pilot_iters=1000)
     assert gda.iter >= 2 * spg.iter
+
+
+# ---------------------------------------------------------------------------
+# one entry point for a named solver
+
+
+def _small(c=1.0):
+    inst = make_synthetic(4, 4, c, 1)
+    prob = inst.lifted.problem
+    return prob, EnvelopeConfig.for_problem(prob), *inst.lifted.default_start()
+
+
+@pytest.mark.parametrize("name, c, tuning", [
+    pytest.param(name, 1.0, tuning, id=f"{name}-{'tuned' if tuning else 'default'}")
+    for name in SOLVER_NAMES for tuning in ({}, {"grid": (0.3, 0.05, 0.01), "pilot_iters": 40})
+] + [pytest.param("gda", 0.0, {"grid": (0.3, 0.05, 0.01), "pilot_iters": 40}, id="gda-c0")])
+def test_solve_gives_the_bits_of_the_direct_calls(name, c, tuning):
+    # spg and subgda ignore the grid and the pilot budget
+    prob, cfg, z0, y0 = _small(c)
+    scfg = SolverConfig(max_iter=300)
+    if name == "gda":
+        step, _ = select_gda_step(prob, cfg, scfg, z0, y0, **tuning)
+        want = solve_gda_baseline(prob, cfg, replace(scfg, eta_x=step, eta_y=step), z0, y0)
+    else:
+        want = {"spg": solve_spg, "subgda": solve_subgda}[name](prob, cfg, scfg, z0, y0)
+    _assert_same_outcome(solve(name, prob, cfg, scfg, z0, y0, **tuning), want)
+
+
+def test_solve_calls_the_solvers_through_module_globals(monkeypatch):
+    # perfbench's tracing swaps these names on the module to time them
+    called = []
+    for fn in ("solve_spg", "solve_subgda", "select_gda_step", "solve_gda_baseline"):
+        def recorded(*args, _name=fn, _run=getattr(solvers, fn), **kwargs):
+            called.append(_name)
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, fn, recorded)
+    prob, cfg, z0, y0 = _small()
+    for name in SOLVER_NAMES:
+        solve(name, prob, cfg, SolverConfig(max_iter=5), z0, y0, grid=[0.1], pilot_iters=5)
+    assert called == ["solve_spg", "solve_subgda", "select_gda_step", "solve_gda_baseline"]
+
+
+@pytest.mark.parametrize("name", ["GDA", "sgd", ""])
+def test_solve_rejects_an_unknown_name(name):
+    prob, cfg, z0, y0 = _small()
+    with pytest.raises(ValueError, match=f"unknown solver {name!r}"):
+        solve(name, prob, cfg, SolverConfig(max_iter=5), z0, y0)
