@@ -106,6 +106,9 @@ class RunConfig:
         if not isinstance(self.output, (str, type(None))):
             raise ValueError(f"output must be a path string, got {self.output!r}")
         if self.gda_step_grid is not None:
+            if not isinstance(self.gda_step_grid, (list, tuple)):
+                raise ValueError(f"gda_step_grid must be a list of [a1, a2] pairs, "
+                                 f"got {self.gda_step_grid!r}")
             for entry in self.gda_step_grid:
                 if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                     raise ValueError("gda_step_grid entries must be [a1, a2] pairs")
@@ -184,8 +187,12 @@ def _setup(cfg: RunConfig):
 
 
 def _load_config(path) -> RunConfig:
-    """The config at ``path``, a given ``eta`` or ``alpha`` checked against
-    the instance's envelope threshold; any violation raises ``ValueError``."""
+    """The config at ``path``; any violation raises ``ValueError``.
+
+    A config that gives ``eta`` or ``alpha`` is checked against its
+    instance's envelope threshold, so its instance is built once here for
+    the check and once more by :func:`run_config`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         cfg = RunConfig.from_dict(json.load(fh))
     if cfg.eta is not None or cfg.alpha is not None:  # both defaulted: alpha sits at the threshold
@@ -193,23 +200,27 @@ def _load_config(path) -> RunConfig:
     return cfg
 
 
-def run_single(cfg: RunConfig, solver: str) -> BenchRow:
-    """Run ``solver`` on the configured instance through
-    :func:`~pfbe.solvers.solve`, from the lifted default start and with the
-    config's step grid and pilot budget, and report its row; ``time_s`` is
-    the final solve's ``wall_time``, without a GDA step selection."""
+def run_config(cfg: RunConfig) -> list:
+    """The config's rows: its instance is set up once, then each of its
+    solvers runs ``repeats`` times through :func:`~pfbe.solvers.solve`, from
+    the lifted default start and with the config's step grid and pilot
+    budget, one row per run in config order; ``time_s`` is the final
+    solve's ``wall_time``, without a GDA step selection."""
     lifted, ecfg = _setup(cfg)
-    n, p = (1, 1) if cfg.problem == "example1" else (cfg.n, cfg.p)
     scfg = SolverConfig(max_iter=cfg.max_iter, gtol=cfg.gtol, record_trace=False)
-    res = solve(solver, lifted.problem, ecfg, scfg, *lifted.default_start(),
-                grid=_expand_grid(cfg.gda_step_grid), pilot_iters=cfg.gda_pilot_iters)
-    x_part, _lam = lifted.split(res.x)
-    feas = feasibility_mcc(lifted.base, x_part, res.y)
-    return BenchRow(
-        solver=solver, n=n, p=p, c=cfg.c, seed=cfg.seed,
-        fval=res.fval, iter=res.iter, stat=res.stat, feas=feas,
-        time_s=res.wall_time, failure=res.failure,
-    )
+    rows = []
+    for solver in cfg.solvers:
+        for _ in range(cfg.repeats):
+            res = solve(solver, lifted.problem, ecfg, scfg, *lifted.default_start(),
+                        grid=_expand_grid(cfg.gda_step_grid), pilot_iters=cfg.gda_pilot_iters)
+            x_part, _lam = lifted.split(res.x)
+            rows.append(BenchRow(
+                solver=solver, n=lifted.n, p=lifted.base.dim_y, c=cfg.c, seed=cfg.seed,
+                fval=res.fval, iter=res.iter, stat=res.stat,
+                feas=feasibility_mcc(lifted.base, x_part, res.y),
+                time_s=res.wall_time, failure=res.failure,
+            ))
+    return rows
 
 
 def rows_to_csv(rows) -> str:
@@ -225,10 +236,6 @@ def print_table(rows, out_path: Optional[str]) -> None:
     print("\n".join(lines), file=sys.stdout if out_path else sys.stderr)
 
 
-def _exit_code(rows) -> int:
-    return 2 if any(r.failure is not None for r in rows) else 0
-
-
 def _no_output_dir(out_path: Optional[str]) -> bool:
     """Report, as one line before any solve, an ``out_path`` in a missing
     directory or that is a directory."""
@@ -241,8 +248,11 @@ def _no_output_dir(out_path: Optional[str]) -> bool:
     return False
 
 
-def _write_output(rows, out_path: Optional[str]) -> int:
-    """Write the rows to ``out_path`` (stdout when None); 1, and one stderr line, on failure."""
+def _report(rows, out_path: Optional[str]) -> int:
+    """Print the rows' table and write their CSV to ``out_path`` (stdout
+    when None). The exit code: 1, after one stderr line, when the write
+    fails; else 2 when a solve failed; else 0."""
+    print_table(rows, out_path)
     try:
         if out_path:
             Path(out_path).write_text(rows_to_csv(rows), encoding="utf-8")
@@ -251,26 +261,27 @@ def _write_output(rows, out_path: Optional[str]) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return 2 if any(r.failure is not None for r in rows) else 0
+
+
+def _loaded(load):
+    """``load()``, or None after one ``invalid config: ...`` line when it
+    raises a load error."""
+    try:
+        return load()
+    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
+    cfg = _loaded(lambda: _load_config(args.config))
+    if cfg is None:
         return 1
     out = args.out or cfg.output
     if _no_output_dir(out):
         return 1
-    rows = [run_single(cfg, s) for s in cfg.solvers for _ in range(cfg.repeats)]
-    print_table(rows, out)
-    return _write_output(rows, out) or _exit_code(rows)
-
-
-def _sweep_job(payload):
-    cfg_dict, solver = payload
-    return run_single(RunConfig.from_dict(cfg_dict), solver)
+    return _report(run_config(cfg), out)
 
 
 def _thread_budget() -> int:
@@ -290,37 +301,22 @@ def cmd_sweep(args) -> int:
     if not paths and not config_dir.is_dir():
         print(f"not a directory: {config_dir}", file=sys.stderr)
         return 1
-    jobs = []
-    try:
-        workers = _thread_budget()
-        for path in paths:
-            cfg = _load_config(path)
-            for solver in cfg.solvers:
-                for _ in range(cfg.repeats):
-                    jobs.append((asdict(cfg), solver))
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
+    loaded = _loaded(lambda: (_thread_budget(), [_load_config(path) for path in paths]))
+    if loaded is None or _no_output_dir(args.out):
         return 1
-    if _no_output_dir(args.out):
-        return 1
-
-    if workers > 1 and len(jobs) > 1:
+    workers, cfgs = loaded
+    if workers > 1 and len(cfgs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
         # spawned, not forked: the parent already runs threads (BLAS's)
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            rows = list(pool.map(_sweep_job, jobs))
+            per_config = list(pool.map(run_config, cfgs))
     else:
-        rows = [_sweep_job(j) for j in jobs]
-
-    order = sorted(
-        range(len(rows)),
-        key=lambda i: (rows[i].n, rows[i].p, rows[i].c, rows[i].solver, rows[i].seed, i),
-    )
-    rows = [rows[i] for i in order]
-    print_table(rows, args.out)
-    return _write_output(rows, args.out) or _exit_code(rows)
+        per_config = [run_config(cfg) for cfg in cfgs]
+    rows = sorted((row for cfg_rows in per_config for row in cfg_rows),
+                  key=lambda r: (r.n, r.p, r.c, r.solver, r.seed))  # stable: ties keep config order
+    return _report(rows, args.out)
 
 
 def cmd_check(args) -> int:

@@ -74,7 +74,10 @@ class UnsupportedSet(PfbeError):
 
 
 class DegenerateNormalization(PfbeError):
-    """Stationarity normalization constant is numerically zero."""
+    """A vector to be scaled to unit norm has norm numerically zero: raised by
+    :func:`~pfbe.problems.make_synthetic` when its draw of ``b`` has zero
+    norm. The stationarity residual's normalization raises nothing; it uses
+    ``envelope.NORM_FLOOR``."""
 
 
 class PreconditionViolation(PfbeError):

@@ -20,8 +20,9 @@ from pfbe.cli import (
     RunConfig,
     main,
     rows_to_csv,
-    run_single,
+    run_config,
 )
+from pfbe.problems import make_synthetic
 
 
 def _strip_time(csv_text: str) -> str:
@@ -107,6 +108,9 @@ def test_config_rejects_bad_values():
         {"gda_step_grid": [[0, 1]]},
         {"gda_step_grid": [[1, 400]]},
         {"gda_step_grid": []},
+        # a grid that is not a list
+        {"gda_step_grid": 5},
+        {"gda_step_grid": True},
         # an output that is not a path string
         {"output": 5},
         {"output": ["x.csv"]},
@@ -116,10 +120,10 @@ def test_config_rejects_bad_values():
 def test_invalid_config_exits_before_any_solve(tmp_path, monkeypatch, capsys, command, override):
     import pfbe.cli as cli_mod
 
-    def no_solve(cfg, solver):
+    def no_solve(cfg):
         raise AssertionError("a solve started")
 
-    monkeypatch.setattr(cli_mod, "run_single", no_solve)
+    monkeypatch.setattr(cli_mod, "run_config", no_solve)
     monkeypatch.delenv("PFBE_THREADS", raising=False)
     d = tmp_path / "configs"
     d.mkdir()
@@ -141,10 +145,10 @@ def test_invalid_config_exits_before_any_solve(tmp_path, monkeypatch, capsys, co
 def test_invalid_thread_budget_exits_before_any_solve(tmp_path, monkeypatch, capsys, value):
     import pfbe.cli as cli_mod
 
-    def no_solve(cfg, solver):
+    def no_solve(cfg):
         raise AssertionError("a solve started")
 
-    monkeypatch.setattr(cli_mod, "run_single", no_solve)
+    monkeypatch.setattr(cli_mod, "run_config", no_solve)
     monkeypatch.setenv("PFBE_THREADS", value)
     d = tmp_path / "configs"
     d.mkdir()
@@ -189,21 +193,21 @@ def test_rows_to_csv_has_header_and_newline():
 
 
 # ---------------------------------------------------------------------------
-# single runs
+# one config's runs
 
 
-def test_run_single_synthetic_pinned():
+def test_run_config_synthetic_pinned():
     cfg = RunConfig(problem="synthetic", n=10, p=10, c=1.0, seed=7)
-    row = run_single(cfg, "spg")
+    [row] = run_config(cfg)
     assert row.stat <= 1e-7
     assert row.feas <= 1e-6
     assert row.iter < 10000
     assert row.failure is None
 
 
-def test_run_single_example_two_point_set():
+def test_run_config_example_two_point_set():
     cfg = RunConfig(problem="example1", solver="spg", max_iter=20000)
-    row = run_single(cfg, "spg")
+    [row] = run_config(cfg)
     assert row.n == 1 and row.p == 1
     assert row.feas <= 1e-6
     # the run lands on one of the two first-order points; the penalized
@@ -211,11 +215,44 @@ def test_run_single_example_two_point_set():
     assert min(abs(row.fval - (-50.0)), abs(row.fval - (-0.5))) <= 1e-6
 
 
-def test_run_single_repeat_determinism():
-    cfg = RunConfig(problem="synthetic", n=3, p=3, seed=5)
-    a = run_single(cfg, "spg")
-    b = run_single(cfg, "spg")
+def test_run_config_repeat_determinism():
+    cfg = RunConfig(problem="synthetic", n=3, p=3, seed=5, repeats=2)
+    a, b = run_config(cfg)
     assert a.csv().rsplit(",", 1)[0] == b.csv().rsplit(",", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "command, extra, builds",
+    [("run", {}, 1), ("run", {"eta": 0.01}, 2), ("sweep", {}, 2)],
+    ids=["run", "run-eta", "sweep-two-configs"],
+)
+def test_each_config_is_set_up_once(tmp_path, monkeypatch, command, extra, builds):
+    # one instance per config for all its solvers and repeats, and one more
+    # for the load-time threshold check of a config that gives eta
+    import pfbe.cli as cli_mod
+
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return make_synthetic(*args)
+
+    monkeypatch.setattr(cli_mod, "make_synthetic", counting)
+    monkeypatch.delenv("PFBE_THREADS", raising=False)
+    d = tmp_path / "configs"
+    d.mkdir()
+    three = dict(solver=["spg", "subgda", "gda"], repeats=2, max_iter=20, gda_pilot_iters=5,
+                 gda_step_grid=[[1, 1]], **extra)
+    out = tmp_path / "out.csv"
+    if command == "run":
+        argv = ["run", "--config", str(_write_config(d / "a.json", **three)), "--out", str(out)]
+    else:
+        _write_config(d / "a.json", **three)
+        _write_config(d / "b.json", seed=2, **three)
+        argv = ["sweep", "--config-dir", str(d), "--out", str(out)]
+    assert main(argv) == 0
+    assert len(made) == builds
+    assert len(out.read_text().splitlines()) == 1 + 6 * (2 if command == "sweep" else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +298,7 @@ def test_output_in_a_missing_directory_exits_before_any_solve(tmp_path, monkeypa
     import pfbe.cli as cli_mod
 
     solves = []
-    monkeypatch.setattr(cli_mod, "run_single", lambda cfg, solver: solves.append(solver))
+    monkeypatch.setattr(cli_mod, "run_config", lambda cfg: solves.append(cfg.solvers))
     monkeypatch.delenv("PFBE_THREADS", raising=False)
     out = tmp_path / "absent" / "x.csv"
     d = tmp_path / "configs"
@@ -284,7 +321,7 @@ def test_output_that_is_a_directory_exits_before_any_solve(tmp_path, monkeypatch
     import pfbe.cli as cli_mod
 
     solves = []
-    monkeypatch.setattr(cli_mod, "run_single", lambda cfg, solver: solves.append(solver))
+    monkeypatch.setattr(cli_mod, "run_config", lambda cfg: solves.append(cfg.solvers))
     monkeypatch.delenv("PFBE_THREADS", raising=False)
     d = tmp_path / "configs"
     d.mkdir()
@@ -352,7 +389,7 @@ def test_cmd_run_step_failure_exit_code(tmp_path, monkeypatch, capsys):
         fval=0.0, iter=4, stat=1.0, feas=0.0, time_s=0.0,
         failure="StepFailure",
     )
-    monkeypatch.setattr(cli_mod, "run_single", lambda cfg, s: failed)
+    monkeypatch.setattr(cli_mod, "run_config", lambda cfg: [failed])
     rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
 

@@ -1,17 +1,17 @@
 """The n = p = 10 rows of the benchmark's golden criterion-6 sweep.
 
 Runs the nine n = 10 jobs of ``perfbench/golden/sweep-c6/seed-0.csv``
-(``spg``, ``subgda`` and ``gda`` on instance seeds 1-3, default config)
-through :func:`pfbe.cli.run_single` and compares each CSV row without
-``time_s`` to the golden one, which this test only reads. A change that
-moves a row fails here without a benchmark run.
+(``spg``, ``subgda`` and ``gda`` on instance seeds 1-3, default config),
+each as a one-solver config through :func:`pfbe.cli.run_config`, and
+compares its CSV row without ``time_s`` to the golden one, which this test
+only reads. A change that moves a row fails here without a benchmark run.
 """
 
 from pathlib import Path
 
 import pytest
 
-from pfbe.cli import RunConfig, run_single
+from pfbe.cli import RunConfig, run_config
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "sweep-c6" / "seed-0.csv"
 
@@ -36,6 +36,6 @@ def test_golden_file_has_the_nine_jobs():
 
 @pytest.mark.parametrize("solver, seed", sorted(GOLDEN_ROWS))
 def test_row_matches_golden(solver, seed):
-    row = run_single(RunConfig(solver=solver, n=10, p=10, c=1.0, seed=seed), solver)
+    [row] = run_config(RunConfig(solver=solver, n=10, p=10, c=1.0, seed=seed))
     assert row.failure is None
     assert row.csv().rsplit(",", 1)[0] == GOLDEN_ROWS[(solver, seed)]
