@@ -200,7 +200,7 @@ def _load_config(path) -> RunConfig:
     return cfg
 
 
-def run_config(cfg: RunConfig) -> list:
+def run_config(cfg: RunConfig) -> list[BenchRow]:
     """The config's rows: its instance is set up once, then each of its
     solvers runs ``repeats`` times through :func:`~pfbe.solvers.solve`, from
     the lifted default start and with the config's step grid and pilot
@@ -208,11 +208,12 @@ def run_config(cfg: RunConfig) -> list:
     solve's ``wall_time``, without a GDA step selection."""
     lifted, ecfg = _setup(cfg)
     scfg = SolverConfig(max_iter=cfg.max_iter, gtol=cfg.gtol, record_trace=False)
+    grid = _expand_grid(cfg.gda_step_grid)
     rows = []
     for solver in cfg.solvers:
         for _ in range(cfg.repeats):
             res = solve(solver, lifted.problem, ecfg, scfg, *lifted.default_start(),
-                        grid=_expand_grid(cfg.gda_step_grid), pilot_iters=cfg.gda_pilot_iters)
+                        grid=grid, pilot_iters=cfg.gda_pilot_iters)
             x_part, _lam = lifted.split(res.x)
             rows.append(BenchRow(
                 solver=solver, n=lifted.n, p=lifted.base.dim_y, c=cfg.c, seed=cfg.seed,
