@@ -306,17 +306,21 @@ def cmd_sweep(args) -> int:
     if loaded is None or _no_output_dir(args.out):
         return 1
     workers, cfgs = loaded
+    # largest first (stably), so that no large config is left to run alone at the end
+    order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].n * cfgs[i].p)
+    jobs = [cfgs[i] for i in order]
     if workers > 1 and len(cfgs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
         # spawned, not forked: the parent already runs threads (BLAS's)
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            per_config = list(pool.map(run_config, cfgs))
+            done = list(pool.map(run_config, jobs))
     else:
-        per_config = [run_config(cfg) for cfg in cfgs]
-    rows = sorted((row for cfg_rows in per_config for row in cfg_rows),
-                  key=lambda r: (r.n, r.p, r.c, r.solver, r.seed))  # stable: ties keep config order
+        done = [run_config(cfg) for cfg in jobs]
+    by_file = dict(zip(order, done))  # each config's rows, by its place in file-name order
+    rows = sorted((row for i in range(len(cfgs)) for row in by_file[i]),
+                  key=lambda r: (r.n, r.p, r.c, r.solver, r.seed))  # stable: ties keep file order
     return _report(rows, args.out)
 
 

@@ -20,9 +20,11 @@ Conventions used across the package:
   the bits of that row's own call (``np.vecdot`` keeps them for dot
   products, and gives two 1-D vectors the bits of ``float(u @ v)`` as an
   ``np.float64``); a ``prox`` takes a float step or a column of per-row
-  steps. This is probed once, not per call: a :class:`MinimaxProblem`
-  probes ``f``, ``r1`` and ``r2``, and a :class:`CoupledProblem` ``g``,
-  ``c`` and ``r1``, when it is built;
+  steps. Each result is a float64 ``np.ndarray``, and a value at one point
+  may also be a ``float``; the library does not coerce them. This is
+  probed once, not per call: a :class:`MinimaxProblem` probes ``f``,
+  ``r1`` and ``r2``, and a :class:`CoupledProblem` ``g``, ``c`` and
+  ``r1``, when it is built;
 * numpy's floating-point warnings are off only under :data:`quiet_floats`,
   the one rule, where a nan or inf is a documented outcome: in the probe,
   the solver loop and the diagnostics.
@@ -162,9 +164,11 @@ def _probe(boxes: dict, *owners) -> None:
     regularizer, on 2-row stacks and on each of their rows alone, and raise
     :class:`DimensionError` naming it unless each part of the result has one
     row per point with that row's bytes, and each part of a bundle the bytes
-    of its separate call, called before it on the same stacks. The stack of
-    each of ``boxes`` holds its projected origin and a point of it that
-    differs in each free coordinate."""
+    of its separate call, called before it on the same stacks, and then
+    unless each part is a float64 ``np.ndarray`` (a value at one point may
+    also be a ``float``, so an ``np.float64``). The stack of each of
+    ``boxes`` holds its projected origin and a point of it that differs in
+    each free coordinate."""
     v = 1.0 / (2.0 + np.arange(boxes["y"].dim))  # two y-directions, and steps
     stacks = {"v": (np.stack([v, -v[::-1]]), v, -v[::-1]),
               "t": (np.array([[0.5], [0.25]]), 0.5, 0.25), "u": (0.5, 0.5, 0.5)}
@@ -195,6 +199,12 @@ def _probe(boxes: dict, *owners) -> None:
             if seen.setdefault((owner, call, args), stacked.tobytes()) != stacked.tobytes():
                 raise DimensionError(f"{what} returned a part whose bytes differ from "
                                      f"those of {owner}.{call}")
+            for i, r in enumerate(results):  # a float64 array, or a float value at one point
+                if not (isinstance(r, np.ndarray) and r.dtype == _FLOAT64
+                        or i and part == "s" and isinstance(r, float)):
+                    raise DimensionError(
+                        f"{what} returned {getattr(r, 'dtype', type(r).__name__)} results, "
+                        "expected float64 arrays, or a float for a value at one point")
 
 
 def check_finite(value, what: str = "value"):
@@ -281,10 +291,14 @@ def _check_boxes(owner: str, **sets) -> None:
 class FunctionOracle:
     """Smooth coupling function with first- and second-order oracles.
 
+    Every result is a float64 ``np.ndarray`` (a value at one point may be a
+    ``float``), which the problem that takes the oracle checks once, when
+    it is built.
+
     Parameters
     ----------
     eval : callable
-        ``(x, y) -> float``.
+        ``(x, y) -> float``, or a float64 array of one value per row.
     grad_x, grad_y : callable
         Partial gradients, ``(x, y) -> array``.
     lipschitz_grad : float
@@ -406,7 +420,8 @@ class ConstraintOracle:
     ``hvp_yy_lam`` are the derivatives of ``jvp_x`` and ``jvp_y`` along a
     y-direction ``v``: the exact products the lift needs. A value of the
     three that is not callable raises :class:`IncompleteOracle` at
-    construction.
+    construction. Every result is a float64 ``np.ndarray``, which a
+    :class:`CoupledProblem` checks once, when it is built.
     """
 
     dim: int

@@ -96,7 +96,7 @@ def feasibility_mcc(coupled: CoupledProblem, x, y) -> float:
     ``c`` is not finite returns nan, without a warning."""
     x = as_vector(x, coupled.dim_x, "x")
     y = as_vector(y, coupled.dim_y, "y")
-    cval = np.asarray(coupled.c.eval_c(x, y), dtype=np.float64)
+    cval = coupled.c.eval_c(x, y)
     return float(np.linalg.norm(cval - coupled.K.project(cval)))
 
 
@@ -132,7 +132,7 @@ def certify(lifted: LiftedProblem, cfg: EnvelopeConfig, x, lam, y) -> Certificat
     stat = prox_grad_residual(prob, cfg, ev)
     eps_x, eps_y = _norm_pair(prob, ev.x, ev.T)
     feas = feasibility_mcc(lifted.base, x, y)
-    cval = np.asarray(lifted.base.c.eval_c(as_vector(x), as_vector(y)), dtype=np.float64)
+    cval = lifted.base.c.eval_c(as_vector(x), as_vector(y))
     comp = abs(float(np.vecdot(as_vector(lam), cval)))
     ratio = multiplier_bound_monitor(lifted, x, lam, y)
     factor = transfer_constant(prob, cfg)
@@ -170,7 +170,7 @@ def check_polar_convexity(coupled: CoupledProblem, sample_points) -> bool:
         y1 = as_vector(y1, coupled.dim_y, "y1")
         y2 = as_vector(y2, coupled.dim_y, "y2")
         ys = np.stack([0.5 * (y1 + y2), y1, y2])  # one call of c at the midpoint and both ends
-        c = np.asarray(coupled.c.eval_c(np.tile(x, (3, 1)), ys), dtype=np.float64)
+        c = coupled.c.eval_c(np.tile(x, (3, 1)), ys)
         mid, left, right = check_finite(
             np.vecdot(lam, c), f"<lam, c> of sample {i} at (midpoint, y1, y2)"
         )

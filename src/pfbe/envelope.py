@@ -43,8 +43,9 @@ lifting splits into its x, multiplier and y blocks.
 Every function here also takes a stack of points, ``x`` and ``y`` with
 one point per row, and gives each row the bits it would get alone; the
 scalar fields of :class:`EnvelopeEval` then hold one value per row. It
-passes a stack to the oracle unchecked: a :class:`MinimaxProblem` probes
-the contract of :mod:`pfbe.core` once, when it is built. A nan or inf in ``f``,
+passes a stack to the oracle unchecked and uses its results as returned:
+a :class:`MinimaxProblem` probes the contract of :mod:`pfbe.core`, float64
+results included, once, when it is built. A nan or inf in ``f``,
 ``grad_y f``, ``grad_x f`` or a Hessian-vector product always reaches
 ``gamma`` or the gradient of ``Xi``, so finiteness is checked once per
 value evaluation and once per gradient completion. At
@@ -169,8 +170,7 @@ def _first_order(f: FunctionOracle, x, y):
         what, (fv, gx, gy) = "FunctionOracle.eval", (f.eval(x, y), f.grad_x(x, y), f.grad_y(x, y))
     else:
         what, (fv, gx, gy) = "FunctionOracle.first_order", f.first_order(x, y)
-    return (as_values(what, fv, x.ndim == 1), np.asarray(gx, dtype=np.float64),
-            np.asarray(gy, dtype=np.float64))
+    return as_values(what, fv, x.ndim == 1), gx, gy
 
 
 def _finite_rows(finite: Optional[np.ndarray], checked, *named) -> Optional[np.ndarray]:
@@ -256,10 +256,8 @@ def with_gradients(
     :class:`NonFiniteValue` before anything is written."""
     f, x, y, R, gx = problem.f, ev.x, ev.y, ev.R, ev.grad_x_f
     eta, alpha = cfg.eta, cfg.alpha
-    hxy_r = np.asarray(f.hvp_xy(x, y, R), dtype=np.float64)
-    hyy_r = np.asarray(f.hvp_yy(x, y, R), dtype=np.float64)
-    grad_x = gx + alpha * eta * hxy_r
-    grad_y = alpha * (R + eta * hyy_r) - (alpha - 1.0) * ev.grad_y_f
+    grad_x = gx + alpha * eta * f.hvp_xy(x, y, R)
+    grad_y = alpha * (R + eta * f.hvp_yy(x, y, R)) - (alpha - 1.0) * ev.grad_y_f
     ev.finite = _finite_rows(
         ev.finite, (grad_x, grad_y),
         ("grad_x f", gx), ("grad_x Xi", grad_x), ("grad_y Xi", grad_y),
@@ -319,8 +317,7 @@ def minimax_residual(problem: MinimaxProblem, x, y) -> tuple[Vector, Vector]:
     ``x`` and ``y`` are points, or stacks, as ``problem.check_point``
     returns them.
     """
-    gx = np.asarray(problem.f.grad_x(x, y), dtype=np.float64)
-    gy = np.asarray(problem.f.grad_y(x, y), dtype=np.float64)
+    gx, gy = problem.f.grad_x(x, y), problem.f.grad_y(x, y)
     rx = composite_prox(problem.r1, problem.X, x - gx, 1.0) - x
     ry = composite_prox(problem.r2, problem.Y, y + gy, 1.0) - y
     return rx, ry
@@ -332,4 +329,4 @@ def prox_step(problem: MinimaxProblem, cfg: EnvelopeConfig, x, y) -> tuple[Vecto
     and ``R``: nan at one point, or in its row of a stack, where ``grad_y
     f`` is not finite."""
     x, y = problem.check_point(x, y)
-    return _maximizer(problem, cfg.eta, y, np.asarray(problem.f.grad_y(x, y), dtype=np.float64))
+    return _maximizer(problem, cfg.eta, y, problem.f.grad_y(x, y))

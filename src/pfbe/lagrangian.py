@@ -103,7 +103,9 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     :class:`CoupledProblem` checked to be boxes when it was built.
 
     The lifted oracle takes a point or a stack, as :class:`CoupledProblem`
-    probed ``coupled.g`` and ``coupled.c`` to, and checks nothing per call.
+    probed ``coupled.g`` and ``coupled.c`` to, and checks nothing per call:
+    the probe also checked that their results are float64 arrays (a value
+    at one point may be a float), so the lift uses them as returned.
     It has a ``first_order`` bundle when ``coupled.g`` has one, which splits
     ``z`` and calls ``c.eval_c`` once for all three.
     Its Hessian-vector products are exact: ``hvp_yy`` is ``g.hvp_yy -
@@ -116,40 +118,36 @@ def lift(coupled: CoupledProblem, lipschitz_grad: float) -> LiftedProblem:
     X, polar = coupled.X, coupled.K.polar()
     X_lift = BoxSet(np.concatenate([X.lo, polar.lo]), np.concatenate([X.hi, polar.hi]))
 
-    # each partial result enters a float64 ufunc (or asarray), so an oracle
-    # may return lists; the lift adds no view of z or y to what g and c give
+    # each partial result is a float64 array (a value may be a float), as
+    # the probe of coupled checked; the lift adds no view of z or y to them
     def lp_eval(z, y):
         x, lam = z[..., :n], z[..., n:]
-        c = np.asarray(con.eval_c(x, y), dtype=np.float64)
-        return np.subtract(g.eval(x, y), np.vecdot(lam, c), dtype=np.float64)
+        return g.eval(x, y) - np.vecdot(lam, con.eval_c(x, y))
 
     def lp_grad_x(z, y):
         x, lam = z[..., :n], z[..., n:]
-        gx = np.subtract(g.grad_x(x, y), con.jvp_x(x, y, lam), dtype=np.float64)
-        return np.concatenate([gx, np.negative(con.eval_c(x, y), dtype=np.float64)], axis=-1)
+        return np.concatenate([g.grad_x(x, y) - con.jvp_x(x, y, lam), -con.eval_c(x, y)], axis=-1)
 
     def lp_grad_y(z, y):
         x, lam = z[..., :n], z[..., n:]
-        return np.subtract(g.grad_y(x, y), con.jvp_y(x, y, lam), dtype=np.float64)
+        return g.grad_y(x, y) - con.jvp_y(x, y, lam)
 
     def lp_first_order(z, y):  # one split of z and one c for all three
         x, lam = z[..., :n], z[..., n:]
         gv, gx, gy = g.first_order(x, y)
-        c = np.asarray(con.eval_c(x, y), dtype=np.float64)
+        c = con.eval_c(x, y)
         jx, jy = con.jvp_x(x, y, lam), con.jvp_y(x, y, lam)
-        gx = np.subtract(gx, jx, dtype=np.float64)  # inf - inf where a solve rejects the point
-        gx = np.concatenate([gx, np.negative(c, dtype=np.float64)], axis=-1)
-        gy = np.subtract(gy, jy, dtype=np.float64)
-        return np.subtract(gv, np.vecdot(lam, c), dtype=np.float64), gx, gy
+        gx = np.concatenate([gx - jx, -c], axis=-1)  # inf - inf where a solve rejects the point
+        return gv - np.vecdot(lam, c), gx, gy - jy
 
     def hvp_yy(z, y, v):
         x, lam = z[..., :n], z[..., n:]
-        return np.subtract(g.hvp_yy(x, y, v), con.hvp_yy_lam(x, y, lam, v), dtype=np.float64)
+        return g.hvp_yy(x, y, v) - con.hvp_yy_lam(x, y, lam, v)
 
     def hvp_xy(z, y, v):
         x, lam = z[..., :n], z[..., n:]
-        top = np.subtract(g.hvp_xy(x, y, v), con.hvp_xy_lam(x, y, lam, v), dtype=np.float64)
-        return np.concatenate([top, np.negative(con.dc_y(x, y, v), dtype=np.float64)], axis=-1)
+        top = g.hvp_xy(x, y, v) - con.hvp_xy_lam(x, y, lam, v)
+        return np.concatenate([top, -con.dc_y(x, y, v)], axis=-1)
 
     oracle = FunctionOracle(
         eval=lp_eval,
@@ -224,5 +222,4 @@ def multiplier_bound_monitor(lifted: LiftedProblem, x, lam, y) -> float:
     x = as_vector(x, lifted.n, "x")
     lam = as_vector(lam, lifted.m, "lam")
     y = as_vector(y, base.dim_y, "y")
-    gy = np.asarray(base.g.grad_y(x, y), dtype=np.float64)
-    return float(np.linalg.norm(lam) / (1.0 + np.linalg.norm(gy)))
+    return float(np.linalg.norm(lam) / (1.0 + np.linalg.norm(base.g.grad_y(x, y))))

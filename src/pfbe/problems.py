@@ -269,10 +269,10 @@ def make_example1() -> Example1Instance:
         return -(y[..., :1] - 2.0 * x[..., :1])
 
     def g_hvp_yy(x, y, v):
-        return -np.asarray(v, dtype=np.float64)
+        return -v
 
     def g_hvp_xy(x, y, v):
-        return 2.0 * np.asarray(v, dtype=np.float64)
+        return 2.0 * v
 
     def c_eval(x, y):
         return np.concatenate([y[..., :1] - x[..., :1], y[..., :1] - x[..., :1] ** 4], axis=-1)

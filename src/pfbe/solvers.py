@@ -357,9 +357,8 @@ def solve_spg(
     after ``LS_MAX_HALVINGS`` rejected halvings or once the step drops
     below ``STEP_MIN``, and with ``failure="Stalled"`` when a prox step of
     the current size leaves the iterate bit-unchanged although the
-    unit-step residual is above ``gtol``. SPG runs from one point: a stack
-    of starts raises :class:`DimensionError` at once (stacked SPG is
-    ROADMAP item 2).
+    unit-step residual is above ``gtol``. SPG runs from one point by
+    design: a stack of starts raises :class:`DimensionError` at once.
     """
     if problem.check_point(x0, y0)[0].ndim > 1:
         raise DimensionError(f"solve_spg runs from one point, got a stack of {len(x0)}")
@@ -437,7 +436,7 @@ def solve_subgda(
         raise ValueError(f"eta_y={ey} is outside [0, eta] for the envelope step eta={cfg.eta}")
 
     def step(k: int, it: Iterate, rows) -> Points:
-        gx = np.asarray(problem.f.grad_x(it.x, it.y), dtype=np.float64)
+        gx = problem.f.grad_x(it.x, it.y)
         x_new = composite_prox(problem.r1, problem.X, it.x - ex * gx, ex)
         _, R = prox_step(problem, cfg, x_new, it.y)
         return Points(x_new, it.y + ey * R)
@@ -454,8 +453,7 @@ def _gda_step(problem: MinimaxProblem, eta_x, eta_y) -> StepRule:
 
     def step(k: int, it: Iterate, rows) -> Points:
         tx, ty = (eta_x[rows], eta_y[rows]) if per_row else (eta_x, eta_y)
-        gx = np.asarray(f.grad_x(it.x, it.y), dtype=np.float64)
-        gy = np.asarray(f.grad_y(it.x, it.y), dtype=np.float64)
+        gx, gy = f.grad_x(it.x, it.y), f.grad_y(it.x, it.y)
         x_new = composite_prox(problem.r1, problem.X, it.x - tx * gx, tx)
         y_new = composite_prox(problem.r2, problem.Y, it.y + ty * gy, ty)
         return Points(x_new, y_new)

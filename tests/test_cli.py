@@ -503,6 +503,44 @@ def test_cmd_sweep_spawns_its_workers(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 5
 
 
+def test_cmd_sweep_submits_the_largest_config_first(tmp_path, monkeypatch):
+    # the pool gets configs by descending n * p, stably, so no large one is
+    # left to run alone at the end. Rows go back to file-name order first:
+    # example 1 ignores n and p, so two of its configs can tie in the row
+    # sort although the pool took them in the other order
+    d = _sweep_dir(tmp_path)
+    _write_config(d / "e1.json", problem="example1", n=1, p=1)
+    _write_config(d / "e2.json", problem="example1", n=5, p=5, max_iter=3)
+    submitted = []
+
+    class Recording:
+        def __init__(self, max_workers, mp_context=None):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            submitted.extend((cfg.n, cfg.p, cfg.seed) for cfg in jobs)
+            return map(fn, jobs)
+
+    out_serial, out_pool = tmp_path / "serial.csv", tmp_path / "pool.csv"
+    monkeypatch.setenv("PFBE_THREADS", "1")
+    assert main(["sweep", "--config-dir", str(d), "--out", str(out_serial)]) == 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setenv("PFBE_THREADS", "2")
+    assert main(["sweep", "--config-dir", str(d), "--out", str(out_pool)]) == 0
+    assert submitted == [(5, 5, 1), (4, 4, 2), (2, 2, 1), (2, 2, 3), (1, 1, 1)]
+    got = _strip_time(out_pool.read_text())
+    assert got == _strip_time(out_serial.read_text())
+    ties = [line.split(",") for line in got.splitlines() if line.startswith("spg,1,1,1,1,")]
+    assert [cells[6] for cells in ties] == ["10", "3"]  # e1.json's row, then e2.json's
+
+
 def test_cmd_sweep_not_a_directory(tmp_path):
     rc = main(["sweep", "--config-dir", str(tmp_path / "nope"), "--out",
                str(tmp_path / "o.csv")])

@@ -98,22 +98,67 @@ def _first_row(fn):
     return lambda *args: fn(*[a[0] if np.ndim(a) == 2 else a for a in args])
 
 
+def _results_as(kind):
+    """A wrapper that makes each part of a callable's results a list, or an
+    array of dtype ``kind``: the same numbers, but not float64 arrays."""
+    cast = (lambda r: np.asarray(r).tolist()) if kind == "list" else (
+        lambda r: np.asarray(r, dtype=kind))
+
+    def wrap(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            return tuple(map(cast, out)) if isinstance(out, tuple) else cast(out)
+        return wrapped
+    return wrap
+
+
+# a callable that reads one point only gets a shape error; one whose
+# results are not float64 arrays a type error, or, for a bundle whose
+# parts the cast rounds, the bytes error of the bundle rule
+_WRAPPERS = {"first_row": (_first_row, "shapes "), "list": (_results_as("list"), ""),
+             "float32": (_results_as(np.float32), ""), "int64": (_results_as(np.int64), "")}
+
 _SOFT = ProxRegularizer(eval=lambda v: np.abs(v).sum(axis=-1),
                         prox=lambda z, t: np.sign(z) * np.maximum(np.abs(z) - t, 0.0))
 
 
-@pytest.mark.parametrize("owner, name", [("f", name) for name in (
-    "eval", "grad_x", "grad_y", "hvp_yy", "hvp_xy", "first_order")]
-    + [(reg, name) for reg in ("r1", "r2") for name in ("eval", "prox")])
-def test_building_a_problem_names_a_callable_that_takes_one_point_only(owner, name):
+@pytest.mark.parametrize("owner, name, wrapper", [
+    pytest.param(owner, name, wrapper, id=f"{owner}-{name}"
+                 + ("" if wrapper == "first_row" else f"-{wrapper}"))
+    for wrapper in _WRAPPERS for owner, name in [("f", name) for name in (
+        "eval", "grad_x", "grad_y", "hvp_yy", "hvp_xy", "first_order")]
+    + [(reg, name) for reg in ("r1", "r2") for name in ("eval", "prox")]])
+def test_building_a_problem_names_a_callable_that_takes_one_point_only(owner, name, wrapper):
+    wrap, message = _WRAPPERS[wrapper]
     base = make_synthetic(2, 2, 1.0, 1).lifted.base
     parts = {"f": base.g, "r1": _SOFT, "r2": _SOFT}
     fn = getattr(parts[owner], name)
-    parts[owner] = replace(parts[owner], **{name: _first_row(fn)})
+    parts[owner] = replace(parts[owner], **{name: wrap(fn)})
     what = "FunctionOracle" if owner == "f" else f"MinimaxProblem.{owner}"
-    with pytest.raises(DimensionError, match=rf"{what}.{name} returned shapes"):
+    with pytest.raises(DimensionError, match=rf"^{what}\.{name} returned {message}"):
         MinimaxProblem(X=base.X, Y=base.Y, **parts)
     MinimaxProblem(f=base.g, X=base.X, Y=base.Y, r1=_SOFT, r2=_SOFT)  # the callables as given
+
+
+@pytest.mark.parametrize("wrapper", ["list", "float32", "int64"])
+def test_building_a_coupled_problem_names_a_constraint_that_returns_no_float64_array(wrapper):
+    base = make_synthetic(2, 2, 1.0, 1).lifted.base
+    c = replace(base.c, eval_c=_WRAPPERS[wrapper][0](base.c.eval_c))
+    with pytest.raises(DimensionError, match=rf"^CoupledProblem\.c\.eval_c returned {wrapper} "
+                                             rf"results, expected float64 arrays"):
+        replace(base, c=c)
+
+
+@pytest.mark.parametrize("value", [0.25, np.float64(0.25), np.array(0.25)],
+                         ids=["float", "np.float64", "0-d array"])
+def test_building_a_problem_takes_a_float_value_at_one_point(value):
+    # a float, an np.float64 and a 0-d float64 array are all one float64 value
+    base = make_synthetic(2, 2, 1.0, 1).lifted.base
+
+    def ev(x, y):
+        return np.full(x.shape[:-1], 0.25) if x.ndim == 2 else value
+
+    MinimaxProblem(f=replace(base.g, eval=ev, first_order=None), X=base.X, Y=base.Y)
 
 
 @pytest.mark.parametrize("part, name", enumerate(["eval", "grad_x", "grad_y"]))

@@ -158,17 +158,19 @@ def test_lifted_bundle_computes_inf_minus_inf_as_the_separate_calls():
     assert [_bits(v) for v in got] == [_bits(v) for v in (value, gx, grad_y)]
 
 
-def _list_problem(wrap):
-    """A coupled problem in two dimensions whose value is a Python float and
-    whose other oracles return ``wrap`` of a list of floats, at one point,
-    or a list of such values and lists, one per row of a stack."""
+def _float_value_problem(to_float):
+    """A coupled problem in two dimensions whose value is a Python float at
+    one point when ``to_float``, else an ``np.float64``, and a float64 array
+    of one value per row on a stack; its other oracles return float64
+    arrays."""
 
     def pair(a, b):
-        return wrap(np.stack([a, b], axis=-1).tolist())
+        return np.stack([a, b], axis=-1)
 
     def g_eval(x, y):
         x0, x1, y0, y1 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
-        return (x0 * y0 + 2.0 * x1 * y1 - 0.5 * (y0 ** 2 + y1 ** 2)).tolist()
+        value = x0 * y0 + 2.0 * x1 * y1 - 0.5 * (y0 ** 2 + y1 ** 2)
+        return float(value) if to_float and x.ndim == 1 else value
 
     g = FunctionOracle(
         eval=g_eval,
@@ -185,28 +187,33 @@ def _list_problem(wrap):
         jvp_x=lambda x, y, lam: pair(lam[..., 0], -lam[..., 1]),
         jvp_y=lambda x, y, lam: pair(lam[..., 0], lam[..., 1]),
         dc_y=lambda x, y, v: pair(v[..., 0], v[..., 1]),
-        hvp_xy_lam=lambda x, y, lam, v: wrap(np.zeros(np.shape(x)).tolist()),
-        hvp_yy_lam=lambda x, y, lam, v: wrap(np.zeros(np.shape(v)).tolist()),
+        hvp_xy_lam=lambda x, y, lam, v: np.zeros(np.shape(x)),
+        hvp_yy_lam=lambda x, y, lam, v: np.zeros(np.shape(v)),
     )
     return CoupledProblem(
         g=g, c=con, X=BoxSet([0.0, 0.0], [1.0, 1.0]), Y=WholeSpace(2), K=OrthantCone(2, sign=-1)
     )
 
 
-def test_lift_takes_oracles_that_return_lists_and_floats():
-    by_list = lift(_list_problem(list), lipschitz_grad=8.0).problem
-    by_array = lift(_list_problem(np.array), lipschitz_grad=8.0).problem
+def test_lift_takes_a_value_oracle_that_returns_a_float_at_one_point():
+    # the probe's one leniency: a value at one point may be a float; every
+    # other result is a float64 array, which the lift uses as returned
+    as_float, as_array = _float_value_problem(True), _float_value_problem(False)
+    by_float = lift(as_float, lipschitz_grad=8.0).problem
+    by_array = lift(as_array, lipschitz_grad=8.0).problem
     rng = np.random.default_rng(64)
     z = np.concatenate([rng.uniform(0, 1, 2), rng.uniform(0, 2, 2)])
     y, v = rng.standard_normal(2), rng.standard_normal(2)
+    assert type(as_float.g.eval(z[:2], y)) is float
+    assert type(as_array.g.eval(z[:2], y)) is np.float64
     for name in LIFTED_CALLS:
         args = (z, y) if name in ("eval", "grad_x", "grad_y") else (z, y, v)
-        got, want = getattr(by_list.f, name)(*args), getattr(by_array.f, name)(*args)
+        got, want = getattr(by_float.f, name)(*args), getattr(by_array.f, name)(*args)
         assert type(got) is type(want) and np.asarray(got).dtype == np.float64, name
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
     cfg = EnvelopeConfig.for_problem(by_array)
     for point in ((z, y), (np.tile(z, (3, 1)), np.tile(y, (3, 1)))):
-        got, want = evaluate(by_list, cfg, *point), evaluate(by_array, cfg, *point)
+        got, want = evaluate(by_float, cfg, *point), evaluate(by_array, cfg, *point)
         for field in ("gamma", "T", "grad_x", "grad_y"):
             assert np.asarray(getattr(got, field)).tobytes() == np.asarray(
                 getattr(want, field)).tobytes(), field

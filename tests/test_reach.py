@@ -50,7 +50,8 @@ ALLOWED = {
     "core.BoxSet.project": (1, "a stack of points in a one-dimensional box; both built-in "
                                "lifted boxes have two or more dimensions"),
     "core.as_points": (4, "coercion of outside input; the program passes float64 arrays"),
-    "problems.spectral_norm_power": (1, "a zero operator, as from a draw with p = 0"),
+    "problems.spectral_norm_power": (1, "a zero operator that a caller passes in; no draw "
+                                        "gives one, as the lifted y block is -I"),
     "diagnostics.check_polar_convexity": (1, "the verdict on a constraint that fails the "
                                              "probe; both built-in ones are affine in y"),
     "solvers.gamma_descent_check": (1, "a trace of at most one value; a recorded solve "
